@@ -18,6 +18,21 @@ defined by
 
 expanded around s = 0.  With k = 1 and a_1 = 1 this recovers the classical
 Bernoulli polynomials (in the same B_1 = +1/2 reading).
+
+Neither needs a series product, and each has its own source of Bernoulli
+numbers:
+
+- The table comes from the tangent numbers T_j (tan s =
+  sum_j T_j s^(2j-1) / (2j-1)!), which Brent and Harvey's in-place integer
+  recurrence ("Fast computation of Bernoulli, Tangent and Secant numbers",
+  2011) yields in O(m^2) steps.  Then B_2j = (-1)^(j-1) 2j T_j / (4^j (4^j - 1)).
+- The Bernoulli-Barnes polynomials come from one scalar sequence, built by
+  integer binomial convolutions (see ``bernoulli_barnes``).  Its building
+  blocks c_n = n! [s^n] s/(e^s - 1) are the Bernoulli numbers again (with
+  c_1 = -1/2), but they are found a second way, by inverting (e^s - 1)/s,
+  and never read from the table.  theorem1 reads the polynomials and
+  section3 reads the table, so the two routes check each other only while
+  they share no values.
 """
 
 from __future__ import annotations
@@ -25,12 +40,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial, lcm
 from typing import Iterator, List, Tuple
 
 from .errors import DomainError
 from .partset import PartSet
-from .series import Poly, TruncatedSeries, poly_eval, series_inv, series_mul
+from .series import Poly, poly_eval
 
 
 @dataclass(frozen=True)
@@ -53,20 +68,24 @@ class BernoulliTable:
 _KNOWN: List[Fraction] = [Fraction(1)]
 
 
+def _tangent_numbers(count: int) -> List[int]:
+    """T_1..T_count by Brent and Harvey's in-place integer recurrence."""
+    t = [0, 1] + [0] * (count - 1)
+    for j in range(2, count + 1):
+        t[j] = (j - 1) * t[j - 1]
+    for k in range(2, count + 1):
+        for j in range(k, count + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return t[1 : count + 1]
+
+
 def _grow(m: int) -> None:
     if m < len(_KNOWN):
         return
-    # s/(e^s - 1) is the inverse of (e^s - 1)/s = sum_j s^j / (j+1)!
-    denominator = TruncatedSeries(
-        tuple(Fraction(1, factorial(j + 1)) for j in range(m + 1))
-    )
-    inverted = series_inv(denominator)
-    fresh = [Fraction(1)]
-    if m >= 1:
-        fresh.append(-inverted.coeffs[1])
-    for i in range(2, m + 1):
-        fresh.append(inverted.coeffs[i] * factorial(i))
-    _KNOWN[:] = fresh
+    fresh = [Fraction(1), Fraction(1, 2)] + [Fraction(0)] * (m - 1)
+    for j, t in enumerate(_tangent_numbers(m // 2), start=1):
+        fresh[2 * j] = Fraction((-1) ** (j - 1) * 2 * j * t, 4 ** j * (4 ** j - 1))
+    _KNOWN[:] = fresh[: m + 1]
 
 
 def bernoulli_numbers(m: int) -> BernoulliTable:
@@ -104,17 +123,42 @@ class BBPoly:
         return poly_eval(self.poly, x)
 
 
+# c_0, c_1, ... with c_n = n! [s^n] s/(e^s - 1), the unit factor of every
+# Bernoulli-Barnes product.  Kept apart from _KNOWN on purpose (see the module
+# docstring).  Grows monotonically; entries never change once computed.
+_UNIT: List[Fraction] = [Fraction(1)]
+
+
+def _unit_coefficients(m: int) -> List[Fraction]:
+    """c_0..c_m, inverting (e^s - 1)/s = sum_n s^n/(n+1)! one term at a time.
+
+    Matching s^n in (e^s - 1)/s * s/(e^s - 1) = 1 and multiplying by (n+1)!
+    gives sum_{l <= n} C(n+1, l) c_l = 0 for n >= 1, which solves for c_n
+    from the terms before it, so the list extends without starting over.
+    """
+    for n in range(len(_UNIT), m + 1):
+        acc = sum(comb(n + 1, l) * c for l, c in enumerate(_UNIT) if c)
+        _UNIT.append(-acc / (n + 1))
+    return _UNIT[: m + 1]
+
+
 def bernoulli_barnes(parts: PartSet, max_index: int) -> Tuple[BBPoly, ...]:
     """B_0..B_max_index for the given parts, as polynomials in x.
 
     Rewrites the generating function as
 
-        e^{xs} * prod_j [ a_j s / (e^{a_j s} - 1) ] / prod_j a_j
+        e^{xs} * prod_j [ a_j s / (e^{a_j s} - 1) ] / P,    P = prod_j a_j.
 
-    so each factor is the inverse of (e^{a_j s} - 1)/(a_j s), a series with
-    rational coefficients, and only the final e^{xs} factor carries x (its
-    s^j coefficient is the monomial x^j/j!).  B_i is i! times the s^i
-    coefficient of the product.  Results are cached per (parts, max_index).
+    Without e^{xs}, the product is the exponential generating function of a
+    scalar sequence beta, so the coefficient of x^j in B_i is C(i, j)
+    beta_{i-j}.  Factor a_j has EGF coefficients c_n a_j^n, with c_n from
+    ``_unit_coefficients``, and beta is k binomial convolutions
+
+        beta_n <- sum_l C(n, l) beta_l c_{n-l} a_j^(n-l).
+
+    They run on integer numerators over D, the common denominator of
+    c_0..c_max_index, and beta_n is divided by D^k P once at the end.
+    Results are cached per (parts, max_index).
     """
     if max_index < 0:
         raise DomainError("polynomial index must be nonnegative")
@@ -123,22 +167,25 @@ def bernoulli_barnes(parts: PartSet, max_index: int) -> Tuple[BBPoly, ...]:
 
 @lru_cache(maxsize=None)
 def _bernoulli_barnes(parts: PartSet, max_index: int) -> Tuple[BBPoly, ...]:
-    order = max_index
-    rational_part = TruncatedSeries.one(order)
+    unit = _unit_coefficients(max_index)
+    common = lcm(*(c.denominator for c in unit))
+    numerators = [
+        (n, c.numerator * (common // c.denominator)) for n, c in enumerate(unit) if c
+    ]
+    beta = [1] + [0] * max_index
     for a in parts:
-        factor = TruncatedSeries(
-            tuple(Fraction(a ** m, factorial(m + 1)) for m in range(order + 1))
+        weights = [(n, c * a ** n) for n, c in numerators]
+        beta = [
+            sum(comb(n, l) * beta[n - l] * w for l, w in weights if l <= n)
+            for n in range(max_index + 1)
+        ]
+    scale = common ** parts.k * parts.product
+    beta = [Fraction(b, scale) for b in beta]
+    return tuple(
+        BBPoly(
+            index=i,
+            parts=parts,
+            poly=Poly(tuple(comb(i, j) * beta[i - j] for j in range(i + 1))),
         )
-        rational_part = series_mul(rational_part, series_inv(factor))
-    scale = Fraction(1, parts.product)
-    scaled = TruncatedSeries(tuple(c * scale for c in rational_part.coeffs))
-    exp_x = TruncatedSeries(
-        tuple(Poly.monomial(j, Fraction(1, factorial(j))) for j in range(order + 1))
+        for i in range(max_index + 1)
     )
-    expanded = series_mul(scaled, exp_x)
-    out = []
-    for i in range(max_index + 1):
-        coeff = expanded.coeffs[i]
-        poly = coeff if isinstance(coeff, Poly) else Poly.constant(coeff)
-        out.append(BBPoly(index=i, parts=parts, poly=poly * factorial(i)))
-    return tuple(out)

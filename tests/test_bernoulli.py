@@ -1,10 +1,15 @@
 """Bernoulli numbers and Bernoulli-Barnes polynomials.
 
-The number table is cross-checked two independent ways: against the
-exponential-of-log identity (exp of the log coefficients must invert
-(e^s - 1)/s) and against the k = 1, a = 1 specialization of the
-Bernoulli-Barnes machinery, which reproduces the classical table up to the
-sign flip at index 1 that the +1/2 convention introduces.
+The number table is cross-checked three independent ways: against sympy
+(when installed), against the exponential-of-log identity (exp of the log
+coefficients must invert (e^s - 1)/s) and against the k = 1, a = 1
+specialization of the Bernoulli-Barnes machinery, which computes its own
+coefficients and reproduces the classical table up to the sign flip at
+index 1 that the +1/2 convention introduces.
+
+The Bernoulli-Barnes polynomials are checked against a per-factor series
+inversion and product (the algorithm the package used before its scalar
+convolution), and a work gate keeps that slow path from coming back.
 """
 
 import random
@@ -12,6 +17,8 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+import denumerant.bernoulli as bernoulli_module
+import denumerant.series as series_module
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -38,6 +45,13 @@ ANY_SETS = [
 
 def test_table_matches_known_values():
     assert list(bernoulli_numbers(4)) == [F(1), F(1, 2), F(1, 6), F(0), F(-1, 30)]
+
+
+def test_table_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    # sympy uses the same B_1 = +1/2 convention
+    expected = [F(int(b.p), int(b.q)) for b in map(sympy.bernoulli, range(301))]
+    assert list(bernoulli_numbers(300)) == expected
 
 
 def test_table_smallest():
@@ -154,15 +168,54 @@ class TestBernoulliBarnes:
         for combo in rng.sample(ANY_SETS, 25):
             shuffled = list(combo)
             rng.shuffle(shuffled)
-            reference = bernoulli_barnes(PartSet(combo), 3)
-            manual = bb_polys_by_factor_order(shuffled, 3)
+            reference = bernoulli_barnes(PartSet(combo), 12)
+            manual = bb_polys_by_factor_order(shuffled, 12)
             assert [entry.poly for entry in reference] == manual
+
+    def test_matches_per_factor_inversion_at_high_index(self):
+        reference = bernoulli_barnes(PartSet.of(3, 4, 5, 7), 40)
+        manual = bb_polys_by_factor_order([7, 3, 5, 4], 40)
+        assert [entry.poly for entry in reference] == manual
+
+    def test_no_series_products_or_per_part_inversions(self, monkeypatch):
+        # deterministic work gate: the polynomials come from one scalar
+        # convolution, not from per-part series_inv and Poly-valued series_mul
+        calls = {"series_inv": 0, "series_mul": 0}
+
+        def counting(name):
+            original = getattr(series_module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            wrapped = counting(name)
+            monkeypatch.setattr(series_module, name, wrapped)
+            monkeypatch.setattr(bernoulli_module, name, wrapped, raising=False)
+
+        # and they keep their own coefficients, apart from the number table
+        def table_read(m):
+            raise AssertionError("theorem1's polynomials must not read section3's table")
+
+        monkeypatch.setattr(bernoulli_module, "bernoulli_numbers", table_read)
+        cache = bernoulli_module._bernoulli_barnes
+        misses = cache.cache_info().misses
+        bernoulli_barnes(PartSet.of(11, 17, 19, 23), 40)
+        assert cache.cache_info().misses == misses + 1
+        assert calls["series_mul"] == 0 and calls["series_inv"] <= 1
+        calls.update(series_inv=0, series_mul=0)
+        bernoulli_barnes(PartSet.of(13, 16, 19, 29), 37)
+        assert cache.cache_info().misses == misses + 2
+        assert calls == {"series_inv": 0, "series_mul": 0}
 
     def test_classical_specialization(self):
         # with a single part 1, the polynomials are the classical Bernoulli
         # polynomials; at x = 0 they give the table up to the index-1 flip
-        table = bernoulli_barnes(PartSet.of(1), 8)
-        numbers = bernoulli_numbers(8)
+        table = bernoulli_barnes(PartSet.of(1), 60)
+        numbers = bernoulli_numbers(60)
         for i, entry in enumerate(table):
             expected = -numbers[i] if i == 1 else numbers[i]
             assert entry.at(0) == expected
