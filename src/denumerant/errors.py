@@ -36,5 +36,9 @@ class SamplingExhaustedError(DomainError):
     """Random search for a pairwise-coprime part set gave up."""
 
 
+class ResourceLimitError(DomainError):
+    """A request would allocate more than a fixed cap allows."""
+
+
 class InternalInconsistencyError(RuntimeError):
     """An exact computation produced something impossible (a bug, not bad input)."""

@@ -1,11 +1,22 @@
 """Ground truth for restricted counts, by dynamic programming.
 
 counts[n] is the number of ways to write n as a nonnegative integer
-combination of the parts.  The table is filled one part at a time: adding a
-part a replaces each residue chain counts[c], counts[c+a], counts[c+2a], ...
-with its running sum, which is the standard unbounded-knapsack recurrence
+combination of the parts.  The table is filled one part at a time.  The first
+part a lays down its indicator, 1 at every multiple of a.  Each further part a
+replaces each residue chain counts[c], counts[c+a], counts[c+2a], ... with its
+running sum, which is the standard unbounded-knapsack recurrence
 counts[n] += counts[n - a] expressed as a prefix sum.  Everything is exact
 integer arithmetic.
+
+A single count never tabulates the largest part a_max.  The table cached for
+a part set covers the other parts only, and the count is the stride sum
+
+    p_A(n) = sum over j >= 0 of p_{A without a_max}(n - j * a_max),
+
+so a k-part count costs k - 2 prefix-sum passes and one sum of n / a_max
+entries.  oracle_table builds the full table, over every part, and does not
+cache it.  A table longer than _MAX_TABLE_ENTRIES is refused before it is
+allocated.
 """
 
 from __future__ import annotations
@@ -14,8 +25,12 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Dict, Sequence, Tuple
 
-from .errors import DomainError
+from .errors import DomainError, ResourceLimitError
 from .partset import PartSet
+
+# A built table holds ~44 bytes per entry (a tuple slot and an int object).
+# With the list it is filled in, a build peaks at ~53, so ~2.6 GB at the cap.
+_MAX_TABLE_ENTRIES = 50_000_000
 
 
 @dataclass(frozen=True)
@@ -28,18 +43,29 @@ class CountTable:
 
 
 def _dp_counts(parts: Sequence[int], upper: int) -> Tuple[int, ...]:
+    if upper + 1 > _MAX_TABLE_ENTRIES:
+        raise ResourceLimitError(
+            f"a count table for n = {upper} needs {upper + 1} entries, over the"
+            f" cap of {_MAX_TABLE_ENTRIES}; --method theorem1 or section3"
+            " tabulates only n mod the product of the parts"
+        )
     counts = [0] * (upper + 1)
-    counts[0] = 1
-    for a in parts:
+    if not parts:
+        counts[0] = 1
+        return tuple(counts)
+    first = parts[0]
+    counts[::first] = [1] * (upper // first + 1)
+    for a in parts[1:]:
         if a <= upper:
             for start in range(a):
                 counts[start::a] = accumulate(counts[start::a])
     return tuple(counts)
 
 
-# Recently used tables, keyed by the parts tuple.  Tables grow geometrically
-# so a sweep over n for one part set costs one DP pass, and the set count is
-# bounded so verification sweeps over many part sets do not hoard memory.
+# Recently used tables over all parts but the largest, keyed by the parts
+# tuple.  Tables grow geometrically so a sweep over n for one part set costs
+# one DP pass, and the set count is bounded so verification sweeps over many
+# part sets do not hoard memory.
 _TABLES: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
 _MAX_CACHED_SETS = 64
 
@@ -50,8 +76,8 @@ def _counts_up_to(parts: PartSet, upper: int) -> Tuple[int, ...]:
     if held is not None and len(held) > upper:
         _TABLES[key] = held
         return held
-    target = max(upper + 1, 2 * len(held) if held is not None else 0)
-    fresh = _dp_counts(key, target - 1)
+    grown = min(2 * len(held), _MAX_TABLE_ENTRIES) if held is not None else 0
+    fresh = _dp_counts(key[:-1], max(upper + 1, grown) - 1)
     _TABLES[key] = fresh
     while len(_TABLES) > _MAX_CACHED_SETS:
         _TABLES.pop(next(iter(_TABLES)))
@@ -62,15 +88,15 @@ def oracle_table(parts: PartSet, upper: int) -> CountTable:
     """The full table of counts for 0 <= n <= upper."""
     if upper < 0:
         raise DomainError("table upper bound must be nonnegative")
-    counts = _counts_up_to(parts, upper)
-    return CountTable(parts=parts, upper=upper, counts=counts[: upper + 1])
+    return CountTable(parts=parts, upper=upper, counts=_dp_counts(parts.parts, upper))
 
 
 def oracle_count(parts: PartSet, n: int) -> int:
     """The count for a single n."""
     if n < 0:
         raise DomainError("counts are defined for nonnegative n only")
-    return _counts_up_to(parts, n)[n]
+    largest = parts.parts[-1]
+    return sum(_counts_up_to(parts, n)[n % largest : n + 1 : largest])
 
 
 def multiset_counts(parts: Sequence[int], upper: int) -> Tuple[int, ...]:

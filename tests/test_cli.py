@@ -189,6 +189,13 @@ class TestExitCodes:
         code, _, _ = invoke(capsys, "count", "--parts", "2,3", "--n", "-4")
         assert code == 3
 
+    def test_oversized_table_refused_before_allocating(self, capsys):
+        code, out, err = invoke(capsys, "count", "--parts", "2,3", "--n", str(10**12))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and "cap" in err and "theorem1" in err
+        assert "Traceback" not in err
+
 
 class TestDeterminism:
     def test_identical_argv_identical_stdout(self, capsys):

@@ -1,10 +1,11 @@
 """The dynamic-programming oracle against independent enumeration."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from denumerant.errors import DomainError
+from denumerant import oracle
+from denumerant.errors import DomainError, ResourceLimitError
 from denumerant.oracle import multiset_counts, oracle_count, oracle_table
 from denumerant.partset import PartSet
 
@@ -52,9 +53,23 @@ def test_table_shape():
     assert table.counts[1] == table.counts[2] == 0  # below the smallest part
 
 
-@given(small_partsets, st.integers(min_value=0, max_value=40))
-def test_matches_brute_force(parts, n):
-    assert oracle_count(parts, n) == brute_force_count(parts.parts, n)
+@given(
+    small_partsets,
+    st.lists(st.integers(min_value=0, max_value=40), min_size=1, max_size=6),
+)
+@example(PartSet.of(7), [40, 21, 14, 3, 0, 41, 84, 120, 170])
+@example(PartSet.of(1, 4, 6), [40, 21, 14, 3, 0, 41, 84, 120, 170])
+def test_matches_brute_force(parts, ns):
+    """Lookups in any order agree, also across the cache's doubling growth.
+
+    The explicit examples go down from 40 on a 41-entry table, then up: 41
+    grows it to 82 entries, 84 to 164 and 170 to 328.
+    """
+    oracle._TABLES.pop(parts.parts, None)
+    for n in ns:
+        count = oracle_count(parts, n)
+        assert count == oracle_table(parts, n).counts[n]
+        assert count == brute_force_count(parts.parts, n)
 
 
 @given(
@@ -136,3 +151,48 @@ def test_interleaved_queries_stay_consistent():
     pairs = [(a, 7), (b, 7), (a, 30), (b, 30), (a, 12), (b, 100), (a, 100)]
     for parts, n in pairs:
         assert oracle_count(parts, n) == brute_force_count(parts.parts, n)
+
+
+@pytest.mark.parametrize("values", [(7,), (4, 9), (1, 5, 6), (3, 5, 7, 11)])
+def test_count_tabulates_all_parts_but_the_largest(monkeypatch, values):
+    """Work gate: one DP build per fresh set, over every part except a_max."""
+    built = []
+    real = oracle._dp_counts
+
+    def spy(parts, upper):
+        table = real(parts, upper)
+        built.append((tuple(parts), len(table)))
+        return table
+
+    monkeypatch.setattr(oracle, "_dp_counts", spy)
+    monkeypatch.setattr(oracle, "_TABLES", {})
+    parts = PartSet(values)
+    assert oracle_count(parts, 90) == brute_force_count(values, 90)
+    assert built == [(parts.parts[:-1], 91)]
+    for m in (90, 89, 45, 1, 0):
+        assert oracle_count(parts, m) == brute_force_count(values, m)
+    assert len(built) == 1
+
+    # the full table is built directly, over all parts, and is not cached
+    assert oracle_table(parts, 30).counts[30] == brute_force_count(values, 30)
+    assert built[1:] == [(parts.parts, 31)]
+    assert list(oracle._TABLES) == [parts.parts]
+    assert len(oracle._TABLES[parts.parts]) == 91
+
+
+def test_oversized_tables_refused_before_allocating(monkeypatch):
+    monkeypatch.setattr(oracle, "_MAX_TABLE_ENTRIES", 100)
+    monkeypatch.setattr(oracle, "_TABLES", {})
+    parts = PartSet.of(2, 3, 5)
+    assert oracle_count(parts, 60) == brute_force_count(parts.parts, 60)
+    # doubling would ask for 122 entries; growth stops at the cap instead
+    assert oracle_count(parts, 70) == brute_force_count(parts.parts, 70)
+    assert len(oracle._TABLES[parts.parts]) == 100
+    assert oracle_count(parts, 99) == brute_force_count(parts.parts, 99)
+    with pytest.raises(ResourceLimitError, match="cap of 100"):
+        oracle_count(parts, 100)
+    with pytest.raises(ResourceLimitError):
+        oracle_table(parts, 100)
+    with pytest.raises(ResourceLimitError):
+        multiset_counts((2, 3), 100)
+    assert issubclass(ResourceLimitError, DomainError)
