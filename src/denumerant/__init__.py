@@ -13,7 +13,6 @@ from .bernoulli import (
     BernoulliTable,
     bernoulli_barnes,
     bernoulli_numbers,
-    log_coefficients,
     power_sum,
 )
 from .errors import (
@@ -26,12 +25,13 @@ from .errors import (
     SamplingExhaustedError,
     UnsupportedArityError,
 )
-from .oracle import CountTable, multiset_counts, oracle_count, oracle_table
+from .oracle import CountTable, oracle_count, oracle_table
 from .partset import PartSet
 from .reductions import (
     ReductionInput,
     TheoremReport,
     closed_form_correction,
+    closed_form_count,
     closed_form_theorem2,
     decompose,
     section3_count,
@@ -40,15 +40,7 @@ from .reductions import (
     theorem2_count,
     theorem3_rhs,
 )
-from .series import (
-    Poly,
-    Rational,
-    TruncatedSeries,
-    poly_eval,
-    series_exp,
-    series_inv,
-    series_mul,
-)
+from .series import Poly, poly_eval, series_exp
 
 __version__ = "0.1.0"
 
@@ -64,27 +56,22 @@ __all__ = [
     "PartSet",
     "Poly",
     "RangeError",
-    "Rational",
     "ReductionInput",
     "SamplingExhaustedError",
     "TheoremReport",
-    "TruncatedSeries",
     "UnsupportedArityError",
     "bernoulli_barnes",
     "bernoulli_numbers",
     "closed_form_correction",
+    "closed_form_count",
     "closed_form_theorem2",
     "decompose",
-    "log_coefficients",
-    "multiset_counts",
     "oracle_count",
     "oracle_table",
     "poly_eval",
     "power_sum",
     "section3_count",
     "series_exp",
-    "series_inv",
-    "series_mul",
     "theorem1_correction",
     "theorem1_count",
     "theorem2_count",

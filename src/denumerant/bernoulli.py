@@ -97,7 +97,7 @@ def bernoulli_numbers(m: int) -> BernoulliTable:
 
 
 def log_coefficients(m: int) -> Tuple[Fraction, ...]:
-    """Coefficients of s^1..s^m in ln(s/(e^s - 1)), i.e. -B_i/(i! * i)."""
+    """The coefficients of s^1..s^m in ln(s/(e^s - 1)), i.e. -B_i/(i! * i)."""
     if m < 1:
         raise DomainError("need at least one coefficient")
     table = bernoulli_numbers(m)

@@ -10,7 +10,8 @@ Subcommands:
   verify    seeded random cross-checks of every identity against the oracle
 
 Exit codes: 0 success, 1 verification failures, 2 usage error, 3 domain
-error (bad part set, out-of-range argument, and similar).
+error (bad part set, out-of-range argument, a result with more digits than
+Python converts to text, and similar).
 
 With --output json, every potentially large numeric value is emitted as a
 decimal string so consumers that parse JSON numbers as floats cannot corrupt
@@ -27,44 +28,22 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .bernoulli import bernoulli_barnes, bernoulli_numbers
-from .errors import DomainError, InternalInconsistencyError, SamplingExhaustedError
+from .errors import DomainError, ResourceLimitError, SamplingExhaustedError
 from .oracle import oracle_count
 from .partset import PartSet
 from .reductions import (
     TheoremReport,
     closed_form_correction,
+    closed_form_count,
     closed_form_theorem2,
-    decompose,
     section3_count,
     theorem1_count,
     theorem2_count,
     theorem3_rhs,
 )
-
-_METHODS = ("oracle", "theorem1", "section3", "closed-form")
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    """Parsed arguments for one invocation."""
-
-    subcommand: str
-    output: str = "text"
-    parts: Optional[Tuple[int, ...]] = None
-    n: Optional[int] = None
-    x: Optional[int] = None
-    method: str = "oracle"
-    max_index: Optional[int] = None
-    trials: int = 500
-    seed: int = 0
-    k_min: int = 2
-    k_max: int = 5
-    max_part: int = 13
-    max_product: int = 100000
-
 
 @dataclass(frozen=True)
 class VerifyReport:
@@ -276,7 +255,7 @@ def _build_parser() -> argparse.ArgumentParser:
     count = sub.add_parser("count", help="count representations of n")
     count.add_argument("--parts", type=_parse_parts, required=True)
     count.add_argument("--n", type=int, required=True)
-    count.add_argument("--method", choices=_METHODS, default="oracle")
+    count.add_argument("--method", choices=_count_methods(), default="oracle")
     with_output(count)
 
     bb = sub.add_parser("bb", help="Bernoulli-Barnes polynomials")
@@ -310,46 +289,37 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from(namespace: argparse.Namespace) -> CliConfig:
-    def pick(name: str, fallback):
-        return getattr(namespace, name, fallback)
+def _count_methods() -> Dict[str, Callable[[PartSet, int], int]]:
+    """The `count --method` choices, each mapped to its count function.
 
-    return CliConfig(
-        subcommand=namespace.subcommand,
-        output=pick("output", "text"),
-        parts=pick("parts", None),
-        n=pick("n", None),
-        x=pick("x", None),
-        method=pick("method", "oracle"),
-        max_index=pick("max_index", None),
-        trials=pick("trials", 500),
-        seed=pick("seed", 0),
-        k_min=pick("k_min", 2),
-        k_max=pick("k_max", 5),
-        max_part=pick("max_part", 13),
-        max_product=pick("max_product", 100000),
-    )
+    Built on each call so that the functions are looked up in this module
+    when used: rebinding a name here (a test's monkeypatch, or the span
+    tracer in perfbench/spans.py) reaches `count` too.
+    """
+    return {
+        "oracle": oracle_count,
+        "theorem1": theorem1_count,
+        "section3": section3_count,
+        "closed-form": closed_form_count,
+    }
 
 
-def _count_value(parts: PartSet, n: int, method: str) -> int:
-    if method == "oracle":
-        return oracle_count(parts, n)
-    if method == "theorem1":
-        return theorem1_count(parts, n)
-    if method == "section3":
-        return section3_count(parts, n)
-    reduction = decompose(parts, n)
-    correction = closed_form_correction(parts, n)
-    if correction.denominator != 1:
-        raise InternalInconsistencyError(
-            f"closed-form correction is not an integer: {correction}"
-        )
-    return oracle_count(parts, reduction.r) + correction.numerator
+def _decimal(value: Union[int, Fraction]) -> str:
+    """str(value), refusing a value past Python's int-to-str digit limit."""
+    try:
+        return str(value)
+    except ValueError:
+        raise ResourceLimitError(
+            f"the result has more than {sys.get_int_max_str_digits()} digits,"
+            " the limit of Python's int-to-str conversion"
+        ) from None
 
 
-def _emit_value(config: CliConfig, parts: Optional[PartSet], given, value) -> None:
+def _emit_value(
+    args: argparse.Namespace, parts: Optional[PartSet], given, value
+) -> None:
     """Print one computed value; `value` is a string or a list of strings."""
-    if config.output == "text":
+    if args.output == "text":
         if isinstance(value, str):
             print(value)
         else:
@@ -357,17 +327,17 @@ def _emit_value(config: CliConfig, parts: Optional[PartSet], given, value) -> No
                 print(line)
         return
     payload = {
-        "subcommand": config.subcommand,
+        "subcommand": args.subcommand,
         "parts": list(parts.parts) if parts is not None else [],
         "input": str(given),
-        "method": config.method if config.subcommand == "count" else None,
+        "method": args.method if args.subcommand == "count" else None,
         "value": value,
     }
     print(json.dumps(payload))
 
 
-def _emit_verify(config: CliConfig, report: VerifyReport) -> None:
-    if config.output == "text":
+def _emit_verify(args: argparse.Namespace, report: VerifyReport) -> None:
+    if args.output == "text":
         print(f"trials: {report.trials}")
         print(f"seed: {report.seed}")
         print(f"failures: {len(report.failures)}")
@@ -396,54 +366,54 @@ def _emit_verify(config: CliConfig, report: VerifyReport) -> None:
     print(f"elapsed: {report.elapsed:.3f}s", file=sys.stderr)
 
 
-def _dispatch(config: CliConfig) -> int:
-    if config.subcommand == "count":
-        parts = PartSet(config.parts)
-        value = _count_value(parts, config.n, config.method)
-        _emit_value(config, parts, config.n, str(value))
+def _dispatch(args: argparse.Namespace) -> int:
+    if args.subcommand == "count":
+        parts = PartSet(args.parts)
+        value = _count_methods()[args.method](parts, args.n)
+        _emit_value(args, parts, args.n, _decimal(value))
         return 0
-    if config.subcommand == "theorem2":
-        parts = PartSet(config.parts)
-        value = theorem2_count(parts, config.x)
-        _emit_value(config, parts, config.x, str(value))
+    if args.subcommand == "theorem2":
+        parts = PartSet(args.parts)
+        value = theorem2_count(parts, args.x)
+        _emit_value(args, parts, args.x, _decimal(value))
         return 0
-    if config.subcommand == "theorem3":
-        parts = PartSet(config.parts)
-        rhs = theorem3_rhs(parts, config.x)
-        _emit_value(config, parts, config.x, str(rhs))
+    if args.subcommand == "theorem3":
+        parts = PartSet(args.parts)
+        rhs = theorem3_rhs(parts, args.x)
+        _emit_value(args, parts, args.x, _decimal(rhs))
         return 0
-    if config.subcommand == "bb":
-        parts = PartSet(config.parts)
-        polys = bernoulli_barnes(parts, config.max_index)
-        if config.output == "text":
+    if args.subcommand == "bb":
+        parts = PartSet(args.parts)
+        polys = bernoulli_barnes(parts, args.max_index)
+        if args.output == "text":
             lines = [
                 "B_{} = [{}]".format(
-                    entry.index, ", ".join(str(c) for c in entry.poly.coeffs)
+                    entry.index, ", ".join(_decimal(c) for c in entry.poly.coeffs)
                 )
                 for entry in polys
             ]
-            _emit_value(config, parts, config.max_index, lines)
+            _emit_value(args, parts, args.max_index, lines)
         else:
-            value = [[str(c) for c in entry.poly.coeffs] for entry in polys]
-            _emit_value(config, parts, config.max_index, value)
+            value = [[_decimal(c) for c in entry.poly.coeffs] for entry in polys]
+            _emit_value(args, parts, args.max_index, value)
         return 0
-    if config.subcommand == "bernoulli":
-        table = bernoulli_numbers(config.max_index)
-        if config.output == "text":
-            lines = [f"B_{i} = {v}" for i, v in enumerate(table)]
-            _emit_value(config, None, config.max_index, lines)
+    if args.subcommand == "bernoulli":
+        table = bernoulli_numbers(args.max_index)
+        if args.output == "text":
+            lines = [f"B_{i} = {_decimal(v)}" for i, v in enumerate(table)]
+            _emit_value(args, None, args.max_index, lines)
         else:
-            _emit_value(config, None, config.max_index, [str(v) for v in table])
+            _emit_value(args, None, args.max_index, [_decimal(v) for v in table])
         return 0
     report = run_verify(
-        trials=config.trials,
-        seed=config.seed,
-        k_min=config.k_min,
-        k_max=config.k_max,
-        max_part=config.max_part,
-        max_product=config.max_product,
+        trials=args.trials,
+        seed=args.seed,
+        k_min=args.k_min,
+        k_max=args.k_max,
+        max_part=args.max_part,
+        max_product=args.max_product,
     )
-    _emit_verify(config, report)
+    _emit_verify(args, report)
     return 0 if not report.failures else 1
 
 
@@ -451,12 +421,11 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     """Parse argv, execute, and return the exit code."""
     parser = _build_parser()
     try:
-        namespace = parser.parse_args(list(argv) if argv is not None else None)
+        args = parser.parse_args(list(argv) if argv is not None else None)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    config = _config_from(namespace)
     try:
-        return _dispatch(config)
+        return _dispatch(args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

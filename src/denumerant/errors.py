@@ -37,7 +37,7 @@ class SamplingExhaustedError(DomainError):
 
 
 class ResourceLimitError(DomainError):
-    """A request would allocate more than a fixed cap allows."""
+    """A request would exceed a fixed cap: a table size, or a printable length."""
 
 
 class InternalInconsistencyError(RuntimeError):

@@ -129,6 +129,14 @@ def theorem1_count(parts: PartSet, n: int) -> int:
     return base + _as_integer(correction, "reduction correction")
 
 
+def closed_form_count(parts: PartSet, n: int) -> int:
+    """p(n) via the base count at the residue plus the hard-coded correction."""
+    reduction = decompose(parts, n)
+    correction = closed_form_correction(parts, n)
+    base = oracle_count(parts, reduction.r)
+    return base + _as_integer(correction, "closed-form correction")
+
+
 def _product_sum_rhs(parts: PartSet, x: int) -> Fraction:
     """Shared right-hand side of the theorem2/theorem3 identities at x."""
     k = parts.k

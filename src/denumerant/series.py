@@ -1,34 +1,27 @@
-"""Exact arithmetic building blocks: rationals, polynomials, truncated series.
+"""Exact arithmetic building blocks: polynomials and truncated series.
 
-Rational is ``fractions.Fraction``: values are always in lowest terms with a
+Every value is an int or a ``fractions.Fraction``: in lowest terms with a
 positive denominator, zero is 0/1, and equality is structural.  Nothing in
 this package ever touches a float.
 
-Poly is a dense univariate polynomial over Rational.  Coefficients are stored
-from degree 0 upward with trailing zeros trimmed, so the zero polynomial is
-the empty tuple and equal polynomials compare equal as dataclasses.
-Polynomials mix freely with integers and Fractions in arithmetic.
+Poly is a dense univariate polynomial over Fraction, kept as plain data.
+The coefficients are stored from degree 0 upward with trailing zeros trimmed, so
+the zero polynomial is the empty tuple and equal polynomials compare equal as
+dataclasses.  ``poly_eval`` evaluates one at a rational point.
 
-TruncatedSeries is a power series in one formal variable s kept to a fixed
-truncation order: ``coeffs[i]`` is the coefficient of s**i and the order is
-``len(coeffs) - 1``.  Coefficients may be Rational or Poly, and the two kinds
-can be multiplied together (a rational series times a polynomial series is a
-polynomial series).  Operations never change the order silently; combining
-series of different orders raises OrderMismatchError.
+TruncatedSeries is a power series over Fraction in one formal variable s kept
+to a fixed truncation order: ``coeffs[i]`` is the coefficient of s**i and the
+order is ``len(coeffs) - 1``.  Operations never change the order silently;
+combining series of different orders raises OrderMismatchError.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from math import comb
 from typing import Tuple, Union
 
 from .errors import DomainError, NonInvertibleError, OrderMismatchError
-
-Rational = Fraction
 
 Scalar = Union[int, Fraction]
 
@@ -43,7 +36,7 @@ def _as_rational(value: Scalar) -> Fraction:
 
 @dataclass(frozen=True)
 class Poly:
-    """Dense polynomial over Rational; ``coeffs[i]`` multiplies x**i."""
+    """Dense polynomial over Fraction; ``coeffs[i]`` multiplies x**i."""
 
     coeffs: Tuple[Fraction, ...] = ()
 
@@ -53,95 +46,10 @@ class Poly:
             cleaned.pop()
         object.__setattr__(self, "coeffs", tuple(cleaned))
 
-    @staticmethod
-    def constant(value: Scalar) -> "Poly":
-        return Poly((_as_rational(value),))
-
-    @staticmethod
-    def monomial(degree: int, coeff: Scalar = 1) -> "Poly":
-        if degree < 0:
-            raise ValueError("monomial degree must be nonnegative")
-        return Poly((Fraction(0),) * degree + (_as_rational(coeff),))
-
     @property
     def degree(self) -> int:
         """Degree, with the zero polynomial at -1."""
         return len(self.coeffs) - 1
-
-    def coefficient(self, i: int) -> Fraction:
-        """Coefficient of x**i, zero beyond the stored degree."""
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return Fraction(0)
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __neg__(self) -> "Poly":
-        return Poly(tuple(-c for c in self.coeffs))
-
-    def __add__(self, other: Union["Poly", Scalar]) -> "Poly":
-        other = _coerce_poly(other)
-        if other is None:
-            return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(tuple(self.coefficient(i) + other.coefficient(i) for i in range(n)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other: Union["Poly", Scalar]) -> "Poly":
-        other = _coerce_poly(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other: Union["Poly", Scalar]) -> "Poly":
-        other = _coerce_poly(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
-    def __mul__(self, other: Union["Poly", Scalar]) -> "Poly":
-        if isinstance(other, Poly):
-            if not self.coeffs or not other.coeffs:
-                return Poly()
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-            return Poly(tuple(out))
-        if isinstance(other, (int, Fraction)):
-            return Poly(tuple(c * other for c in self.coeffs))
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: Scalar) -> "Poly":
-        if isinstance(other, (int, Fraction)):
-            return Poly(tuple(c / other for c in self.coeffs))
-        return NotImplemented
-
-    def shift(self, offset: Scalar) -> "Poly":
-        """Compose with x + offset: returns q with q(x) = p(x + offset)."""
-        offset = _as_rational(offset)
-        out = [Fraction(0)] * max(len(self.coeffs), 1)
-        for n, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            for j in range(n + 1):
-                out[j] += c * comb(n, j) * offset ** (n - j)
-        return Poly(tuple(out))
-
-    def __call__(self, x: Scalar) -> Fraction:
-        return poly_eval(self, x)
-
-
-def _coerce_poly(value: Union[Poly, Scalar]) -> Union[Poly, None]:
-    if isinstance(value, Poly):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return Poly.constant(value)
-    return None
 
 
 def poly_eval(p: Poly, x: Scalar) -> Fraction:
@@ -153,25 +61,16 @@ def poly_eval(p: Poly, x: Scalar) -> Fraction:
     return acc
 
 
-Coefficient = Union[Fraction, Poly]
-
-
-def _is_zero(c: Coefficient) -> bool:
-    return not c.coeffs if isinstance(c, Poly) else c == 0
-
-
 @dataclass(frozen=True)
 class TruncatedSeries:
     """Power series in s truncated at a fixed order; ``coeffs[i]`` is [s**i]."""
 
-    coeffs: Tuple[Coefficient, ...]
+    coeffs: Tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
         if not self.coeffs:
             raise DomainError("a truncated series needs at least the s**0 term")
-        cleaned = tuple(
-            c if isinstance(c, Poly) else _as_rational(c) for c in self.coeffs
-        )
+        cleaned = tuple(_as_rational(c) for c in self.coeffs)
         object.__setattr__(self, "coeffs", cleaned)
 
     @property
@@ -205,24 +104,21 @@ def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     _check_orders(a, b)
     out = []
     for i in range(a.order + 1):
-        terms = [a.coeffs[j] * b.coeffs[i - j] for j in range(i + 1)]
-        out.append(reduce(operator.add, terms))
+        terms = (a.coeffs[j] * b.coeffs[i - j] for j in range(i + 1))
+        out.append(sum(terms, Fraction(0)))
     return TruncatedSeries(tuple(out))
 
 
 def series_inv(a: TruncatedSeries) -> TruncatedSeries:
-    """Multiplicative inverse of a rational-coefficient series.
+    """Multiplicative inverse of a series with nonzero constant term.
 
     Writing a * b = 1 and matching powers of s gives the recurrence
 
         b[0] = 1 / a[0]
         b[m] = -(1 / a[0]) * sum(a[k] * b[m - k] for k in 1..m)
 
-    which fills in b one coefficient at a time.  The constant term must be a
-    nonzero Rational; polynomial-coefficient series are not units here.
+    which fills in b one coefficient at a time.
     """
-    if any(isinstance(c, Poly) for c in a.coeffs):
-        raise NonInvertibleError("only rational-coefficient series can be inverted")
     c0 = a.coeffs[0]
     if c0 == 0:
         raise NonInvertibleError("series inversion needs a nonzero constant term")
@@ -243,10 +139,10 @@ def series_exp(a: TruncatedSeries) -> TruncatedSeries:
     with f[0] = 1.  This never forms factorials of the truncation order and
     works coefficient-by-coefficient in exact arithmetic.
     """
-    if not _is_zero(a.coeffs[0]):
+    if a.coeffs[0] != 0:
         raise DomainError("series exp needs a zero constant term")
     out = [Fraction(1)]
     for i in range(1, a.order + 1):
-        terms = [j * a.coeffs[j] * out[i - j] for j in range(1, i + 1)]
-        out.append(reduce(operator.add, terms) / i)
+        terms = (j * a.coeffs[j] * out[i - j] for j in range(1, i + 1))
+        out.append(sum(terms, Fraction(0)) / i)
     return TruncatedSeries(tuple(out))

@@ -85,15 +85,15 @@ def bb_polys_by_factor_order(
             tuple(Fraction(a ** m, factorial(m + 1)) for m in range(order + 1))
         )
         acc = series_mul(acc, series_inv(factor))
-    scale = Fraction(1, prod(parts_in_order))
-    scaled = TruncatedSeries(tuple(c * scale for c in acc.coeffs))
-    exp_x = TruncatedSeries(
-        tuple(Poly.monomial(j, Fraction(1, factorial(j))) for j in range(order + 1))
-    )
-    expanded = series_mul(scaled, exp_x)
-    out = []
-    for i in range(max_index + 1):
-        coeff = expanded.coeffs[i]
-        poly = coeff if isinstance(coeff, Poly) else Poly.constant(coeff)
-        out.append(poly * factorial(i))
-    return out
+    # B_i(x) = i! [s^i] acc(s) e^{xs} / P, so its x^j coefficient is
+    # i!/j! * acc[i - j] / P
+    product = prod(parts_in_order)
+    return [
+        Poly(
+            tuple(
+                Fraction(factorial(i), factorial(j) * product) * acc.coeffs[i - j]
+                for j in range(i + 1)
+            )
+        )
+        for i in range(max_index + 1)
+    ]

@@ -2,14 +2,15 @@
 
 import json
 import random
+import sys
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
 from denumerant.cli import (
-    CliConfig,
     VerifyReport,
+    _build_parser,
     main,
     random_coprime_partset,
     run,
@@ -196,6 +197,18 @@ class TestExitCodes:
         assert err.startswith("error: ") and "cap" in err and "theorem1" in err
         assert "Traceback" not in err
 
+    def test_result_past_the_int_to_str_limit_refused(self, capsys):
+        # p(10^3000) for (2,3,5) has about 6000 digits, past Python's limit
+        limit = sys.get_int_max_str_digits()
+        n = str(10 ** 3000)
+        code, out, err = invoke(
+            capsys, "count", "--parts", "2,3,5", "--n", n, "--method", "theorem1"
+        )
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert str(limit) in err
+
 
 class TestDeterminism:
     def test_identical_argv_identical_stdout(self, capsys):
@@ -276,11 +289,13 @@ class TestRandomCoprimePartset:
 
 
 def test_config_defaults():
-    config = CliConfig(subcommand="verify")
-    assert config.method == "oracle"
-    assert config.output == "text"
-    assert config.trials == 500
-    assert config.seed == 0
+    parser = _build_parser()
+    verify = parser.parse_args(["verify"])
+    assert verify.output == "text"
+    assert verify.trials == 500
+    assert verify.seed == 0
+    count = parser.parse_args(["count", "--parts", "2,3", "--n", "5"])
+    assert count.method == "oracle"
 
 
 def test_main_exits(monkeypatch, capsys):

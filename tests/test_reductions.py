@@ -19,6 +19,7 @@ from denumerant.reductions import (
     ReductionInput,
     TheoremReport,
     closed_form_correction,
+    closed_form_count,
     closed_form_theorem2,
     decompose,
     section3_count,
@@ -91,7 +92,9 @@ class TestTheorem1:
     @settings(max_examples=200)
     def test_matches_oracle(self, combo, n):
         parts = PartSet(combo)
-        assert theorem1_count(parts, n) == oracle_count(parts, n)
+        expected = oracle_count(parts, n)
+        for count in (theorem1_count, closed_form_count):
+            assert count(parts, n) == expected
 
     @given(st.sampled_from(COPRIME_2_TO_5), small_n)
     def test_correction_is_integral(self, combo, n):
