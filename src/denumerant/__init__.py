@@ -1,11 +1,12 @@
 """Exact restricted-count computations via reduction identities.
 
 The package computes p(n), the number of ways to write n as a nonnegative
-integer combination of a fixed set of parts, four independent ways: a
-dynamic-programming oracle, a correction-sum reduction, an exponential
-series recursion, and hard-coded closed forms for 2 to 5 parts.  Everything
-is exact rational arithmetic; the test suite's job is to show the four
-routes never disagree.
+integer combination of a fixed set of parts, five independent ways: a
+dynamic-programming oracle, Sylvester's waves, a correction-sum reduction,
+an exponential series recursion, and hard-coded closed forms for 2 to 5
+parts.  The last three reduce p(n) to p(n mod the product), which they take
+from the waves.  Everything is exact rational arithmetic; the test suite's
+job is to show the routes never disagree.
 """
 
 from .bernoulli import (
@@ -41,6 +42,7 @@ from .reductions import (
     theorem3_rhs,
 )
 from .series import Poly, poly_eval, series_exp
+from .waves import waves_count
 
 __version__ = "0.1.0"
 
@@ -76,4 +78,5 @@ __all__ = [
     "theorem1_count",
     "theorem2_count",
     "theorem3_rhs",
+    "waves_count",
 ]

@@ -158,14 +158,14 @@ def bernoulli_barnes(parts: PartSet, max_index: int) -> Tuple[BBPoly, ...]:
 
     They run on integer numerators over D, the common denominator of
     c_0..c_max_index, and beta_n is divided by D^k P once at the end.
-    Results are cached per (parts, max_index).
+    Results are cached per (parts, max_index), for the 512 most recently used.
     """
     if max_index < 0:
         raise DomainError("polynomial index must be nonnegative")
     return _bernoulli_barnes(parts, max_index)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=512)
 def _bernoulli_barnes(parts: PartSet, max_index: int) -> Tuple[BBPoly, ...]:
     unit = _unit_coefficients(max_index)
     common = lcm(*(c.denominator for c in unit))

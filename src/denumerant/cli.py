@@ -2,7 +2,7 @@
 
 Subcommands:
 
-  count     p(n) for a part set, by any of four methods
+  count     p(n) for a part set, by any of five methods
   bb        Bernoulli-Barnes polynomials as coefficient lists
   bernoulli Bernoulli numbers (B_1 = +1/2 convention)
   theorem2  p(product - x) via the boundary identity, 1 <= x <= sum - 1
@@ -44,6 +44,7 @@ from .reductions import (
     theorem2_count,
     theorem3_rhs,
 )
+from .waves import waves_count
 
 @dataclass(frozen=True)
 class VerifyReport:
@@ -102,6 +103,9 @@ def _check_trial(
     reports = []
     base_inputs = (("trial", trial), ("n", n), ("q", q), ("r", r))
 
+    # One table serves the trial: its first lookup reaches every later one,
+    # since r <= n and each boundary argument lies below the product.
+    oracle_count(parts, max(n, product - 1))
     expected = oracle_count(parts, n)
     reports.append(
         TheoremReport(
@@ -301,6 +305,7 @@ def _count_methods() -> Dict[str, Callable[[PartSet, int], int]]:
         "theorem1": theorem1_count,
         "section3": section3_count,
         "closed-form": closed_form_count,
+        "waves": waves_count,
     }
 
 

@@ -30,6 +30,7 @@ from .partset import PartSet
 
 # A built table holds ~44 bytes per entry (a tuple slot and an int object).
 # With the list it is filled in, a build peaks at ~53, so ~2.6 GB at the cap.
+# waves.py holds the wave entries of its cached part sets to the same cap.
 _MAX_TABLE_ENTRIES = 50_000_000
 
 
@@ -46,8 +47,8 @@ def _dp_counts(parts: Sequence[int], upper: int) -> Tuple[int, ...]:
     if upper + 1 > _MAX_TABLE_ENTRIES:
         raise ResourceLimitError(
             f"a count table for n = {upper} needs {upper + 1} entries, over the"
-            f" cap of {_MAX_TABLE_ENTRIES}; --method theorem1 or section3"
-            " tabulates only n mod the product of the parts"
+            f" cap of {_MAX_TABLE_ENTRIES}; for pairwise-coprime parts, --method"
+            " waves, theorem1, section3 and closed-form need no count table"
         )
     counts = [0] * (upper + 1)
     if not parts:

@@ -24,7 +24,9 @@ polynomials:
 plus hard-coded expansions of the first two identities for k = 2..5.  The
 general sums and the hard-coded forms are implemented independently on
 purpose: agreement between them (and with the dynamic-programming oracle) is
-the correctness argument.
+the correctness argument.  The base count p(r) they all start from comes from
+Sylvester's waves (waves.py), which need no table of r entries and read none
+of the values the corrections are built from.
 
 Pairwise coprimality is a genuine hypothesis, not an implementation
 convenience, so every identity here rejects part sets that lack it instead
@@ -46,9 +48,9 @@ from .errors import (
     RangeError,
     UnsupportedArityError,
 )
-from .oracle import oracle_count
 from .partset import PartSet
 from .series import TruncatedSeries, series_exp
+from .waves import waves_count
 
 
 @dataclass(frozen=True)
@@ -125,7 +127,7 @@ def theorem1_count(parts: PartSet, n: int) -> int:
     """p(n) via the base count at the residue plus the correction sum."""
     reduction = decompose(parts, n)
     correction = theorem1_correction(reduction)
-    base = oracle_count(parts, reduction.r)
+    base = waves_count(parts, reduction.r)
     return base + _as_integer(correction, "reduction correction")
 
 
@@ -133,7 +135,7 @@ def closed_form_count(parts: PartSet, n: int) -> int:
     """p(n) via the base count at the residue plus the hard-coded correction."""
     reduction = decompose(parts, n)
     correction = closed_form_correction(parts, n)
-    base = oracle_count(parts, reduction.r)
+    base = waves_count(parts, reduction.r)
     return base + _as_integer(correction, "closed-form correction")
 
 
@@ -206,7 +208,7 @@ def section3_count(parts: PartSet, n: int) -> int:
         coeffs[i] += scale * (shift ** i - power_sum(parts, i))
     f = series_exp(TruncatedSeries(tuple(coeffs)))
     correction = Fraction((-1) ** k * q) * f.coeffs[k - 2]
-    return oracle_count(parts, r) + _as_integer(correction, "recursion correction")
+    return waves_count(parts, r) + _as_integer(correction, "recursion correction")
 
 
 def _pair_product_sum(parts: PartSet) -> int:

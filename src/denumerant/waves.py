@@ -1,0 +1,112 @@
+"""Counts for pairwise-coprime parts from Sylvester's waves, without a table.
+
+For pairwise-coprime parts a_1..a_k with sum S, the count splits as
+
+    p(n) = Poly(n) + sum_j w_j(n mod a_j)        for every n > -S,
+
+a polynomial of degree k - 1 plus one periodic wave per part (Rubinstein and
+Fel, "Restricted partition functions as Bernoulli and Eulerian polynomials of
+higher order", 2006).  Wave w_j is the mean-zero function on Z/a_j solving
+
+    prod_{i != j} (1 - E^{-a_i}) w_j = [a_j divides n] - 1/a_j,
+
+where (E^{-c} w)(n) = w(n - c).  Since gcd(c, a_j) = 1, the walk 0, c, 2c, ...
+mod a_j visits every residue once, and one factor is inverted by a cumulative
+sum along that walk minus its mean.  Poly is then interpolated from p(0) = 1
+and p(-1) = ... = p(-(k-1)) = 0, so neither the Bernoulli numbers, the
+Bernoulli-Barnes polynomials nor the oracle are read.
+
+Set-up costs O(k S) integer operations per part set, and a query O(k)
+integer operations: every table is kept as integer numerators over one
+common denominator D = (k - 1)! P^k.
+"""
+
+from __future__ import annotations
+
+from itertools import accumulate
+from math import comb, factorial
+from typing import Dict, Tuple
+
+from . import oracle
+from .errors import DomainError, InternalInconsistencyError, ResourceLimitError
+from .partset import PartSet
+
+# (D, Newton coefficients of D * Poly, (a_j, D * w_j) per part).
+_Setup = Tuple[int, Tuple[int, ...], Tuple[Tuple[int, Tuple[int, ...]], ...]]
+
+# Recently used set-ups, keyed by the parts tuple and bounded both in part
+# sets and in wave entries (the sum of the parts over the cached sets).
+_SETUPS: Dict[Tuple[int, ...], _Setup] = {}
+_MAX_CACHED_SETS = 512
+
+
+def _wave(a: int, others: Tuple[int, ...], scale: int) -> Tuple[int, ...]:
+    """scale * a^(len(others) + 1) * w on Z/a, the wave of part a against the others."""
+    wave = [scale * (a - 1)] + [-scale] * (a - 1)  # scale * a * ([a divides n] - 1/a)
+    for c in others:
+        # Position n comes at step n * c^-1 of the walk 0, c, 2c, ... mod a.
+        step = pow(c, -1, a)
+        walked = list(accumulate(wave[(m * c) % a] for m in range(a)))
+        total = sum(walked)
+        wave = [a * walked[(n * step) % a] - total for n in range(a)]
+    return tuple(wave)
+
+
+def _setup(parts: PartSet) -> _Setup:
+    a, k, product = parts.parts, parts.k, parts.product
+    common = factorial(k - 1) * product ** k
+    waves = tuple(
+        (aj, _wave(aj, a[:j] + a[j + 1 :], common // aj ** k)) for j, aj in enumerate(a)
+    )
+    # common * Poly(-m) for m = 0..k-1, from p(0) = 1 and p(-m) = 0.
+    values = [
+        (common if m == 0 else 0) - sum(wave[-m % aj] for aj, wave in waves)
+        for m in range(k)
+    ]
+    # Newton form on the nodes 0, -1, -2, ...: Poly(n) is the sum over i of
+    # f_i n (n+1) ... (n+i-1), with f_i = sum_m (-1)^m C(i, m) Poly(-m) / i!.
+    newton = tuple(
+        sum((-1) ** m * comb(i, m) * values[m] for m in range(i + 1)) // factorial(i)
+        for i in range(k)
+    )
+    return common, newton, waves
+
+
+def _setup_for(parts: PartSet) -> _Setup:
+    key = parts.parts
+    held = _SETUPS.pop(key, None)
+    if held is None:
+        held = _setup(parts)
+        budget = oracle._MAX_TABLE_ENTRIES - parts.total
+        while _SETUPS and (
+            len(_SETUPS) >= _MAX_CACHED_SETS or sum(map(sum, _SETUPS)) > budget
+        ):
+            _SETUPS.pop(next(iter(_SETUPS)))
+    _SETUPS[key] = held
+    return held
+
+
+def waves_count(parts: PartSet, n: int) -> int:
+    """p(n) for pairwise-coprime parts, as a polynomial plus one wave per part.
+
+    Refuses a part sum over the oracle's table cap, since the waves hold that
+    many entries, before building anything.
+    """
+    if n < 0:
+        raise DomainError("counts are defined for nonnegative n only")
+    parts.require_pairwise_coprime()
+    if parts.total > oracle._MAX_TABLE_ENTRIES:
+        raise ResourceLimitError(
+            f"the waves of parts summing to {parts.total} need that many entries,"
+            f" over the cap of {oracle._MAX_TABLE_ENTRIES}"
+        )
+    common, newton, waves = _setup_for(parts)
+    acc = 0
+    for i in reversed(range(len(newton))):
+        acc = acc * (n + i) + newton[i]
+    count, rest = divmod(acc + sum(wave[n % aj] for aj, wave in waves), common)
+    if rest:
+        raise InternalInconsistencyError(
+            f"waves give a non-integer count at n = {n} for parts {list(parts)}"
+        )
+    return count

@@ -214,6 +214,12 @@ class TestBernoulliBarnes:
         assert cache.cache_info().misses == misses + 2
         assert calls == {"series_inv": 0, "series_mul": 0}
 
+    def test_cache_is_bounded(self):
+        # a long-running process must not hoard polynomials, while the ~30
+        # keys a sweep revisits must all stay cached
+        maxsize = bernoulli_module._bernoulli_barnes.cache_info().maxsize
+        assert maxsize is not None and maxsize >= 128
+
     def test_classical_specialization(self):
         # with a single part 1, the polynomials are the classical Bernoulli
         # polynomials; at x = 0 they give the table up to the index-1 flip

@@ -8,6 +8,7 @@ from math import gcd
 
 import pytest
 
+from denumerant import cli, oracle
 from denumerant.cli import (
     VerifyReport,
     _build_parser,
@@ -39,7 +40,7 @@ class TestCount:
 
     def test_named_methods_agree(self, capsys):
         outputs = set()
-        for method in ("oracle", "theorem1", "section3", "closed-form"):
+        for method in ("oracle", "theorem1", "section3", "closed-form", "waves"):
             code, out, _ = invoke(
                 capsys, "count", "--parts", "2,3,5", "--n", "59", "--method", method
             )
@@ -55,7 +56,7 @@ class TestCount:
             parts = PartSet(combo)
             n = rng.randint(0, 3) * parts.product + rng.randrange(parts.product)
             seen = set()
-            for method in ("oracle", "theorem1", "section3", "closed-form"):
+            for method in ("oracle", "theorem1", "section3", "closed-form", "waves"):
                 code, out, _ = invoke(
                     capsys,
                     "count",
@@ -69,6 +70,16 @@ class TestCount:
                 assert code == 0
                 seen.add(out)
             assert len(seen) == 1
+
+    def test_table_free_methods_past_the_oracle_cap(self, capsys):
+        # the product is about 1.1e8, so n mod the product may pass the cap
+        argv = ("count", "--parts", "3,5,7,11,13,17,19,23", "--n", str(10 ** 30))
+        outputs = set()
+        for method in ("theorem1", "section3", "waves"):
+            code, out, err = invoke(capsys, *argv, "--method", method)
+            assert (code, err) == (0, "")
+            outputs.add(out)
+        assert len(outputs) == 1
 
     def test_closed_form_arity_limit_is_a_domain_error(self, capsys):
         code, out, err = invoke(
@@ -172,11 +183,12 @@ class TestExitCodes:
         assert code == 2
 
     def test_domain_error_non_coprime(self, capsys):
-        code, _, err = invoke(
-            capsys, "count", "--parts", "2,4", "--n", "5", "--method", "theorem1"
-        )
-        assert code == 3
-        assert "coprime" in err
+        for method in ("theorem1", "waves"):
+            code, _, err = invoke(
+                capsys, "count", "--parts", "2,4", "--n", "5", "--method", method
+            )
+            assert code == 3
+            assert "coprime" in err
 
     def test_domain_error_out_of_range_x(self, capsys):
         code, _, _ = invoke(capsys, "theorem2", "--parts", "2,3,5", "--x", "10")
@@ -194,7 +206,8 @@ class TestExitCodes:
         code, out, err = invoke(capsys, "count", "--parts", "2,3", "--n", str(10**12))
         assert code == 3
         assert out == ""
-        assert err.startswith("error: ") and "cap" in err and "theorem1" in err
+        assert err.startswith("error: ") and "cap" in err
+        assert "waves" in err and "tabulates" not in err
         assert "Traceback" not in err
 
     def test_result_past_the_int_to_str_limit_refused(self, capsys):
@@ -246,6 +259,29 @@ class TestVerify:
         assert report.trials == 20
         assert report.failures == ()
         assert report.elapsed >= 0
+
+    def test_one_table_per_trial(self, monkeypatch):
+        builds, per_trial = [], []
+        dp_counts, check_trial = oracle._dp_counts, cli._check_trial
+
+        def counting_dp(parts, upper):
+            builds.append(upper)
+            return dp_counts(parts, upper)
+
+        def counting_check(*args):
+            before = len(builds)
+            reports = check_trial(*args)
+            per_trial.append(len(builds) - before)
+            return reports
+
+        monkeypatch.setattr(oracle, "_dp_counts", counting_dp)
+        monkeypatch.setattr(oracle, "_TABLES", {})
+        monkeypatch.setattr(cli, "_check_trial", counting_check)
+        for seed in range(10):
+            run_verify(
+                trials=50, seed=seed, k_min=2, k_max=5, max_part=13, max_product=20000
+            )
+        assert len(per_trial) == 500 and max(per_trial) == 1
 
     def test_k_range_validated(self):
         with pytest.raises(DomainError):

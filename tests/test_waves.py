@@ -1,0 +1,111 @@
+"""Sylvester's waves against the oracle, the reductions and their limits."""
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from denumerant import oracle, waves
+from denumerant.errors import (
+    CoprimalityError,
+    DomainError,
+    InternalInconsistencyError,
+    ResourceLimitError,
+)
+from denumerant.oracle import oracle_count
+from denumerant.partset import PartSet
+from denumerant.reductions import closed_form_count, section3_count, theorem1_count
+from denumerant.waves import waves_count
+
+from helpers import brute_force_count, coprime_part_tuples
+
+COPRIME_SETS = coprime_part_tuples(13, range(1, 7), max_product=5000)
+
+
+@st.composite
+def set_and_argument(draw):
+    parts = PartSet(draw(st.sampled_from(COPRIME_SETS)))
+    return parts, draw(st.integers(min_value=0, max_value=3 * parts.product - 1))
+
+
+@given(set_and_argument())
+def test_matches_oracle(case):
+    parts, n = case
+    assert waves_count(parts, n) == oracle_count(parts, n)
+
+
+def test_every_arity_is_drawn():
+    assert {len(parts) for parts in COPRIME_SETS} == set(range(1, 7))
+
+
+@pytest.mark.parametrize(
+    "parts",
+    [(2, 3), (1, 2, 3, 5, 7, 11), (11, 13, 17, 19, 23), (3, 5, 7, 11, 13, 17, 19, 23)],
+)
+def test_table_free_routes_agree_far_past_any_table(parts):
+    # the last set has a product of about 1.1e8, over the oracle's table cap
+    parts = PartSet(parts)
+    for n in (10 ** 30, 10 ** 30 + 7 * parts.product - 1):
+        value = waves_count(parts, n)
+        assert theorem1_count(parts, n) == value
+        assert section3_count(parts, n) == value
+        if parts.k <= 5:
+            assert closed_form_count(parts, n) == value
+
+
+def test_reductions_build_no_count_table(monkeypatch):
+    builds = []
+    original = oracle._dp_counts
+
+    def counting(parts, upper):
+        builds.append(upper)
+        return original(parts, upper)
+
+    monkeypatch.setattr(oracle, "_dp_counts", counting)
+    monkeypatch.setattr(oracle, "_TABLES", {})
+    for parts in ((5, 7, 11, 13), (2, 3, 5, 7, 11), (3, 4, 5)):
+        parts = PartSet(parts)
+        n = 10 ** 30 + parts.product - 1  # the residue is the largest there is
+        theorem1_count(parts, n)
+        section3_count(parts, n)
+        closed_form_count(parts, n)
+    assert builds == []
+
+
+def test_rejects_what_the_identity_does_not_cover():
+    with pytest.raises(CoprimalityError):
+        waves_count(PartSet.of(2, 4), 10)
+    with pytest.raises(DomainError):
+        waves_count(PartSet.of(2, 3), -1)
+
+
+def test_oversized_part_sum_refused_before_building(monkeypatch):
+    def no_setup(parts):
+        raise AssertionError("waves were built for a refused part set")
+
+    monkeypatch.setattr(oracle, "_MAX_TABLE_ENTRIES", 20)
+    monkeypatch.setattr(waves, "_SETUPS", {})
+    assert waves_count(PartSet.of(3, 5, 7), 29) == brute_force_count((3, 5, 7), 29)
+    monkeypatch.setattr(waves, "_setup", no_setup)
+    with pytest.raises(ResourceLimitError, match="cap of 20"):
+        waves_count(PartSet.of(5, 7, 11), 10 ** 30)  # part sum 23
+
+
+def test_cache_bounded_in_sets_and_entries(monkeypatch):
+    monkeypatch.setattr(waves, "_SETUPS", {})
+    monkeypatch.setattr(waves, "_MAX_CACHED_SETS", 3)
+    for a in (3, 5, 7, 11, 13):
+        waves_count(PartSet.of(2, a), 100)
+    assert list(waves._SETUPS) == [(2, 7), (2, 11), (2, 13)]
+    monkeypatch.setattr(oracle, "_MAX_TABLE_ENTRIES", 40)
+    waves_count(PartSet.of(2, 17), 100)  # 19 + 15 fits the 40 entries, 19 + 15 + 13 not
+    assert list(waves._SETUPS) == [(2, 13), (2, 17)]
+
+
+def test_non_integer_count_is_an_internal_error(monkeypatch):
+    parts = PartSet.of(3, 5)
+    waves_count(parts, 0)
+    common, newton, tables = waves._SETUPS[parts.parts]
+    corrupted = (common, (newton[0] + 1,) + newton[1:], tables)
+    monkeypatch.setitem(waves._SETUPS, parts.parts, corrupted)
+    with pytest.raises(InternalInconsistencyError):
+        waves_count(parts, 8)
