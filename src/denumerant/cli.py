@@ -23,11 +23,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .bernoulli import bernoulli_barnes, bernoulli_numbers
@@ -246,6 +248,7 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="denumerant",
@@ -259,7 +262,7 @@ def _build_parser() -> argparse.ArgumentParser:
     count = sub.add_parser("count", help="count representations of n")
     count.add_argument("--parts", type=_parse_parts, required=True)
     count.add_argument("--n", type=int, required=True)
-    count.add_argument("--method", choices=_count_methods(), default="oracle")
+    count.add_argument("--method", choices=tuple(_count_methods()), default="oracle")
     with_output(count)
 
     bb = sub.add_parser("bb", help="Bernoulli-Barnes polynomials")
@@ -309,15 +312,44 @@ def _count_methods() -> Dict[str, Callable[[PartSet, int], int]]:
     }
 
 
+def _too_many_digits() -> ResourceLimitError:
+    return ResourceLimitError(
+        f"the result has more than {sys.get_int_max_str_digits()} digits,"
+        " the limit of Python's int-to-str conversion"
+    )
+
+
 def _decimal(value: Union[int, Fraction]) -> str:
     """str(value), refusing a value past Python's int-to-str digit limit."""
     try:
         return str(value)
     except ValueError:
-        raise ResourceLimitError(
-            f"the result has more than {sys.get_int_max_str_digits()} digits,"
-            " the limit of Python's int-to-str conversion"
-        ) from None
+        raise _too_many_digits() from None
+
+
+def _refuse_unprintable_bernoulli(max_index: int) -> None:
+    """Refuse `bernoulli --max-index` before computing when B_m cannot be printed.
+
+    For even m, |B_m| = 2 m! zeta(m) / (2 pi)^m, with zeta(m) taken as 1,
+    which it nears fast (zeta(10) < 1.001); by von Staudt and Clausen the
+    denominator of B_m is the product of the primes p with (p - 1) | m, and
+    the numerator digits follow.  Only an estimate more than one digit over
+    the limit is refused here; `_decimal` checks the rest after computing.
+    """
+    limit = sys.get_int_max_str_digits()
+    # B_m vanishes for odd m >= 3.  Past 10^9, B_m has more digits than any
+    # limit Python accepts (at most 2^31 - 1).
+    m = min(max_index - max_index % 2, 10 ** 9)
+    if not limit or m < 2:
+        return
+    log10 = (math.lgamma(m + 1) - m * math.log(2 * math.pi)) / math.log(10)
+    log10 += math.log10(2)
+    low = [d for d in range(1, math.isqrt(m) + 1) if m % d == 0]
+    for p in {d + 1 for d in low} | {m // d + 1 for d in low}:
+        if all(p % f for f in range(2, math.isqrt(p) + 1)):
+            log10 += math.log10(p)
+    if math.floor(log10) + 1 > limit + 1:
+        raise _too_many_digits()
 
 
 def _emit_value(
@@ -403,6 +435,7 @@ def _dispatch(args: argparse.Namespace) -> int:
             _emit_value(args, parts, args.max_index, value)
         return 0
     if args.subcommand == "bernoulli":
+        _refuse_unprintable_bernoulli(args.max_index)
         table = bernoulli_numbers(args.max_index)
         if args.output == "text":
             lines = [f"B_{i} = {_decimal(v)}" for i, v in enumerate(table)]
@@ -423,7 +456,11 @@ def _dispatch(args: argparse.Namespace) -> int:
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
-    """Parse argv, execute, and return the exit code."""
+    """Parse argv, execute, and return the exit code.
+
+    The parser is built once per process, on the first call.  The count
+    functions behind `count --method` are still looked up on every call.
+    """
     parser = _build_parser()
     try:
         args = parser.parse_args(list(argv) if argv is not None else None)

@@ -65,8 +65,8 @@ def _dp_counts(parts: Sequence[int], upper: int) -> Tuple[int, ...]:
 
 # Recently used tables over all parts but the largest, keyed by the parts
 # tuple.  Tables grow geometrically so a sweep over n for one part set costs
-# one DP pass, and the set count is bounded so verification sweeps over many
-# part sets do not hoard memory.
+# one DP pass.  The cache is bounded both in part sets and in entries (to the
+# cap on a single table), so sweeps over many part sets do not hoard memory.
 _TABLES: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
 _MAX_CACHED_SETS = 64
 
@@ -80,7 +80,10 @@ def _counts_up_to(parts: PartSet, upper: int) -> Tuple[int, ...]:
     grown = min(2 * len(held), _MAX_TABLE_ENTRIES) if held is not None else 0
     fresh = _dp_counts(key[:-1], max(upper + 1, grown) - 1)
     _TABLES[key] = fresh
-    while len(_TABLES) > _MAX_CACHED_SETS:
+    while len(_TABLES) > 1 and (
+        len(_TABLES) > _MAX_CACHED_SETS
+        or sum(map(len, _TABLES.values())) > _MAX_TABLE_ENTRIES
+    ):
         _TABLES.pop(next(iter(_TABLES)))
     return fresh
 

@@ -193,12 +193,17 @@ def section3_count(parts: PartSet, n: int) -> int:
     the series recursion, and reads the correction off one coefficient.
     Shares nothing with theorem1_count beyond the base count at the residue,
     so the two serve as independent checks of each other.
+
+    The coefficient read is f_{k-2}, and the recursion i f_i = sum_{j<=i}
+    j h_j f_{i-j} makes it depend on h_1..h_{k-2} only, so both series are
+    truncated at order k - 2 and the value is exact.  The order is at least 1
+    because the s term, -r s, is always built.
     """
     _require_at_least_two_parts(parts)
     parts.require_pairwise_coprime()
     reduction = decompose(parts, n)
     k, q, r = parts.k, reduction.q, reduction.r
-    order = k  # one past the needed index, as a guard band
+    order = max(k - 2, 1)
     bern = bernoulli_numbers(order)
     coeffs = [Fraction(0)] * (order + 1)
     coeffs[1] = Fraction(-r)

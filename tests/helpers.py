@@ -5,15 +5,33 @@ enumeration), so its agreement with the dynamic-programming oracle is
 evidence rather than circularity.  The series helpers reuse the package's
 exact arithmetic primitives but follow different algorithms than the code
 under test (summing powers instead of the derivative recursion, caller-given
-factor order instead of the sorted one).
+factor order instead of the sorted one).  run_module runs the command line
+in a fresh interpreter.
 """
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
 from math import factorial, gcd, prod
+from pathlib import Path
 from typing import Iterable, List, Sequence, Tuple
 
 from denumerant.series import Poly, TruncatedSeries, series_inv, series_mul
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_module(*argv: str) -> subprocess.CompletedProcess:
+    """`python -m denumerant argv...` in a fresh process, output captured as text."""
+    return subprocess.run(
+        [sys.executable, "-m", "denumerant", *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        timeout=300,
+    )
 
 
 def brute_force_count(parts: Sequence[int], n: int) -> int:

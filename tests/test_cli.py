@@ -1,8 +1,11 @@
 """Command-line behavior: outputs, exit codes, determinism, JSON."""
 
+import argparse
+import io
 import json
 import random
 import sys
+from contextlib import redirect_stderr
 from fractions import Fraction
 from math import gcd
 
@@ -21,7 +24,7 @@ from denumerant.errors import DomainError, SamplingExhaustedError
 from denumerant.partset import PartSet
 from denumerant.reductions import theorem1_count
 
-from helpers import coprime_part_tuples
+from helpers import coprime_part_tuples, run_module
 
 F = Fraction
 
@@ -210,6 +213,35 @@ class TestExitCodes:
         assert "waves" in err and "tabulates" not in err
         assert "Traceback" not in err
 
+    def test_unprintable_bernoulli_refused_before_computing(
+        self, monkeypatch, capsys
+    ):
+        # at a 640-digit limit, B_448 is the first with too long a numerator
+        calls = []
+        real = cli.bernoulli_numbers
+
+        def counting(m):
+            calls.append(m)
+            return real(m)
+
+        monkeypatch.setattr(cli, "bernoulli_numbers", counting)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            for index in ("448", "449", "2600", str(10 ** 400)):
+                code, out, err = invoke(capsys, "bernoulli", "--max-index", index)
+                assert (code, out) == (3, "")
+                assert err.startswith("error: ") and "640 digits" in err
+            assert calls == []
+            code, out, _ = invoke(capsys, "bernoulli", "--max-index", "447")
+            assert code == 0 and out.count("\n") == 448
+            sys.set_int_max_str_digits(0)  # no limit, no refusal
+            code, out, _ = invoke(capsys, "bernoulli", "--max-index", "449")
+            assert code == 0 and out.count("\n") == 450
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert calls == [447, 449]
+
     def test_result_past_the_int_to_str_limit_refused(self, capsys):
         # p(10^3000) for (2,3,5) has about 6000 digits, past Python's limit
         limit = sys.get_int_max_str_digits()
@@ -221,6 +253,55 @@ class TestExitCodes:
         assert out == ""
         assert err.count("\n") == 1 and err.startswith("error: ")
         assert str(limit) in err
+
+
+class TestParserBuiltOnce:
+    def test_many_runs_build_one_parser(self, monkeypatch, capsys):
+        builds = []
+        add_subparsers = argparse.ArgumentParser.add_subparsers
+
+        def counting(parser, **kwargs):
+            builds.append(parser.prog)
+            return add_subparsers(parser, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers", counting)
+        cli._build_parser.cache_clear()
+        argvs = [
+            ("count", "--parts", "2,3", "--n", "11", "--method", "waves"),
+            ("count", "--parts", "2,x", "--n", "5"),
+            ("theorem2", "--parts", "2,3,5", "--x", "3"),
+            ("bernoulli", "--max-index", "4", "--output", "json"),
+        ]
+        codes = [run(list(argv)) for argv in argvs * 3]
+        capsys.readouterr()
+        assert codes == [0, 2, 0, 0] * 3
+        assert builds == ["denumerant"]
+
+    def test_usage_error_then_valid_argv_match_a_fresh_process(
+        self, monkeypatch, capsys
+    ):
+        monkeypatch.setenv("COLUMNS", "80")  # the usage text wraps at the width
+        bad = ("count", "--parts", "2,3", "--n", "11", "--method", "nope")
+        good = ("count", "--parts", "2,3,5", "--n", "59", "--method", "section3")
+        assert run(list(good)) == 0  # the parser exists from here on
+        capsys.readouterr()
+        redirected = io.StringIO()
+        with redirect_stderr(redirected):
+            assert run(list(bad)) == 2
+        code, out, err = invoke(capsys, *good)
+        fresh_bad, fresh_good = run_module(*bad), run_module(*good)
+        assert fresh_bad.returncode == 2
+        assert redirected.getvalue() == fresh_bad.stderr
+        assert redirected.getvalue().startswith("usage: denumerant count")
+        assert (code, out, err) == (0, fresh_good.stdout, fresh_good.stderr)
+
+    def test_rebound_count_function_reached_after_first_run(
+        self, monkeypatch, capsys
+    ):
+        argv = ("count", "--parts", "2,3", "--n", "11", "--method", "theorem1")
+        assert invoke(capsys, *argv)[:2] == (0, "2\n")
+        monkeypatch.setattr(cli, "theorem1_count", lambda parts, n: 12345)
+        assert invoke(capsys, *argv)[:2] == (0, "12345\n")
 
 
 class TestDeterminism:

@@ -196,3 +196,18 @@ def test_oversized_tables_refused_before_allocating(monkeypatch):
     with pytest.raises(ResourceLimitError):
         multiset_counts((2, 3), 100)
     assert issubclass(ResourceLimitError, DomainError)
+
+
+def test_cache_bounded_in_entries(monkeypatch):
+    """The held tables never pass the single-table cap in total entries."""
+    monkeypatch.setattr(oracle, "_MAX_TABLE_ENTRIES", 100)
+    monkeypatch.setattr(oracle, "_TABLES", {})
+    lookups = [
+        (values, n)
+        for values in [(2, 3), (3, 5, 7), (4, 9), (1, 5, 6), (2, 3, 5), (7, 11)]
+        for n in (20, 45, 99, 60)
+    ]
+    for values, n in lookups + lookups[::-1]:
+        assert oracle_count(PartSet(values), n) == brute_force_count(values, n)
+        assert sum(map(len, oracle._TABLES.values())) <= 100
+        assert values in oracle._TABLES  # the table just used is kept

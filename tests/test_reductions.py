@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from denumerant import reductions
 from denumerant.errors import (
     CoprimalityError,
     DomainError,
@@ -28,6 +29,8 @@ from denumerant.reductions import (
     theorem2_count,
     theorem3_rhs,
 )
+from denumerant.series import series_exp
+from denumerant.waves import waves_count
 
 from helpers import coprime_part_tuples
 
@@ -199,6 +202,25 @@ class TestSection3:
     def test_agrees_with_the_correction_sum(self, combo, n):
         parts = PartSet(combo)
         assert section3_count(parts, n) == theorem1_count(parts, n)
+
+    @pytest.mark.parametrize(
+        "combo",
+        [(2, 3), (2, 3, 5), (3, 4, 5, 7), (2, 3, 5, 7, 11), (3, 5, 7, 11, 13, 16),
+         (2, 3, 5, 7, 11, 13, 17)],
+    )
+    def test_series_truncated_at_the_coefficient_read(self, monkeypatch, combo):
+        """Work gate: one exp at order max(k - 2, 1); k = 2 is the clamp."""
+        orders = []
+
+        def spy(series):
+            orders.append(series.order)
+            return series_exp(series)
+
+        monkeypatch.setattr(reductions, "series_exp", spy)
+        parts = PartSet(combo)
+        for n in (10 ** 30 + 12345, 10 ** 30 + 7 * parts.product - 1):
+            assert section3_count(parts, n) == waves_count(parts, n)
+        assert orders == [max(parts.k - 2, 1)] * 2
 
 
 class TestClosedForms:
