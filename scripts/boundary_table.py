@@ -29,7 +29,7 @@ def main() -> int:
     try:
         parts = PartSet.of(*(int(piece) for piece in args.parts.split(",")))
         parts.require_pairwise_coprime()
-        counts = oracle_table(parts, parts.product).counts
+        counts = oracle_table(parts, parts.product)
     except (ValueError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

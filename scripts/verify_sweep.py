@@ -13,7 +13,7 @@ Example:
 import argparse
 import sys
 
-from denumerant.cli import run_verify
+from denumerant.cli import format_failure, run_verify
 
 
 def main() -> int:
@@ -47,11 +47,7 @@ def main() -> int:
     if bad:
         print()
         for failure in bad:
-            rendered = " ".join(f"{name}={value}" for name, value in failure.inputs)
-            print(
-                f"FAIL {failure.check} parts={list(failure.parts.parts)}"
-                f" {rendered} lhs={failure.lhs} rhs={failure.rhs}"
-            )
+            print(format_failure(failure))
         return 1
     return 0
 

@@ -11,7 +11,6 @@ job is to show the routes never disagree.
 
 from .bernoulli import (
     BBPoly,
-    BernoulliTable,
     bernoulli_barnes,
     bernoulli_numbers,
     power_sum,
@@ -26,10 +25,9 @@ from .errors import (
     SamplingExhaustedError,
     UnsupportedArityError,
 )
-from .oracle import CountTable, oracle_count, oracle_table
+from .oracle import oracle_count, oracle_table
 from .partset import PartSet
 from .reductions import (
-    ReductionInput,
     TheoremReport,
     closed_form_correction,
     closed_form_count,
@@ -48,9 +46,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BBPoly",
-    "BernoulliTable",
     "CoprimalityError",
-    "CountTable",
     "DomainError",
     "InternalInconsistencyError",
     "NonInvertibleError",
@@ -58,7 +54,6 @@ __all__ = [
     "PartSet",
     "Poly",
     "RangeError",
-    "ReductionInput",
     "SamplingExhaustedError",
     "TheoremReport",
     "UnsupportedArityError",

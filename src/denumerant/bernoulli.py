@@ -41,27 +41,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm
-from typing import Iterator, List, Tuple
+from typing import List, Tuple
 
 from .errors import DomainError
 from .partset import PartSet
 from .series import Poly, poly_eval
-
-
-@dataclass(frozen=True)
-class BernoulliTable:
-    """Bernoulli numbers B_0..B_m under the B_1 = +1/2 convention."""
-
-    values: Tuple[Fraction, ...]
-
-    def __getitem__(self, i: int) -> Fraction:
-        return self.values[i]
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __iter__(self) -> Iterator[Fraction]:
-        return iter(self.values)
 
 
 # Grows monotonically; entries never change once computed.
@@ -88,12 +72,12 @@ def _grow(m: int) -> None:
     _KNOWN[:] = fresh[: m + 1]
 
 
-def bernoulli_numbers(m: int) -> BernoulliTable:
-    """The table B_0..B_m (see the module docstring for the convention)."""
+def bernoulli_numbers(m: int) -> Tuple[Fraction, ...]:
+    """B_0..B_m (see the module docstring for the convention)."""
     if m < 0:
         raise DomainError("table size must be nonnegative")
     _grow(m)
-    return BernoulliTable(tuple(_KNOWN[: m + 1]))
+    return tuple(_KNOWN[: m + 1])
 
 
 def log_coefficients(m: int) -> Tuple[Fraction, ...]:

@@ -32,6 +32,7 @@ from fractions import Fraction
 from functools import cache
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
+from . import oracle
 from .bernoulli import bernoulli_barnes, bernoulli_numbers
 from .errors import DomainError, ResourceLimitError, SamplingExhaustedError
 from .oracle import oracle_count
@@ -58,12 +59,7 @@ class VerifyReport:
     elapsed: float
 
 
-def random_coprime_partset(
-    k: int,
-    max_part: int,
-    rng: random.Random,
-    max_attempts: int = 1000,
-) -> PartSet:
+def random_coprime_partset(k: int, max_part: int, rng: random.Random) -> PartSet:
     """Draw a pairwise-coprime set of k distinct parts from [1, max_part].
 
     Plain rejection sampling: draw k distinct values, accept iff pairwise
@@ -74,12 +70,12 @@ def random_coprime_partset(
     if max_part < k:
         raise DomainError(f"cannot draw {k} distinct parts from [1, {max_part}]")
     population = range(1, max_part + 1)
-    for _ in range(max_attempts):
+    for _ in range(1000):
         candidate = PartSet(tuple(rng.sample(population, k)))
         if candidate.pairwise_coprime:
             return candidate
     raise SamplingExhaustedError(
-        f"no pairwise-coprime {k}-subset of [1, {max_part}] in {max_attempts} draws"
+        f"no pairwise-coprime {k}-subset of [1, {max_part}] in 1000 draws"
     )
 
 
@@ -193,11 +189,27 @@ def run_verify(
     oracle table stays small), then n = q * product + r with q in 0..3 and r
     uniform, then checks every identity applicable to the arity.  Failures
     come back in trial order.
+
+    A trial's table has at most 4P entries, since n <= 4P - 1 for its product
+    P, and P is at most max_product and at most the product of the k_max
+    largest integers in [1, max_part].  Arguments that would let a table pass
+    the oracle's cap are refused before the first trial.
     """
     if trials < 0:
         raise DomainError(f"trials must be nonnegative, got {trials}")
     if not 1 <= k_min <= k_max:
         raise DomainError(f"need 1 <= k-min <= k-max, got {k_min}..{k_max}")
+    widest = 1
+    for a in range(max_part, max(max_part - k_max, 0), -1):
+        if widest >= max_product:
+            break
+        widest *= a
+    entries = 4 * min(max_product, widest)
+    if entries > oracle._MAX_TABLE_ENTRIES:
+        raise ResourceLimitError(
+            f"verify tables may need {entries} entries, over the cap of"
+            f" {oracle._MAX_TABLE_ENTRIES}; lower --max-product or --max-part"
+        )
     started = time.perf_counter()
     rng = random.Random(seed)
     failures = []
@@ -373,17 +385,22 @@ def _emit_value(
     print(json.dumps(payload))
 
 
+def format_failure(failure: TheoremReport) -> str:
+    """One failed check as a `FAIL {check} parts=... lhs=... rhs=...` line."""
+    rendered = " ".join(f"{name}={val}" for name, val in failure.inputs)
+    return (
+        f"FAIL {failure.check} parts={list(failure.parts.parts)}"
+        f" {rendered} lhs={failure.lhs} rhs={failure.rhs}"
+    )
+
+
 def _emit_verify(args: argparse.Namespace, report: VerifyReport) -> None:
     if args.output == "text":
         print(f"trials: {report.trials}")
         print(f"seed: {report.seed}")
         print(f"failures: {len(report.failures)}")
         for failure in report.failures:
-            rendered = " ".join(f"{name}={val}" for name, val in failure.inputs)
-            print(
-                f"FAIL {failure.check} parts={list(failure.parts.parts)}"
-                f" {rendered} lhs={failure.lhs} rhs={failure.rhs}"
-            )
+            print(format_failure(failure))
     else:
         payload = {
             "trials": report.trials,

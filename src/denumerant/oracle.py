@@ -21,7 +21,6 @@ allocated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 from typing import Dict, Sequence, Tuple
 
@@ -32,15 +31,6 @@ from .partset import PartSet
 # With the list it is filled in, a build peaks at ~53, so ~2.6 GB at the cap.
 # waves.py holds the wave entries of its cached part sets to the same cap.
 _MAX_TABLE_ENTRIES = 50_000_000
-
-
-@dataclass(frozen=True)
-class CountTable:
-    """Counts for 0 <= n <= upper against a fixed part set."""
-
-    parts: PartSet
-    upper: int
-    counts: Tuple[int, ...]
 
 
 def _dp_counts(parts: Sequence[int], upper: int) -> Tuple[int, ...]:
@@ -88,11 +78,11 @@ def _counts_up_to(parts: PartSet, upper: int) -> Tuple[int, ...]:
     return fresh
 
 
-def oracle_table(parts: PartSet, upper: int) -> CountTable:
-    """The full table of counts for 0 <= n <= upper."""
+def oracle_table(parts: PartSet, upper: int) -> Tuple[int, ...]:
+    """The full table of counts: entry n is the count for n, 0 <= n <= upper."""
     if upper < 0:
         raise DomainError("table upper bound must be nonnegative")
-    return CountTable(parts=parts, upper=upper, counts=_dp_counts(parts.parts, upper))
+    return _dp_counts(parts.parts, upper)
 
 
 def oracle_count(parts: PartSet, n: int) -> int:
@@ -101,18 +91,3 @@ def oracle_count(parts: PartSet, n: int) -> int:
         raise DomainError("counts are defined for nonnegative n only")
     largest = parts.parts[-1]
     return sum(_counts_up_to(parts, n)[n % largest : n + 1 : largest])
-
-
-def multiset_counts(parts: Sequence[int], upper: int) -> Tuple[int, ...]:
-    """DP table for a raw sequence of parts, repeats honored as repeats.
-
-    PartSet refuses duplicates by design; this entry point exists so the
-    recurrence can be exercised on multisets as well.  An empty sequence is
-    allowed and yields the table (1, 0, 0, ...).
-    """
-    if upper < 0:
-        raise DomainError("table upper bound must be nonnegative")
-    for a in parts:
-        if not isinstance(a, int) or isinstance(a, bool) or a < 1:
-            raise DomainError(f"parts must be positive integers, got {a!r}")
-    return _dp_counts(tuple(parts), upper)

@@ -63,14 +63,6 @@ class PartSet:
                 f"parts {list(self.parts)} are not pairwise coprime"
             )
 
-    def without(self, part: int) -> "PartSet":
-        """This part set with one named part removed."""
-        if part not in self.parts:
-            raise DomainError(f"{part} is not among the parts {list(self.parts)}")
-        if self.k == 1:
-            raise DomainError("removing the only part would leave an empty part set")
-        return PartSet(tuple(a for a in self.parts if a != part))
-
     def __iter__(self) -> Iterator[int]:
         return iter(self.parts)
 

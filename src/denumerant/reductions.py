@@ -41,9 +41,8 @@ from itertools import combinations
 from math import factorial
 from typing import Tuple
 
-from .bernoulli import bernoulli_barnes, bernoulli_numbers, power_sum
+from .bernoulli import bernoulli_barnes, log_coefficients, power_sum
 from .errors import (
-    DomainError,
     InternalInconsistencyError,
     RangeError,
     UnsupportedArityError,
@@ -51,27 +50,6 @@ from .errors import (
 from .partset import PartSet
 from .series import TruncatedSeries, series_exp
 from .waves import waves_count
-
-
-@dataclass(frozen=True)
-class ReductionInput:
-    """The decomposition n = q * product + r with 0 <= r < product."""
-
-    parts: PartSet
-    n: int
-    q: int
-    r: int
-
-    def __post_init__(self) -> None:
-        product = self.parts.product
-        if self.n < 0 or self.q < 0 or not 0 <= self.r < product:
-            raise DomainError(
-                f"invalid decomposition n={self.n}, q={self.q}, r={self.r}"
-            )
-        if self.n != self.q * product + self.r:
-            raise DomainError(
-                f"decomposition does not reproduce n: {self.q}*{product}+{self.r} != {self.n}"
-            )
 
 
 @dataclass(frozen=True)
@@ -86,15 +64,14 @@ class TheoremReport:
 
     @property
     def holds(self) -> bool:
-        return self.rhs.denominator == 1 and self.lhs == self.rhs
+        return self.lhs == self.rhs
 
 
-def decompose(parts: PartSet, n: int) -> ReductionInput:
-    """Euclidean division of n by the product of the parts."""
+def decompose(parts: PartSet, n: int) -> Tuple[int, int]:
+    """(q, r) with n = q * product + r and 0 <= r < product."""
     if n < 0:
         raise RangeError(f"n must be nonnegative, got {n}")
-    q, r = divmod(n, parts.product)
-    return ReductionInput(parts=parts, n=n, q=q, r=r)
+    return divmod(n, parts.product)
 
 
 def _as_integer(value: Fraction, what: str) -> int:
@@ -103,18 +80,17 @@ def _as_integer(value: Fraction, what: str) -> int:
     return value.numerator
 
 
-def theorem1_correction(reduction: ReductionInput) -> Fraction:
+def theorem1_correction(parts: PartSet, n: int) -> Fraction:
     """The correction p(n) - p(r) as an exact rational.
 
     For k = 1 the sum is empty and the correction is 0, which is the right
     degenerate reading: with a single part, p(n) depends only on n mod a_1.
     """
-    parts = reduction.parts
+    _, r = decompose(parts, n)
     parts.require_pairwise_coprime()
     k = parts.k
     if k == 1:
         return Fraction(0)
-    n, r = reduction.n, reduction.r
     table = bernoulli_barnes(parts, k)
     total = Fraction(0)
     for i in range(k - 1):
@@ -125,18 +101,16 @@ def theorem1_correction(reduction: ReductionInput) -> Fraction:
 
 def theorem1_count(parts: PartSet, n: int) -> int:
     """p(n) via the base count at the residue plus the correction sum."""
-    reduction = decompose(parts, n)
-    correction = theorem1_correction(reduction)
-    base = waves_count(parts, reduction.r)
-    return base + _as_integer(correction, "reduction correction")
+    _, r = decompose(parts, n)
+    correction = theorem1_correction(parts, n)
+    return waves_count(parts, r) + _as_integer(correction, "reduction correction")
 
 
 def closed_form_count(parts: PartSet, n: int) -> int:
     """p(n) via the base count at the residue plus the hard-coded correction."""
-    reduction = decompose(parts, n)
+    _, r = decompose(parts, n)
     correction = closed_form_correction(parts, n)
-    base = waves_count(parts, reduction.r)
-    return base + _as_integer(correction, "closed-form correction")
+    return waves_count(parts, r) + _as_integer(correction, "closed-form correction")
 
 
 def _product_sum_rhs(parts: PartSet, x: int) -> Fraction:
@@ -189,7 +163,8 @@ def theorem3_rhs(parts: PartSet, x: int) -> Fraction:
 def section3_count(parts: PartSet, n: int) -> int:
     """p(n) via the exponential recursion instead of the correction sum.
 
-    Builds h(s) from Bernoulli numbers and power sums, exponentiates it with
+    Builds h(s) from the coefficients of ln(s/(e^s - 1)), which are read off
+    the Bernoulli number table, and power sums, exponentiates it with
     the series recursion, and reads the correction off one coefficient.
     Shares nothing with theorem1_count beyond the base count at the residue,
     so the two serve as independent checks of each other.
@@ -201,16 +176,14 @@ def section3_count(parts: PartSet, n: int) -> int:
     """
     _require_at_least_two_parts(parts)
     parts.require_pairwise_coprime()
-    reduction = decompose(parts, n)
-    k, q, r = parts.k, reduction.q, reduction.r
+    q, r = decompose(parts, n)
+    k = parts.k
     order = max(k - 2, 1)
-    bern = bernoulli_numbers(order)
     coeffs = [Fraction(0)] * (order + 1)
     coeffs[1] = Fraction(-r)
     shift = r - n
-    for i in range(1, order + 1):
-        scale = bern[i] / (factorial(i) * i)
-        coeffs[i] += scale * (shift ** i - power_sum(parts, i))
+    for i, log_coeff in enumerate(log_coefficients(order), start=1):
+        coeffs[i] -= log_coeff * (shift ** i - power_sum(parts, i))
     f = series_exp(TruncatedSeries(tuple(coeffs)))
     correction = Fraction((-1) ** k * q) * f.coeffs[k - 2]
     return waves_count(parts, r) + _as_integer(correction, "recursion correction")
@@ -231,8 +204,7 @@ def closed_form_correction(parts: PartSet, n: int) -> Fraction:
             f"closed forms cover 2 to 5 parts, got {parts.k}"
         )
     parts.require_pairwise_coprime()
-    reduction = decompose(parts, n)
-    q, r = reduction.q, reduction.r
+    q, r = decompose(parts, n)
     a = parts.parts
     s = parts.total
     if parts.k == 2:

@@ -78,18 +78,6 @@ class TruncatedSeries:
         """Highest power of s retained."""
         return len(self.coeffs) - 1
 
-    @staticmethod
-    def one(order: int) -> "TruncatedSeries":
-        """The constant series 1 at the given order."""
-        return TruncatedSeries((Fraction(1),) + (Fraction(0),) * order)
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        _check_orders(self, other)
-        return TruncatedSeries(
-            tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
 
 
 def _check_orders(a: TruncatedSeries, b: TruncatedSeries) -> None:

@@ -77,8 +77,9 @@ def exp_by_powers(h: TruncatedSeries) -> TruncatedSeries:
     reference the fast recursion is checked against.
     """
     order = h.order
-    total = list(TruncatedSeries.one(order).coeffs)
-    power = TruncatedSeries.one(order)
+    one = TruncatedSeries((Fraction(1),) + (Fraction(0),) * order)
+    total = list(one.coeffs)
+    power = one
     for m in range(1, order + 1):
         power = series_mul(power, h)
         scale = Fraction(1, factorial(m))
@@ -97,7 +98,7 @@ def bb_polys_by_factor_order(
     not depend on part ordering.
     """
     order = max_index
-    acc = TruncatedSeries.one(order)
+    acc = TruncatedSeries((Fraction(1),) + (Fraction(0),) * order)
     for a in parts_in_order:
         factor = TruncatedSeries(
             tuple(Fraction(a ** m, factorial(m + 1)) for m in range(order + 1))

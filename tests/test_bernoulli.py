@@ -77,7 +77,7 @@ def test_negative_size_rejected():
 def test_cache_grows_monotonically():
     big = bernoulli_numbers(16)
     small = bernoulli_numbers(5)
-    assert big.values[:6] == small.values
+    assert big[:6] == small
     assert len(small) == 6
 
 
@@ -97,7 +97,7 @@ def test_log_coefficients_exponentiate_back():
     direct = TruncatedSeries(
         tuple(F(1, factorial(j + 1)) for j in range(order + 1))
     )
-    assert series_mul(recovered, direct) == TruncatedSeries.one(order)
+    assert series_mul(recovered, direct) == TruncatedSeries((F(1),) + (F(0),) * order)
 
 
 def test_power_sum():
@@ -161,7 +161,8 @@ class TestBernoulliBarnes:
         parts = PartSet(combo)
         table = bernoulli_barnes(parts, m)
         for a_j in parts:
-            smaller = bernoulli_barnes(parts.without(a_j), m - 1)
+            others = PartSet(tuple(a for a in parts if a != a_j))
+            smaller = bernoulli_barnes(others, m - 1)
             for x in range(m + 1):
                 lhs = table[m].at(x + a_j) - table[m].at(x)
                 assert lhs == m * smaller[m - 1].at(x)

@@ -4,10 +4,12 @@ import argparse
 import io
 import json
 import random
+import runpy
 import sys
 from contextlib import redirect_stderr
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 
@@ -15,18 +17,21 @@ from denumerant import cli, oracle
 from denumerant.cli import (
     VerifyReport,
     _build_parser,
+    format_failure,
     main,
     random_coprime_partset,
     run,
     run_verify,
 )
-from denumerant.errors import DomainError, SamplingExhaustedError
+from denumerant.errors import DomainError, ResourceLimitError, SamplingExhaustedError
 from denumerant.partset import PartSet
 from denumerant.reductions import theorem1_count
 
 from helpers import coprime_part_tuples, run_module
 
 F = Fraction
+
+VERIFY_SWEEP = Path(__file__).resolve().parent.parent / "scripts" / "verify_sweep.py"
 
 
 def invoke(capsys, *argv):
@@ -372,6 +377,73 @@ class TestVerify:
         code, _, _ = invoke(capsys, "verify", "--trials", "-1")
         assert code == 2
 
+    def test_oversized_tables_refused_before_the_first_trial(self, monkeypatch):
+        # a trial's table has at most 4 * product entries
+        builds = []
+        dp_counts = oracle._dp_counts
+
+        def counting_dp(parts, upper):
+            builds.append(upper)
+            return dp_counts(parts, upper)
+
+        monkeypatch.setattr(oracle, "_dp_counts", counting_dp)
+        monkeypatch.setattr(oracle, "_TABLES", {})
+        monkeypatch.setattr(oracle, "_MAX_TABLE_ENTRIES", 100)
+        arguments = dict(trials=40, seed=0, k_min=2, k_max=3, max_part=13)
+        with pytest.raises(ResourceLimitError, match="cap of 100"):
+            run_verify(max_product=30, **arguments)
+        assert builds == []
+        report = run_verify(max_product=25, **arguments)
+        assert report.failures == () and builds and max(builds) < 100
+        # the k_max largest parts bound the product too: 4 * 5 * 4 = 80
+        run_verify(
+            trials=5, seed=0, k_min=2, k_max=2, max_part=5, max_product=10 ** 9
+        )
+
+    def test_oversized_tables_refused_at_the_command_line(self, capsys):
+        code, out, err = invoke(
+            capsys, "verify", "--max-part", "200", "--max-product", "1000000000"
+        )
+        assert (code, out) == (3, "")
+        assert err.count("\n") == 1 and err.startswith("error: ") and "cap" in err
+        assert "Traceback" not in err
+
+    def test_failures_reported(self, monkeypatch, capsys):
+        def off_by_one(parts, n):
+            return theorem1_count(parts, n) + 1
+
+        def fail_lines(out):
+            return [line for line in out.splitlines() if line.startswith("FAIL")]
+
+        monkeypatch.setattr(cli, "theorem1_count", off_by_one)
+        report = run_verify(
+            trials=3, seed=0, k_min=2, k_max=2, max_part=13, max_product=100000
+        )
+        expected = [format_failure(f) for f in report.failures]
+        assert len(expected) == 3 and all(
+            line.startswith("FAIL theorem1 parts=[") for line in expected
+        )
+
+        argv = ("verify", "--trials", "3", "--k-min", "2", "--k-max", "2")
+        code, out, _ = invoke(capsys, *argv)
+        assert code == 1 and "failures: 3" in out
+        assert fail_lines(out) == expected
+
+        code, out, _ = invoke(capsys, *argv, "--output", "json")
+        assert code == 1
+        failures = json.loads(out)["failures"]
+        assert [f["check"] for f in failures] == ["theorem1"] * 3
+        for failure in failures:
+            assert isinstance(failure["lhs"], str) and isinstance(failure["rhs"], str)
+            assert int(failure["rhs"]) == int(failure["lhs"]) + 1
+
+        sweep_argv = ["--trials", "3", "--seeds", "0", "--k-max", "2"]
+        monkeypatch.setattr(sys, "argv", [str(VERIFY_SWEEP), *sweep_argv])
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_path(str(VERIFY_SWEEP), run_name="__main__")
+        assert exc.value.code == 1
+        assert fail_lines(capsys.readouterr().out) == expected
+
 
 class TestRandomCoprimePartset:
     def test_forced_pair(self):
@@ -395,7 +467,7 @@ class TestRandomCoprimePartset:
         # [1,6] has no six pairwise-coprime values, so every draw is rejected
         rng = random.Random(1)
         with pytest.raises(SamplingExhaustedError):
-            random_coprime_partset(6, 6, rng, max_attempts=50)
+            random_coprime_partset(6, 6, rng)
 
     def test_bad_arguments(self):
         rng = random.Random(0)

@@ -42,15 +42,6 @@ def test_require_pairwise_coprime():
         PartSet.of(6, 10).require_pairwise_coprime()
 
 
-def test_without():
-    a = PartSet.of(2, 3, 5)
-    assert a.without(3) == PartSet.of(2, 5)
-    with pytest.raises(DomainError):
-        a.without(7)
-    with pytest.raises(DomainError):
-        PartSet.of(4).without(4)
-
-
 def test_container_protocol():
     a = PartSet.of(3, 2)
     assert list(a) == [2, 3]

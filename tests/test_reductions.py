@@ -7,17 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from denumerant import reductions
+from denumerant import bernoulli, oracle, reductions
 from denumerant.errors import (
     CoprimalityError,
-    DomainError,
     RangeError,
     UnsupportedArityError,
 )
 from denumerant.oracle import oracle_count
 from denumerant.partset import PartSet
 from denumerant.reductions import (
-    ReductionInput,
     TheoremReport,
     closed_form_correction,
     closed_form_count,
@@ -44,36 +42,31 @@ small_n = st.integers(min_value=0, max_value=2000)
 
 class TestDecompose:
     def test_examples(self):
-        d = decompose(PartSet.of(2, 3), 11)
-        assert (d.q, d.r) == (1, 5)
-        d = decompose(PartSet.of(2, 3, 5), 59)
-        assert (d.q, d.r) == (1, 29)
-        d = decompose(PartSet.of(2, 3, 5), 29)
-        assert (d.q, d.r) == (0, 29)
+        assert decompose(PartSet.of(2, 3), 11) == (1, 5)
+        assert decompose(PartSet.of(2, 3, 5), 59) == (1, 29)
+        assert decompose(PartSet.of(2, 3, 5), 29) == (0, 29)
 
     def test_negative_rejected(self):
         with pytest.raises(RangeError):
             decompose(PartSet.of(2, 3), -1)
-
-    def test_inconsistent_input_rejected(self):
-        with pytest.raises(DomainError):
-            ReductionInput(parts=PartSet.of(2, 3), n=11, q=1, r=4)
-        with pytest.raises(DomainError):
-            ReductionInput(parts=PartSet.of(2, 3), n=11, q=0, r=11)
+        # the k = 1 shortcut comes after the decomposition
+        for parts in (PartSet.of(7), PartSet.of(2, 3), PartSet.of(2, 3, 5)):
+            with pytest.raises(RangeError):
+                theorem1_correction(parts, -1)
 
     @given(st.sampled_from(COPRIME_2_TO_4), small_n)
     def test_roundtrip(self, combo, n):
         parts = PartSet(combo)
-        d = decompose(parts, n)
-        assert d.q * parts.product + d.r == n
-        assert 0 <= d.r < parts.product
+        q, r = decompose(parts, n)
+        assert q * parts.product + r == n
+        assert 0 <= r < parts.product
 
 
 class TestTheorem1:
     def test_correction_examples(self):
-        assert theorem1_correction(decompose(PartSet.of(2, 3), 11)) == 1
-        assert theorem1_correction(decompose(PartSet.of(2, 3, 5), 59)) == 49
-        assert theorem1_correction(decompose(PartSet.of(7), 21)) == 0
+        assert theorem1_correction(PartSet.of(2, 3), 11) == 1
+        assert theorem1_correction(PartSet.of(2, 3, 5), 59) == 49
+        assert theorem1_correction(PartSet.of(7), 21) == 0
 
     def test_count_examples(self):
         assert theorem1_count(PartSet.of(2, 3), 11) == 2
@@ -84,7 +77,7 @@ class TestTheorem1:
         with pytest.raises(CoprimalityError):
             theorem1_count(PartSet.of(2, 4), 10)
         with pytest.raises(CoprimalityError):
-            theorem1_correction(decompose(PartSet.of(6, 10), 100))
+            theorem1_correction(PartSet.of(6, 10), 100)
 
     def test_single_part(self):
         # empty correction sum: the count reduces to the residue
@@ -101,7 +94,7 @@ class TestTheorem1:
 
     @given(st.sampled_from(COPRIME_2_TO_5), small_n)
     def test_correction_is_integral(self, combo, n):
-        value = theorem1_correction(decompose(PartSet(combo), n))
+        value = theorem1_correction(PartSet(combo), n)
         assert value.denominator == 1
 
 
@@ -235,9 +228,7 @@ class TestClosedForms:
 
     def test_four_parts_against_the_general_routes(self):
         parts = PartSet.of(2, 3, 5, 7)
-        assert closed_form_correction(parts, 210) == theorem1_correction(
-            decompose(parts, 210)
-        )
+        assert closed_form_correction(parts, 210) == theorem1_correction(parts, 210)
         assert closed_form_theorem2(parts, 16) == theorem2_count(parts, 16)
 
     def test_unsupported_arities(self):
@@ -262,9 +253,7 @@ class TestClosedForms:
     @settings(max_examples=300)
     def test_correction_equivalence(self, combo, n):
         parts = PartSet(combo)
-        assert closed_form_correction(parts, n) == theorem1_correction(
-            decompose(parts, n)
-        )
+        assert closed_form_correction(parts, n) == theorem1_correction(parts, n)
 
     @given(st.sampled_from(COPRIME_2_TO_5), st.data())
     @settings(max_examples=300)
@@ -296,3 +285,34 @@ def test_report_holds_semantics():
     assert not TheoremReport(
         check="x", parts=PartSet.of(2, 3), inputs=(), lhs=2, rhs=F(3)
     ).holds
+
+
+# Each route's values, by the names the routes reach them through.  theorem1
+# reads the Bernoulli-Barnes polynomials, section3 the Bernoulli number table.
+BB_SOURCES = (("reductions", "bernoulli_barnes"), ("bernoulli", "_unit_coefficients"))
+TABLE_SOURCES = (("bernoulli", "bernoulli_numbers"), ("reductions", "log_coefficients"))
+
+
+@pytest.mark.parametrize("combo", [(2, 3, 5), (3, 4, 5, 7), (2, 3, 5, 7, 11)])
+@pytest.mark.parametrize(
+    "route, blocked",
+    [
+        (theorem1_count, TABLE_SOURCES),
+        (section3_count, BB_SOURCES),
+        (closed_form_count, BB_SOURCES + TABLE_SOURCES),
+        (waves_count, BB_SOURCES + TABLE_SOURCES),
+    ],
+)
+def test_routes_read_no_other_routes_source(monkeypatch, combo, route, blocked):
+    """Each route equals waves with the other routes' sources made to raise."""
+    parts = PartSet(combo)
+    n = 10 ** 30 + 12345
+    expected = waves_count(parts, n)
+    modules = {"reductions": reductions, "bernoulli": bernoulli, "oracle": oracle}
+
+    def refuse(*args):
+        raise AssertionError("read another route's source")
+
+    for module, name in blocked + (("oracle", "_dp_counts"),):
+        monkeypatch.setattr(modules[module], name, refuse)
+    assert route(parts, n) == expected

@@ -26,6 +26,10 @@ def ts(*values) -> TruncatedSeries:
     return TruncatedSeries(tuple(F(v) for v in values))
 
 
+def add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
+    return TruncatedSeries(tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+
+
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=12)
 
 
@@ -100,7 +104,7 @@ class TestSeriesInv:
     @settings(max_examples=500)
     @given(series_strategy(5, nonzero_constant=True))
     def test_mul_inv_is_identity(self, a):
-        assert series_mul(a, series_inv(a)) == TruncatedSeries.one(5)
+        assert series_mul(a, series_inv(a)) == ts(1, 0, 0, 0, 0, 0)
 
 
 class TestSeriesExp:
@@ -127,7 +131,7 @@ class TestSeriesExp:
 
     @given(series_strategy(4, zero_constant=True), series_strategy(4, zero_constant=True))
     def test_exp_is_a_homomorphism(self, h1, h2):
-        assert series_exp(h1 + h2) == series_mul(series_exp(h1), series_exp(h2))
+        assert series_exp(add(h1, h2)) == series_mul(series_exp(h1), series_exp(h2))
 
 
 class TestCanonicalForm:
@@ -135,7 +139,7 @@ class TestCanonicalForm:
     def test_results_stay_reduced(self, a, b):
         for series in (
             series_mul(a, b),
-            a + b,
+            add(a, b),
         ):
             for c in series.coeffs:
                 assert c.denominator > 0
