@@ -20,10 +20,22 @@ from denumerant.partset import PartSet
 from denumerant.reductions import theorem2_count, theorem3_rhs
 
 
+def positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
+    return value
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parts", default="2,3,5", help="comma-separated parts")
-    parser.add_argument("--step", type=int, default=1, help="stride through x")
+    parser.add_argument(
+        "--step", type=positive_int, default=1, help="stride through x"
+    )
     args = parser.parse_args()
 
     try:

@@ -3,8 +3,9 @@
 
 Runs the same seeded random cross-checks as `denumerant verify`, but pinned
 to one arity at a time so a regression in, say, the five-part closed form
-shows up on its own row.  Exits nonzero if any identity ever disagrees with
-the oracle.
+shows up on its own row.  Exits 1 if any identity ever disagrees with the
+oracle, 2 on a usage error and 3 on refused arguments, as `denumerant verify`
+does.
 
 Example:
     python scripts/verify_sweep.py --trials 200 --seeds 0,1,2
@@ -12,38 +13,54 @@ Example:
 
 import argparse
 import sys
+import time
 
-from denumerant.cli import format_failure, run_verify
+from denumerant.errors import DomainError
+from denumerant.verify import format_failure, run_verify
+
+
+def seed_list(text: str) -> list:
+    try:
+        return [int(piece) for piece in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"seeds must be comma-separated integers, got {text!r}"
+        )
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--trials", type=int, default=200, help="trials per cell")
-    parser.add_argument("--seeds", default="0,1,2", help="comma-separated seeds")
+    parser.add_argument(
+        "--seeds", type=seed_list, default="0,1,2", help="comma-separated seeds"
+    )
     parser.add_argument("--k-min", type=int, default=2)
     parser.add_argument("--k-max", type=int, default=5)
     parser.add_argument("--max-part", type=int, default=13)
     parser.add_argument("--max-product", type=int, default=100000)
     args = parser.parse_args()
 
-    seeds = [int(piece) for piece in args.seeds.split(",")]
-    print(f"{'k':>3} {'seed':>6} {'trials':>7} {'failures':>9} {'seconds':>8}")
-    bad = []
-    for k in range(args.k_min, args.k_max + 1):
-        for seed in seeds:
-            report = run_verify(
-                trials=args.trials,
-                seed=seed,
-                k_min=k,
-                k_max=k,
-                max_part=args.max_part,
-                max_product=args.max_product,
-            )
-            print(
-                f"{k:>3} {seed:>6} {report.trials:>7}"
-                f" {len(report.failures):>9} {report.elapsed:>8.2f}"
-            )
-            bad.extend(report.failures)
+    limits = dict(max_part=args.max_part, max_product=args.max_product)
+    try:
+        # k = k-max has the largest tables: refuse before the first cell runs.
+        run_verify(trials=0, seed=0, k_min=args.k_min, k_max=args.k_max, **limits)
+        print(f"{'k':>3} {'seed':>6} {'trials':>7} {'failures':>9} {'seconds':>8}")
+        bad = []
+        for k in range(args.k_min, args.k_max + 1):
+            for seed in args.seeds:
+                started = time.perf_counter()
+                failures = run_verify(
+                    trials=args.trials, seed=seed, k_min=k, k_max=k, **limits
+                )
+                elapsed = time.perf_counter() - started
+                print(
+                    f"{k:>3} {seed:>6} {args.trials:>7}"
+                    f" {len(failures):>9} {elapsed:>8.2f}"
+                )
+                bad.extend(failures)
+    except DomainError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     if bad:
         print()
         for failure in bad:

@@ -28,7 +28,6 @@ from .errors import (
 from .oracle import oracle_count, oracle_table
 from .partset import PartSet
 from .reductions import (
-    TheoremReport,
     closed_form_correction,
     closed_form_count,
     closed_form_theorem2,
@@ -55,7 +54,6 @@ __all__ = [
     "Poly",
     "RangeError",
     "SamplingExhaustedError",
-    "TheoremReport",
     "UnsupportedArityError",
     "bernoulli_barnes",
     "bernoulli_numbers",

@@ -1,4 +1,4 @@
-"""Command-line front end.
+"""Command-line front end: argument parsing, dispatch and output.
 
 Subcommands:
 
@@ -8,6 +8,7 @@ Subcommands:
   theorem2  p(product - x) via the boundary identity, 1 <= x <= sum - 1
   theorem3  the two-sided boundary value for sum <= x <= product
   verify    seeded random cross-checks of every identity against the oracle
+            (the engine is in verify.py)
 
 Exit codes: 0 success, 1 verification failures, 2 usage error, 3 domain
 error (bad part set, out-of-range argument, a result with more digits than
@@ -24,208 +25,25 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import random
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from . import oracle
 from .bernoulli import bernoulli_barnes, bernoulli_numbers
-from .errors import DomainError, ResourceLimitError, SamplingExhaustedError
+from .errors import DomainError, ResourceLimitError
 from .oracle import oracle_count
 from .partset import PartSet
 from .reductions import (
-    TheoremReport,
-    closed_form_correction,
     closed_form_count,
-    closed_form_theorem2,
     section3_count,
     theorem1_count,
     theorem2_count,
     theorem3_rhs,
 )
+from .verify import TheoremReport, format_failure, run_verify
 from .waves import waves_count
-
-@dataclass(frozen=True)
-class VerifyReport:
-    """Outcome of one verification sweep."""
-
-    trials: int
-    failures: Tuple[TheoremReport, ...]
-    seed: int
-    elapsed: float
-
-
-def random_coprime_partset(k: int, max_part: int, rng: random.Random) -> PartSet:
-    """Draw a pairwise-coprime set of k distinct parts from [1, max_part].
-
-    Plain rejection sampling: draw k distinct values, accept iff pairwise
-    coprime.  Deterministic given the rng state.
-    """
-    if k < 1:
-        raise DomainError(f"need at least one part, got k={k}")
-    if max_part < k:
-        raise DomainError(f"cannot draw {k} distinct parts from [1, {max_part}]")
-    population = range(1, max_part + 1)
-    for _ in range(1000):
-        candidate = PartSet(tuple(rng.sample(population, k)))
-        if candidate.pairwise_coprime:
-            return candidate
-    raise SamplingExhaustedError(
-        f"no pairwise-coprime {k}-subset of [1, {max_part}] in 1000 draws"
-    )
-
-
-def _sample_bounded_parts(
-    rng: random.Random, k: int, max_part: int, max_product: int
-) -> PartSet:
-    for _ in range(1000):
-        candidate = random_coprime_partset(k, max_part, rng)
-        if candidate.product <= max_product:
-            return candidate
-    raise SamplingExhaustedError(
-        f"no pairwise-coprime {k}-subset of [1, {max_part}]"
-        f" with product <= {max_product}"
-    )
-
-
-def _check_trial(
-    trial: int, parts: PartSet, n: int, q: int, r: int, rng: random.Random
-) -> List[TheoremReport]:
-    """All identity checks for one sampled instance, oracle on the left."""
-    k = parts.k
-    product = parts.product
-    reports = []
-    base_inputs = (("trial", trial), ("n", n), ("q", q), ("r", r))
-
-    # One table serves the trial: its first lookup reaches every later one,
-    # since r <= n and each boundary argument lies below the product.
-    oracle_count(parts, max(n, product - 1))
-    expected = oracle_count(parts, n)
-    reports.append(
-        TheoremReport(
-            check="theorem1",
-            parts=parts,
-            inputs=base_inputs,
-            lhs=expected,
-            rhs=Fraction(theorem1_count(parts, n)),
-        )
-    )
-    if k >= 2:
-        reports.append(
-            TheoremReport(
-                check="section3",
-                parts=parts,
-                inputs=base_inputs,
-                lhs=expected,
-                rhs=Fraction(section3_count(parts, n)),
-            )
-        )
-    if 2 <= k <= 5:
-        true_correction = expected - oracle_count(parts, r)
-        reports.append(
-            TheoremReport(
-                check="closed-form",
-                parts=parts,
-                inputs=base_inputs,
-                lhs=true_correction,
-                rhs=closed_form_correction(parts, n),
-            )
-        )
-    if k >= 2:
-        x = rng.randint(1, parts.total - 1)
-        boundary = oracle_count(parts, product - x)
-        x_inputs = (("trial", trial), ("x", x))
-        reports.append(
-            TheoremReport(
-                check="theorem2",
-                parts=parts,
-                inputs=x_inputs,
-                lhs=boundary,
-                rhs=Fraction(theorem2_count(parts, x)),
-            )
-        )
-        if k <= 5:
-            reports.append(
-                TheoremReport(
-                    check="closed-form-theorem2",
-                    parts=parts,
-                    inputs=x_inputs,
-                    lhs=boundary,
-                    rhs=closed_form_theorem2(parts, x),
-                )
-            )
-        if parts.total <= product:
-            x3 = rng.randint(parts.total, product)
-            two_sided = oracle_count(parts, product - x3) + (-1) ** k * oracle_count(
-                parts, x3 - parts.total
-            )
-            reports.append(
-                TheoremReport(
-                    check="theorem3",
-                    parts=parts,
-                    inputs=(("trial", trial), ("x", x3)),
-                    lhs=two_sided,
-                    rhs=theorem3_rhs(parts, x3),
-                )
-            )
-    return reports
-
-
-def run_verify(
-    trials: int,
-    seed: int,
-    k_min: int,
-    k_max: int,
-    max_part: int,
-    max_product: int,
-) -> VerifyReport:
-    """Seeded random sweep of every identity against the oracle.
-
-    Each trial draws a part set by rejection sampling (product capped so the
-    oracle table stays small), then n = q * product + r with q in 0..3 and r
-    uniform, then checks every identity applicable to the arity.  Failures
-    come back in trial order.
-
-    A trial's table has at most 4P entries, since n <= 4P - 1 for its product
-    P, and P is at most max_product and at most the product of the k_max
-    largest integers in [1, max_part].  Arguments that would let a table pass
-    the oracle's cap are refused before the first trial.
-    """
-    if trials < 0:
-        raise DomainError(f"trials must be nonnegative, got {trials}")
-    if not 1 <= k_min <= k_max:
-        raise DomainError(f"need 1 <= k-min <= k-max, got {k_min}..{k_max}")
-    widest = 1
-    for a in range(max_part, max(max_part - k_max, 0), -1):
-        if widest >= max_product:
-            break
-        widest *= a
-    entries = 4 * min(max_product, widest)
-    if entries > oracle._MAX_TABLE_ENTRIES:
-        raise ResourceLimitError(
-            f"verify tables may need {entries} entries, over the cap of"
-            f" {oracle._MAX_TABLE_ENTRIES}; lower --max-product or --max-part"
-        )
-    started = time.perf_counter()
-    rng = random.Random(seed)
-    failures = []
-    for trial in range(trials):
-        k = rng.randint(k_min, k_max)
-        parts = _sample_bounded_parts(rng, k, max_part, max_product)
-        q = rng.randint(0, 3)
-        r = rng.randrange(parts.product)
-        n = q * parts.product + r
-        for report in _check_trial(trial, parts, n, q, r, rng):
-            if not report.holds:
-                failures.append(report)
-    elapsed = time.perf_counter() - started
-    return VerifyReport(
-        trials=trials, failures=tuple(failures), seed=seed, elapsed=elapsed
-    )
 
 
 def _parse_parts(text: str) -> Tuple[int, ...]:
@@ -365,15 +183,16 @@ def _refuse_unprintable_bernoulli(max_index: int) -> None:
 
 
 def _emit_value(
-    args: argparse.Namespace, parts: Optional[PartSet], given, value
+    args: argparse.Namespace,
+    parts: Optional[PartSet],
+    given: int,
+    value: Union[str, List[str], List[List[str]]],
+    lines: List[str],
 ) -> None:
-    """Print one computed value; `value` is a string or a list of strings."""
+    """Print `lines` as text, or `value` in the JSON payload."""
     if args.output == "text":
-        if isinstance(value, str):
-            print(value)
-        else:
-            for line in value:
-                print(line)
+        for line in lines:
+            print(line)
         return
     payload = {
         "subcommand": args.subcommand,
@@ -385,82 +204,62 @@ def _emit_value(
     print(json.dumps(payload))
 
 
-def format_failure(failure: TheoremReport) -> str:
-    """One failed check as a `FAIL {check} parts=... lhs=... rhs=...` line."""
-    rendered = " ".join(f"{name}={val}" for name, val in failure.inputs)
-    return (
-        f"FAIL {failure.check} parts={list(failure.parts.parts)}"
-        f" {rendered} lhs={failure.lhs} rhs={failure.rhs}"
-    )
-
-
-def _emit_verify(args: argparse.Namespace, report: VerifyReport) -> None:
+def _emit_verify(
+    args: argparse.Namespace, failures: Tuple[TheoremReport, ...]
+) -> None:
     if args.output == "text":
-        print(f"trials: {report.trials}")
-        print(f"seed: {report.seed}")
-        print(f"failures: {len(report.failures)}")
-        for failure in report.failures:
+        print(f"trials: {args.trials}")
+        print(f"seed: {args.seed}")
+        print(f"failures: {len(failures)}")
+        for failure in failures:
             print(format_failure(failure))
-    else:
-        payload = {
-            "trials": report.trials,
-            "failures": [
-                {
-                    "check": failure.check,
-                    "parts": list(failure.parts.parts),
-                    "inputs": {name: str(val) for name, val in failure.inputs},
-                    "lhs": str(failure.lhs),
-                    "rhs": str(failure.rhs),
-                }
-                for failure in report.failures
-            ],
-            "seed": report.seed,
-        }
-        print(json.dumps(payload))
-    print(f"elapsed: {report.elapsed:.3f}s", file=sys.stderr)
+        return
+    payload = {
+        "trials": args.trials,
+        "failures": [
+            {
+                "check": failure.check,
+                "parts": list(failure.parts.parts),
+                "inputs": {name: str(val) for name, val in failure.inputs},
+                "lhs": str(failure.lhs),
+                "rhs": str(failure.rhs),
+            }
+            for failure in failures
+        ],
+        "seed": args.seed,
+    }
+    print(json.dumps(payload))
 
 
 def _dispatch(args: argparse.Namespace) -> int:
-    if args.subcommand == "count":
+    if args.subcommand in ("count", "theorem2", "theorem3"):
         parts = PartSet(args.parts)
-        value = _count_methods()[args.method](parts, args.n)
-        _emit_value(args, parts, args.n, _decimal(value))
-        return 0
-    if args.subcommand == "theorem2":
-        parts = PartSet(args.parts)
-        value = theorem2_count(parts, args.x)
-        _emit_value(args, parts, args.x, _decimal(value))
-        return 0
-    if args.subcommand == "theorem3":
-        parts = PartSet(args.parts)
-        rhs = theorem3_rhs(parts, args.x)
-        _emit_value(args, parts, args.x, _decimal(rhs))
+        if args.subcommand == "count":
+            compute, given = _count_methods()[args.method], args.n
+        else:
+            compute = theorem2_count if args.subcommand == "theorem2" else theorem3_rhs
+            given = args.x
+        value = _decimal(compute(parts, given))
+        _emit_value(args, parts, given, value, [value])
         return 0
     if args.subcommand == "bb":
         parts = PartSet(args.parts)
         polys = bernoulli_barnes(parts, args.max_index)
-        if args.output == "text":
-            lines = [
-                "B_{} = [{}]".format(
-                    entry.index, ", ".join(_decimal(c) for c in entry.poly.coeffs)
-                )
-                for entry in polys
-            ]
-            _emit_value(args, parts, args.max_index, lines)
-        else:
-            value = [[_decimal(c) for c in entry.poly.coeffs] for entry in polys]
-            _emit_value(args, parts, args.max_index, value)
+        value = [[_decimal(c) for c in entry.poly.coeffs] for entry in polys]
+        lines = [
+            f"B_{entry.index} = [{', '.join(coeffs)}]"
+            for entry, coeffs in zip(polys, value)
+        ]
+        _emit_value(args, parts, args.max_index, value, lines)
         return 0
     if args.subcommand == "bernoulli":
         _refuse_unprintable_bernoulli(args.max_index)
-        table = bernoulli_numbers(args.max_index)
-        if args.output == "text":
-            lines = [f"B_{i} = {_decimal(v)}" for i, v in enumerate(table)]
-            _emit_value(args, None, args.max_index, lines)
-        else:
-            _emit_value(args, None, args.max_index, [_decimal(v) for v in table])
+        value = [_decimal(v) for v in bernoulli_numbers(args.max_index)]
+        lines = [f"B_{i} = {v}" for i, v in enumerate(value)]
+        _emit_value(args, None, args.max_index, value, lines)
         return 0
-    report = run_verify(
+    started = time.perf_counter()
+    failures = run_verify(
         trials=args.trials,
         seed=args.seed,
         k_min=args.k_min,
@@ -468,8 +267,10 @@ def _dispatch(args: argparse.Namespace) -> int:
         max_part=args.max_part,
         max_product=args.max_product,
     )
-    _emit_verify(args, report)
-    return 0 if not report.failures else 1
+    elapsed = time.perf_counter() - started
+    _emit_verify(args, failures)
+    print(f"elapsed: {elapsed:.3f}s", file=sys.stderr)
+    return 1 if failures else 0
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:

@@ -65,9 +65,3 @@ class PartSet:
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.parts)
-
-    def __len__(self) -> int:
-        return len(self.parts)
-
-    def __contains__(self, part: object) -> bool:
-        return part in self.parts

@@ -35,7 +35,6 @@ of returning numbers that may be wrong.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import factorial
@@ -50,21 +49,6 @@ from .errors import (
 from .partset import PartSet
 from .series import TruncatedSeries, series_exp
 from .waves import waves_count
-
-
-@dataclass(frozen=True)
-class TheoremReport:
-    """One checked identity instance: oracle side vs formula side."""
-
-    check: str
-    parts: PartSet
-    inputs: Tuple[Tuple[str, int], ...]
-    lhs: int
-    rhs: Fraction
-
-    @property
-    def holds(self) -> bool:
-        return self.lhs == self.rhs
 
 
 def decompose(parts: PartSet, n: int) -> Tuple[int, int]:

@@ -46,11 +46,6 @@ class Poly:
             cleaned.pop()
         object.__setattr__(self, "coeffs", tuple(cleaned))
 
-    @property
-    def degree(self) -> int:
-        """Degree, with the zero polynomial at -1."""
-        return len(self.coeffs) - 1
-
 
 def poly_eval(p: Poly, x: Scalar) -> Fraction:
     """Evaluate p at a rational point by Horner's rule."""

@@ -1,6 +1,7 @@
 """Command-line behavior: outputs, exit codes, determinism, JSON."""
 
 import argparse
+import hashlib
 import io
 import json
 import random
@@ -13,19 +14,12 @@ from pathlib import Path
 
 import pytest
 
-from denumerant import cli, oracle
-from denumerant.cli import (
-    VerifyReport,
-    _build_parser,
-    format_failure,
-    main,
-    random_coprime_partset,
-    run,
-    run_verify,
-)
+from denumerant import cli, oracle, reductions, verify
+from denumerant.cli import _build_parser, main, run
 from denumerant.errors import DomainError, ResourceLimitError, SamplingExhaustedError
 from denumerant.partset import PartSet
 from denumerant.reductions import theorem1_count
+from denumerant.verify import format_failure, random_coprime_partset, run_verify
 
 from helpers import coprime_part_tuples, run_module
 
@@ -338,17 +332,14 @@ class TestVerify:
         assert payload == {"trials": 25, "failures": [], "seed": 5}
 
     def test_report_object(self):
-        report = run_verify(
+        failures = run_verify(
             trials=20, seed=0, k_min=2, k_max=4, max_part=13, max_product=100000
         )
-        assert isinstance(report, VerifyReport)
-        assert report.trials == 20
-        assert report.failures == ()
-        assert report.elapsed >= 0
+        assert failures == ()
 
     def test_one_table_per_trial(self, monkeypatch):
         builds, per_trial = [], []
-        dp_counts, check_trial = oracle._dp_counts, cli._check_trial
+        dp_counts, check_trial = oracle._dp_counts, verify._check_trial
 
         def counting_dp(parts, upper):
             builds.append(upper)
@@ -362,7 +353,7 @@ class TestVerify:
 
         monkeypatch.setattr(oracle, "_dp_counts", counting_dp)
         monkeypatch.setattr(oracle, "_TABLES", {})
-        monkeypatch.setattr(cli, "_check_trial", counting_check)
+        monkeypatch.setattr(verify, "_check_trial", counting_check)
         for seed in range(10):
             run_verify(
                 trials=50, seed=seed, k_min=2, k_max=5, max_part=13, max_product=20000
@@ -393,8 +384,8 @@ class TestVerify:
         with pytest.raises(ResourceLimitError, match="cap of 100"):
             run_verify(max_product=30, **arguments)
         assert builds == []
-        report = run_verify(max_product=25, **arguments)
-        assert report.failures == () and builds and max(builds) < 100
+        failures = run_verify(max_product=25, **arguments)
+        assert failures == () and builds and max(builds) < 100
         # the k_max largest parts bound the product too: 4 * 5 * 4 = 80
         run_verify(
             trials=5, seed=0, k_min=2, k_max=2, max_part=5, max_product=10 ** 9
@@ -415,11 +406,11 @@ class TestVerify:
         def fail_lines(out):
             return [line for line in out.splitlines() if line.startswith("FAIL")]
 
-        monkeypatch.setattr(cli, "theorem1_count", off_by_one)
-        report = run_verify(
+        monkeypatch.setattr(reductions, "theorem1_count", off_by_one)
+        failures = run_verify(
             trials=3, seed=0, k_min=2, k_max=2, max_part=13, max_product=100000
         )
-        expected = [format_failure(f) for f in report.failures]
+        expected = [format_failure(f) for f in failures]
         assert len(expected) == 3 and all(
             line.startswith("FAIL theorem1 parts=[") for line in expected
         )
@@ -444,16 +435,62 @@ class TestVerify:
         assert exc.value.code == 1
         assert fail_lines(capsys.readouterr().out) == expected
 
+    def test_draw_stream_pinned(self, monkeypatch):
+        # Every trial fails theorem1 once, so the FAIL lines carry each
+        # trial's parts, n, q and r, and through them the x draws between.
+        # The digest is that of the two nested sampling loops the single
+        # loop replaced: both must draw the same sets.
+        def off_by_one(parts, n):
+            return theorem1_count(parts, n) + 1
+
+        monkeypatch.setattr(reductions, "theorem1_count", off_by_one)
+        failures = run_verify(
+            trials=200, seed=7, k_min=1, k_max=6, max_part=13, max_product=20000
+        )
+        lines = "\n".join(format_failure(f) for f in failures)
+        assert len(failures) == 200
+        assert hashlib.sha256(lines.encode()).hexdigest() == (
+            "dcb36646e62707a3e4d21aff6b45cd846c38f8ab939fadabced1504d5c4f8973"
+        )
+
+    def test_routes_reached_through_their_modules(self, monkeypatch):
+        # perfbench/spans.py and the tests rebind routes on their modules
+        # only, so a name bound in verify by import would go unseen.
+        routes = [(oracle, "oracle_count")] + [
+            (reductions, name)
+            for name in (
+                "theorem1_count",
+                "section3_count",
+                "closed_form_correction",
+                "theorem2_count",
+                "closed_form_theorem2",
+                "theorem3_rhs",
+            )
+        ]
+        calls = {name: 0 for _, name in routes}
+
+        def counting(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        for module, name in routes:
+            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        run_verify(trials=30, seed=0, k_min=2, k_max=5, max_part=13, max_product=20000)
+        assert all(calls.values()), calls
+
 
 class TestRandomCoprimePartset:
     def test_forced_pair(self):
         rng = random.Random(0)
-        assert random_coprime_partset(2, 2, rng) == PartSet.of(1, 2)
+        assert random_coprime_partset(2, 2, 13 ** 6, rng) == PartSet.of(1, 2)
 
     def test_postcondition(self):
         rng = random.Random(9)
         for _ in range(50):
-            parts = random_coprime_partset(3, 13, rng)
+            parts = random_coprime_partset(3, 13, 13 ** 6, rng)
             values = parts.parts
             assert len(values) == 3
             assert all(1 <= v <= 13 for v in values)
@@ -467,14 +504,14 @@ class TestRandomCoprimePartset:
         # [1,6] has no six pairwise-coprime values, so every draw is rejected
         rng = random.Random(1)
         with pytest.raises(SamplingExhaustedError):
-            random_coprime_partset(6, 6, rng)
+            random_coprime_partset(6, 6, 13 ** 6, rng)
 
     def test_bad_arguments(self):
         rng = random.Random(0)
         with pytest.raises(DomainError):
-            random_coprime_partset(0, 5, rng)
+            random_coprime_partset(0, 5, 13 ** 6, rng)
         with pytest.raises(DomainError):
-            random_coprime_partset(4, 3, rng)
+            random_coprime_partset(4, 3, 13 ** 6, rng)
 
 
 def test_config_defaults():

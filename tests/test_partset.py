@@ -45,7 +45,7 @@ def test_require_pairwise_coprime():
 def test_container_protocol():
     a = PartSet.of(3, 2)
     assert list(a) == [2, 3]
-    assert len(a) == 2
+    assert a.k == 2
     assert 3 in a and 5 not in a
 
 

@@ -16,7 +16,6 @@ from denumerant.errors import (
 from denumerant.oracle import oracle_count
 from denumerant.partset import PartSet
 from denumerant.reductions import (
-    TheoremReport,
     closed_form_correction,
     closed_form_count,
     closed_form_theorem2,
@@ -28,6 +27,7 @@ from denumerant.reductions import (
     theorem3_rhs,
 )
 from denumerant.series import series_exp
+from denumerant.verify import TheoremReport
 from denumerant.waves import waves_count
 
 from helpers import coprime_part_tuples

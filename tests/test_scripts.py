@@ -12,6 +12,17 @@ from helpers import brute_force_count, run_module
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def run_script(name, *argv):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+    )
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -20,16 +31,34 @@ ROOT = Path(__file__).resolve().parent.parent
     ],
 )
 def test_script_exits_zero(argv):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=300,
-    )
+    proc = run_script(*argv)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+
+
+def test_sweep_refuses_oversized_tables_before_the_first_cell():
+    proc = run_script(
+        "verify_sweep.py", "--max-part", "200", "--max-product", "1000000000"
+    )
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: ")
+    assert "cap" in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["verify_sweep.py", "--seeds", "a"], "--seeds"),
+        (["verify_sweep.py", "--seeds", "0,,1"], "--seeds"),
+        (["boundary_table.py", "--step", "0"], "--step"),
+        (["boundary_table.py", "--step", "-1"], "--step"),
+    ],
+)
+def test_bad_script_arguments_are_usage_errors(argv, flag):
+    proc = run_script(*argv)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("usage: ") and "Traceback" not in proc.stderr
+    assert f"error: argument {flag}: " in proc.stderr.splitlines()[-1]
 
 
 def test_module_entry_point():

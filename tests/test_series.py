@@ -46,7 +46,6 @@ class TestPoly:
     def test_trailing_zeros_trimmed(self):
         assert Poly((F(1), F(0), F(0))).coeffs == (F(1),)
         assert Poly((F(0), F(0))).coeffs == ()
-        assert Poly((F(0), F(0))).degree == -1
 
     def test_eval_examples(self):
         assert poly_eval(Poly(()), F(7, 3)) == 0
