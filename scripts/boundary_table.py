@@ -5,7 +5,8 @@ For a pairwise coprime part set with product P and sum S, the count p(P - x)
 has one expression on 1 <= x <= S - 1 and another on S <= x <= P, where the
 second also involves p(x - S).  This script walks x across both ranges and
 prints the oracle count next to the formula value so the switchover at x = S
-is visible.
+is visible.  Exits 1 on a mismatch, 2 on a usage error and 3 on a refused
+part set, as `denumerant` does.
 
 Example:
     python scripts/boundary_table.py --parts 2,3,5 --step 1
@@ -14,37 +15,30 @@ Example:
 import argparse
 import sys
 
+from denumerant.cli import parse_parts, positive_int
 from denumerant.errors import DomainError
 from denumerant.oracle import oracle_table
 from denumerant.partset import PartSet
 from denumerant.reductions import theorem2_count, theorem3_rhs
 
 
-def positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
-    return value
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--parts", default="2,3,5", help="comma-separated parts")
+    parser.add_argument(
+        "--parts", type=parse_parts, default="2,3,5", help="comma-separated parts"
+    )
     parser.add_argument(
         "--step", type=positive_int, default=1, help="stride through x"
     )
     args = parser.parse_args()
 
     try:
-        parts = PartSet.of(*(int(piece) for piece in args.parts.split(",")))
+        parts = PartSet(args.parts)
         parts.require_pairwise_coprime()
         counts = oracle_table(parts, parts.product)
-    except (ValueError, DomainError) as exc:
+    except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3
 
     product = parts.product
     total = parts.total

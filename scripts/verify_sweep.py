@@ -15,6 +15,7 @@ import argparse
 import sys
 import time
 
+from denumerant.cli import nonnegative_int, positive_int
 from denumerant.errors import DomainError
 from denumerant.verify import format_failure, run_verify
 
@@ -30,14 +31,16 @@ def seed_list(text: str) -> list:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--trials", type=int, default=200, help="trials per cell")
+    parser.add_argument(
+        "--trials", type=nonnegative_int, default=200, help="trials per cell"
+    )
     parser.add_argument(
         "--seeds", type=seed_list, default="0,1,2", help="comma-separated seeds"
     )
-    parser.add_argument("--k-min", type=int, default=2)
-    parser.add_argument("--k-max", type=int, default=5)
-    parser.add_argument("--max-part", type=int, default=13)
-    parser.add_argument("--max-product", type=int, default=100000)
+    parser.add_argument("--k-min", type=positive_int, default=2)
+    parser.add_argument("--k-max", type=positive_int, default=5)
+    parser.add_argument("--max-part", type=positive_int, default=13)
+    parser.add_argument("--max-product", type=positive_int, default=100000)
     args = parser.parse_args()
 
     limits = dict(max_part=args.max_part, max_product=args.max_product)

@@ -29,7 +29,7 @@ import sys
 import time
 from fractions import Fraction
 from functools import cache
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
 from .bernoulli import bernoulli_barnes, bernoulli_numbers
 from .errors import DomainError, ResourceLimitError
@@ -42,11 +42,11 @@ from .reductions import (
     theorem2_count,
     theorem3_rhs,
 )
-from .verify import TheoremReport, format_failure, run_verify
+from .verify import format_failure, run_verify
 from .waves import waves_count
 
 
-def _parse_parts(text: str) -> Tuple[int, ...]:
+def parse_parts(text: str) -> Tuple[int, ...]:
     pieces = [piece.strip() for piece in text.split(",")]
     if not pieces or any(not piece for piece in pieces):
         raise argparse.ArgumentTypeError(
@@ -61,7 +61,7 @@ def _parse_parts(text: str) -> Tuple[int, ...]:
     return values
 
 
-def _nonnegative_int(text: str) -> int:
+def nonnegative_int(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
@@ -71,8 +71,8 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
-def _positive_int(text: str) -> int:
-    value = _nonnegative_int(text)
+def positive_int(text: str) -> int:
+    value = nonnegative_int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
     return value
@@ -90,37 +90,37 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", choices=("text", "json"), default="text")
 
     count = sub.add_parser("count", help="count representations of n")
-    count.add_argument("--parts", type=_parse_parts, required=True)
+    count.add_argument("--parts", type=parse_parts, required=True)
     count.add_argument("--n", type=int, required=True)
     count.add_argument("--method", choices=tuple(_count_methods()), default="oracle")
     with_output(count)
 
     bb = sub.add_parser("bb", help="Bernoulli-Barnes polynomials")
-    bb.add_argument("--parts", type=_parse_parts, required=True)
-    bb.add_argument("--max-index", type=_nonnegative_int, required=True)
+    bb.add_argument("--parts", type=parse_parts, required=True)
+    bb.add_argument("--max-index", type=nonnegative_int, required=True)
     with_output(bb)
 
     bernoulli = sub.add_parser("bernoulli", help="Bernoulli numbers")
-    bernoulli.add_argument("--max-index", type=_nonnegative_int, required=True)
+    bernoulli.add_argument("--max-index", type=nonnegative_int, required=True)
     with_output(bernoulli)
 
     theorem2 = sub.add_parser("theorem2", help="count at product - x, small x")
-    theorem2.add_argument("--parts", type=_parse_parts, required=True)
+    theorem2.add_argument("--parts", type=parse_parts, required=True)
     theorem2.add_argument("--x", type=int, required=True)
     with_output(theorem2)
 
     theorem3 = sub.add_parser("theorem3", help="two-sided boundary value at x")
-    theorem3.add_argument("--parts", type=_parse_parts, required=True)
+    theorem3.add_argument("--parts", type=parse_parts, required=True)
     theorem3.add_argument("--x", type=int, required=True)
     with_output(theorem3)
 
     verify = sub.add_parser("verify", help="seeded random identity checks")
-    verify.add_argument("--trials", type=_nonnegative_int, default=500)
+    verify.add_argument("--trials", type=nonnegative_int, default=500)
     verify.add_argument("--seed", type=int, default=0)
-    verify.add_argument("--k-min", type=_positive_int, default=2)
-    verify.add_argument("--k-max", type=_positive_int, default=5)
-    verify.add_argument("--max-part", type=_positive_int, default=13)
-    verify.add_argument("--max-product", type=_positive_int, default=100000)
+    verify.add_argument("--k-min", type=positive_int, default=2)
+    verify.add_argument("--k-max", type=positive_int, default=5)
+    verify.add_argument("--max-part", type=positive_int, default=13)
+    verify.add_argument("--max-product", type=positive_int, default=100000)
     with_output(verify)
 
     return parser
@@ -182,41 +182,44 @@ def _refuse_unprintable_bernoulli(max_index: int) -> None:
         raise _too_many_digits()
 
 
-def _emit_value(
-    args: argparse.Namespace,
-    parts: Optional[PartSet],
-    given: int,
-    value: Union[str, List[str], List[List[str]]],
-    lines: List[str],
-) -> None:
-    """Print `lines` as text, or `value` in the JSON payload."""
-    if args.output == "text":
-        for line in lines:
-            print(line)
-        return
-    payload = {
-        "subcommand": args.subcommand,
-        "parts": list(parts.parts) if parts is not None else [],
-        "input": str(given),
-        "method": args.method if args.subcommand == "count" else None,
-        "value": value,
-    }
-    print(json.dumps(payload))
+def _dispatch(args: argparse.Namespace) -> int:
+    """Run one subcommand, then print its text lines or its JSON payload.
 
+    The payload is built under --output json only: str() of a huge --n
+    costs more than the count.
+    """
+    code, parts = 0, None
+    if args.subcommand == "verify":
+        started = time.perf_counter()
+        failures = run_verify(
+            args.trials, args.seed, args.k_min, args.k_max, args.max_part, args.max_product
+        )
+        elapsed = time.perf_counter() - started
+        code = 1 if failures else 0
+        lines = [f"trials: {args.trials}", f"seed: {args.seed}"]
+        lines += [f"failures: {len(failures)}", *map(format_failure, failures)]
+    elif args.subcommand == "bernoulli":
+        _refuse_unprintable_bernoulli(args.max_index)
+        given = args.max_index
+        value = [_decimal(v) for v in bernoulli_numbers(given)]
+        lines = [f"B_{i} = {v}" for i, v in enumerate(value)]
+    elif args.subcommand == "bb":
+        parts, given = PartSet(args.parts), args.max_index
+        polys = bernoulli_barnes(parts, given)
+        value = [[_decimal(c) for c in entry.poly.coeffs] for entry in polys]
+        lines = [f"B_{i} = [{', '.join(coeffs)}]" for i, coeffs in enumerate(value)]
+    else:
+        parts = PartSet(args.parts)
+        if args.subcommand == "count":
+            compute, given = _count_methods()[args.method], args.n
+        else:
+            compute = theorem2_count if args.subcommand == "theorem2" else theorem3_rhs
+            given = args.x
+        value = _decimal(compute(parts, given))
+        lines = [value]
 
-def _emit_verify(
-    args: argparse.Namespace, failures: Tuple[TheoremReport, ...]
-) -> None:
-    if args.output == "text":
-        print(f"trials: {args.trials}")
-        print(f"seed: {args.seed}")
-        print(f"failures: {len(failures)}")
-        for failure in failures:
-            print(format_failure(failure))
-        return
-    payload = {
-        "trials": args.trials,
-        "failures": [
+    if args.output == "json" and args.subcommand == "verify":
+        failed = [
             {
                 "check": failure.check,
                 "parts": list(failure.parts.parts),
@@ -225,52 +228,20 @@ def _emit_verify(
                 "rhs": str(failure.rhs),
             }
             for failure in failures
-        ],
-        "seed": args.seed,
-    }
-    print(json.dumps(payload))
-
-
-def _dispatch(args: argparse.Namespace) -> int:
-    if args.subcommand in ("count", "theorem2", "theorem3"):
-        parts = PartSet(args.parts)
-        if args.subcommand == "count":
-            compute, given = _count_methods()[args.method], args.n
-        else:
-            compute = theorem2_count if args.subcommand == "theorem2" else theorem3_rhs
-            given = args.x
-        value = _decimal(compute(parts, given))
-        _emit_value(args, parts, given, value, [value])
-        return 0
-    if args.subcommand == "bb":
-        parts = PartSet(args.parts)
-        polys = bernoulli_barnes(parts, args.max_index)
-        value = [[_decimal(c) for c in entry.poly.coeffs] for entry in polys]
-        lines = [
-            f"B_{entry.index} = [{', '.join(coeffs)}]"
-            for entry, coeffs in zip(polys, value)
         ]
-        _emit_value(args, parts, args.max_index, value, lines)
-        return 0
-    if args.subcommand == "bernoulli":
-        _refuse_unprintable_bernoulli(args.max_index)
-        value = [_decimal(v) for v in bernoulli_numbers(args.max_index)]
-        lines = [f"B_{i} = {v}" for i, v in enumerate(value)]
-        _emit_value(args, None, args.max_index, value, lines)
-        return 0
-    started = time.perf_counter()
-    failures = run_verify(
-        trials=args.trials,
-        seed=args.seed,
-        k_min=args.k_min,
-        k_max=args.k_max,
-        max_part=args.max_part,
-        max_product=args.max_product,
-    )
-    elapsed = time.perf_counter() - started
-    _emit_verify(args, failures)
-    print(f"elapsed: {elapsed:.3f}s", file=sys.stderr)
-    return 1 if failures else 0
+        payload = {"trials": args.trials, "failures": failed, "seed": args.seed}
+    elif args.output == "json":
+        payload = {
+            "subcommand": args.subcommand,
+            "parts": list(parts.parts) if parts is not None else [],
+            "input": str(given),
+            "method": args.method if args.subcommand == "count" else None,
+            "value": value,
+        }
+    print(json.dumps(payload) if args.output == "json" else "\n".join(lines))
+    if args.subcommand == "verify":
+        print(f"elapsed: {elapsed:.3f}s", file=sys.stderr)
+    return code
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:

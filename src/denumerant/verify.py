@@ -116,12 +116,15 @@ def run_verify(
     A trial's table has at most 4P entries, since n <= 4P - 1 for its product
     P, and P is at most max_product and at most the product of the k_max
     largest integers in [1, max_part].  Arguments that would let a table pass
-    the oracle's cap are refused before the first trial.
+    the oracle's cap, or a k_max over max_part, are refused before the first
+    trial.
     """
     if trials < 0:
         raise DomainError(f"trials must be nonnegative, got {trials}")
     if not 1 <= k_min <= k_max:
         raise DomainError(f"need 1 <= k-min <= k-max, got {k_min}..{k_max}")
+    if max_part < k_max:
+        raise DomainError(f"cannot draw {k_max} distinct parts from [1, {max_part}]")
     widest = 1
     for a in range(max_part, max(max_part - k_max, 0), -1):
         if widest >= max_product:

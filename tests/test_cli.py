@@ -20,6 +20,7 @@ from denumerant.errors import DomainError, ResourceLimitError, SamplingExhausted
 from denumerant.partset import PartSet
 from denumerant.reductions import theorem1_count
 from denumerant.verify import format_failure, random_coprime_partset, run_verify
+from denumerant.waves import waves_count
 
 from helpers import coprime_part_tuples, run_module
 
@@ -120,6 +121,26 @@ class TestCount:
         assert payload["method"] == "theorem1"
         assert int(payload["value"]) == theorem1_count(PartSet.of(2, 3), n)
         assert int(payload["value"]) > 2 ** 53  # a float would have mangled it
+
+    def test_text_mode_builds_no_json_only_value(self, capsys):
+        # str() of this n passes the lowered digit limit, so a payload built
+        # in text mode would raise; the count itself has 637 digits.
+        args = argparse.Namespace(
+            subcommand="count",
+            parts=(1009, 1013),
+            n=10 ** 643 + 17,
+            method="waves",
+            output="text",
+        )
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            assert cli._dispatch(args) == 0
+            value = waves_count(PartSet.of(1009, 1013), args.n)
+            assert capsys.readouterr().out == f"{value}\n"
+            assert len(str(value)) == 637
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 class TestOtherSubcommands:
@@ -303,6 +324,60 @@ class TestParserBuiltOnce:
         assert invoke(capsys, *argv)[:2] == (0, "12345\n")
 
 
+# argv, exit code, and the first 16 hex digits of the sha256 of stdout.
+# stdout is byte-stable: a digest changes only with a deliberate change to
+# the output format.
+PINNED = [
+    ("count --parts 2,3,5,7 --n 1000", 0, "94681d287d243037"),
+    ("count --parts 3,5,7,11 --n 12345 --method oracle", 0, "73af23fca083902f"),
+    ("count --parts 3,5,7,11 --n 12345 --method waves", 0, "73af23fca083902f"),
+    ("count --parts 3,5,7,11 --n 12345 --method theorem1", 0, "73af23fca083902f"),
+    ("count --parts 3,5,7,11 --n 12345 --method section3", 0, "73af23fca083902f"),
+    ("count --parts 3,5,7,11 --n 12345 --method closed-form", 0, "73af23fca083902f"),
+    ("count --parts 3,5,7,11 --n 12345 --method oracle --output json", 0, "402c6e5cd1446f58"),
+    ("count --parts 3,5,7,11 --n 12345 --method waves --output json", 0, "30e703ff588143e7"),
+    ("count --parts 3,5,7,11 --n 12345 --method theorem1 --output json", 0, "1741c3e542ab4c9e"),
+    ("count --parts 3,5,7,11 --n 12345 --method section3 --output json", 0, "6525eead70b68f25"),
+    ("count --parts 3,5,7,11 --n 12345 --method closed-form --output json", 0, "0f8a0b8731622a47"),
+    ("bb --parts 2,3,5 --max-index 3", 0, "25fee3241b0c5fb8"),
+    ("bb --parts 2,3,5 --max-index 3 --output json", 0, "ae6bf374cee06ba3"),
+    ("bernoulli --max-index 10", 0, "305fc60cad91cebe"),
+    ("bernoulli --max-index 10 --output json", 0, "1eb3b80468859ec4"),
+    ("theorem2 --parts 3,5,7 --x 4", 0, "2a57042a43991d2c"),
+    ("theorem2 --parts 3,5,7 --x 4 --output json", 0, "0a739e183b302c95"),
+    ("theorem3 --parts 3,5,7 --x 15", 0, "420002158111bff8"),
+    ("theorem3 --parts 3,5,7 --x 15 --output json", 0, "bc5fe0bd07b684aa"),
+    ("verify --trials 30", 0, "cf6f904d425535e7"),
+    ("verify --trials 30 --output json", 0, "372583c0e9643a3e"),
+    # Refusals: nothing on stdout.
+    ("count --parts 2,4 --n 10 --method theorem1 --output json", 3, "e3b0c44298fc1c14"),
+    ("verify --k-min 4 --k-max 3", 3, "e3b0c44298fc1c14"),
+]
+
+
+def stdout_digest(capsys, *argv):
+    code, out, _ = invoke(capsys, *argv)
+    return code, hashlib.sha256(out.encode()).hexdigest()[:16]
+
+
+class TestStdoutPinned:
+    @pytest.mark.parametrize("argv, code, digest", PINNED, ids=[r[0] for r in PINNED])
+    def test_stdout_and_exit_code(self, capsys, argv, code, digest):
+        assert stdout_digest(capsys, *argv.split()) == (code, digest)
+
+    @pytest.mark.parametrize(
+        "output, expected",
+        [("text", (1, "29229b9dbdf6cb7b")), ("json", (1, "ef74b9f2a609ac3c"))],
+    )
+    def test_verify_failures(self, monkeypatch, capsys, output, expected):
+        def off_by_one(parts, n):
+            return theorem1_count(parts, n) + 1
+
+        monkeypatch.setattr(reductions, "theorem1_count", off_by_one)
+        argv = ("verify", "--trials", "3", "--k-min", "2", "--k-max", "3")
+        assert stdout_digest(capsys, *argv, "--output", output) == expected
+
+
 class TestDeterminism:
     def test_identical_argv_identical_stdout(self, capsys):
         argv = ("verify", "--trials", "40", "--seed", "11", "--output", "json")
@@ -363,6 +438,18 @@ class TestVerify:
     def test_k_range_validated(self):
         with pytest.raises(DomainError):
             run_verify(trials=1, seed=0, k_min=3, k_max=2, max_part=13, max_product=10)
+
+    def test_more_parts_than_max_part_refused_before_any_draw(self, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("a part set was drawn")
+
+        monkeypatch.setattr(verify, "random_coprime_partset", no_draw)
+        message = r"cannot draw 3 distinct parts from \[1, 2\]"
+        for trials in (0, 5):
+            with pytest.raises(DomainError, match=message):
+                run_verify(
+                    trials=trials, seed=0, k_min=2, k_max=3, max_part=2, max_product=100
+                )
 
     def test_negative_trials_rejected_at_parse(self, capsys):
         code, _, _ = invoke(capsys, "verify", "--trials", "-1")

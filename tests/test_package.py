@@ -2,6 +2,7 @@
 
 import ast
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 
@@ -17,6 +18,32 @@ def test_every_exported_name_resolves():
     missing = [name for name in denumerant.__all__ if not hasattr(denumerant, name)]
     assert missing == []
     assert len(set(denumerant.__all__)) == len(denumerant.__all__)
+
+
+def test_root_exports_the_documented_api():
+    # The function behind each CLI subcommand, the README Library example's
+    # decompose and closed_form_correction, PartSet and DomainError.
+    assert sorted(denumerant.__all__) == [
+        "DomainError",
+        "PartSet",
+        "bernoulli_barnes",
+        "bernoulli_numbers",
+        "closed_form_correction",
+        "closed_form_count",
+        "decompose",
+        "oracle_count",
+        "section3_count",
+        "theorem1_count",
+        "theorem2_count",
+        "theorem3_rhs",
+        "waves_count",
+    ]
+    bound = {
+        name
+        for name, value in vars(denumerant).items()
+        if not name.startswith("_") and not isinstance(value, ModuleType)
+    }
+    assert bound == set(denumerant.__all__)
 
 
 def unused_imports(source: str) -> list:

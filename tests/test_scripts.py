@@ -46,12 +46,33 @@ def test_sweep_refuses_oversized_tables_before_the_first_cell():
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify_sweep.py", "--max-part", "1"],
+        ["boundary_table.py", "--parts", "2,4"],
+        ["boundary_table.py", "--parts", "2,2,3"],
+        ["boundary_table.py", "--parts", "7919,7927"],
+    ],
+)
+def test_refused_script_arguments_exit_3_before_any_output(argv):
+    # Not coprime, repeated parts, and a product over the oracle's table cap
+    # for boundary_table.py; more parts than [1, max-part] holds for the sweep.
+    proc = run_script(*argv)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
     "argv, flag",
     [
         (["verify_sweep.py", "--seeds", "a"], "--seeds"),
         (["verify_sweep.py", "--seeds", "0,,1"], "--seeds"),
         (["boundary_table.py", "--step", "0"], "--step"),
         (["boundary_table.py", "--step", "-1"], "--step"),
+        (["verify_sweep.py", "--trials", "-1"], "--trials"),
+        (["verify_sweep.py", "--max-part", "0"], "--max-part"),
+        (["boundary_table.py", "--parts", "2,x"], "--parts"),
     ],
 )
 def test_bad_script_arguments_are_usage_errors(argv, flag):
