@@ -27,12 +27,13 @@ numbers:
   recurrence ("Fast computation of Bernoulli, Tangent and Secant numbers",
   2011) yields in O(m^2) steps.  Then B_2j = (-1)^(j-1) 2j T_j / (4^j (4^j - 1)).
 - The Bernoulli-Barnes polynomials come from one scalar sequence, built by
-  integer binomial convolutions (see ``bernoulli_barnes``).  Its building
-  blocks c_n = n! [s^n] s/(e^s - 1) are the Bernoulli numbers again (with
-  c_1 = -1/2), but they are found a second way, by inverting (e^s - 1)/s,
-  and never read from the table.  theorem1 reads the polynomials and
-  section3 reads the table, so the two routes check each other only while
-  they share no values.
+  integer binomial convolutions (see ``bernoulli_barnes``), and are kept as
+  integer numerators over one denominator per table.  The sequence's
+  building blocks c_n = n! [s^n] s/(e^s - 1) are the Bernoulli numbers again
+  (with c_1 = -1/2), but they are found a second way, by inverting
+  (e^s - 1)/s, and never read from the table.  theorem1 reads the
+  polynomials and section3 reads the table, so the two routes check each
+  other only while they share no values.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from typing import List, Tuple
 
 from .errors import DomainError
 from .partset import PartSet
-from .series import Poly, poly_eval
+from .series import poly_eval
 
 
 # Grows monotonically; entries never change once computed.
@@ -97,14 +98,23 @@ def power_sum(parts: PartSet, m: int) -> int:
 
 @dataclass(frozen=True)
 class BBPoly:
-    """One Bernoulli-Barnes polynomial B_index(x; parts)."""
+    """One Bernoulli-Barnes polynomial, sum_j numerators[j] x^j / denominator.
 
-    index: int
-    parts: PartSet
-    poly: Poly
+    The numerators are integers, and every polynomial of one table shares the
+    denominator D^k P (see ``bernoulli_barnes``), so a sum over a table stays
+    in integers and divides once.
+    """
+
+    numerators: Tuple[int, ...]
+    denominator: int
+
+    @property
+    def coeffs(self) -> Tuple[Fraction, ...]:
+        """The coefficients of x^0, x^1, ... in lowest terms."""
+        return tuple(Fraction(c, self.denominator) for c in self.numerators)
 
     def at(self, x) -> Fraction:
-        return poly_eval(self.poly, x)
+        return Fraction(poly_eval(self.numerators, x), self.denominator)
 
 
 # c_0, c_1, ... with c_n = n! [s^n] s/(e^s - 1), the unit factor of every
@@ -141,8 +151,9 @@ def bernoulli_barnes(parts: PartSet, max_index: int) -> Tuple[BBPoly, ...]:
         beta_n <- sum_l C(n, l) beta_l c_{n-l} a_j^(n-l).
 
     They run on integer numerators over D, the common denominator of
-    c_0..c_max_index, and beta_n is divided by D^k P once at the end.
-    Results are cached per (parts, max_index), for the 512 most recently used.
+    c_0..c_max_index, so each polynomial keeps the integers C(i, j) beta_{i-j}
+    over the one denominator D^k P.  Results are cached per (parts, max_index),
+    for the 512 most recently used.
     """
     if max_index < 0:
         raise DomainError("polynomial index must be nonnegative")
@@ -164,12 +175,7 @@ def _bernoulli_barnes(parts: PartSet, max_index: int) -> Tuple[BBPoly, ...]:
             for n in range(max_index + 1)
         ]
     scale = common ** parts.k * parts.product
-    beta = [Fraction(b, scale) for b in beta]
     return tuple(
-        BBPoly(
-            index=i,
-            parts=parts,
-            poly=Poly(tuple(comb(i, j) * beta[i - j] for j in range(i + 1))),
-        )
+        BBPoly(tuple(comb(i, j) * beta[i - j] for j in range(i + 1)), scale)
         for i in range(max_index + 1)
     )

@@ -206,7 +206,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     elif args.subcommand == "bb":
         parts, given = PartSet(args.parts), args.max_index
         polys = bernoulli_barnes(parts, given)
-        value = [[_decimal(c) for c in entry.poly.coeffs] for entry in polys]
+        value = [[_decimal(c) for c in entry.coeffs] for entry in polys]
         lines = [f"B_{i} = [{', '.join(coeffs)}]" for i, coeffs in enumerate(value)]
     else:
         parts = PartSet(args.parts)

@@ -12,14 +12,6 @@ class DomainError(ValueError):
     """An argument lies outside the domain an operation supports."""
 
 
-class OrderMismatchError(DomainError):
-    """Two truncated series of different truncation orders were combined."""
-
-
-class NonInvertibleError(DomainError):
-    """Series inversion was asked for a series with zero constant term."""
-
-
 class CoprimalityError(DomainError):
     """A part set that must be pairwise coprime is not."""
 

@@ -37,8 +37,8 @@ def _dp_counts(parts: Sequence[int], upper: int) -> Tuple[int, ...]:
     if upper + 1 > _MAX_TABLE_ENTRIES:
         raise ResourceLimitError(
             f"a count table for n = {upper} needs {upper + 1} entries, over the"
-            f" cap of {_MAX_TABLE_ENTRIES}; for pairwise-coprime parts, --method"
-            " waves, theorem1, section3 and closed-form need no count table"
+            f" cap of {_MAX_TABLE_ENTRIES}; for pairwise-coprime parts, the waves,"
+            " theorem1, section3 and closed-form routes need no count table"
         )
     counts = [0] * (upper + 1)
     if not parts:

@@ -12,7 +12,8 @@ polynomials:
 
   theorem2:  p(P - x)     =  (-1)^k P * sum_{i=0}^{k-2}
                  (-P)^i / ((i+1)! (k-i-2)!) * B_{k-i-2}(x; A)
-             valid for 1 <= x <= S - 1
+             valid for 1 <= x <= S - 1: theorem1 read at n = P - x, r = -x,
+             since p(-x) = 0 there
 
   theorem3:  p(P - x) + (-1)^k p(x - S)  =  the same sum as theorem2,
              valid for S <= x <= P
@@ -37,17 +38,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import factorial
+from math import comb, factorial
 from typing import Tuple
 
 from .bernoulli import bernoulli_barnes, log_coefficients, power_sum
-from .errors import (
-    InternalInconsistencyError,
-    RangeError,
-    UnsupportedArityError,
-)
+from .errors import InternalInconsistencyError, RangeError, UnsupportedArityError
 from .partset import PartSet
-from .series import TruncatedSeries, series_exp
+from .series import poly_eval, series_exp
 from .waves import waves_count
 
 
@@ -64,6 +61,23 @@ def _as_integer(value: Fraction, what: str) -> int:
     return value.numerator
 
 
+def _bb_sum(parts: PartSet, t: int, x: int) -> Fraction:
+    """(-1)^k t sum_{i=0}^{k-2} (-t)^i / ((i+1)! (k-i-2)!) B_{k-i-2}(x; A).
+
+    theorem1 reads it at (n - r, -r), and theorem2 and theorem3 at (P, x).
+    Times (k-1)!, the weights are the binomials C(k-1, i+1), and the
+    polynomials of one table share their denominator, so the sum runs in
+    integers and divides once.
+    """
+    k = parts.k
+    table = bernoulli_barnes(parts, k)
+    total = sum(
+        comb(k - 1, i + 1) * (-t) ** i * poly_eval(table[k - i - 2].numerators, x)
+        for i in range(k - 1)
+    )
+    return Fraction((-1) ** k * t * total, factorial(k - 1) * table[0].denominator)
+
+
 def theorem1_correction(parts: PartSet, n: int) -> Fraction:
     """The correction p(n) - p(r) as an exact rational.
 
@@ -72,15 +86,7 @@ def theorem1_correction(parts: PartSet, n: int) -> Fraction:
     """
     _, r = decompose(parts, n)
     parts.require_pairwise_coprime()
-    k = parts.k
-    if k == 1:
-        return Fraction(0)
-    table = bernoulli_barnes(parts, k)
-    total = Fraction(0)
-    for i in range(k - 1):
-        weight = Fraction((r - n) ** i, factorial(i + 1) * factorial(k - i - 2))
-        total += weight * table[k - i - 2].at(-r)
-    return (-1) ** k * (n - r) * total
+    return _bb_sum(parts, n - r, -r)
 
 
 def theorem1_count(parts: PartSet, n: int) -> int:
@@ -99,14 +105,7 @@ def closed_form_count(parts: PartSet, n: int) -> int:
 
 def _product_sum_rhs(parts: PartSet, x: int) -> Fraction:
     """Shared right-hand side of the theorem2/theorem3 identities at x."""
-    k = parts.k
-    product = parts.product
-    table = bernoulli_barnes(parts, k)
-    total = Fraction(0)
-    for i in range(k - 1):
-        weight = Fraction((-product) ** i, factorial(i + 1) * factorial(k - i - 2))
-        total += weight * table[k - i - 2].at(x)
-    return (-1) ** k * product * total
+    return _bb_sum(parts, parts.product, x)
 
 
 def _require_at_least_two_parts(parts: PartSet) -> None:
@@ -116,14 +115,18 @@ def _require_at_least_two_parts(parts: PartSet) -> None:
         )
 
 
-def theorem2_count(parts: PartSet, x: int) -> int:
-    """p(product - x) for x below the sum of the parts (1 <= x <= S - 1)."""
-    _require_at_least_two_parts(parts)
-    parts.require_pairwise_coprime()
+def _require_below_sum(parts: PartSet, x: int) -> None:
     if not 1 <= x <= parts.total - 1:
         raise RangeError(
             f"x must lie in [1, {parts.total - 1}] for parts {list(parts)}, got {x}"
         )
+
+
+def theorem2_count(parts: PartSet, x: int) -> int:
+    """p(product - x) for x below the sum of the parts (1 <= x <= S - 1)."""
+    _require_at_least_two_parts(parts)
+    parts.require_pairwise_coprime()
+    _require_below_sum(parts, x)
     return _as_integer(_product_sum_rhs(parts, x), "product-minus-x count")
 
 
@@ -168,8 +171,8 @@ def section3_count(parts: PartSet, n: int) -> int:
     shift = r - n
     for i, log_coeff in enumerate(log_coefficients(order), start=1):
         coeffs[i] -= log_coeff * (shift ** i - power_sum(parts, i))
-    f = series_exp(TruncatedSeries(tuple(coeffs)))
-    correction = Fraction((-1) ** k * q) * f.coeffs[k - 2]
+    f = series_exp(tuple(coeffs))
+    correction = Fraction((-1) ** k * q) * f[k - 2]
     return waves_count(parts, r) + _as_integer(correction, "recursion correction")
 
 
@@ -177,18 +180,20 @@ def _pair_product_sum(parts: PartSet) -> int:
     return sum(a * b for a, b in combinations(parts.parts, 2))
 
 
-def closed_form_correction(parts: PartSet, n: int) -> Fraction:
-    """Hard-coded expansions of the theorem1 correction for k = 2..5.
-
-    These are written out term by term, not derived from the general sum, so
-    that agreement with theorem1_correction is a meaningful check on both.
-    """
+def _require_closed_form(parts: PartSet) -> None:
     if parts.k not in (2, 3, 4, 5):
         raise UnsupportedArityError(
             f"closed forms cover 2 to 5 parts, got {parts.k}"
         )
     parts.require_pairwise_coprime()
-    q, r = decompose(parts, n)
+
+
+def _closed_form(parts: PartSet, q: int, n: int, r: int) -> Fraction:
+    """The theorem1 correction q * (...) for k = 2..5, written term by term.
+
+    n = q P + r with 0 <= r < P reads it as p(n) - p(r).  q = 1, n = P - x
+    and r = -x read it as p(P - x) for 1 <= x <= S - 1, since p(-x) = 0 there.
+    """
     a = parts.parts
     s = parts.total
     if parts.k == 2:
@@ -215,39 +220,19 @@ def closed_form_correction(parts: PartSet, n: int) -> Fraction:
     return Fraction(q * body, 24)
 
 
+def closed_form_correction(parts: PartSet, n: int) -> Fraction:
+    """Hard-coded expansions of the theorem1 correction for k = 2..5.
+
+    These are written out term by term, not derived from the general sum, so
+    that agreement with theorem1_correction is a meaningful check on both.
+    """
+    _require_closed_form(parts)
+    q, r = decompose(parts, n)
+    return _closed_form(parts, q, n, r)
+
+
 def closed_form_theorem2(parts: PartSet, x: int) -> Fraction:
     """Hard-coded expansions of theorem2 for k = 2..5 (same caveats as above)."""
-    if parts.k not in (2, 3, 4, 5):
-        raise UnsupportedArityError(
-            f"closed forms cover 2 to 5 parts, got {parts.k}"
-        )
-    parts.require_pairwise_coprime()
-    if not 1 <= x <= parts.total - 1:
-        raise RangeError(
-            f"x must lie in [1, {parts.total - 1}] for parts {list(parts)}, got {x}"
-        )
-    a = parts.parts
-    s = parts.total
-    if parts.k == 2:
-        return Fraction(1)
-    if parts.k == 3:
-        return Fraction(parts.product + s, 2) - x
-    n = parts.product - x
-    if parts.k == 4:
-        body = (
-            3 * (n - x) * s
-            + 2 * (n - x) ** 2
-            + 2 * n * x
-            + s ** 2
-            + _pair_product_sum(parts)
-        )
-        return Fraction(body, 12)
-    body = (
-        (n - x) * (n * n + x * x)
-        + (2 * n * n - 2 * n * x + 2 * x * x) * s
-        + (n - x) * power_sum(parts, 2)
-        + sum(ai ** 2 * (s - ai) for ai in a)
-        + 3 * (n - x) * _pair_product_sum(parts)
-        + 3 * sum(parts.product // (ai * aj) for ai, aj in combinations(a, 2))
-    )
-    return Fraction(body, 24)
+    _require_closed_form(parts)
+    _require_below_sum(parts, x)
+    return _closed_form(parts, 1, parts.product - x, -x)

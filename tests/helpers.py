@@ -18,7 +18,7 @@ from math import factorial, gcd, prod
 from pathlib import Path
 from typing import Iterable, List, Sequence, Tuple
 
-from denumerant.series import Poly, TruncatedSeries, series_inv, series_mul
+from denumerant.series import series_inv, series_mul
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -69,50 +69,46 @@ def coprime_part_tuples(
     return out
 
 
-def exp_by_powers(h: TruncatedSeries) -> TruncatedSeries:
+def exp_by_powers(h: Tuple[Fraction, ...]) -> Tuple[Fraction, ...]:
     """e^h by summing h^m / m! directly (h must have zero constant term).
 
     Since h starts at s^1, the power h^m contributes nothing below s^m, so
     summing m = 0..order is exact at the truncation order.  This is the slow
     reference the fast recursion is checked against.
     """
-    order = h.order
-    one = TruncatedSeries((Fraction(1),) + (Fraction(0),) * order)
-    total = list(one.coeffs)
+    order = len(h) - 1
+    one = (Fraction(1),) + (Fraction(0),) * order
+    total = list(one)
     power = one
     for m in range(1, order + 1):
         power = series_mul(power, h)
         scale = Fraction(1, factorial(m))
         for i in range(order + 1):
-            total[i] = total[i] + scale * power.coeffs[i]
-    return TruncatedSeries(tuple(total))
+            total[i] = total[i] + scale * power[i]
+    return tuple(total)
 
 
 def bb_polys_by_factor_order(
     parts_in_order: Sequence[int], max_index: int
-) -> List[Poly]:
-    """Bernoulli-Barnes polynomials with the factors multiplied as given.
+) -> List[Tuple[Fraction, ...]]:
+    """Bernoulli-Barnes coefficient tuples with the factors multiplied as given.
 
     A from-scratch expansion of s^k e^{xs} / prod(e^{a s} - 1) that honors
     the caller's factor order, used to show the packaged computation does
     not depend on part ordering.
     """
     order = max_index
-    acc = TruncatedSeries((Fraction(1),) + (Fraction(0),) * order)
+    acc = (Fraction(1),) + (Fraction(0),) * order
     for a in parts_in_order:
-        factor = TruncatedSeries(
-            tuple(Fraction(a ** m, factorial(m + 1)) for m in range(order + 1))
-        )
+        factor = tuple(Fraction(a ** m, factorial(m + 1)) for m in range(order + 1))
         acc = series_mul(acc, series_inv(factor))
     # B_i(x) = i! [s^i] acc(s) e^{xs} / P, so its x^j coefficient is
     # i!/j! * acc[i - j] / P
     product = prod(parts_in_order)
     return [
-        Poly(
-            tuple(
-                Fraction(factorial(i), factorial(j) * product) * acc.coeffs[i - j]
-                for j in range(i + 1)
-            )
+        tuple(
+            Fraction(factorial(i), factorial(j) * product) * acc[i - j]
+            for j in range(i + 1)
         )
         for i in range(max_index + 1)
     ]

@@ -1,6 +1,7 @@
 """The package root's public names, and no dead imports in the source."""
 
 import ast
+import importlib
 from pathlib import Path
 from types import ModuleType
 
@@ -44,6 +45,20 @@ def test_root_exports_the_documented_api():
         if not name.startswith("_") and not isinstance(value, ModuleType)
     }
     assert bound == set(denumerant.__all__)
+
+
+def test_benchmark_bound_names_resolve(monkeypatch):
+    # perfbench/spans.py wraps these by name; a dropped name would silently
+    # turn its span and counters into "absent"
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    spans = importlib.import_module("spans")
+    modules = {m: importlib.import_module(f"denumerant.{m}") for m in spans.LAYERS}
+    missing = [f"{m}.{a}" for m, a in spans.FUNCTIONS if not hasattr(modules[m], a)]
+    for m, c, a in spans.METHODS:
+        cls = getattr(modules[m], c, None)
+        if cls is None or a not in vars(cls):
+            missing.append(f"{m}.{c}.{a}")
+    assert missing == []
 
 
 def unused_imports(source: str) -> list:

@@ -26,7 +26,7 @@ from denumerant.reductions import (
     theorem2_count,
     theorem3_rhs,
 )
-from denumerant.series import series_exp
+from denumerant.series import poly_eval, series_exp
 from denumerant.verify import TheoremReport
 from denumerant.waves import waves_count
 
@@ -206,7 +206,7 @@ class TestSection3:
         orders = []
 
         def spy(series):
-            orders.append(series.order)
+            orders.append(len(series) - 1)
             return series_exp(series)
 
         monkeypatch.setattr(reductions, "series_exp", spy)
@@ -225,6 +225,12 @@ class TestClosedForms:
         assert closed_form_theorem2(PartSet.of(2, 3), 1) == 1
         assert closed_form_theorem2(PartSet.of(2, 3, 5), 5) == 15
         assert oracle_count(PartSet.of(2, 3, 5), 25) == 15
+        # the r = -x reading at every boundary point, one set per arity
+        for combo in ((3, 5), (3, 4, 5), (2, 3, 5, 7), (2, 3, 5, 7, 11)):
+            parts = PartSet(combo)
+            for x in range(1, parts.total):
+                expected = oracle_count(parts, parts.product - x)
+                assert closed_form_theorem2(parts, x) == expected
 
     def test_four_parts_against_the_general_routes(self):
         parts = PartSet.of(2, 3, 5, 7)
@@ -261,6 +267,53 @@ class TestClosedForms:
         parts = PartSet(combo)
         x = data.draw(st.integers(min_value=1, max_value=parts.total - 1))
         assert closed_form_theorem2(parts, x) == theorem2_count(parts, x)
+
+
+@pytest.mark.parametrize(
+    "combo", [(3, 5), (3, 4, 5), (3, 4, 5, 7), (3, 4, 5, 7, 11), (3, 4, 5, 7, 11, 13)]
+)
+def test_bernoulli_barnes_routes_evaluate_k_minus_1_polynomials(monkeypatch, combo):
+    """Work gate: theorem1, theorem2 and theorem3 read B_0..B_{k-2} of one table.
+
+    Each evaluation is recorded by its polynomial's degree, through either
+    reductions.poly_eval or BBPoly.at; section3 evaluates none.
+    """
+    parts = PartSet(combo)
+    k = parts.k
+    tables, degrees = [], []
+    real_at = bernoulli.BBPoly.at
+
+    def table_spy(p, m):
+        tables.append((p, m))
+        return bernoulli.bernoulli_barnes(p, m)
+
+    def eval_spy(coeffs, x):
+        degrees.append(len(coeffs) - 1)
+        return poly_eval(coeffs, x)
+
+    def at_spy(entry, x):
+        degrees.append(len(entry.numerators) - 1)
+        return real_at(entry, x)
+
+    monkeypatch.setattr(reductions, "bernoulli_barnes", table_spy)
+    monkeypatch.setattr(reductions, "poly_eval", eval_spy)
+    monkeypatch.setattr(bernoulli.BBPoly, "at", at_spy)
+    n = 10 ** 30 + 12345
+    calls = (
+        (theorem1_count, n),
+        (theorem2_count, parts.total - 1),
+        (theorem3_rhs, parts.total),
+    )
+    for route, arg in calls:
+        tables.clear()
+        degrees.clear()
+        route(parts, arg)
+        assert tables == [(parts, k)]
+        assert sorted(degrees) == list(range(k - 1))
+    tables.clear()
+    degrees.clear()
+    section3_count(parts, n)
+    assert (tables, degrees) == ([], [])
 
 
 def test_boundary_switchover_matches_oracle():

@@ -63,6 +63,16 @@ def test_refused_script_arguments_exit_3_before_any_output(argv):
     assert "Traceback" not in proc.stderr
 
 
+def test_oracle_refusal_names_routes_not_cli_flags():
+    # the script has no --method, so the table refusal must not advise one
+    proc = run_script("boundary_table.py", "--parts", "7919,7927")
+    assert (proc.returncode, proc.stdout) == (3, "")
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "--method" not in proc.stderr
+    assert "waves" in proc.stderr and "routes" in proc.stderr
+
+
 @pytest.mark.parametrize(
     "argv, flag",
     [

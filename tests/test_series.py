@@ -1,4 +1,4 @@
-"""Exact arithmetic layer: polynomials and truncated series over Fraction."""
+"""Exact arithmetic layer: polynomials and truncated series as coefficient tuples."""
 
 from fractions import Fraction
 from math import gcd
@@ -7,27 +7,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from denumerant.errors import DomainError, NonInvertibleError, OrderMismatchError
-from denumerant.series import (
-    Poly,
-    TruncatedSeries,
-    poly_eval,
-    series_exp,
-    series_inv,
-    series_mul,
-)
+from denumerant.errors import DomainError
+from denumerant.series import poly_eval, series_exp, series_inv, series_mul
 
 from helpers import exp_by_powers
 
 F = Fraction
 
 
-def ts(*values) -> TruncatedSeries:
-    return TruncatedSeries(tuple(F(v) for v in values))
+def ts(*values) -> tuple:
+    return tuple(F(v) for v in values)
 
 
-def add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    return TruncatedSeries(tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+def add(a: tuple, b: tuple) -> tuple:
+    return tuple(x + y for x, y in zip(a, b))
 
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=12)
@@ -39,18 +32,19 @@ def series_strategy(order: int, nonzero_constant=False, zero_constant=False):
         head = rationals.filter(lambda v: v != 0)
     if zero_constant:
         head = st.just(F(0))
-    return st.tuples(head, *([rationals] * order)).map(TruncatedSeries)
+    return st.tuples(head, *([rationals] * order))
 
 
 class TestPoly:
-    def test_trailing_zeros_trimmed(self):
-        assert Poly((F(1), F(0), F(0))).coeffs == (F(1),)
-        assert Poly((F(0), F(0))).coeffs == ()
-
     def test_eval_examples(self):
-        assert poly_eval(Poly(()), F(7, 3)) == 0
-        assert poly_eval(Poly((F(-1), F(0), F(1))), 3) == 8
-        assert poly_eval(Poly((F(-5, 30), F(1, 30))), 2) == F(-1, 10)
+        assert poly_eval((), F(7, 3)) == 0
+        assert poly_eval((F(-1), F(0), F(1)), 3) == 8
+        assert poly_eval((F(-5, 30), F(1, 30)), 2) == F(-1, 10)
+
+    def test_eval_stays_in_ints(self):
+        value = poly_eval((-5, 0, 1), -4)
+        assert value == 11 and type(value) is int
+        assert poly_eval((7,), 10 ** 50) == 7
 
 
 class TestSeriesMul:
@@ -67,7 +61,7 @@ class TestSeriesMul:
         assert series_mul(left, right) == ts(1, 0, F(-1, 12))
 
     def test_order_mismatch_rejected(self):
-        with pytest.raises(OrderMismatchError):
+        with pytest.raises(DomainError, match="orders 1 and 2"):
             series_mul(ts(1, 0), ts(1, 0, 0))
 
     @given(series_strategy(4), series_strategy(4))
@@ -92,13 +86,8 @@ class TestSeriesInv:
         assert series_inv(ts(1, 1, 0, 0)) == ts(1, -1, 1, -1)
 
     def test_zero_constant_rejected(self):
-        with pytest.raises(NonInvertibleError):
+        with pytest.raises(DomainError, match="nonzero constant term"):
             series_inv(ts(0, 1, 0))
-
-    def test_polynomial_coefficients_rejected(self):
-        # series are over Fraction only; a Poly coefficient is a type error
-        with pytest.raises(TypeError):
-            series_inv(TruncatedSeries((Poly((F(1),)), Poly((F(0), F(1))))))
 
     @settings(max_examples=500)
     @given(series_strategy(5, nonzero_constant=True))
@@ -140,15 +129,11 @@ class TestCanonicalForm:
             series_mul(a, b),
             add(a, b),
         ):
-            for c in series.coeffs:
+            for c in series:
                 assert c.denominator > 0
                 assert gcd(abs(c.numerator), c.denominator) == 1
 
     def test_zero_is_zero_over_one(self):
         product = series_mul(ts(0, 2), ts(0, 3))
-        assert product.coeffs[0] == F(0)
-        assert product.coeffs[0].denominator == 1
-
-    def test_empty_series_rejected(self):
-        with pytest.raises(DomainError):
-            TruncatedSeries(())
+        assert product[0] == F(0)
+        assert product[0].denominator == 1
