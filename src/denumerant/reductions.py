@@ -67,10 +67,11 @@ def _bb_sum(parts: PartSet, t: int, x: int) -> Fraction:
     theorem1 reads it at (n - r, -r), and theorem2 and theorem3 at (P, x).
     Times (k-1)!, the weights are the binomials C(k-1, i+1), and the
     polynomials of one table share their denominator, so the sum runs in
-    integers and divides once.
+    integers and divides once.  Only B_0..B_{k-2} are read, so the table
+    stops there; for k = 1 the sum is empty.
     """
     k = parts.k
-    table = bernoulli_barnes(parts, k)
+    table = bernoulli_barnes(parts, max(k - 2, 0))
     total = sum(
         comb(k - 1, i + 1) * (-t) ** i * poly_eval(table[k - i - 2].numerators, x)
         for i in range(k - 1)

@@ -11,6 +11,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
+from math import gcd, prod
 from typing import List, Tuple, Union
 
 from . import oracle, reductions
@@ -39,8 +41,8 @@ def random_coprime_partset(
     """Draw a pairwise-coprime set of k distinct parts from [1, max_part].
 
     Plain rejection sampling: draw k distinct values, accept the first draw
-    that is pairwise coprime with product at most max_product.
-    Deterministic given the rng state.
+    with product at most max_product that is pairwise coprime.  Only the
+    accepted draw becomes a PartSet.  Deterministic given the rng state.
     """
     if k < 1:
         raise DomainError(f"need at least one part, got k={k}")
@@ -48,9 +50,11 @@ def random_coprime_partset(
         raise DomainError(f"cannot draw {k} distinct parts from [1, {max_part}]")
     population = range(1, max_part + 1)
     for _ in range(10_000):
-        candidate = PartSet(tuple(rng.sample(population, k)))
-        if candidate.pairwise_coprime and candidate.product <= max_product:
-            return candidate
+        draw = rng.sample(population, k)
+        if prod(draw) <= max_product and all(
+            gcd(a, b) == 1 for a, b in combinations(draw, 2)
+        ):
+            return PartSet(tuple(draw))
     raise SamplingExhaustedError(
         f"no pairwise-coprime {k}-subset of [1, {max_part}]"
         f" with product <= {max_product} in 10000 draws"

@@ -16,9 +16,12 @@ sum along that walk minus its mean.  Poly is then interpolated from p(0) = 1
 and p(-1) = ... = p(-(k-1)) = 0, so neither the Bernoulli numbers, the
 Bernoulli-Barnes polynomials nor the oracle are read.
 
-Set-up costs O(k S) integer operations per part set, and a query O(k)
-integer operations: every table is kept as integer numerators over one
-common denominator D = (k - 1)! P^k.
+Each inverted factor adds one 1/a_j, so a_j^k w_j is an integer wave whose
+entries are sized by a_j, not by the product.  Set-up walks (k - 1) S steps
+per part set, and a query costs O(k) integer operations: it scales each wave
+entry by D / a_j^k onto the common denominator D = (k - 1)! P^k of the
+polynomial.  A set whose walk steps, max(k - 1, 1) S, pass the oracle's table
+cap is refused before anything is built.
 """
 
 from __future__ import annotations
@@ -31,8 +34,9 @@ from . import oracle
 from .errors import DomainError, InternalInconsistencyError, ResourceLimitError
 from .partset import PartSet
 
-# (D, Newton coefficients of D * Poly, (a_j, D * w_j) per part).
-_Setup = Tuple[int, Tuple[int, ...], Tuple[Tuple[int, Tuple[int, ...]], ...]]
+# (D, Newton coefficients of D * Poly, (a_j, D / a_j^k, a_j^k * w_j) per part).
+# Each wave has its own denominator a_j^k; its multiplier is applied per query.
+_Setup = Tuple[int, Tuple[int, ...], Tuple[Tuple[int, int, Tuple[int, ...]], ...]]
 
 # Recently used set-ups, keyed by the parts tuple and bounded both in part
 # sets and in wave entries (the sum of the parts over the cached sets).
@@ -40,9 +44,9 @@ _SETUPS: Dict[Tuple[int, ...], _Setup] = {}
 _MAX_CACHED_SETS = 512
 
 
-def _wave(a: int, others: Tuple[int, ...], scale: int) -> Tuple[int, ...]:
-    """scale * a^(len(others) + 1) * w on Z/a, the wave of part a against the others."""
-    wave = [scale * (a - 1)] + [-scale] * (a - 1)  # scale * a * ([a divides n] - 1/a)
+def _wave(a: int, others: Tuple[int, ...]) -> Tuple[int, ...]:
+    """a^(len(others) + 1) * w on Z/a, the wave of part a against the others."""
+    wave = [a - 1] + [-1] * (a - 1)  # a * ([a divides n] - 1/a)
     for c in others:
         # Position n comes at step n * c^-1 of the walk 0, c, 2c, ... mod a.
         step = pow(c, -1, a)
@@ -56,11 +60,12 @@ def _setup(parts: PartSet) -> _Setup:
     a, k, product = parts.parts, parts.k, parts.product
     common = factorial(k - 1) * product ** k
     waves = tuple(
-        (aj, _wave(aj, a[:j] + a[j + 1 :], common // aj ** k)) for j, aj in enumerate(a)
+        (aj, common // aj ** k, _wave(aj, a[:j] + a[j + 1 :])) for j, aj in enumerate(a)
     )
     # common * Poly(-m) for m = 0..k-1, from p(0) = 1 and p(-m) = 0.
     values = [
-        (common if m == 0 else 0) - sum(wave[-m % aj] for aj, wave in waves)
+        (common if m == 0 else 0)
+        - sum(scale * wave[-m % aj] for aj, scale, wave in waves)
         for m in range(k)
     ]
     # Newton form on the nodes 0, -1, -2, ...: Poly(n) is the sum over i of
@@ -89,22 +94,24 @@ def _setup_for(parts: PartSet) -> _Setup:
 def waves_count(parts: PartSet, n: int) -> int:
     """p(n) for pairwise-coprime parts, as a polynomial plus one wave per part.
 
-    Refuses a part sum over the oracle's table cap, since the waves hold that
-    many entries, before building anything.
+    Refuses a set whose set-up would pass the oracle's table cap, before
+    building anything: the waves walk (k - 1) S steps and hold S entries.
     """
     if n < 0:
         raise DomainError("counts are defined for nonnegative n only")
     parts.require_pairwise_coprime()
-    if parts.total > oracle._MAX_TABLE_ENTRIES:
+    steps = max(parts.k - 1, 1) * parts.total
+    if steps > oracle._MAX_TABLE_ENTRIES:
         raise ResourceLimitError(
-            f"the waves of parts summing to {parts.total} need that many entries,"
-            f" over the cap of {oracle._MAX_TABLE_ENTRIES}"
+            f"the waves of {parts.k} parts summing to {parts.total} need {steps}"
+            f" walk steps, over the cap of {oracle._MAX_TABLE_ENTRIES}"
         )
     common, newton, waves = _setup_for(parts)
     acc = 0
     for i in reversed(range(len(newton))):
         acc = acc * (n + i) + newton[i]
-    count, rest = divmod(acc + sum(wave[n % aj] for aj, wave in waves), common)
+    acc += sum(scale * wave[n % aj] for aj, scale, wave in waves)
+    count, rest = divmod(acc, common)
     if rest:
         raise InternalInconsistencyError(
             f"waves give a non-integer count at n = {n} for parts {list(parts)}"

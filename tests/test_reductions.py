@@ -84,6 +84,11 @@ class TestTheorem1:
         for n in (0, 7, 20, 21, 1000001):
             assert theorem1_count(PartSet.of(7), n) == (1 if n % 7 == 0 else 0)
 
+    @given(st.integers(min_value=1, max_value=40), small_n)
+    def test_single_part_matches_oracle(self, a, n):
+        # k = 1 reads no Bernoulli-Barnes polynomial: the correction is 0
+        assert theorem1_count(PartSet.of(a), n) == oracle_count(PartSet.of(a), n)
+
     @given(st.sampled_from(COPRIME_2_TO_4), small_n)
     @settings(max_examples=200)
     def test_matches_oracle(self, combo, n):
@@ -308,7 +313,7 @@ def test_bernoulli_barnes_routes_evaluate_k_minus_1_polynomials(monkeypatch, com
         tables.clear()
         degrees.clear()
         route(parts, arg)
-        assert tables == [(parts, k)]
+        assert tables == [(parts, max(k - 2, 0))]
         assert sorted(degrees) == list(range(k - 1))
     tables.clear()
     degrees.clear()

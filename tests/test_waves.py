@@ -1,5 +1,7 @@
 """Sylvester's waves against the oracle, the reductions and their limits."""
 
+from math import gcd, prod
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -37,14 +39,48 @@ def test_every_arity_is_drawn():
     assert {len(parts) for parts in COPRIME_SETS} == set(range(1, 7))
 
 
+@st.composite
+def wide_set_and_argument(draw):
+    """A pairwise-coprime set of up to six parts from 1..60, product <= 10^5."""
+    chosen = []
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        room = min(60, 10 ** 5 // prod(chosen))
+        fits = [
+            a
+            for a in range(1, room + 1)
+            if a not in chosen and all(gcd(a, b) == 1 for b in chosen)
+        ]
+        if not fits:
+            break
+        chosen.append(draw(st.sampled_from(fits)))
+    parts = PartSet(tuple(chosen))
+    return parts, draw(st.integers(min_value=0, max_value=3 * parts.product - 1))
+
+
+@given(wide_set_and_argument())
+def test_matches_oracle_on_wide_parts(case):
+    parts, n = case
+    assert waves_count(parts, n) == oracle_count(parts, n)
+
+
+FIRST_30_PRIMES = tuple(p for p in range(2, 114) if all(p % d for d in range(2, p)))
+
+
 @pytest.mark.parametrize(
     "parts",
-    [(2, 3), (1, 2, 3, 5, 7, 11), (11, 13, 17, 19, 23), (3, 5, 7, 11, 13, 17, 19, 23)],
+    [
+        (2, 3),
+        (1, 2, 3, 5, 7, 11),
+        (11, 13, 17, 19, 23),
+        (3, 5, 7, 11, 13, 17, 19, 23),
+        FIRST_30_PRIMES,
+    ],
 )
 def test_table_free_routes_agree_far_past_any_table(parts):
-    # the last set has a product of about 1.1e8, over the oracle's table cap
+    # the fourth set has a product of about 1.1e8, over the oracle's table
+    # cap, and the first 30 primes one of about 3.2e46
     parts = PartSet(parts)
-    for n in (10 ** 30, 10 ** 30 + 7 * parts.product - 1):
+    for n in (10 ** 30, 10 ** 30 + 7 * parts.product - 1, 10 ** 60 + 12345):
         value = waves_count(parts, n)
         assert theorem1_count(parts, n) == value
         assert section3_count(parts, n) == value
@@ -82,12 +118,41 @@ def test_oversized_part_sum_refused_before_building(monkeypatch):
     def no_setup(parts):
         raise AssertionError("waves were built for a refused part set")
 
-    monkeypatch.setattr(oracle, "_MAX_TABLE_ENTRIES", 20)
+    monkeypatch.setattr(oracle, "_MAX_TABLE_ENTRIES", 30)
     monkeypatch.setattr(waves, "_SETUPS", {})
+    # (k - 1) S walk steps: 2 * 15 = 30 fits the cap, 2 * 23 = 46 does not
     assert waves_count(PartSet.of(3, 5, 7), 29) == brute_force_count((3, 5, 7), 29)
     monkeypatch.setattr(waves, "_setup", no_setup)
-    with pytest.raises(ResourceLimitError, match="cap of 20"):
-        waves_count(PartSet.of(5, 7, 11), 10 ** 30)  # part sum 23
+    with pytest.raises(ResourceLimitError, match="46 walk steps, over the cap of 30"):
+        waves_count(PartSet.of(5, 7, 11), 10 ** 30)
+
+
+def test_held_waves_sized_by_the_parts(monkeypatch):
+    # Scaled to D = (k - 1)! P^k instead, these waves hold ~7.2e6 bits.
+    monkeypatch.setattr(waves, "_SETUPS", {})
+    parts = PartSet(FIRST_30_PRIMES)
+    waves_count(parts, 10 ** 60)
+    _, _, held = waves._SETUPS[parts.parts]
+    bits = sum(abs(v).bit_length() for _, scale, wave in held for v in (scale,) + wave)
+    assert bits < 10 ** 6
+
+
+def test_one_wave_per_part_and_none_when_warm(monkeypatch):
+    calls = []
+    real_wave = waves._wave
+
+    def counting(a, others):
+        calls.append(a)
+        return real_wave(a, others)
+
+    monkeypatch.setattr(waves, "_wave", counting)
+    monkeypatch.setattr(waves, "_SETUPS", {})
+    parts = PartSet.of(3, 7, 11, 13, 16)
+    waves_count(parts, 10 ** 30)
+    assert calls == list(parts)
+    calls.clear()
+    waves_count(parts, 10 ** 30 + 1)
+    assert calls == []
 
 
 def test_cache_bounded_in_sets_and_entries(monkeypatch):
