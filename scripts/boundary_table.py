@@ -53,7 +53,7 @@ def main() -> int:
             domain = "low"
         else:
             correction = (-1) ** parts.k * counts[x - total]
-            value = int(theorem3_rhs(parts, x)) - correction
+            value = theorem3_rhs(parts, x) - correction
             domain = "high"
         marker = "" if value == expected else "  <-- MISMATCH"
         print(f"{x:>6} {n:>8} {expected:>10} {value:>10} {domain:>8}{marker}")

@@ -18,6 +18,8 @@ With --output json, every potentially large numeric value is emitted as a
 decimal string so consumers that parse JSON numbers as floats cannot corrupt
 it.  Output on stdout is byte-identical for identical argv and seed; wall
 time goes to stderr.
+
+Routes are reached through their modules, as in verify.py, and return ints.
 """
 
 from __future__ import annotations
@@ -31,19 +33,10 @@ from fractions import Fraction
 from functools import cache
 from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
-from .bernoulli import bernoulli_barnes, bernoulli_numbers
+from . import bernoulli, oracle, reductions, waves
 from .errors import DomainError, ResourceLimitError
-from .oracle import oracle_count
 from .partset import PartSet
-from .reductions import (
-    closed_form_count,
-    section3_count,
-    theorem1_count,
-    theorem2_count,
-    theorem3_rhs,
-)
 from .verify import format_failure, run_verify
-from .waves import waves_count
 
 
 def parse_parts(text: str) -> Tuple[int, ...]:
@@ -78,6 +71,18 @@ def positive_int(text: str) -> int:
     return value
 
 
+# The `count --method` choices.  Each looks its route up on the route's module
+# when `count` runs, so rebinding a route there (a test's monkeypatch, or the
+# span tracer in perfbench/spans.py) reaches `count` too, as in verify.py.
+_COUNT_METHODS: Dict[str, Callable[[PartSet, int], int]] = {
+    "oracle": lambda parts, n: oracle.oracle_count(parts, n),
+    "theorem1": lambda parts, n: reductions.theorem1_count(parts, n),
+    "section3": lambda parts, n: reductions.section3_count(parts, n),
+    "closed-form": lambda parts, n: reductions.closed_form_count(parts, n),
+    "waves": lambda parts, n: waves.waves_count(parts, n),
+}
+
+
 @cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -92,7 +97,7 @@ def _build_parser() -> argparse.ArgumentParser:
     count = sub.add_parser("count", help="count representations of n")
     count.add_argument("--parts", type=parse_parts, required=True)
     count.add_argument("--n", type=int, required=True)
-    count.add_argument("--method", choices=tuple(_count_methods()), default="oracle")
+    count.add_argument("--method", choices=tuple(_COUNT_METHODS), default="oracle")
     with_output(count)
 
     bb = sub.add_parser("bb", help="Bernoulli-Barnes polynomials")
@@ -100,9 +105,9 @@ def _build_parser() -> argparse.ArgumentParser:
     bb.add_argument("--max-index", type=nonnegative_int, required=True)
     with_output(bb)
 
-    bernoulli = sub.add_parser("bernoulli", help="Bernoulli numbers")
-    bernoulli.add_argument("--max-index", type=nonnegative_int, required=True)
-    with_output(bernoulli)
+    numbers = sub.add_parser("bernoulli", help="Bernoulli numbers")
+    numbers.add_argument("--max-index", type=nonnegative_int, required=True)
+    with_output(numbers)
 
     theorem2 = sub.add_parser("theorem2", help="count at product - x, small x")
     theorem2.add_argument("--parts", type=parse_parts, required=True)
@@ -124,22 +129,6 @@ def _build_parser() -> argparse.ArgumentParser:
     with_output(verify)
 
     return parser
-
-
-def _count_methods() -> Dict[str, Callable[[PartSet, int], int]]:
-    """The `count --method` choices, each mapped to its count function.
-
-    Built on each call so that the functions are looked up in this module
-    when used: rebinding a name here (a test's monkeypatch, or the span
-    tracer in perfbench/spans.py) reaches `count` too.
-    """
-    return {
-        "oracle": oracle_count,
-        "theorem1": theorem1_count,
-        "section3": section3_count,
-        "closed-form": closed_form_count,
-        "waves": waves_count,
-    }
 
 
 def _too_many_digits() -> ResourceLimitError:
@@ -201,20 +190,21 @@ def _dispatch(args: argparse.Namespace) -> int:
     elif args.subcommand == "bernoulli":
         _refuse_unprintable_bernoulli(args.max_index)
         given = args.max_index
-        value = [_decimal(v) for v in bernoulli_numbers(given)]
+        value = [_decimal(v) for v in bernoulli.bernoulli_numbers(given)]
         lines = [f"B_{i} = {v}" for i, v in enumerate(value)]
     elif args.subcommand == "bb":
         parts, given = PartSet(args.parts), args.max_index
-        polys = bernoulli_barnes(parts, given)
+        polys = bernoulli.bernoulli_barnes(parts, given)
         value = [[_decimal(c) for c in entry.coeffs] for entry in polys]
         lines = [f"B_{i} = [{', '.join(coeffs)}]" for i, coeffs in enumerate(value)]
     else:
         parts = PartSet(args.parts)
         if args.subcommand == "count":
-            compute, given = _count_methods()[args.method], args.n
+            compute, given = _COUNT_METHODS[args.method], args.n
+        elif args.subcommand == "theorem2":
+            compute, given = reductions.theorem2_count, args.x
         else:
-            compute = theorem2_count if args.subcommand == "theorem2" else theorem3_rhs
-            given = args.x
+            compute, given = reductions.theorem3_rhs, args.x
         value = _decimal(compute(parts, given))
         lines = [value]
 
@@ -247,8 +237,7 @@ def _dispatch(args: argparse.Namespace) -> int:
 def run(argv: Optional[Sequence[str]] = None) -> int:
     """Parse argv, execute, and return the exit code.
 
-    The parser is built once per process, on the first call.  The count
-    functions behind `count --method` are still looked up on every call.
+    The parser is built once per process, on the first call.
     """
     parser = _build_parser()
     try:

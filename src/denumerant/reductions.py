@@ -22,7 +22,8 @@ polynomials:
              h(s) = -r s + sum_{i>=1} B_i/(i! i) ((r-n)^i - p_i(A)) s^i,
              with p_i the power sums of the parts
 
-plus hard-coded expansions of the first two identities for k = 2..5.  The
+plus hard-coded expansions of the first two identities for k = 2..5.  Each
+value is an int: every route divides once, and a remainder raises.  The
 general sums and the hard-coded forms are implemented independently on
 purpose: agreement between them (and with the dynamic-programming oracle) is
 the correctness argument.  The base count p(r) they all start from comes from
@@ -55,13 +56,16 @@ def decompose(parts: PartSet, n: int) -> Tuple[int, int]:
     return divmod(n, parts.product)
 
 
-def _as_integer(value: Fraction, what: str) -> int:
-    if value.denominator != 1:
+def _exact(numerator: int, denominator: int, what: str) -> int:
+    """numerator / denominator; a remainder can only mean a bug, so it raises."""
+    quotient, rest = divmod(numerator, denominator)
+    if rest:
+        value = Fraction(numerator, denominator)
         raise InternalInconsistencyError(f"{what} is not an integer: {value}")
-    return value.numerator
+    return quotient
 
 
-def _bb_sum(parts: PartSet, t: int, x: int) -> Fraction:
+def _bb_sum(parts: PartSet, t: int, x: int) -> int:
     """(-1)^k t sum_{i=0}^{k-2} (-t)^i / ((i+1)! (k-i-2)!) B_{k-i-2}(x; A).
 
     theorem1 reads it at (n - r, -r), and theorem2 and theorem3 at (P, x).
@@ -76,11 +80,12 @@ def _bb_sum(parts: PartSet, t: int, x: int) -> Fraction:
         comb(k - 1, i + 1) * (-t) ** i * poly_eval(table[k - i - 2].numerators, x)
         for i in range(k - 1)
     )
-    return Fraction((-1) ** k * t * total, factorial(k - 1) * table[0].denominator)
+    denominator = factorial(k - 1) * table[0].denominator
+    return _exact((-1) ** k * t * total, denominator, "Bernoulli-Barnes sum")
 
 
-def theorem1_correction(parts: PartSet, n: int) -> Fraction:
-    """The correction p(n) - p(r) as an exact rational.
+def theorem1_correction(parts: PartSet, n: int) -> int:
+    """The correction p(n) - p(r), an exact integer.
 
     For k = 1 the sum is empty and the correction is 0, which is the right
     degenerate reading: with a single part, p(n) depends only on n mod a_1.
@@ -93,18 +98,16 @@ def theorem1_correction(parts: PartSet, n: int) -> Fraction:
 def theorem1_count(parts: PartSet, n: int) -> int:
     """p(n) via the base count at the residue plus the correction sum."""
     _, r = decompose(parts, n)
-    correction = theorem1_correction(parts, n)
-    return waves_count(parts, r) + _as_integer(correction, "reduction correction")
+    return waves_count(parts, r) + theorem1_correction(parts, n)
 
 
 def closed_form_count(parts: PartSet, n: int) -> int:
     """p(n) via the base count at the residue plus the hard-coded correction."""
     _, r = decompose(parts, n)
-    correction = closed_form_correction(parts, n)
-    return waves_count(parts, r) + _as_integer(correction, "closed-form correction")
+    return waves_count(parts, r) + closed_form_correction(parts, n)
 
 
-def _product_sum_rhs(parts: PartSet, x: int) -> Fraction:
+def _product_sum_rhs(parts: PartSet, x: int) -> int:
     """Shared right-hand side of the theorem2/theorem3 identities at x."""
     return _bb_sum(parts, parts.product, x)
 
@@ -128,24 +131,18 @@ def theorem2_count(parts: PartSet, x: int) -> int:
     _require_at_least_two_parts(parts)
     parts.require_pairwise_coprime()
     _require_below_sum(parts, x)
-    return _as_integer(_product_sum_rhs(parts, x), "product-minus-x count")
+    return _product_sum_rhs(parts, x)
 
 
-def theorem3_rhs(parts: PartSet, x: int) -> Fraction:
-    """The value of p(product - x) + (-1)^k p(x - S) for S <= x <= product.
-
-    Returned as a Fraction; an integrality check runs regardless, since a
-    non-integer here can only mean an implementation bug.
-    """
+def theorem3_rhs(parts: PartSet, x: int) -> int:
+    """The value of p(product - x) + (-1)^k p(x - S) for S <= x <= product."""
     _require_at_least_two_parts(parts)
     parts.require_pairwise_coprime()
     if not parts.total <= x <= parts.product:
         raise RangeError(
             f"x must lie in [{parts.total}, {parts.product}] for parts {list(parts)}, got {x}"
         )
-    value = _product_sum_rhs(parts, x)
-    _as_integer(value, "two-sided boundary count")
-    return value
+    return _product_sum_rhs(parts, x)
 
 
 def section3_count(parts: PartSet, n: int) -> int:
@@ -172,9 +169,9 @@ def section3_count(parts: PartSet, n: int) -> int:
     shift = r - n
     for i, log_coeff in enumerate(log_coefficients(order), start=1):
         coeffs[i] -= log_coeff * (shift ** i - power_sum(parts, i))
-    f = series_exp(tuple(coeffs))
-    correction = Fraction((-1) ** k * q) * f[k - 2]
-    return waves_count(parts, r) + _as_integer(correction, "recursion correction")
+    f = series_exp(tuple(coeffs))[k - 2]
+    correction = _exact((-1) ** k * q * f.numerator, f.denominator, "series correction")
+    return waves_count(parts, r) + correction
 
 
 def _pair_product_sum(parts: PartSet) -> int:
@@ -189,7 +186,7 @@ def _require_closed_form(parts: PartSet) -> None:
     parts.require_pairwise_coprime()
 
 
-def _closed_form(parts: PartSet, q: int, n: int, r: int) -> Fraction:
+def _closed_form(parts: PartSet, q: int, n: int, r: int) -> int:
     """The theorem1 correction q * (...) for k = 2..5, written term by term.
 
     n = q P + r with 0 <= r < P reads it as p(n) - p(r).  q = 1, n = P - x
@@ -198,10 +195,10 @@ def _closed_form(parts: PartSet, q: int, n: int, r: int) -> Fraction:
     a = parts.parts
     s = parts.total
     if parts.k == 2:
-        return Fraction(n - r, a[0] * a[1])
-    if parts.k == 3:
-        return Fraction(q * (n + r + s), 2)
-    if parts.k == 4:
+        numerator, denominator = n - r, a[0] * a[1]
+    elif parts.k == 3:
+        numerator, denominator = q * (n + r + s), 2
+    elif parts.k == 4:
         body = (
             3 * (n + r) * s
             + 2 * (n + r) ** 2
@@ -209,20 +206,22 @@ def _closed_form(parts: PartSet, q: int, n: int, r: int) -> Fraction:
             + s ** 2
             + _pair_product_sum(parts)
         )
-        return Fraction(q * body, 12)
-    body = (
-        (n + r) * (n * n + r * r)
-        + (2 * n * n + 2 * n * r + 2 * r * r) * s
-        + (n + r) * power_sum(parts, 2)
-        + sum(ai ** 2 * (s - ai) for ai in a)
-        + 3 * (n + r) * _pair_product_sum(parts)
-        + 3 * sum(parts.product // (ai * aj) for ai, aj in combinations(a, 2))
-    )
-    return Fraction(q * body, 24)
+        numerator, denominator = q * body, 12
+    else:
+        body = (
+            (n + r) * (n * n + r * r)
+            + (2 * n * n + 2 * n * r + 2 * r * r) * s
+            + (n + r) * power_sum(parts, 2)
+            + sum(ai ** 2 * (s - ai) for ai in a)
+            + 3 * (n + r) * _pair_product_sum(parts)
+            + 3 * sum(parts.product // (ai * aj) for ai, aj in combinations(a, 2))
+        )
+        numerator, denominator = q * body, 24
+    return _exact(numerator, denominator, "closed-form correction")
 
 
-def closed_form_correction(parts: PartSet, n: int) -> Fraction:
-    """Hard-coded expansions of the theorem1 correction for k = 2..5.
+def closed_form_correction(parts: PartSet, n: int) -> int:
+    """Hard-coded expansions of the theorem1 correction for k = 2..5, as an int.
 
     These are written out term by term, not derived from the general sum, so
     that agreement with theorem1_correction is a meaningful check on both.
@@ -232,7 +231,7 @@ def closed_form_correction(parts: PartSet, n: int) -> Fraction:
     return _closed_form(parts, q, n, r)
 
 
-def closed_form_theorem2(parts: PartSet, x: int) -> Fraction:
+def closed_form_theorem2(parts: PartSet, x: int) -> int:
     """Hard-coded expansions of theorem2 for k = 2..5 (same caveats as above)."""
     _require_closed_form(parts)
     _require_below_sum(parts, x)

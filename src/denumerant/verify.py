@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from math import gcd, prod
-from typing import List, Tuple, Union
+from typing import List, Tuple
 
 from . import oracle, reductions
 from .errors import DomainError, ResourceLimitError, SamplingExhaustedError
@@ -28,7 +27,7 @@ class TheoremReport:
     parts: PartSet
     inputs: Tuple[Tuple[str, int], ...]
     lhs: int
-    rhs: Union[int, Fraction]
+    rhs: int
 
     @property
     def holds(self) -> bool:

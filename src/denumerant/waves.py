@@ -39,7 +39,10 @@ from .partset import PartSet
 _Setup = Tuple[int, Tuple[int, ...], Tuple[Tuple[int, int, Tuple[int, ...]], ...]]
 
 # Recently used set-ups, keyed by the parts tuple and bounded both in part
-# sets and in wave entries (the sum of the parts over the cached sets).
+# sets and in wave entries (the sum of the parts over the cached sets).  512
+# holds every set a benchmark workload reuses: 150 verify-sweep ops do 423
+# set-ups for 15,000 lookups, count-huge-n 21 for 7,467; count-cold-product
+# uses each set once.
 _SETUPS: Dict[Tuple[int, ...], _Setup] = {}
 _MAX_CACHED_SETS = 512
 

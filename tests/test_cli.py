@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from denumerant import cli, oracle, reductions, verify
+from denumerant import bernoulli, cli, oracle, reductions, verify, waves
 from denumerant.cli import _build_parser, main, run
 from denumerant.errors import DomainError, ResourceLimitError, SamplingExhaustedError
 from denumerant.partset import PartSet
@@ -238,13 +238,13 @@ class TestExitCodes:
     ):
         # at a 640-digit limit, B_448 is the first with too long a numerator
         calls = []
-        real = cli.bernoulli_numbers
+        real = bernoulli.bernoulli_numbers
 
         def counting(m):
             calls.append(m)
             return real(m)
 
-        monkeypatch.setattr(cli, "bernoulli_numbers", counting)
+        monkeypatch.setattr(bernoulli, "bernoulli_numbers", counting)
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(640)
         try:
@@ -315,12 +315,23 @@ class TestParserBuiltOnce:
         assert redirected.getvalue().startswith("usage: denumerant count")
         assert (code, out, err) == (0, fresh_good.stdout, fresh_good.stderr)
 
+    @pytest.mark.parametrize(
+        "method, module, name",
+        [
+            ("oracle", oracle, "oracle_count"),
+            ("theorem1", reductions, "theorem1_count"),
+            ("section3", reductions, "section3_count"),
+            ("closed-form", reductions, "closed_form_count"),
+            ("waves", waves, "waves_count"),
+        ],
+        ids=lambda value: value if isinstance(value, str) else "",
+    )
     def test_rebound_count_function_reached_after_first_run(
-        self, monkeypatch, capsys
+        self, monkeypatch, capsys, method, module, name
     ):
-        argv = ("count", "--parts", "2,3", "--n", "11", "--method", "theorem1")
+        argv = ("count", "--parts", "2,3", "--n", "11", "--method", method)
         assert invoke(capsys, *argv)[:2] == (0, "2\n")
-        monkeypatch.setattr(cli, "theorem1_count", lambda parts, n: 12345)
+        monkeypatch.setattr(module, name, lambda parts, n: 12345)
         assert invoke(capsys, *argv)[:2] == (0, "12345\n")
 
 

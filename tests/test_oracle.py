@@ -183,3 +183,26 @@ def test_cache_bounded_in_entries(monkeypatch):
         assert oracle_count(PartSet(values), n) == brute_force_count(values, n)
         assert sum(map(len, oracle._TABLES.values())) <= 100
         assert values in oracle._TABLES  # the table just used is kept
+
+
+def test_refused_growth_keeps_the_held_table(monkeypatch):
+    """A lookup refused at the cap leaves the smaller held table in place."""
+    monkeypatch.setattr(oracle, "_MAX_TABLE_ENTRIES", 100)
+    monkeypatch.setattr(oracle, "_TABLES", {})
+    parts = PartSet.of(2, 3, 5)
+    assert oracle_count(parts, 60) == brute_force_count(parts.parts, 60)
+    with pytest.raises(ResourceLimitError, match="cap of 100"):
+        oracle_count(parts, 100)
+    builds = []
+    real_dp = oracle._dp_counts
+
+    def counting_dp(values, upper):
+        builds.append(upper)
+        return real_dp(values, upper)
+
+    monkeypatch.setattr(oracle, "_dp_counts", counting_dp)
+    assert oracle_count(parts, 50) == brute_force_count(parts.parts, 50)
+    assert builds == []
+    assert {key: len(table) for key, table in oracle._TABLES.items()} == {
+        parts.parts: 61
+    }

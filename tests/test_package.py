@@ -97,3 +97,34 @@ def test_unused_import_check_finds_one():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+ROUTE_MODULES = ("oracle", "waves", "reductions", "bernoulli")
+
+
+def names_imported_from_routes(source: str) -> list:
+    """Names imported one by one from a route module, e.g. `from .oracle import f`."""
+    return sorted(
+        f"{node.module}.{alias.name} (line {node.lineno})"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        and (node.module or "").split(".")[-1] in ROUTE_MODULES
+        for alias in node.names
+    )
+
+
+def test_route_import_check_finds_one():
+    source = (
+        "from . import oracle, reductions\n"
+        "from .errors import DomainError\n"
+        "from .waves import waves_count\n"
+    )
+    assert names_imported_from_routes(source) == ["waves.waves_count (line 3)"]
+
+
+@pytest.mark.parametrize("name", ["cli.py", "verify.py"])
+def test_callers_reach_routes_through_their_modules(name):
+    # A route bound here by name would miss a rebinding on its module (a
+    # test's monkeypatch, or the span tracer in perfbench/spans.py).
+    source = (ROOT / "src" / "denumerant" / name).read_text()
+    assert names_imported_from_routes(source) == []

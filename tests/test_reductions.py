@@ -374,3 +374,23 @@ def test_routes_read_no_other_routes_source(monkeypatch, combo, route, blocked):
     for module, name in blocked + (("oracle", "_dp_counts"),):
         monkeypatch.setattr(modules[module], name, refuse)
     assert route(parts, n) == expected
+
+
+@pytest.mark.parametrize("combo", [(2, 3), (2, 3, 5), (3, 4, 5, 7), (2, 3, 5, 7, 11)])
+def test_every_route_and_identity_returns_an_int(combo):
+    """Counts, corrections and boundary values come back as int, not Fraction."""
+    parts = PartSet(combo)
+    n, x = 10 ** 30 + 12345, parts.total - 1
+    at_n = (
+        waves_count,
+        theorem1_count,
+        section3_count,
+        closed_form_count,
+        theorem1_correction,
+        closed_form_correction,
+    )
+    values = [oracle_count(parts, 2 * parts.product + 1)]
+    values += [route(parts, n) for route in at_n]
+    values += [theorem2_count(parts, x), closed_form_theorem2(parts, x)]
+    values.append(theorem3_rhs(parts, parts.total))
+    assert [type(value) for value in values] == [int] * len(values)
