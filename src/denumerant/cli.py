@@ -146,6 +146,13 @@ def _decimal(value: Union[int, Fraction]) -> str:
         raise _too_many_digits() from None
 
 
+def _ratio(numerator: int, denominator: int) -> str:
+    """str(Fraction(numerator, denominator)), denominator >= 1, without a Fraction."""
+    g = math.gcd(numerator, denominator)
+    top = _decimal(numerator // g)
+    return top if g == denominator else f"{top}/{_decimal(denominator // g)}"
+
+
 def _refuse_unprintable_bernoulli(max_index: int) -> None:
     """Refuse `bernoulli --max-index` before computing when B_m cannot be printed.
 
@@ -195,7 +202,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     elif args.subcommand == "bb":
         parts, given = PartSet(args.parts), args.max_index
         polys = bernoulli.bernoulli_barnes(parts, given)
-        value = [[_decimal(c) for c in entry.coeffs] for entry in polys]
+        value = [[_ratio(c, e.denominator) for c in e.numerators] for e in polys]
         lines = [f"B_{i} = [{', '.join(coeffs)}]" for i, coeffs in enumerate(value)]
     else:
         parts = PartSet(args.parts)

@@ -38,8 +38,9 @@ of returning numbers that may be wrong.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
-from math import comb, factorial
+from math import comb, factorial, lcm
 from typing import Tuple
 
 from .bernoulli import bernoulli_barnes, log_coefficients, power_sum
@@ -145,6 +146,22 @@ def theorem3_rhs(parts: PartSet, x: int) -> int:
     return _product_sum_rhs(parts, x)
 
 
+# Bounded, since an entry holds O(order^2 log D) digits; count-huge-n reads
+# orders 1..5 only.
+@lru_cache(maxsize=16)
+def _log_weights(order: int) -> Tuple[int, Tuple[int, ...]]:
+    """D and the ints D^j j! c_j for j = 1..order, c_j the log coefficients.
+
+    j! c_j = -B_j / j has a small denominator, and D is the lcm of them.
+    """
+    weights = [factorial(j) * c for j, c in enumerate(log_coefficients(order), start=1)]
+    d = lcm(*(w.denominator for w in weights))
+    return d, tuple(
+        w.numerator * (d // w.denominator) * d ** (j - 1)
+        for j, w in enumerate(weights, start=1)
+    )
+
+
 def section3_count(parts: PartSet, n: int) -> int:
     """p(n) via the exponential recursion instead of the correction sum.
 
@@ -154,23 +171,31 @@ def section3_count(parts: PartSet, n: int) -> int:
     Shares nothing with theorem1_count beyond the base count at the residue,
     so the two serve as independent checks of each other.
 
-    The coefficient read is f_{k-2}, and the recursion i f_i = sum_{j<=i}
-    j h_j f_{i-j} makes it depend on h_1..h_{k-2} only, so both series are
-    truncated at order k - 2 and the value is exact.  The order is at least 1
-    because the s term, -r s, is always built.
+    It runs in integers and divides once.  With u_j = j! h_j, the weights
+    j! c_j = -B_j/j share a small denominator D (``_log_weights``), so
+    U_j = D^j u_j are ints: U is h(Ds) as an exponential generating
+    function.  Its exponential G (``series_exp``) gives f_i = G_i / (D^i i!),
+    so the correction (-1)^k q G_{k-2} is divided by D^{k-2} (k-2)! once.
+    Scaling by D^j, not by D alone, is what makes U the series of h(Ds).
+
+    The coefficient read is f_{k-2}, and the recursion makes it depend on
+    h_1..h_{k-2} only, so h is truncated at order k - 2 and the value is
+    exact.  The order is at least 1 because the s term, -r s, is always built.
     """
     _require_at_least_two_parts(parts)
     parts.require_pairwise_coprime()
     q, r = decompose(parts, n)
     k = parts.k
     order = max(k - 2, 1)
-    coeffs = [Fraction(0)] * (order + 1)
-    coeffs[1] = Fraction(-r)
+    d, weights = _log_weights(order)
     shift = r - n
-    for i, log_coeff in enumerate(log_coefficients(order), start=1):
-        coeffs[i] -= log_coeff * (shift ** i - power_sum(parts, i))
-    f = series_exp(tuple(coeffs))[k - 2]
-    correction = _exact((-1) ** k * q * f.numerator, f.denominator, "series correction")
+    u = [0, -r * d] + [0] * (order - 1)
+    for j, w in enumerate(weights, start=1):
+        if w:
+            u[j] -= w * (shift ** j - power_sum(parts, j))
+    g = series_exp(tuple(u))[k - 2]
+    denominator = d ** (k - 2) * factorial(k - 2)
+    correction = _exact((-1) ** k * q * g, denominator, "series correction")
     return waves_count(parts, r) + correction
 
 

@@ -2,14 +2,19 @@
 
 A polynomial is a tuple of coefficients from degree 0 upward.  ``poly_eval``
 evaluates one by Horner's rule, in ints when the coefficients and the point
-are ints.  A truncated power series in s is a tuple of Fractions: ``c[i]`` is
-the coefficient of s**i and the order is ``len(c) - 1``.  The series functions
-keep the order they are given; mixing two orders raises DomainError.
+are ints.  A truncated power series in s is a tuple of coefficients with
+order ``len(c) - 1``, and the series functions keep the order they are given.
+``series_exp`` works on integer exponential generating functions, where
+``c[i]`` is the coefficient of s**i / i!, so it never divides.  ``series_mul``
+and ``series_inv`` take ordinary series of Fractions, ``c[i]`` the coefficient
+of s**i; they are the references the tests check the integer paths against,
+and mixing two orders in ``series_mul`` raises DomainError.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 from typing import Sequence, Tuple
 
 from .errors import DomainError
@@ -49,20 +54,21 @@ def series_inv(a: Sequence[Fraction]) -> Tuple[Fraction, ...]:
     return tuple(out)
 
 
-def series_exp(a: Sequence[Fraction]) -> Tuple[Fraction, ...]:
-    """exp of a series with zero constant term.
+def series_exp(u: Sequence[int]) -> Tuple[int, ...]:
+    """exp of an integer exponential generating function with zero constant term.
 
-    If f = exp(h) then f' = h' * f, so matching coefficients gives
+    Returns g with sum_i g[i] s^i / i! = exp(U), U = sum_j u[j] s^j / j!.
+    Then g' = U' g, and in EGF coefficients that reads
 
-        i * f[i] = sum(j * h[j] * f[i - j] for j in 1..i)
+        g[i] = sum(C(i - 1, j - 1) * u[j] * g[i - j] for j in 1..i)
 
-    with f[0] = 1.  This never forms factorials of the truncation order and
-    works coefficient-by-coefficient in exact arithmetic.
+    with g[0] = 1, so ints stay ints and zero terms of u are skipped.
     """
-    if a[0] != 0:
+    if u[0] != 0:
         raise DomainError("series exp needs a zero constant term")
-    out = [Fraction(1)]
-    for i in range(1, len(a)):
-        terms = (j * a[j] * out[i - j] for j in range(1, i + 1))
-        out.append(sum(terms, Fraction(0)) / i)
+    out = [1]
+    for i in range(1, len(u)):
+        out.append(
+            sum(comb(i - 1, j - 1) * u[j] * out[i - j] for j in range(1, i + 1) if u[j])
+        )
     return tuple(out)

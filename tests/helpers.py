@@ -5,8 +5,9 @@ enumeration), so its agreement with the dynamic-programming oracle is
 evidence rather than circularity.  The series helpers reuse the package's
 exact arithmetic primitives but follow different algorithms than the code
 under test (summing powers instead of the derivative recursion, caller-given
-factor order instead of the sorted one).  run_module runs the command line
-in a fresh interpreter.
+factor order instead of the sorted one).  exp_via_egf is the adapter that
+reads the integer series_exp on a series of Fractions.  run_module runs the
+command line in a fresh interpreter.
 """
 
 import os
@@ -14,11 +15,11 @@ import subprocess
 import sys
 from fractions import Fraction
 from itertools import combinations
-from math import factorial, gcd, prod
+from math import factorial, gcd, lcm, prod
 from pathlib import Path
 from typing import Iterable, List, Sequence, Tuple
 
-from denumerant.series import series_inv, series_mul
+from denumerant.series import series_exp, series_inv, series_mul
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -86,6 +87,21 @@ def exp_by_powers(h: Tuple[Fraction, ...]) -> Tuple[Fraction, ...]:
         for i in range(order + 1):
             total[i] = total[i] + scale * power[i]
     return tuple(total)
+
+
+def exp_via_egf(h: Tuple[Fraction, ...]) -> Tuple[Fraction, ...]:
+    """e^h for an ordinary series of Fractions, through the integer series_exp.
+
+    With D the lcm of the denominators of i! h_i, the ints u_i = D^i i! h_i
+    are h(Ds) as an exponential generating function, so series_exp gives
+    e^{h(Ds)} and [s^i] e^h = g_i / (D^i i!).
+    """
+    weights = [factorial(i) * c for i, c in enumerate(h)]
+    d = lcm(*(w.denominator for w in weights))
+    u = [w * d ** i for i, w in enumerate(weights)]
+    assert all(c.denominator == 1 for c in u[1:])
+    g = series_exp(tuple(c.numerator for c in u))
+    return tuple(Fraction(c, d ** i * factorial(i)) for i, c in enumerate(g))
 
 
 def bb_polys_by_factor_order(

@@ -13,6 +13,8 @@ from math import gcd
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from denumerant import bernoulli, cli, oracle, reductions, verify, waves
 from denumerant.cli import _build_parser, main, run
@@ -167,6 +169,29 @@ class TestOtherSubcommands:
         payload = json.loads(out)
         coeffs = [[F(c) for c in poly] for poly in payload["value"]]
         assert coeffs == [[F(1, 30)], [F(-1, 6), F(1, 30)]]
+
+    @settings(max_examples=300)
+    @given(
+        st.one_of(st.just(0), st.integers(), st.integers(-(10 ** 40), 10 ** 40)),
+        st.one_of(st.just(1), st.integers(1, 10 ** 6), st.integers(1, 10 ** 40)),
+    )
+    def test_bb_coefficients_print_as_fractions(self, numerator, denominator):
+        assert cli._ratio(numerator, denominator) == str(F(numerator, denominator))
+
+    def test_bb_coefficient_examples(self):
+        assert [cli._ratio(c, d) for c, d in ((0, 7), (-6, 4), (9, 3), (-5, 1))] == [
+            "0", "-3/2", "3", "-5",
+        ]
+
+    def test_bb_coefficient_past_the_digit_limit_refused(self):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            for numerator, denominator in ((10 ** 700 + 1, 3), (1, 10 ** 700 + 1)):
+                with pytest.raises(ResourceLimitError, match="640 digits"):
+                    cli._ratio(numerator, denominator)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     def test_bernoulli_text(self, capsys):
         code, out, _ = invoke(capsys, "bernoulli", "--max-index", "4")

@@ -207,12 +207,15 @@ class TestSection3:
          (2, 3, 5, 7, 11, 13, 17)],
     )
     def test_series_truncated_at_the_coefficient_read(self, monkeypatch, combo):
-        """Work gate: one exp at order max(k - 2, 1); k = 2 is the clamp."""
+        """Work gate: one exp at order max(k - 2, 1), ints in and out; k = 2 is the clamp."""
         orders = []
 
         def spy(series):
             orders.append(len(series) - 1)
-            return series_exp(series)
+            assert all(type(c) is int for c in series)
+            out = series_exp(series)
+            assert all(type(c) is int for c in out)
+            return out
 
         monkeypatch.setattr(reductions, "series_exp", spy)
         parts = PartSet(combo)

@@ -1,7 +1,7 @@
 """Exact arithmetic layer: polynomials and truncated series as coefficient tuples."""
 
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from denumerant.errors import DomainError
 from denumerant.series import poly_eval, series_exp, series_inv, series_mul
 
-from helpers import exp_by_powers
+from helpers import exp_by_powers, exp_via_egf
 
 F = Fraction
 
@@ -95,19 +95,39 @@ class TestSeriesInv:
         assert series_mul(a, series_inv(a)) == ts(1, 0, 0, 0, 0, 0)
 
 
+def egf_mul(a: tuple, b: tuple) -> tuple:
+    """Binomial product: the EGF coefficients of (sum a_i s^i/i!)(sum b_i s^i/i!)."""
+    return tuple(
+        sum(comb(i, j) * a[j] * b[i - j] for j in range(i + 1)) for i in range(len(a))
+    )
+
+
+def egf_strategy(order: int):
+    return st.tuples(st.just(0), *([st.integers(-48, 48)] * order))
+
+
 class TestSeriesExp:
     def test_exp_zero(self):
         assert series_exp(ts(0, 0, 0, 0)) == ts(1, 0, 0, 0)
 
     def test_exp_s(self):
-        assert series_exp(ts(0, 1, 0, 0)) == ts(1, 1, F(1, 2), F(1, 6))
+        # e^s has EGF coefficients all 1, i.e. 1 + s + s^2/2 + s^3/6
+        g = series_exp((0, 1, 0, 0))
+        assert g == (1, 1, 1, 1) and all(type(c) is int for c in g)
+        assert exp_via_egf(ts(0, 1, 0, 0)) == ts(1, 1, F(1, 2), F(1, 6))
+
+    def test_bell_numbers(self):
+        # exp(e^s - 1) is the EGF of the Bell numbers
+        assert series_exp((0, 1, 1, 1, 1, 1)) == (1, 1, 2, 5, 15, 52)
 
     def test_exp_log_factor(self):
-        # frozen from the slow power-sum expansion in helpers.exp_by_powers
+        # frozen from the slow power-sum expansion in helpers.exp_by_powers;
+        # i! h_i = (0, -1/2, -1/12) share D = 12, so u = (0, -6, -12)
         h = ts(0, F(-1, 2), F(-1, 24))
         expected = ts(1, F(-1, 2), F(1, 12))
         assert exp_by_powers(h) == expected
-        assert series_exp(h) == expected
+        assert series_exp((0, -6, -12)) == (1, -6, 24)  # 24 / (12^2 2!) = 1/12
+        assert exp_via_egf(h) == expected
 
     def test_nonzero_constant_rejected(self):
         with pytest.raises(DomainError):
@@ -115,11 +135,11 @@ class TestSeriesExp:
 
     @given(series_strategy(5, zero_constant=True))
     def test_agrees_with_power_sum_expansion(self, h):
-        assert series_exp(h) == exp_by_powers(h)
+        assert exp_via_egf(h) == exp_by_powers(h)
 
-    @given(series_strategy(4, zero_constant=True), series_strategy(4, zero_constant=True))
-    def test_exp_is_a_homomorphism(self, h1, h2):
-        assert series_exp(add(h1, h2)) == series_mul(series_exp(h1), series_exp(h2))
+    @given(egf_strategy(4), egf_strategy(4))
+    def test_exp_is_a_homomorphism(self, u1, u2):
+        assert series_exp(add(u1, u2)) == egf_mul(series_exp(u1), series_exp(u2))
 
 
 class TestCanonicalForm:
