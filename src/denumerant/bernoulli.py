@@ -26,12 +26,14 @@ numbers:
   sum_j T_j s^(2j-1) / (2j-1)!), which Brent and Harvey's in-place integer
   recurrence ("Fast computation of Bernoulli, Tangent and Secant numbers",
   2011) yields in O(m^2) steps.  Then B_2j = (-1)^(j-1) 2j T_j / (4^j (4^j - 1)).
-- The Bernoulli-Barnes polynomials come from one scalar sequence, built by
-  integer binomial convolutions (see ``bernoulli_barnes``), and are kept as
-  integer numerators over one denominator per table.  The sequence's
-  building blocks c_n = n! [s^n] s/(e^s - 1) are the Bernoulli numbers again
-  (with c_1 = -1/2), but they are found a second way, by inverting
-  (e^s - 1)/s, and never read from the table.  theorem1 reads the
+- The Bernoulli-Barnes polynomials come from one scalar sequence beta,
+  built by integer binomial convolutions (see ``bernoulli_barnes``).  A
+  table is that sequence, m + 1 integers over one denominator, and each
+  polynomial forms its integer numerators C(i, j) beta_{i-j} on first read;
+  ``lowest_terms`` reduces a table for printing without forming them.  The
+  sequence's building blocks c_n = n! [s^n] s/(e^s - 1) are the Bernoulli
+  numbers again (with c_1 = -1/2), but they are found a second way, by
+  inverting (e^s - 1)/s, and never read from the table.  theorem1 reads the
   polynomials and section3 reads the table, so the two routes check each
   other only while they share no values.
 """
@@ -40,9 +42,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import comb, factorial, lcm
-from typing import List, Tuple
+from functools import cached_property, lru_cache
+from math import comb, factorial, gcd, lcm
+from typing import List, Sequence, Tuple
 
 from .errors import DomainError
 from .partset import PartSet
@@ -96,17 +98,26 @@ def power_sum(parts: PartSet, m: int) -> int:
     return sum(a ** m for a in parts)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BBPoly:
-    """One Bernoulli-Barnes polynomial, sum_j numerators[j] x^j / denominator.
+    """B_index, sum_j C(index, j) beta[index - j] x^j / denominator.
 
-    The numerators are integers, and every polynomial of one table shares the
-    denominator D^k P (see ``bernoulli_barnes``), so a sum over a table stays
-    in integers and divides once.
+    Every polynomial of one table shares the tuple beta and the denominator
+    D^k P (see ``bernoulli_barnes``), so a table holds m + 1 integers, not
+    (m + 1)(m + 2)/2, and a sum over a table stays in integers and divides
+    once.  The numerators are formed on first read and kept.  Equality is
+    identity, so no comparison walks the shared beta.
     """
 
-    numerators: Tuple[int, ...]
+    beta: Tuple[int, ...]
+    index: int
     denominator: int
+
+    @cached_property
+    def numerators(self) -> Tuple[int, ...]:
+        """The integer coefficients of x^0, x^1, ... over ``denominator``."""
+        i, beta = self.index, self.beta
+        return tuple(comb(i, j) * beta[i - j] for j in range(i + 1))
 
     @property
     def coeffs(self) -> Tuple[Fraction, ...]:
@@ -115,6 +126,31 @@ class BBPoly:
 
     def at(self, x) -> Fraction:
         return Fraction(poly_eval(self.numerators, x), self.denominator)
+
+
+def lowest_terms(table: Sequence[BBPoly]) -> List[List[Tuple[int, int]]]:
+    """Each polynomial's coefficients as (numerator, denominator) in lowest terms.
+
+    The polynomials share beta and the denominator d, so each beta_l is
+    reduced once, to b_l / s_l, and the coefficient C(i, j) b_{i-j} / s_{i-j}
+    only needs the gcd of the binomial with s_{i-j}: b_l is already prime to
+    s_l.  No numerator is formed.
+    """
+    d = table[0].denominator
+    reduced = []
+    for b in table[0].beta:
+        g = gcd(b, d)
+        reduced.append((b // g, d // g))
+    rows = []
+    for entry in table:
+        i, row = entry.index, []
+        for j in range(i + 1):
+            b, s = reduced[i - j]
+            c = comb(i, j)
+            h = gcd(c, s)
+            row.append((c // h * b, s // h))
+        rows.append(row)
+    return rows
 
 
 # c_0, c_1, ... with c_n = n! [s^n] s/(e^s - 1), the unit factor of every
@@ -146,23 +182,27 @@ def bernoulli_barnes(parts: PartSet, max_index: int) -> Tuple[BBPoly, ...]:
     Without e^{xs}, the product is the exponential generating function of a
     scalar sequence beta, so the coefficient of x^j in B_i is C(i, j)
     beta_{i-j}.  Factor a_j has EGF coefficients c_n a_j^n, with c_n from
-    ``_unit_coefficients``, and beta is k binomial convolutions
+    ``_unit_coefficients``.  beta starts as the first factor's coefficients,
+    which needs no convolution, and each further factor is one binomial
+    convolution
 
         beta_n <- sum_l C(n, l) beta_l c_{n-l} a_j^(n-l).
 
     They run on integer numerators over D, the common denominator of
-    c_0..c_max_index, so each polynomial keeps the integers C(i, j) beta_{i-j}
-    over the one denominator D^k P.  Results are cached per (parts, max_index),
-    for the 512 most recently used.
+    c_0..c_max_index, so the table is the integers beta_0..beta_max_index
+    over the one denominator D^k P, shared by every polynomial.  Results are
+    cached per (parts, max_index), for the 512 most recently used.
     """
     if max_index < 0:
         raise DomainError("polynomial index must be nonnegative")
     return _bernoulli_barnes(parts, max_index)
 
 
-# Bounded by tables, not bytes.  Hits / misses per workload: verify-sweep
-# 21,675 / 423 and count-huge-n 3,650 / 21 fit in 512; bb-high-index (0 / 59)
-# and count-cold-product (0 / 380) never read a table twice.
+# Bounded by tables, not bytes, but a table is only its m + 1 integers beta
+# until a polynomial's numerators are read: (2,3,5,7) at index 400 holds
+# ~0.25 MB.  Hits / misses per workload: verify-sweep 21,675 / 423 and
+# count-huge-n 3,650 / 21 fit in 512; bb-high-index (0 / 59) and
+# count-cold-product (0 / 380) never read a table twice.
 @lru_cache(maxsize=512)
 def _bernoulli_barnes(parts: PartSet, max_index: int) -> Tuple[BBPoly, ...]:
     unit = _unit_coefficients(max_index)
@@ -170,15 +210,15 @@ def _bernoulli_barnes(parts: PartSet, max_index: int) -> Tuple[BBPoly, ...]:
     numerators = [
         (n, c.numerator * (common // c.denominator)) for n, c in enumerate(unit) if c
     ]
-    beta = [1] + [0] * max_index
-    for a in parts:
+    first, *rest = parts
+    beta = [0] * (max_index + 1)
+    for n, c in numerators:
+        beta[n] = c * first ** n
+    for a in rest:
         weights = [(n, c * a ** n) for n, c in numerators]
         beta = [
             sum(comb(n, l) * beta[n - l] * w for l, w in weights if l <= n)
             for n in range(max_index + 1)
         ]
-    scale = common ** parts.k * parts.product
-    return tuple(
-        BBPoly(tuple(comb(i, j) * beta[i - j] for j in range(i + 1)), scale)
-        for i in range(max_index + 1)
-    )
+    shared, scale = tuple(beta), common ** parts.k * parts.product
+    return tuple(BBPoly(shared, i, scale) for i in range(max_index + 1))

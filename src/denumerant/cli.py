@@ -146,13 +146,6 @@ def _decimal(value: Union[int, Fraction]) -> str:
         raise _too_many_digits() from None
 
 
-def _ratio(numerator: int, denominator: int) -> str:
-    """str(Fraction(numerator, denominator)), denominator >= 1, without a Fraction."""
-    g = math.gcd(numerator, denominator)
-    top = _decimal(numerator // g)
-    return top if g == denominator else f"{top}/{_decimal(denominator // g)}"
-
-
 def _refuse_unprintable_bernoulli(max_index: int) -> None:
     """Refuse `bernoulli --max-index` before computing when B_m cannot be printed.
 
@@ -201,8 +194,11 @@ def _dispatch(args: argparse.Namespace) -> int:
         lines = [f"B_{i} = {v}" for i, v in enumerate(value)]
     elif args.subcommand == "bb":
         parts, given = PartSet(args.parts), args.max_index
-        polys = bernoulli.bernoulli_barnes(parts, given)
-        value = [[_ratio(c, e.denominator) for c in e.numerators] for e in polys]
+        rows = bernoulli.lowest_terms(bernoulli.bernoulli_barnes(parts, given))
+        try:
+            value = [[str(n) if d == 1 else f"{n}/{d}" for n, d in row] for row in rows]
+        except ValueError:
+            raise _too_many_digits() from None
         lines = [f"B_{i} = [{', '.join(coeffs)}]" for i, coeffs in enumerate(value)]
     else:
         parts = PartSet(args.parts)

@@ -9,7 +9,7 @@ import runpy
 import sys
 from contextlib import redirect_stderr
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 from pathlib import Path
 
 import pytest
@@ -172,26 +172,77 @@ class TestOtherSubcommands:
 
     @settings(max_examples=300)
     @given(
-        st.one_of(st.just(0), st.integers(), st.integers(-(10 ** 40), 10 ** 40)),
-        st.one_of(st.just(1), st.integers(1, 10 ** 6), st.integers(1, 10 ** 40)),
+        st.sets(st.integers(1, 40), min_size=1, max_size=6),
+        st.integers(0, 30),
     )
-    def test_bb_coefficients_print_as_fractions(self, numerator, denominator):
-        assert cli._ratio(numerator, denominator) == str(F(numerator, denominator))
-
-    def test_bb_coefficient_examples(self):
-        assert [cli._ratio(c, d) for c, d in ((0, 7), (-6, 4), (9, 3), (-5, 1))] == [
-            "0", "-3/2", "3", "-5",
+    def test_bb_coefficients_print_as_fractions(self, combo, m):
+        table = bernoulli.bernoulli_barnes(PartSet(tuple(combo)), m)
+        assert bernoulli.lowest_terms(table) == [
+            [(f.numerator, f.denominator) for f in entry.coeffs] for entry in table
         ]
 
-    def test_bb_coefficient_past_the_digit_limit_refused(self):
+    def test_bb_coefficient_examples(self, capsys):
+        # B_3(x; 1) = x^3 - 3/2 x^2 + 1/2 x, B_1(x; 2,3,5) = (x - 5)/30
+        unit = bernoulli.lowest_terms(bernoulli.bernoulli_barnes(PartSet.of(1), 3))
+        assert unit[0] == [(1, 1)]
+        assert unit[3] == [(0, 1), (1, 2), (-3, 2), (1, 1)]
+        small = bernoulli.lowest_terms(bernoulli.bernoulli_barnes(PartSet.of(2, 3, 5), 1))
+        assert small[1] == [(-1, 6), (1, 30)]
+        code, out, _ = invoke(capsys, "bb", "--parts", "1", "--max-index", "3")
+        assert code == 0
+        assert out.splitlines()[0] == "B_0 = [1]"
+        assert out.splitlines()[3] == "B_3 = [0, 1/2, -3/2, 1]"
+
+    def test_bb_coefficient_past_the_digit_limit_refused(self, capsys, monkeypatch):
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(640)
         try:
-            for numerator, denominator in ((10 ** 700 + 1, 3), (1, 10 ** 700 + 1)):
-                with pytest.raises(ResourceLimitError, match="640 digits"):
-                    cli._ratio(numerator, denominator)
+            for beta, denominator in (((10 ** 700 + 1,), 3), ((1,), 10 ** 700 + 1)):
+                table = (bernoulli.BBPoly(beta, 0, denominator),)
+                monkeypatch.setattr(bernoulli, "bernoulli_barnes", lambda p, m: table)
+                code, out, err = invoke(capsys, "bb", "--parts", "2", "--max-index", "0")
+                assert code == 3
+                assert out == ""
+                assert "640 digits" in err
         finally:
             sys.set_int_max_str_digits(limit)
+
+    def test_bb_prints_without_forming_numerators(self, capsys):
+        # work gate: a bb table is one shared beta, and printing it forms no
+        # polynomial's numerators
+        bernoulli._bernoulli_barnes.cache_clear()
+        code, _, _ = invoke(capsys, "bb", "--parts", "2,3,5,7", "--max-index", "40")
+        assert code == 0
+        table = bernoulli.bernoulli_barnes(PartSet.of(2, 3, 5, 7), 40)
+        assert len(table[0].beta) == 41
+        assert all(type(b) is int for b in table[0].beta)
+        assert all(entry.beta is table[0].beta for entry in table)
+        assert all("numerators" not in vars(entry) for entry in table)
+        # a route's first read forms them once and keeps them
+        assert table[5].numerators is table[5].numerators
+        assert "numerators" in vars(table[5])
+
+    def test_bb_at_a_large_index(self, capsys):
+        # B_i(x; A) = sum_j C(i, j) beta_{i-j} x^j / P with beta the EGF of
+        # prod_a a s / (e^{a s} - 1); each factor's coefficients are
+        # B_n a^n / n! in the B_1 = -1/2 convention, so beta is built here
+        # from the Bernoulli table, which the package's polynomials never read
+        parts, m = (2, 3, 5, 7), 96
+        bern = list(bernoulli.bernoulli_numbers(m))
+        bern[1] = -bern[1]
+        beta = [F(1)] + [F(0)] * m
+        for a in parts:
+            beta = [
+                sum(comb(n, l) * beta[l] * bern[n - l] * a ** (n - l) for l in range(n + 1))
+                for n in range(m + 1)
+            ]
+        expected = [
+            f"B_{i} = [{', '.join(str(comb(i, j) * beta[i - j] / 210) for j in range(i + 1))}]"
+            for i in range(m + 1)
+        ]
+        code, out, _ = invoke(capsys, "bb", "--parts", "2,3,5,7", "--max-index", str(m))
+        assert code == 0
+        assert out.splitlines() == expected
 
     def test_bernoulli_text(self, capsys):
         code, out, _ = invoke(capsys, "bernoulli", "--max-index", "4")
