@@ -522,6 +522,30 @@ class TestVerify:
             )
         assert len(per_trial) == 500 and max(per_trial) == 1
 
+    def test_sweep_work_bounded(self, monkeypatch):
+        """Work gate: the oracle cache keeps a sweep's tables across trials.
+
+        These ten sweeps build 245 tables filling 1,630,479 entries.  Tables
+        keyed by the whole set and bounded at 64 sets built 473 (1,823,467).
+        """
+        work = [0, 0]
+        dp_counts = oracle._dp_counts
+
+        def counting_dp(parts, upper):
+            table = dp_counts(parts, upper)
+            work[0] += 1
+            work[1] += len(table)
+            return table
+
+        monkeypatch.setattr(oracle, "_dp_counts", counting_dp)
+        monkeypatch.setattr(oracle, "_TABLES", {})
+        for seed in range(10):
+            run_verify(
+                trials=50, seed=seed, k_min=2, k_max=5, max_part=13, max_product=20000
+            )
+        builds, entries = work
+        assert builds <= 260 and entries <= 1_700_000
+
     def test_k_range_validated(self):
         with pytest.raises(DomainError):
             run_verify(trials=1, seed=0, k_min=3, k_max=2, max_part=13, max_product=10)

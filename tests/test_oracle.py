@@ -1,5 +1,9 @@
 """The dynamic-programming oracle against independent enumeration."""
 
+import sys
+from array import array
+from unittest import mock
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -64,7 +68,7 @@ def test_matches_brute_force(parts, ns):
     The explicit examples go down from 40 on a 41-entry table, then up: 41
     grows it to 82 entries, 84 to 164 and 170 to 328.
     """
-    oracle._TABLES.pop(parts.parts, None)
+    oracle._TABLES.pop(parts.parts[:-1], None)
     for n in ns:
         count = oracle_count(parts, n)
         assert count == oracle_table(parts, n)[n]
@@ -148,8 +152,8 @@ def test_count_tabulates_all_parts_but_the_largest(monkeypatch, values):
     # the full table is built directly, over all parts, and is not cached
     assert oracle_table(parts, 30)[30] == brute_force_count(values, 30)
     assert built[1:] == [(parts.parts, 31)]
-    assert list(oracle._TABLES) == [parts.parts]
-    assert len(oracle._TABLES[parts.parts]) == 91
+    assert list(oracle._TABLES) == [parts.parts[:-1]]
+    assert len(oracle._TABLES[parts.parts[:-1]]) == 91
 
 
 def test_oversized_tables_refused_before_allocating(monkeypatch):
@@ -159,7 +163,7 @@ def test_oversized_tables_refused_before_allocating(monkeypatch):
     assert oracle_count(parts, 60) == brute_force_count(parts.parts, 60)
     # doubling would ask for 122 entries; growth stops at the cap instead
     assert oracle_count(parts, 70) == brute_force_count(parts.parts, 70)
-    assert len(oracle._TABLES[parts.parts]) == 100
+    assert len(oracle._TABLES[parts.parts[:-1]]) == 100
     assert oracle_count(parts, 99) == brute_force_count(parts.parts, 99)
     with pytest.raises(ResourceLimitError, match="cap of 100"):
         oracle_count(parts, 100)
@@ -170,19 +174,26 @@ def test_oversized_tables_refused_before_allocating(monkeypatch):
     assert issubclass(ResourceLimitError, DomainError)
 
 
-def test_cache_bounded_in_entries(monkeypatch):
-    """The held tables never pass the single-table cap in total entries."""
+def test_cache_bounded_in_bytes(monkeypatch):
+    """Past the byte budget the oldest tables go, never the one just used."""
     monkeypatch.setattr(oracle, "_MAX_TABLE_ENTRIES", 100)
+    monkeypatch.setattr(oracle, "_MAX_HELD_BYTES", 600)
     monkeypatch.setattr(oracle, "_TABLES", {})
     lookups = [
         (values, n)
         for values in [(2, 3), (3, 5, 7), (4, 9), (1, 5, 6), (2, 3, 5), (7, 11)]
         for n in (20, 45, 99, 60)
     ]
+    held_counts = set()
     for values, n in lookups + lookups[::-1]:
         assert oracle_count(PartSet(values), n) == brute_force_count(values, n)
-        assert sum(map(len, oracle._TABLES.values())) <= 100
-        assert values in oracle._TABLES  # the table just used is kept
+        tables = list(oracle._TABLES.values())
+        assert all(isinstance(table, array) and table.itemsize == 4 for table in tables)
+        held = sum(4 * len(table) for table in tables)
+        assert held <= 600 or len(tables) == 1
+        assert list(oracle._TABLES)[-1] == values[:-1]  # the table just used is kept
+        held_counts.add(len(tables))
+    assert max(held_counts) > 1 and min(held_counts) < 6  # some kept, some dropped
 
 
 def test_refused_growth_keeps_the_held_table(monkeypatch):
@@ -204,5 +215,78 @@ def test_refused_growth_keeps_the_held_table(monkeypatch):
     assert oracle_count(parts, 50) == brute_force_count(parts.parts, 50)
     assert builds == []
     assert {key: len(table) for key, table in oracle._TABLES.items()} == {
-        parts.parts: 61
+        parts.parts[:-1]: 61
     }
+
+
+def test_sets_that_differ_only_in_the_largest_part_share_one_table(monkeypatch):
+    built = []
+    real = oracle._dp_counts
+
+    def spy(parts, upper):
+        built.append(tuple(parts))
+        return real(parts, upper)
+
+    monkeypatch.setattr(oracle, "_dp_counts", spy)
+    monkeypatch.setattr(oracle, "_TABLES", {})
+    for values in [(2, 3, 5), (2, 3, 7)]:
+        assert oracle_count(PartSet(values), 90) == brute_force_count(values, 90)
+    assert built == [(2, 3)]
+    assert list(oracle._TABLES) == [(2, 3)]
+
+
+@settings(max_examples=60)
+@given(
+    st.lists(st.integers(min_value=1, max_value=6), max_size=3, unique=True),
+    st.lists(
+        st.tuples(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=70)),
+        min_size=1,
+        max_size=12,
+    ),
+)
+def test_shared_tables_exact_under_a_small_byte_budget(shared, lookups):
+    """Interleaved sets that share all parts but their largest, and one-part
+    sets (all of which share the table over no parts), under a budget of a few
+    tables' bytes, so tables are dropped, grown and rebuilt in between."""
+    shared = sorted(shared)
+    top = shared[-1] if shared else 0
+    with mock.patch.object(oracle, "_MAX_HELD_BYTES", 300), mock.patch.object(
+        oracle, "_TABLES", {}
+    ):
+        for step, n in lookups:
+            for values in [(*shared, top + step), (step,)]:
+                count = oracle_count(PartSet(values), n)
+                assert type(count) is int
+                assert count == brute_force_count(values, n)
+
+
+@pytest.mark.parametrize(
+    "values, n, typecode, low, high",
+    [
+        ((2, 3, 5, 7), 1000, "i", 0, 2 ** 31),
+        ((1, 2, 3, 4, 5, 6), 2000, "q", 2 ** 31, 2 ** 63),
+        (tuple(range(1, 10)), 10 ** 4, None, 2 ** 63, None),
+    ],
+)
+def test_table_stored_in_the_narrowest_width(monkeypatch, values, n, typecode, low, high):
+    """Each width holds the same counts as the full tuple table."""
+    monkeypatch.setattr(oracle, "_TABLES", {})
+    parts = PartSet(values)
+    count = oracle_count(parts, n)
+    (table,) = oracle._TABLES.values()
+    if typecode is None:
+        assert type(table) is tuple
+    else:
+        assert isinstance(table, array) and table.typecode == typecode
+    assert low <= max(table) and (high is None or max(table) < high)
+    assert tuple(table) == oracle_table(PartSet(parts.parts[:-1]), len(table) - 1)
+    if typecode is None:
+        real = sys.getsizeof(table) + sum(map(sys.getsizeof, table))
+    else:
+        real = table.itemsize * len(table)
+    assert real <= oracle._nbytes(table) <= 1.1 * real
+    full = oracle_table(parts, n)
+    assert type(count) is int and count == full[n]
+    for m in range(0, n, n // 50):
+        count = oracle_count(parts, m)
+        assert type(count) is int and count == full[m]
