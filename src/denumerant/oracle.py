@@ -12,8 +12,11 @@ table over the other parts, and the count is the stride sum
     p_A(n) = sum over j >= 0 of p_{A without a_max}(n - j * a_max),
 
 so a k-part count costs k - 2 prefix-sum passes and one sum of n / a_max
-entries.  oracle_table builds the full table as an uncached tuple.  A table
-longer than _MAX_TABLE_ENTRIES is refused before it is allocated.
+entries, and a one-part count is [a | n] and reads no table.  A cached table
+too short for n is extended in place: each pass resumes its prefix sums from
+the table's last entries.  oracle_table builds the full table as an uncached
+tuple.  A table longer than _MAX_TABLE_ENTRIES is refused before it is
+allocated.
 """
 
 from __future__ import annotations
@@ -31,31 +34,43 @@ from .partset import PartSet
 _MAX_TABLE_ENTRIES = 50_000_000
 
 
-def _dp_counts(parts: Sequence[int], upper: int) -> List[int]:
+def _dp_counts(parts: Sequence[int], upper: int, held: Sequence[int] = ()) -> List[int]:
+    """Entries len(held)..upper of the table over parts, resuming from held.
+
+    The pass for part a resumes from its last a entries below len(held).  They
+    come from held's last sum(parts[1:]) entries by differencing: the table
+    without a is the table with a minus itself shifted by a, 0 below n = 0.
+    """
     if upper + 1 > _MAX_TABLE_ENTRIES:
         raise ResourceLimitError(
             f"a count table for n = {upper} needs {upper + 1} entries, over the"
             f" cap of {_MAX_TABLE_ENTRIES}; for pairwise-coprime parts, the waves,"
             " theorem1, section3 and closed-form routes need no count table"
         )
-    counts = [0] * (upper + 1)
-    if not parts:
-        counts[0] = 1
-        return counts
-    first = parts[0]
-    counts[::first] = [1] * (upper // first + 1)
-    for a in parts[1:]:
-        if a <= upper:
-            for start in range(a):
-                counts[start::a] = accumulate(counts[start::a])
-    return counts
+    low, span, first = len(held), sum(parts[1:]), parts[0]
+    window = [0] * max(span - low, 0) + list(held[max(low - span, 0) :])
+    tails = []
+    for a in reversed(parts[1:]):
+        tails.append(window[len(window) - a :])
+        window = [x - y for x, y in zip(window[a:], window)]
+    # counts[pad:] are entries low..upper; the pass for a reads its tail below
+    pad, size = max(parts[1:], default=0), upper + 1 - low
+    counts = [0] * (pad + size)
+    ones = range(pad + (-low) % first, pad + size, first)
+    counts[ones.start :: first] = [1] * len(ones)
+    for a, tail in zip(parts[1:], reversed(tails)):
+        counts[pad - a : pad] = tail
+        for start in range(pad - a, pad - a + min(a, size)):
+            counts[start::a] = accumulate(counts[start::a])
+    return counts[pad:]
 
 
 # Tables keyed by the parts they cover (all of a set but its largest), so
 # (2,3,5,7) and (2,3,5,11) share one: each the narrowest array that holds its
 # largest count, or a tuple past 2^63.  Past _MAX_HELD_BYTES the oldest go, but
-# never the one just used.  The 75 seed-0 verify-sweep ops then build 797 tables
-# (7.1M entries), holding at most 10.5 MB; a 64-set bound built 3,367 (13.9M).
+# never the one just used.  Extending by a quarter, the 75 seed-0 verify-sweep
+# ops make 691 kernel calls filling 3.1M entries; rebuilding from n = 0 at twice
+# the length built 797 tables (7.1M entries).
 _TABLES: Dict[Tuple[int, ...], Sequence[int]] = {}
 _MAX_HELD_BYTES = 10 << 20
 
@@ -69,12 +84,19 @@ def _nbytes(table: Sequence[int]) -> int:
 
 def _counts_up_to(parts: PartSet, upper: int) -> Sequence[int]:
     key = parts.parts[:-1]
-    table = _TABLES.get(key, ())
+    table = _TABLES.get(key, array("i"))
     if len(table) <= upper:
-        # Grown geometrically; a refused build leaves the held table cached.
-        counts = _dp_counts(key, max(upper, min(2 * len(table), _MAX_TABLE_ENTRIES) - 1))
-        top = max(counts[-key[0]:]) if key else 1  # p(n) <= p(n + a) for a in key
-        table = tuple(counts) if top >> 63 else array("q" if top >> 31 else "i", counts)
+        # Extended by at least a quarter; a refused growth keeps the held table.
+        grown = min(len(table) * 5 // 4, _MAX_TABLE_ENTRIES) - 1
+        new = _dp_counts(key, max(upper, grown), table)
+        # p(n) <= p(n + a) for a in key, so the largest count is among the last
+        top = max(new[-key[0] :])
+        if type(table) is tuple or top >> 63:
+            table = (*table, *new)
+        else:
+            if top >> 31 and table.typecode == "i":
+                table = array("q", table)
+            table.fromlist(new)
         _TABLES.pop(key, None)
         held = _nbytes(table) + sum(map(_nbytes, _TABLES.values()))
         while _TABLES and held > _MAX_HELD_BYTES:
@@ -95,4 +117,6 @@ def oracle_count(parts: PartSet, n: int) -> int:
     if n < 0:
         raise DomainError("counts are defined for nonnegative n only")
     largest = parts.parts[-1]
+    if parts.k == 1:
+        return int(n % largest == 0)
     return sum(_counts_up_to(parts, n)[n % largest : n + 1 : largest])

@@ -63,10 +63,12 @@ def test_table_shape():
 @example(PartSet.of(7), [40, 21, 14, 3, 0, 41, 84, 120, 170])
 @example(PartSet.of(1, 4, 6), [40, 21, 14, 3, 0, 41, 84, 120, 170])
 def test_matches_brute_force(parts, ns):
-    """Lookups in any order agree, also across the cache's doubling growth.
+    """Lookups in any order agree, also as the cache extends its tables.
 
     The explicit examples go down from 40 on a 41-entry table, then up: 41
-    grows it to 82 entries, 84 to 164 and 170 to 328.
+    extends it by a quarter, to 51 entries, and 84, 120 and 170, each more
+    than a quarter past the table's end, extend it to n + 1 entries.  A
+    one-part set reads no table.
     """
     oracle._TABLES.pop(parts.parts[:-1], None)
     for n in ns:
@@ -131,38 +133,59 @@ def test_interleaved_queries_stay_consistent():
 
 @pytest.mark.parametrize("values", [(7,), (4, 9), (1, 5, 6), (3, 5, 7, 11)])
 def test_count_tabulates_all_parts_but_the_largest(monkeypatch, values):
-    """Work gate: one DP build per fresh set, over every part except a_max."""
+    """Work gate: one DP build per fresh set, over every part except a_max.
+
+    A one-part count is [a | n] and builds no table.
+    """
     built = []
     real = oracle._dp_counts
 
-    def spy(parts, upper):
-        table = real(parts, upper)
-        built.append((tuple(parts), len(table)))
+    def spy(parts, upper, held=()):
+        table = real(parts, upper, held)
+        built.append((tuple(parts), len(held), len(table)))
         return table
 
     monkeypatch.setattr(oracle, "_dp_counts", spy)
     monkeypatch.setattr(oracle, "_TABLES", {})
     parts = PartSet(values)
+    key = parts.parts[:-1]
+    fresh = [(key, 0, 91)] if key else []
     assert oracle_count(parts, 90) == brute_force_count(values, 90)
-    assert built == [(parts.parts[:-1], 91)]
+    assert built == fresh
     for m in (90, 89, 45, 1, 0):
         assert oracle_count(parts, m) == brute_force_count(values, m)
-    assert len(built) == 1
+    assert built == fresh
 
     # the full table is built directly, over all parts, and is not cached
     assert oracle_table(parts, 30)[30] == brute_force_count(values, 30)
-    assert built[1:] == [(parts.parts, 31)]
-    assert list(oracle._TABLES) == [parts.parts[:-1]]
-    assert len(oracle._TABLES[parts.parts[:-1]]) == 91
+    assert built[len(fresh) :] == [(parts.parts, 0, 31)]
+    assert {key: len(table) for key, table in oracle._TABLES.items()} == (
+        {key: 91} if key else {}
+    )
+
+
+def test_one_part_counts_read_no_table(monkeypatch):
+    """[a | n] at any n, past the table cap too, with no kernel call."""
+
+    def refuse(*args):
+        raise AssertionError("a one-part count called the DP kernel")
+
+    monkeypatch.setattr(oracle, "_dp_counts", refuse)
+    monkeypatch.setattr(oracle, "_TABLES", {})
+    assert oracle_count(PartSet.of(7), 10 ** 7 - 3) == 1
+    assert oracle_count(PartSet.of(7), 10 ** 7 - 2) == 0
+    assert oracle_count(PartSet.of(1), 10 ** 30) == 1
+    assert type(oracle_count(PartSet.of(7), 10 ** 30)) is int
+    assert oracle._TABLES == {}
 
 
 def test_oversized_tables_refused_before_allocating(monkeypatch):
     monkeypatch.setattr(oracle, "_MAX_TABLE_ENTRIES", 100)
     monkeypatch.setattr(oracle, "_TABLES", {})
     parts = PartSet.of(2, 3, 5)
-    assert oracle_count(parts, 60) == brute_force_count(parts.parts, 60)
-    # doubling would ask for 122 entries; growth stops at the cap instead
-    assert oracle_count(parts, 70) == brute_force_count(parts.parts, 70)
+    assert oracle_count(parts, 80) == brute_force_count(parts.parts, 80)
+    # a quarter more would ask for 101 entries; growth stops at the cap instead
+    assert oracle_count(parts, 82) == brute_force_count(parts.parts, 82)
     assert len(oracle._TABLES[parts.parts[:-1]]) == 100
     assert oracle_count(parts, 99) == brute_force_count(parts.parts, 99)
     with pytest.raises(ResourceLimitError, match="cap of 100"):
@@ -171,6 +194,8 @@ def test_oversized_tables_refused_before_allocating(monkeypatch):
         oracle_table(parts, 100)
     with pytest.raises(ResourceLimitError):
         oracle._dp_counts((2, 3), 100)
+    with pytest.raises(ResourceLimitError):
+        oracle._dp_counts((2, 3), 100, oracle._TABLES[(2, 3)])
     assert issubclass(ResourceLimitError, DomainError)
 
 
@@ -207,9 +232,9 @@ def test_refused_growth_keeps_the_held_table(monkeypatch):
     builds = []
     real_dp = oracle._dp_counts
 
-    def counting_dp(values, upper):
+    def counting_dp(values, upper, held=()):
         builds.append(upper)
-        return real_dp(values, upper)
+        return real_dp(values, upper, held)
 
     monkeypatch.setattr(oracle, "_dp_counts", counting_dp)
     assert oracle_count(parts, 50) == brute_force_count(parts.parts, 50)
@@ -219,13 +244,94 @@ def test_refused_growth_keeps_the_held_table(monkeypatch):
     }
 
 
+# Counts over 1..20 pass 2^31 at n = 133 and 2^63 at n = 631.
+WIDE = tuple(range(1, 22))
+
+
+@pytest.mark.parametrize(
+    "values, n, cap", [((2, 3, 5), 60, 100), (WIDE, 200, 700), (WIDE, 650, 700)]
+)
+def test_refused_extension_leaves_the_held_table_unchanged(monkeypatch, values, n, cap):
+    """In each width: the held object stays cached, same length, same counts."""
+    monkeypatch.setattr(oracle, "_MAX_TABLE_ENTRIES", cap)
+    monkeypatch.setattr(oracle, "_TABLES", {})
+    parts = PartSet(values)
+    oracle_count(parts, n)
+    (table,) = oracle._TABLES.values()
+    before = list(table)
+    with pytest.raises(ResourceLimitError, match=f"cap of {cap}"):
+        oracle_count(parts, cap)
+    assert oracle._TABLES == {values[:-1]: table}
+    assert oracle._TABLES[values[:-1]] is table
+    assert len(table) == n + 1 and list(table) == before
+
+
+@settings(max_examples=40)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from([(2, 3, 5), (1, 4, 6, 9), (3, 5, 7, 11, 13), WIDE]),
+            st.integers(min_value=0, max_value=700),
+        ),
+        min_size=1,
+        max_size=8,
+    )
+)
+@example([(WIDE, 100), (WIDE, 140), (WIDE, 200), (WIDE, 640), (WIDE, 700)])
+@example([((2, 3, 5), 700), (WIDE, 100), ((2, 3, 5), 10), (WIDE, 700), (WIDE, 5)])
+def test_extended_tables_equal_a_fresh_build(lookups):
+    """Any lookups extend a table to what oracle_table builds over the covered
+    parts, in the narrowest width: 'i', 'q', then a tuple past 2^63.  The
+    explicit examples widen 'i' to 'q' to a tuple, and 'i' to a tuple at once,
+    under a budget of a few tables' bytes, so tables are dropped in between."""
+    with mock.patch.object(oracle, "_MAX_HELD_BYTES", 300), mock.patch.object(
+        oracle, "_TABLES", {}
+    ):
+        for values, n in lookups:
+            parts, key = PartSet(values), values[:-1]
+            count = oracle_count(parts, n)
+            assert type(count) is int and count == oracle_table(parts, n)[n]
+            table = oracle._TABLES[key]
+            assert len(table) > n
+            assert tuple(table) == oracle_table(PartSet(key), len(table) - 1)
+            width = table.typecode if isinstance(table, array) else "tuple"
+            top = max(table)
+            assert width == ("tuple" if top >> 63 else "q" if top >> 31 else "i")
+
+
+def test_sweep_extends_one_table(monkeypatch):
+    """Work gate: n = 0..20,000 in turn build one table and extend it in place.
+
+    Growth by a quarter makes 44 kernel calls filling 20,218 entries.
+    Rebuilding at twice the length made 16 builds filling 65,535.
+    """
+    calls = []
+    real = oracle._dp_counts
+
+    def spy(parts, upper, held=()):
+        table = real(parts, upper, held)
+        calls.append((len(held), len(table)))
+        return table
+
+    monkeypatch.setattr(oracle, "_dp_counts", spy)
+    monkeypatch.setattr(oracle, "_TABLES", {})
+    parts = PartSet.of(2, 3, 5, 7)
+    full = oracle_table(parts, 20_000)
+    calls.clear()
+    for n in range(20_001):
+        assert oracle_count(parts, n) == full[n]
+    assert [held for held, _ in calls].count(0) == 1
+    assert 0 < len(calls) <= 50
+    assert sum(filled for _, filled in calls) <= 1.25 * 20_001
+
+
 def test_sets_that_differ_only_in_the_largest_part_share_one_table(monkeypatch):
     built = []
     real = oracle._dp_counts
 
-    def spy(parts, upper):
+    def spy(parts, upper, held=()):
         built.append(tuple(parts))
-        return real(parts, upper)
+        return real(parts, upper, held)
 
     monkeypatch.setattr(oracle, "_dp_counts", spy)
     monkeypatch.setattr(oracle, "_TABLES", {})
@@ -246,8 +352,8 @@ def test_sets_that_differ_only_in_the_largest_part_share_one_table(monkeypatch):
 )
 def test_shared_tables_exact_under_a_small_byte_budget(shared, lookups):
     """Interleaved sets that share all parts but their largest, and one-part
-    sets (all of which share the table over no parts), under a budget of a few
-    tables' bytes, so tables are dropped, grown and rebuilt in between."""
+    sets (which read no table), under a budget of a few tables' bytes, so
+    tables are dropped, extended and rebuilt in between."""
     shared = sorted(shared)
     top = shared[-1] if shared else 0
     with mock.patch.object(oracle, "_MAX_HELD_BYTES", 300), mock.patch.object(

@@ -92,9 +92,9 @@ def test_reductions_build_no_count_table(monkeypatch):
     builds = []
     original = oracle._dp_counts
 
-    def counting(parts, upper):
+    def counting(parts, upper, held=()):
         builds.append(upper)
-        return original(parts, upper)
+        return original(parts, upper, held)
 
     monkeypatch.setattr(oracle, "_dp_counts", counting)
     monkeypatch.setattr(oracle, "_TABLES", {})
