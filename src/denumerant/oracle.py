@@ -14,9 +14,11 @@ table over the other parts, and the count is the stride sum
 so a k-part count costs k - 2 prefix-sum passes and one sum of n / a_max
 entries, and a one-part count is [a | n] and reads no table.  A cached table
 too short for n is extended in place: each pass resumes its prefix sums from
-the table's last entries.  oracle_table builds the full table as an uncached
-tuple.  A table longer than _MAX_TABLE_ENTRIES is refused before it is
-allocated.
+the table's last entries.  Counts are never negative, so a cached table is
+an unsigned array of 4-byte items, of 8-byte items once a count passes
+2^32 - 1, or a tuple past 2^64 - 1; the cached tables are held to
+_MAX_HELD_BYTES.  oracle_table builds the full table as an uncached tuple.  A
+table longer than _MAX_TABLE_ENTRIES is refused before it is allocated.
 """
 
 from __future__ import annotations
@@ -66,13 +68,13 @@ def _dp_counts(parts: Sequence[int], upper: int, held: Sequence[int] = ()) -> Li
 
 
 # Tables keyed by the parts they cover (all of a set but its largest), so
-# (2,3,5,7) and (2,3,5,11) share one: each the narrowest array that holds its
-# largest count, or a tuple past 2^63.  Past _MAX_HELD_BYTES the oldest go, but
-# never the one just used.  Extending by a quarter, the 75 seed-0 verify-sweep
-# ops make 691 kernel calls filling 3.1M entries; rebuilding from n = 0 at twice
-# the length built 797 tables (7.1M entries).
+# (2,3,5,7) and (2,3,5,11) share one: each the narrowest unsigned array that
+# holds its largest count, or a tuple past 2^64 - 1.  Past _MAX_HELD_BYTES the
+# oldest go, but never the one just used.  16 MiB holds the tables the 75
+# seed-0 verify-sweep ops reuse (at most 12.5 MiB), so they make 571 kernel
+# calls filling 2.24M entries; under 10 MiB they made 691 filling 3.14M.
 _TABLES: Dict[Tuple[int, ...], Sequence[int]] = {}
-_MAX_HELD_BYTES = 10 << 20
+_MAX_HELD_BYTES = 16 << 20
 
 
 def _nbytes(table: Sequence[int]) -> int:
@@ -84,18 +86,18 @@ def _nbytes(table: Sequence[int]) -> int:
 
 def _counts_up_to(parts: PartSet, upper: int) -> Sequence[int]:
     key = parts.parts[:-1]
-    table = _TABLES.get(key, array("i"))
+    table = _TABLES.get(key, array("I"))
     if len(table) <= upper:
         # Extended by at least a quarter; a refused growth keeps the held table.
         grown = min(len(table) * 5 // 4, _MAX_TABLE_ENTRIES) - 1
         new = _dp_counts(key, max(upper, grown), table)
         # p(n) <= p(n + a) for a in key, so the largest count is among the last
         top = max(new[-key[0] :])
-        if type(table) is tuple or top >> 63:
+        if type(table) is tuple or top >> 64:
             table = (*table, *new)
         else:
-            if top >> 31 and table.typecode == "i":
-                table = array("q", table)
+            if top >> 8 * table.itemsize:  # past 2^32 - 1 in 'I'
+                table = array("Q", table)
             table.fromlist(new)
         _TABLES.pop(key, None)
         held = _nbytes(table) + sum(map(_nbytes, _TABLES.values()))

@@ -68,8 +68,10 @@ def _check_trial(
     n_inputs = (("trial", trial), ("n", n), ("q", q), ("r", r))
 
     # One table serves the trial: its first lookup reaches every later one,
-    # since r <= n and each boundary argument lies below the product.
-    oracle.oracle_count(parts, max(n, product - 1))
+    # since r <= n and each boundary argument lies below the product.  For
+    # n < P - 1 that is a lookup at P - 1 whose value no row reads.
+    if n < product - 1:
+        oracle.oracle_count(parts, product - 1)
     expected = oracle.oracle_count(parts, n)
     rows = [("theorem1", n_inputs, expected, reductions.theorem1_count(parts, n))]
     if k >= 2:

@@ -522,13 +522,9 @@ class TestVerify:
             )
         assert builds and len(per_trial) == 500 and max(per_trial) == 1
 
-    def test_sweep_work_bounded(self, monkeypatch):
-        """Work gate: the oracle cache keeps a sweep's tables across trials.
-
-        These ten sweeps make 257 kernel calls filling 1,092,632 entries, as
-        held tables are extended in place.  Rebuilding a short table from
-        n = 0 at twice its length made 245 builds filling 1,630,479 entries.
-        """
+    @staticmethod
+    def sweep_work(monkeypatch, seeds):
+        """Kernel calls and entries filled by 50-trial sweeps from cold caches."""
         work = [0, 0]
         dp_counts = oracle._dp_counts
 
@@ -540,12 +536,66 @@ class TestVerify:
 
         monkeypatch.setattr(oracle, "_dp_counts", counting_dp)
         monkeypatch.setattr(oracle, "_TABLES", {})
-        for seed in range(10):
+        for seed in seeds:
             run_verify(
                 trials=50, seed=seed, k_min=2, k_max=5, max_part=13, max_product=20000
             )
-        builds, entries = work
+        return work
+
+    def test_sweep_work_bounded(self, monkeypatch):
+        """Work gate: the oracle cache keeps a sweep's tables across trials.
+
+        These ten sweeps make 257 kernel calls filling 1,092,632 entries, as
+        held tables are extended in place; their tables fit in the byte budget
+        under 10 MiB and 16 MiB alike.  Rebuilding a short table from n = 0 at
+        twice its length made 245 builds filling 1,630,479 entries.
+        """
+        builds, entries = self.sweep_work(monkeypatch, range(10))
         assert 0 < builds <= 260 and entries <= 1_200_000
+
+    def test_working_set_held_across_a_long_sweep(self, monkeypatch):
+        """Work gate: 75 sweeps' tables stay held under the byte budget.
+
+        Held to 16 MiB they make 577 kernel calls filling 2,209,974 entries.
+        Under 10 MiB, short of their ~12.5 MiB working set, tables were dropped
+        and built again: 726 calls filling 3,351,075 entries.
+        """
+        builds, entries = self.sweep_work(monkeypatch, range(75))
+        assert 0 < builds <= 620 and entries <= 2_400_000
+
+    def test_no_trial_discards_an_oracle_value(self, monkeypatch):
+        """Every oracle lookup of a trial is read by one of its rows, but for
+        one lookup that sizes the table when n < P - 1.
+
+        The rows read p(n) (theorem1, section3), p(r) (closed-form), p(P - x)
+        (theorem2, closed-form-theorem2) and two values (theorem3).
+        """
+        reads = {"theorem1": 1, "closed-form": 1, "theorem2": 1, "theorem3": 2}
+        trials, lookups = [], []
+        oracle_count, check_trial = oracle.oracle_count, verify._check_trial
+
+        def counting_oracle(parts, n):
+            lookups.append(n)
+            return oracle_count(parts, n)
+
+        def counting_check(trial, parts, n, *rest):
+            before = len(lookups)
+            reports = check_trial(trial, parts, n, *rest)
+            read = sum(reads.get(report.check, 0) for report in reports)
+            trials.append((n >= parts.product - 1, len(lookups) - before, read))
+            return reports
+
+        monkeypatch.setattr(oracle, "oracle_count", counting_oracle)
+        monkeypatch.setattr(verify, "_check_trial", counting_check)
+        for seed in range(5):
+            run_verify(
+                trials=50, seed=seed, k_min=1, k_max=6, max_part=13, max_product=20000
+            )
+        sized = [(calls, read) for past, calls, read in trials if past]
+        short = [(calls, read) for past, calls, read in trials if not past]
+        assert sized and short and len(sized) + len(short) == 250
+        assert all(calls == read for calls, read in sized)
+        assert all(calls == read + 1 for calls, read in short)
 
     def test_k_range_validated(self):
         with pytest.raises(DomainError):

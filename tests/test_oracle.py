@@ -244,20 +244,24 @@ def test_refused_growth_keeps_the_held_table(monkeypatch):
     }
 
 
-# Counts over 1..20 pass 2^31 at n = 133 and 2^63 at n = 631.
+# Counts over 1..20 pass 2^32 at n = 141 and 2^64 at n = 658.
 WIDE = tuple(range(1, 22))
 
 
 @pytest.mark.parametrize(
-    "values, n, cap", [((2, 3, 5), 60, 100), (WIDE, 200, 700), (WIDE, 650, 700)]
+    "values, n, cap, width",
+    [((2, 3, 5), 60, 100, "I"), (WIDE, 200, 700, "Q"), (WIDE, 680, 700, "tuple")],
 )
-def test_refused_extension_leaves_the_held_table_unchanged(monkeypatch, values, n, cap):
+def test_refused_extension_leaves_the_held_table_unchanged(
+    monkeypatch, values, n, cap, width
+):
     """In each width: the held object stays cached, same length, same counts."""
     monkeypatch.setattr(oracle, "_MAX_TABLE_ENTRIES", cap)
     monkeypatch.setattr(oracle, "_TABLES", {})
     parts = PartSet(values)
     oracle_count(parts, n)
     (table,) = oracle._TABLES.values()
+    assert (table.typecode if isinstance(table, array) else "tuple") == width
     before = list(table)
     with pytest.raises(ResourceLimitError, match=f"cap of {cap}"):
         oracle_count(parts, cap)
@@ -281,9 +285,10 @@ def test_refused_extension_leaves_the_held_table_unchanged(monkeypatch, values, 
 @example([((2, 3, 5), 700), (WIDE, 100), ((2, 3, 5), 10), (WIDE, 700), (WIDE, 5)])
 def test_extended_tables_equal_a_fresh_build(lookups):
     """Any lookups extend a table to what oracle_table builds over the covered
-    parts, in the narrowest width: 'i', 'q', then a tuple past 2^63.  The
-    explicit examples widen 'i' to 'q' to a tuple, and 'i' to a tuple at once,
-    under a budget of a few tables' bytes, so tables are dropped in between."""
+    parts, in the narrowest unsigned width: 'I', 'Q' past 2^32 - 1, then a
+    tuple past 2^64 - 1.  The explicit examples widen 'I' to 'Q' to a tuple,
+    and 'I' to a tuple at once, under a budget of a few tables' bytes, so
+    tables are dropped in between."""
     with mock.patch.object(oracle, "_MAX_HELD_BYTES", 300), mock.patch.object(
         oracle, "_TABLES", {}
     ):
@@ -296,7 +301,7 @@ def test_extended_tables_equal_a_fresh_build(lookups):
             assert tuple(table) == oracle_table(PartSet(key), len(table) - 1)
             width = table.typecode if isinstance(table, array) else "tuple"
             top = max(table)
-            assert width == ("tuple" if top >> 63 else "q" if top >> 31 else "i")
+            assert width == ("tuple" if top >> 64 else "Q" if top >> 32 else "I")
 
 
 def test_sweep_extends_one_table(monkeypatch):
@@ -369,9 +374,9 @@ def test_shared_tables_exact_under_a_small_byte_budget(shared, lookups):
 @pytest.mark.parametrize(
     "values, n, typecode, low, high",
     [
-        ((2, 3, 5, 7), 1000, "i", 0, 2 ** 31),
-        ((1, 2, 3, 4, 5, 6), 2000, "q", 2 ** 31, 2 ** 63),
-        (tuple(range(1, 10)), 10 ** 4, None, 2 ** 63, None),
+        ((2, 3, 5, 7), 1000, "I", 0, 2 ** 32),
+        ((1, 2, 3, 4, 5, 6), 2000, "Q", 2 ** 32, 2 ** 64),
+        (tuple(range(1, 10)), 10 ** 4, None, 2 ** 64, None),
     ],
 )
 def test_table_stored_in_the_narrowest_width(monkeypatch, values, n, typecode, low, high):
@@ -396,3 +401,34 @@ def test_table_stored_in_the_narrowest_width(monkeypatch, values, n, typecode, l
     for m in range(0, n, n // 50):
         count = oracle_count(parts, m)
         assert type(count) is int and count == full[m]
+
+
+@pytest.mark.parametrize(
+    "top, typecode, itemsize",
+    [
+        (2 ** 32 - 1, "I", 4),
+        (2 ** 32, "Q", 8),
+        (2 ** 64 - 1, "Q", 8),
+        (2 ** 64, None, None),
+    ],
+)
+def test_width_boundaries(monkeypatch, top, typecode, itemsize):
+    """A table is widened only once a count no longer fits its unsigned items.
+
+    The kernel is stubbed to return top everywhere, so each limit is met
+    exactly: fresh, and when a held 'I' table is extended.
+    """
+
+    def kernel(parts, upper, held=()):
+        return [top] * (upper + 1 - len(held))
+
+    monkeypatch.setattr(oracle, "_dp_counts", kernel)
+    for held in ([], [5, 7]):
+        monkeypatch.setattr(oracle, "_TABLES", {(1,): array("I", held)} if held else {})
+        oracle_count(PartSet.of(1, 2), 3)
+        table = oracle._TABLES[(1,)]
+        assert list(table) == held + [top] * (4 - len(held))
+        if typecode is None:
+            assert type(table) is tuple
+        else:
+            assert table.typecode == typecode and table.itemsize == itemsize

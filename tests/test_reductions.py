@@ -1,5 +1,7 @@
 """The reduction identities against the oracle and against each other."""
 
+import importlib
+import pkgutil
 import random
 from fractions import Fraction
 
@@ -7,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from denumerant import bernoulli, oracle, reductions
+import denumerant
+from denumerant import bernoulli, oracle, reductions, waves
 from denumerant.errors import (
     CoprimalityError,
     RangeError,
@@ -348,35 +351,107 @@ def test_report_holds_semantics():
     ).holds
 
 
-# Each route's values, by the names the routes reach them through.  theorem1
-# reads the Bernoulli-Barnes polynomials, section3 the Bernoulli number table.
-BB_SOURCES = (("reductions", "bernoulli_barnes"), ("bernoulli", "_unit_coefficients"))
-TABLE_SOURCES = (("bernoulli", "bernoulli_numbers"), ("reductions", "log_coefficients"))
+# The package functions each route may call, as module.name.  Everything else
+# in the package raises while a route runs, oracle._dp_counts and
+# oracle.oracle_count included: theorem1 reads the Bernoulli-Barnes
+# polynomials, section3 the Bernoulli number table, the closed forms neither,
+# and all three take p(r) from the waves, which read no other route.
+WAVES = {"waves.waves_count", "waves._setup_for", "waves._setup", "waves._wave"}
+REDUCED = WAVES | {"reductions.decompose", "reductions._exact"}
+ALLOWED = {
+    "theorem1": REDUCED
+    | {
+        "reductions.theorem1_count",
+        "reductions.theorem1_correction",
+        "reductions._bb_sum",
+        "bernoulli.bernoulli_barnes",
+        "bernoulli._bernoulli_barnes",
+        "bernoulli._unit_coefficients",
+        "series.poly_eval",
+    },
+    "section3": REDUCED
+    | {
+        "reductions.section3_count",
+        "reductions._require_at_least_two_parts",
+        "reductions._log_weights",
+        "bernoulli.log_coefficients",
+        "bernoulli.bernoulli_numbers",
+        "bernoulli._grow",
+        "bernoulli._tangent_numbers",
+        "bernoulli.power_sum",
+        "series.series_exp",
+    },
+    "closed-form": REDUCED
+    | {
+        "reductions.closed_form_count",
+        "reductions.closed_form_correction",
+        "reductions._require_closed_form",
+        "reductions._closed_form",
+        "reductions._pair_product_sum",
+        "bernoulli.power_sum",
+    },
+    "waves": WAVES,
+}
+ROUTES = {
+    "theorem1": ("theorem1_count", "bernoulli._unit_coefficients"),
+    "section3": ("section3_count", "bernoulli._tangent_numbers"),
+    "closed-form": ("closed_form_count", "reductions._closed_form"),
+    "waves": ("waves_count", "waves._wave"),
+}
+
+
+def package_bindings():
+    """(module, attribute, module.name) for every package function, at every
+    module-level name it is bound to, imports by name included."""
+    modules = [denumerant] + [
+        importlib.import_module(f"denumerant.{info.name}")
+        for info in pkgutil.iter_modules(denumerant.__path__)
+        if info.name != "__main__"
+    ]
+    return [
+        (module, attr, f"{value.__module__.rsplit('.', 1)[-1]}.{value.__name__}")
+        for module in modules
+        for attr, value in vars(module).items()
+        if callable(value)
+        and not isinstance(value, type)
+        and getattr(value, "__module__", "").startswith("denumerant.")
+    ]
 
 
 @pytest.mark.parametrize("combo", [(2, 3, 5), (3, 4, 5, 7), (2, 3, 5, 7, 11)])
-@pytest.mark.parametrize(
-    "route, blocked",
-    [
-        (theorem1_count, TABLE_SOURCES),
-        (section3_count, BB_SOURCES),
-        (closed_form_count, BB_SOURCES + TABLE_SOURCES),
-        (waves_count, BB_SOURCES + TABLE_SOURCES),
-    ],
-)
-def test_routes_read_no_other_routes_source(monkeypatch, combo, route, blocked):
-    """Each route equals waves with the other routes' sources made to raise."""
-    parts = PartSet(combo)
-    n = 10 ** 30 + 12345
-    expected = waves_count(parts, n)
-    modules = {"reductions": reductions, "bernoulli": bernoulli, "oracle": oracle}
+@pytest.mark.parametrize("route", sorted(ROUTES))
+def test_routes_read_no_other_routes_source(monkeypatch, combo, route):
+    """On cold caches, each route counts at n = 10^30 with every package
+    function outside its allowed set made to raise, and reaches its own source."""
+    parts, n = PartSet(combo), 10 ** 30
+    name, source = ROUTES[route]
+    (expected,) = {getattr(reductions, other)(parts, n) for other, _ in ROUTES.values()}
+    bindings = package_bindings()
+    names = {key for _, _, key in bindings}
+    assert ALLOWED[route] <= names
 
-    def refuse(*args):
-        raise AssertionError("read another route's source")
+    monkeypatch.setattr(oracle, "_TABLES", {})
+    monkeypatch.setattr(waves, "_SETUPS", {})
+    monkeypatch.setattr(bernoulli, "_KNOWN", [F(1)])
+    monkeypatch.setattr(bernoulli, "_UNIT", [F(1)])
+    for module, attr, _ in bindings:
+        getattr(getattr(module, attr), "cache_clear", lambda: None)()
 
-    for module, name in blocked + (("oracle", "_dp_counts"),):
-        monkeypatch.setattr(modules[module], name, refuse)
-    assert route(parts, n) == expected
+    called = set()
+
+    def reached(key, fn):
+        def wrapper(*args, **kwargs):
+            called.add(key)
+            if key not in ALLOWED[route]:
+                raise AssertionError(f"{route} reached {key}")
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module, attr, key in bindings:
+        monkeypatch.setattr(module, attr, reached(key, getattr(module, attr)))
+    assert getattr(reductions, name)(parts, n) == expected
+    assert source in called and called <= ALLOWED[route]
 
 
 @pytest.mark.parametrize("combo", [(2, 3), (2, 3, 5), (3, 4, 5, 7), (2, 3, 5, 7, 11)])
