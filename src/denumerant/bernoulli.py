@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import comb, factorial, gcd, lcm
-from typing import List, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 from .errors import DomainError
 from .partset import PartSet
@@ -128,20 +128,19 @@ class BBPoly:
         return Fraction(poly_eval(self.numerators, x), self.denominator)
 
 
-def lowest_terms(table: Sequence[BBPoly]) -> List[List[Tuple[int, int]]]:
+def lowest_terms(table: Sequence[BBPoly]) -> Iterator[List[Tuple[int, int]]]:
     """Each polynomial's coefficients as (numerator, denominator) in lowest terms.
 
     The polynomials share beta and the denominator d, so each beta_l is
     reduced once, to b_l / s_l, and the coefficient C(i, j) b_{i-j} / s_{i-j}
     only needs the gcd of the binomial with s_{i-j}: b_l is already prime to
-    s_l.  No numerator is formed.
+    s_l.  No numerator is formed, and each row is formed as it is read.
     """
     d = table[0].denominator
     reduced = []
     for b in table[0].beta:
         g = gcd(b, d)
         reduced.append((b // g, d // g))
-    rows = []
     for entry in table:
         i, row = entry.index, []
         for j in range(i + 1):
@@ -149,8 +148,7 @@ def lowest_terms(table: Sequence[BBPoly]) -> List[List[Tuple[int, int]]]:
             c = comb(i, j)
             h = gcd(c, s)
             row.append((c // h * b, s // h))
-        rows.append(row)
-    return rows
+        yield row
 
 
 # c_0, c_1, ... with c_n = n! [s^n] s/(e^s - 1), the unit factor of every

@@ -26,13 +26,13 @@ from __future__ import annotations
 import sys
 from array import array
 from itertools import accumulate
-from typing import Dict, List, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 from .errors import DomainError, ResourceLimitError
 from .partset import PartSet
 
 # A build fills a list at ~36 bytes per entry and packs it into 4 to 8 more,
-# ~2.2 GB at the cap.  waves.py holds its wave entries to the same cap.
+# ~2.2 GB at the cap.  waves.py refuses a set whose walk steps pass it.
 _MAX_TABLE_ENTRIES = 50_000_000
 
 
@@ -69,12 +69,23 @@ def _dp_counts(parts: Sequence[int], upper: int, held: Sequence[int] = ()) -> Li
 
 # Tables keyed by the parts they cover (all of a set but its largest), so
 # (2,3,5,7) and (2,3,5,11) share one: each the narrowest unsigned array that
-# holds its largest count, or a tuple past 2^64 - 1.  Past _MAX_HELD_BYTES the
-# oldest go, but never the one just used.  16 MiB holds the tables the 75
-# seed-0 verify-sweep ops reuse (at most 12.5 MiB), so they make 571 kernel
-# calls filling 2.24M entries; under 10 MiB they made 691 filling 3.14M.
+# holds its largest count, or a tuple past 2^64 - 1.  16 MiB holds the tables
+# the 75 seed-0 verify-sweep ops reuse (at most 12.5 MiB), so they make 571
+# kernel calls filling 2.24M entries; under 10 MiB they made 691 filling 3.14M.
 _TABLES: Dict[Tuple[int, ...], Sequence[int]] = {}
 _MAX_HELD_BYTES = 16 << 20
+
+
+def _hold(cache: dict, key: tuple, value: Any, weigh: Callable[[Any], int]) -> Any:
+    """Store value as the newest entry of cache, then drop the oldest others while
+    the held weights, in bytes by weigh, pass _MAX_HELD_BYTES: only the entry just
+    stored may pass the budget alone.  A caller moves a hit to the end itself."""
+    cache.pop(key, None)
+    held = weigh(value) + sum(map(weigh, cache.values()))
+    while cache and held > _MAX_HELD_BYTES:
+        held -= weigh(cache.pop(next(iter(cache))))
+    cache[key] = value
+    return value
 
 
 def _nbytes(table: Sequence[int]) -> int:
@@ -99,11 +110,8 @@ def _counts_up_to(parts: PartSet, upper: int) -> Sequence[int]:
             if top >> 8 * table.itemsize:  # past 2^32 - 1 in 'I'
                 table = array("Q", table)
             table.fromlist(new)
-        _TABLES.pop(key, None)
-        held = _nbytes(table) + sum(map(_nbytes, _TABLES.values()))
-        while _TABLES and held > _MAX_HELD_BYTES:
-            held -= _nbytes(_TABLES.pop(next(iter(_TABLES))))
-    _TABLES[key] = _TABLES.pop(key, table)  # now the newest
+        return _hold(_TABLES, key, table, _nbytes)
+    _TABLES[key] = _TABLES.pop(key)  # now the newest
     return table
 
 

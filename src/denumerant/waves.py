@@ -26,25 +26,25 @@ cap is refused before anything is built.
 
 from __future__ import annotations
 
+import sys
 from itertools import accumulate
 from math import comb, factorial
+from operator import itemgetter
 from typing import Dict, Tuple
 
 from . import oracle
 from .errors import DomainError, InternalInconsistencyError, ResourceLimitError
 from .partset import PartSet
 
-# (D, Newton coefficients of D * Poly, (a_j, D / a_j^k, a_j^k * w_j) per part).
-# Each wave has its own denominator a_j^k; its multiplier is applied per query.
-_Setup = Tuple[int, Tuple[int, ...], Tuple[Tuple[int, int, Tuple[int, ...]], ...]]
+# (bytes held, D, Newton coefficients of D * Poly, (a_j, D / a_j^k, a_j^k * w_j) per
+# part).  Each wave has its own denominator a_j^k; its multiplier is applied per query.
+_Setup = Tuple[int, int, Tuple[int, ...], Tuple[Tuple[int, int, Tuple[int, ...]], ...]]
 
-# Recently used set-ups, keyed by the parts tuple and bounded both in part
-# sets and in wave entries (the sum of the parts over the cached sets).  512
-# holds every set a benchmark workload reuses: 150 verify-sweep ops do 423
-# set-ups for 15,000 lookups, count-huge-n 21 for 7,467; count-cold-product
-# uses each set once.
+# Recently used set-ups by parts tuple, held to the oracle's byte budget by
+# oracle._hold: the 75 seed-0 verify-sweep ops hold 422 in 0.55 MB, the 190
+# count-cold-product ops 190 in 0.84 MB and count-huge-n 21, so none is built
+# twice.  A set-up of the first 100 primes weighs 5.5 MB, so three fit.
 _SETUPS: Dict[Tuple[int, ...], _Setup] = {}
-_MAX_CACHED_SETS = 512
 
 
 def _wave(a: int, others: Tuple[int, ...]) -> Tuple[int, ...]:
@@ -77,21 +77,11 @@ def _setup(parts: PartSet) -> _Setup:
         sum((-1) ** m * comb(i, m) * values[m] for m in range(i + 1)) // factorial(i)
         for i in range(k)
     )
-    return common, newton, waves
-
-
-def _setup_for(parts: PartSet) -> _Setup:
-    key = parts.parts
-    held = _SETUPS.pop(key, None)
-    if held is None:
-        held = _setup(parts)
-        budget = oracle._MAX_TABLE_ENTRIES - parts.total
-        while _SETUPS and (
-            len(_SETUPS) >= _MAX_CACHED_SETS or sum(map(sum, _SETUPS)) > budget
-        ):
-            _SETUPS.pop(next(iter(_SETUPS)))
-    _SETUPS[key] = held
-    return held
+    # O(k), not O(S): a wave's entries are about as wide as its first.
+    weight = sum(map(sys.getsizeof, (common, *newton))) + sum(
+        sys.getsizeof(s) + sys.getsizeof(w) + len(w) * sys.getsizeof(w[0]) for _, s, w in waves
+    )
+    return weight, common, newton, waves
 
 
 def waves_count(parts: PartSet, n: int) -> int:
@@ -109,7 +99,10 @@ def waves_count(parts: PartSet, n: int) -> int:
             f"the waves of {parts.k} parts summing to {parts.total} need {steps}"
             f" walk steps, over the cap of {oracle._MAX_TABLE_ENTRIES}"
         )
-    common, newton, waves = _setup_for(parts)
+    setup = _SETUPS.pop(parts.parts, None)
+    if setup is None:
+        setup = oracle._hold(_SETUPS, parts.parts, _setup(parts), itemgetter(0))
+    _, common, newton, waves = _SETUPS[parts.parts] = setup  # now the newest
     acc = 0
     for i in reversed(range(len(newton))):
         acc = acc * (n + i) + newton[i]

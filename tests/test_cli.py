@@ -177,16 +177,16 @@ class TestOtherSubcommands:
     )
     def test_bb_coefficients_print_as_fractions(self, combo, m):
         table = bernoulli.bernoulli_barnes(PartSet(tuple(combo)), m)
-        assert bernoulli.lowest_terms(table) == [
+        assert list(bernoulli.lowest_terms(table)) == [
             [(f.numerator, f.denominator) for f in entry.coeffs] for entry in table
         ]
 
     def test_bb_coefficient_examples(self, capsys):
         # B_3(x; 1) = x^3 - 3/2 x^2 + 1/2 x, B_1(x; 2,3,5) = (x - 5)/30
-        unit = bernoulli.lowest_terms(bernoulli.bernoulli_barnes(PartSet.of(1), 3))
+        unit = list(bernoulli.lowest_terms(bernoulli.bernoulli_barnes(PartSet.of(1), 3)))
         assert unit[0] == [(1, 1)]
         assert unit[3] == [(0, 1), (1, 2), (-3, 2), (1, 1)]
-        small = bernoulli.lowest_terms(bernoulli.bernoulli_barnes(PartSet.of(2, 3, 5), 1))
+        small = list(bernoulli.lowest_terms(bernoulli.bernoulli_barnes(PartSet.of(2, 3, 5), 1)))
         assert small[1] == [(-1, 6), (1, 30)]
         code, out, _ = invoke(capsys, "bb", "--parts", "1", "--max-index", "3")
         assert code == 0
@@ -221,6 +221,21 @@ class TestOtherSubcommands:
         # a route's first read forms them once and keeps them
         assert table[5].numerators is table[5].numerators
         assert "numerators" in vars(table[5])
+
+    def test_bb_rows_formed_as_read(self, monkeypatch):
+        # work gate: the first row of the (2,3,5,7) table at index 40 takes one
+        # binomial, not the 861 of all 41 rows
+        table = bernoulli.bernoulli_barnes(PartSet.of(2, 3, 5, 7), 40)
+        calls, real_comb = [], bernoulli.comb
+
+        def counting(n, k):
+            calls.append((n, k))
+            return real_comb(n, k)
+
+        monkeypatch.setattr(bernoulli, "comb", counting)
+        rows = iter(bernoulli.lowest_terms(table))
+        assert next(rows) == [(1, 210)]  # B_0 = 1 / (2 * 3 * 5 * 7)
+        assert calls == [(0, 0)]
 
     def test_bb_at_a_large_index(self, capsys):
         # B_i(x; A) = sum_j C(i, j) beta_{i-j} x^j / P with beta the EGF of

@@ -2,16 +2,19 @@
 
 import sys
 from array import array
+from operator import itemgetter
 from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from denumerant import oracle
+from denumerant import oracle, waves
 from denumerant.errors import DomainError, ResourceLimitError
 from denumerant.oracle import oracle_count, oracle_table
 from denumerant.partset import PartSet
+from denumerant.verify import run_verify
+from denumerant.waves import waves_count
 
 from helpers import brute_force_count
 
@@ -242,6 +245,41 @@ def test_refused_growth_keeps_the_held_table(monkeypatch):
     assert {key: len(table) for key, table in oracle._TABLES.items()} == {
         parts.parts[:-1]: 61
     }
+
+
+def test_held_bytes_stay_under_the_budget(monkeypatch):
+    """Gate: after verify sweeps and wide waves, the oracle tables and the wave
+    set-ups each hold at most the budget, not counting their newest entry."""
+    budget = 1 << 16
+    monkeypatch.setattr(oracle, "_MAX_HELD_BYTES", budget)
+    monkeypatch.setattr(oracle, "_TABLES", {})
+    monkeypatch.setattr(waves, "_SETUPS", {})
+    used, setups, dp_counts, setup = set(), [], oracle._dp_counts, waves._setup
+
+    def counting_dp(parts, upper, held=()):
+        used.add(tuple(parts))
+        return dp_counts(parts, upper, held)
+
+    def counting_setup(parts):
+        setups.append(parts)
+        return setup(parts)
+
+    monkeypatch.setattr(oracle, "_dp_counts", counting_dp)
+    monkeypatch.setattr(waves, "_setup", counting_setup)
+
+    def held_but_newest(cache, weigh):
+        *rest, _ = cache.values()
+        return sum(map(weigh, rest))
+
+    primes = [p for p in range(2, 114) if all(p % d for d in range(2, p))]
+    for seed in range(10):
+        run_verify(trials=50, seed=seed, k_min=2, k_max=5, max_part=13, max_product=20000)
+        assert held_but_newest(oracle._TABLES, oracle._nbytes) <= budget
+    for values in (primes[:20], primes[5:25], primes[:30], primes[:24]):
+        waves_count(PartSet(tuple(values)), 10 ** 30)
+        assert held_but_newest(waves._SETUPS, itemgetter(0)) <= budget
+    # both caches dropped entries, so the bound was in force
+    assert len(oracle._TABLES) < len(used) and len(waves._SETUPS) < len(setups)
 
 
 # Counts over 1..20 pass 2^32 at n = 141 and 2^64 at n = 658.

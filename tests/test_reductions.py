@@ -356,7 +356,7 @@ def test_report_holds_semantics():
 # oracle.oracle_count included: theorem1 reads the Bernoulli-Barnes
 # polynomials, section3 the Bernoulli number table, the closed forms neither,
 # and all three take p(r) from the waves, which read no other route.
-WAVES = {"waves.waves_count", "waves._setup_for", "waves._setup", "waves._wave"}
+WAVES = {"waves.waves_count", "waves._setup", "waves._wave", "oracle._hold"}
 REDUCED = WAVES | {"reductions.decompose", "reductions._exact"}
 ALLOWED = {
     "theorem1": REDUCED

@@ -1,5 +1,6 @@
 """Sylvester's waves against the oracle, the reductions and their limits."""
 
+import sys
 from math import gcd, prod
 
 import pytest
@@ -132,7 +133,7 @@ def test_held_waves_sized_by_the_parts(monkeypatch):
     monkeypatch.setattr(waves, "_SETUPS", {})
     parts = PartSet(FIRST_30_PRIMES)
     waves_count(parts, 10 ** 60)
-    _, _, held = waves._SETUPS[parts.parts]
+    _, _, _, held = waves._SETUPS[parts.parts]
     bits = sum(abs(v).bit_length() for _, scale, wave in held for v in (scale,) + wave)
     assert bits < 10 ** 6
 
@@ -155,22 +156,47 @@ def test_one_wave_per_part_and_none_when_warm(monkeypatch):
     assert calls == []
 
 
-def test_cache_bounded_in_sets_and_entries(monkeypatch):
+def test_cache_bounded_in_bytes(monkeypatch):
+    """Past the byte budget the oldest set-ups go, never the one just used."""
     monkeypatch.setattr(waves, "_SETUPS", {})
-    monkeypatch.setattr(waves, "_MAX_CACHED_SETS", 3)
-    for a in (3, 5, 7, 11, 13):
-        waves_count(PartSet.of(2, a), 100)
-    assert list(waves._SETUPS) == [(2, 7), (2, 11), (2, 13)]
-    monkeypatch.setattr(oracle, "_MAX_TABLE_ENTRIES", 40)
-    waves_count(PartSet.of(2, 17), 100)  # 19 + 15 fits the 40 entries, 19 + 15 + 13 not
-    assert list(waves._SETUPS) == [(2, 13), (2, 17)]
+    monkeypatch.setattr(oracle, "_MAX_HELD_BYTES", 3000)
+    # a pair weighs under 1,200 bytes, the first 12 primes alone over 10,000
+    pairs = [(2, a) for a in (3, 5, 7, 11, 13, 17, 19, 23)]
+    used, held_counts, hits = [], set(), 0
+    for values in pairs + [(2, 17), (2, 23), FIRST_30_PRIMES[:12], (3, 5, 7)] + pairs:
+        held = waves._SETUPS.get(values)
+        assert waves_count(PartSet(values), 100) == brute_force_count(values, 100)
+        if held is not None:  # a hit moves to newest and builds nothing
+            assert waves._SETUPS[values] is held
+            hits += 1
+        used = [key for key in used if key != values] + [values]
+        *rest, newest = waves._SETUPS
+        assert newest == values
+        assert sum(waves._SETUPS[key][0] for key in rest) <= 3000
+        assert list(waves._SETUPS) == used[-len(waves._SETUPS) :]  # oldest go first
+        held_counts.add(len(waves._SETUPS))
+    assert hits >= 2 and 1 in held_counts and max(held_counts) > 3
+
+
+@pytest.mark.parametrize(
+    "values",
+    [(2, 3), (1, 2, 3, 5, 7, 11), (3, 7, 11, 13, 16), FIRST_30_PRIMES[:20], FIRST_30_PRIMES],
+)
+def test_recorded_weight_is_the_held_bytes(values):
+    """A set-up weighs, within 5%, the sizes of the integers and tuples it holds."""
+    weight, common, newton, held = waves._setup(PartSet(values))
+    size = sum(map(sys.getsizeof, (common, *newton))) + sum(
+        sys.getsizeof(scale) + sys.getsizeof(wave) + sum(map(sys.getsizeof, wave))
+        for _, scale, wave in held
+    )
+    assert abs(weight - size) <= 0.05 * size
 
 
 def test_non_integer_count_is_an_internal_error(monkeypatch):
     parts = PartSet.of(3, 5)
     waves_count(parts, 0)
-    common, newton, tables = waves._SETUPS[parts.parts]
-    corrupted = (common, (newton[0] + 1,) + newton[1:], tables)
+    weight, common, newton, tables = waves._SETUPS[parts.parts]
+    corrupted = (weight, common, (newton[0] + 1,) + newton[1:], tables)
     monkeypatch.setitem(waves._SETUPS, parts.parts, corrupted)
     with pytest.raises(InternalInconsistencyError):
         waves_count(parts, 8)
