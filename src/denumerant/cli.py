@@ -29,9 +29,8 @@ import json
 import math
 import sys
 import time
-from fractions import Fraction
-from functools import cache
-from typing import Callable, Dict, Optional, Sequence, Tuple, Union
+from functools import cache, lru_cache
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import bernoulli, oracle, reductions, waves
 from .errors import DomainError, ResourceLimitError
@@ -138,14 +137,6 @@ def _too_many_digits() -> ResourceLimitError:
     )
 
 
-def _decimal(value: Union[int, Fraction]) -> str:
-    """str(value), refusing a value past Python's int-to-str digit limit."""
-    try:
-        return str(value)
-    except ValueError:
-        raise _too_many_digits() from None
-
-
 def _refuse_unprintable_bernoulli(max_index: int) -> None:
     """Refuse `bernoulli --max-index` before computing when B_m cannot be printed.
 
@@ -153,7 +144,7 @@ def _refuse_unprintable_bernoulli(max_index: int) -> None:
     which it nears fast (zeta(10) < 1.001); by von Staudt and Clausen the
     denominator of B_m is the product of the primes p with (p - 1) | m, and
     the numerator digits follow.  Only an estimate more than one digit over
-    the limit is refused here; `_decimal` checks the rest after computing.
+    the limit is refused here; `_fits` checks the rest after computing.
     """
     limit = sys.get_int_max_str_digits()
     # B_m vanishes for odd m >= 3.  Past 10^9, B_m has more digits than any
@@ -171,11 +162,42 @@ def _refuse_unprintable_bernoulli(max_index: int) -> None:
         raise _too_many_digits()
 
 
+@lru_cache(maxsize=1)
+def _power_of_ten(exponent: int) -> int:
+    return 10 ** exponent
+
+
+def _fits(values: Iterable[int]) -> bool:
+    """Whether str() takes each of the ints under Python's int-to-str digit limit."""
+    limit = sys.get_int_max_str_digits()
+    bound = _power_of_ten(limit)
+    return not limit or all(abs(v) < bound for v in values)
+
+
+def _bb_fits(table: Sequence[bernoulli.BBPoly], reduced: List[Tuple[int, int]]) -> bool:
+    """Whether `bb` can print every coefficient of the table.
+
+    The coefficient of x^j in B_i is C(i, j) b_l / s_l in lowest terms, with
+    b_l / s_l the reduced beta_l (``reduced``, see ``bernoulli.lowest_terms``),
+    so its numerator is at most C(m, m // 2) max |b_l| and its denominator at
+    most max s_l.  Only when those bounds do not fit are the coefficients
+    checked one by one, in ints, keeping none.
+    """
+    m = table[-1].index
+    top = math.comb(m, m // 2) * max(abs(b) for b, _ in reduced)
+    return _fits((top, max(s for _, s in reduced))) or _fits(
+        v for row in bernoulli.lowest_terms(table, reduced) for pair in row for v in pair
+    )
+
+
 def _dispatch(args: argparse.Namespace) -> int:
     """Run one subcommand, then print its text lines or its JSON payload.
 
-    The payload is built under --output json only: str() of a huge --n
-    costs more than the count.
+    `bb` and `bernoulli` print each row as soon as it is formatted, so their
+    memory does not grow with the output.  Before the first row they settle
+    that every value fits the int-to-str digit limit: a refused run prints
+    nothing.  str() of a huge --n runs under --output json only: it costs
+    more than the count.
     """
     code, parts = 0, None
     if args.subcommand == "verify":
@@ -190,16 +212,22 @@ def _dispatch(args: argparse.Namespace) -> int:
     elif args.subcommand == "bernoulli":
         _refuse_unprintable_bernoulli(args.max_index)
         given = args.max_index
-        value = [_decimal(v) for v in bernoulli.bernoulli_numbers(given)]
-        lines = [f"B_{i} = {v}" for i, v in enumerate(value)]
+        numbers = bernoulli.bernoulli_numbers(given)
+        if not _fits(v for b in numbers for v in (b.numerator, b.denominator)):
+            raise _too_many_digits()
+        value = map(str, numbers)
+        lines = (f"B_{i} = {v}" for i, v in enumerate(value))
     elif args.subcommand == "bb":
         parts, given = PartSet(args.parts), args.max_index
-        rows = bernoulli.lowest_terms(bernoulli.bernoulli_barnes(parts, given))
-        try:
-            value = [[str(n) if d == 1 else f"{n}/{d}" for n, d in row] for row in rows]
-        except ValueError:
-            raise _too_many_digits() from None
-        lines = [f"B_{i} = [{', '.join(coeffs)}]" for i, coeffs in enumerate(value)]
+        table = bernoulli.bernoulli_barnes(parts, given)
+        reduced = bernoulli.reduced_beta(table)
+        if not _bb_fits(table, reduced):
+            raise _too_many_digits()
+        value = (
+            [str(n) if d == 1 else f"{n}/{d}" for n, d in row]
+            for row in bernoulli.lowest_terms(table, reduced)
+        )
+        lines = (f"B_{i} = [{', '.join(coeffs)}]" for i, coeffs in enumerate(value))
     else:
         parts = PartSet(args.parts)
         if args.subcommand == "count":
@@ -208,10 +236,17 @@ def _dispatch(args: argparse.Namespace) -> int:
             compute, given = reductions.theorem2_count, args.x
         else:
             compute, given = reductions.theorem3_rhs, args.x
-        value = _decimal(compute(parts, given))
+        count = compute(parts, given)
+        if not _fits((count,)):
+            raise _too_many_digits()
+        value = str(count)
         lines = [value]
 
-    if args.output == "json" and args.subcommand == "verify":
+    write = sys.stdout.write
+    if args.output == "text":
+        for line in lines:
+            write(f"{line}\n")
+    elif args.subcommand == "verify":
         failed = [
             {
                 "check": failure.check,
@@ -222,16 +257,23 @@ def _dispatch(args: argparse.Namespace) -> int:
             }
             for failure in failures
         ]
-        payload = {"trials": args.trials, "failures": failed, "seed": args.seed}
-    elif args.output == "json":
+        print(json.dumps({"trials": args.trials, "failures": failed, "seed": args.seed}))
+    else:
         payload = {
             "subcommand": args.subcommand,
             "parts": list(parts.parts) if parts is not None else [],
             "input": str(given),
             "method": args.method if args.subcommand == "count" else None,
-            "value": value,
         }
-    print(json.dumps(payload) if args.output == "json" else "\n".join(lines))
+        if isinstance(value, str):
+            payload["value"] = value
+            print(json.dumps(payload))
+        else:
+            # "value" is the payload's last key: its rows follow the rest.
+            write(f'{json.dumps(payload)[:-1]}, "value": [')
+            for i, row in enumerate(value):
+                write(f", {json.dumps(row)}" if i else json.dumps(row))
+            write("]}\n")
     if args.subcommand == "verify":
         print(f"elapsed: {elapsed:.3f}s", file=sys.stderr)
     return code

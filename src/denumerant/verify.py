@@ -9,18 +9,16 @@ perfbench/spans.py) reaches the sweep too.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import combinations
 from math import gcd, prod
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple
 
 from . import oracle, reductions
 from .errors import DomainError, ResourceLimitError, SamplingExhaustedError
 from .partset import PartSet
 
 
-@dataclass(frozen=True)
-class TheoremReport:
+class TheoremReport(NamedTuple):
     """One checked identity instance: oracle side vs formula side."""
 
     check: str

@@ -7,7 +7,8 @@ import json
 import random
 import runpy
 import sys
-from contextlib import redirect_stderr
+import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from math import comb, gcd
 from pathlib import Path
@@ -206,6 +207,97 @@ class TestOtherSubcommands:
                 assert "640 digits" in err
         finally:
             sys.set_int_max_str_digits(limit)
+
+    def test_refused_bb_prints_no_row(self, capsys, monkeypatch):
+        # Only B_3 has a coefficient past the limit (C(3, 0) beta_3), so a run
+        # that printed rows before checking them all would print B_0..B_2.
+        beta = (1, 1, 1, 10 ** 700 + 1)
+        table = tuple(bernoulli.BBPoly(beta, i, 3) for i in range(4))
+        monkeypatch.setattr(bernoulli, "bernoulli_barnes", lambda p, m: table)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            for output in ("text", "json"):
+                code, out, err = invoke(
+                    capsys, "bb", "--parts", "2", "--max-index", "3", "--output", output
+                )
+                assert (code, out) == (3, "")
+                assert "640 digits" in err
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    def test_bb_printed_when_only_the_bound_passes_the_limit(self, capsys, monkeypatch):
+        # C(3, 1) * 5 * 10^639 passes 10^640, but every coefficient fits: the
+        # largest is C(i, i) beta_0 = 5 * 10^639, with 640 digits
+        big = 5 * 10 ** 639
+        table = tuple(bernoulli.BBPoly((big, 1, 1, 1), i, 1) for i in range(4))
+        monkeypatch.setattr(bernoulli, "bernoulli_barnes", lambda p, m: table)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            code, out, _ = invoke(capsys, "bb", "--parts", "2", "--max-index", "3")
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert code == 0
+        assert out.splitlines()[3] == f"B_3 = [1, 3, 3, {big}]"
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.sets(st.integers(1, 30), min_size=1, max_size=5),
+        st.integers(0, 30),
+        st.integers(0, 60),
+    )
+    def test_streamed_output_matches_the_whole_payload(self, combo, m, index):
+        # The rows are printed one at a time; the bytes are those of the
+        # joined lines and of json.dumps of the whole payload, built here from
+        # Fractions rather than from lowest_terms.
+        parts = PartSet(tuple(combo))
+        rows = [[str(c) for c in entry.coeffs] for entry in bernoulli.bernoulli_barnes(parts, m)]
+        numbers = [str(b) for b in bernoulli.bernoulli_numbers(index)]
+        cases = (
+            (
+                ["bb", "--parts", ",".join(map(str, sorted(combo))), "--max-index", str(m)],
+                [f"B_{i} = [{', '.join(row)}]" for i, row in enumerate(rows)],
+                ("bb", sorted(combo), str(m), None, rows),
+            ),
+            (
+                ["bernoulli", "--max-index", str(index)],
+                [f"B_{i} = {b}" for i, b in enumerate(numbers)],
+                ("bernoulli", [], str(index), None, numbers),
+            ),
+        )
+        for argv, lines, fields in cases:
+            payload = dict(zip(("subcommand", "parts", "input", "method", "value"), fields))
+            for output, expected in (
+                ("text", "\n".join(lines) + "\n"),
+                ("json", json.dumps(payload) + "\n"),
+            ):
+                out = io.StringIO()
+                with redirect_stdout(out):
+                    assert run([*argv, "--output", output]) == 0
+                assert out.getvalue() == expected
+
+    def test_bb_output_held_row_by_row(self):
+        # memory gate: with stdout kept nowhere, printing (2,3,5,7) to index
+        # 200 (2.8 MB of text) holds one row at a time; holding every line,
+        # as a joined string, took over 9 MB
+        class Discard:
+            def write(self, text):
+                return len(text)
+
+            def flush(self):
+                pass
+
+        bernoulli._bernoulli_barnes.cache_clear()
+        tracemalloc.start()
+        try:
+            with redirect_stdout(Discard()):
+                code = run(["bb", "--parts", "2,3,5,7", "--max-index", "200"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 1 << 20
 
     def test_bb_prints_without_forming_numerators(self, capsys):
         # work gate: a bb table is one shared beta, and printing it forms no

@@ -2,6 +2,9 @@
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 from types import ModuleType
 
@@ -45,6 +48,20 @@ def test_root_exports_the_documented_api():
         if not name.startswith("_") and not isinstance(value, ModuleType)
     }
     assert bound == set(denumerant.__all__)
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    # dataclasses imports inspect, and with it ast, dis and tokenize: about
+    # 1 MB and 14 ms on every CLI start
+    probe = "import sys, denumerant.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        timeout=60,
+    )
+    assert (done.returncode, done.stdout) == (0, "[]\n")
 
 
 def test_benchmark_bound_names_resolve(monkeypatch):

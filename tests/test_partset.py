@@ -54,6 +54,18 @@ def test_hashable_and_usable_as_key():
     assert table[PartSet.of(3, 2)] == "x"
 
 
+def test_immutable_value():
+    a = PartSet.of(3, 2)
+    for name in ("parts", "product", "total", "other"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, (5,))
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    assert a.parts == (2, 3) and a.product == 6 and a.total == 5
+    assert repr(a) == "PartSet(parts=(2, 3))"
+    assert a != (2, 3) and a != PartSet.of(2, 5)
+
+
 @given(st.lists(st.integers(min_value=1, max_value=50), min_size=1, max_size=6, unique=True))
 def test_construction_normalizes(values):
     a = PartSet(tuple(values))
