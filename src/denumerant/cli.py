@@ -82,6 +82,10 @@ _COUNT_METHODS: Dict[str, Callable[[PartSet, int], int]] = {
 }
 
 
+# The subcommand parsers by name, as `_build_parser` made them.
+_SUBPARSERS: Dict[str, argparse.ArgumentParser] = {}
+
+
 @cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -127,6 +131,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--max-product", type=positive_int, default=100000)
     with_output(verify)
 
+    _SUBPARSERS.update(sub.choices)
     return parser
 
 
@@ -162,16 +167,46 @@ def _refuse_unprintable_bernoulli(max_index: int) -> None:
         raise _too_many_digits()
 
 
-@lru_cache(maxsize=1)
-def _power_of_ten(exponent: int) -> int:
+@lru_cache(maxsize=16)
+def _ten_to(exponent: int) -> int:
     return 10 ** exponent
 
 
 def _fits(values: Iterable[int]) -> bool:
     """Whether str() takes each of the ints under Python's int-to-str digit limit."""
     limit = sys.get_int_max_str_digits()
-    bound = _power_of_ten(limit)
+    bound = _ten_to(limit)
     return not limit or all(abs(v) < bound for v in values)
+
+
+# Python 3.11's int-to-str takes time quadratic in the digits, and so does a
+# divmod by a power of ten, with a smaller constant.  Past about 1,000 digits
+# `_decimal` cuts a value by halves, at the powers 10^(_BASE_DIGITS * 2^j), into
+# pieces of at most _BASE_DIGITS digits: the halving method of CPython 3.12's
+# Lib/_pylong.py.
+_BASE_DIGITS = 512
+
+
+def _decimal(value: int) -> str:
+    """str(value), the digits cut by halves past about 1,000 digits."""
+    if value.bit_length() < 3400:  # under 10^1023.5
+        return str(value)
+    return ("-" if value < 0 else "") + _zero_filled(abs(value), 0)
+
+
+def _zero_filled(value: int, width: int) -> str:
+    """The digits of 0 <= value, zero-filled to `width`.
+
+    The cut 10^half is the first power on the ladder above the value's square
+    root, so both halves are below it; the low half is filled to `half`.
+    """
+    if value < _ten_to(_BASE_DIGITS):
+        return str(value).zfill(width)
+    half = _BASE_DIGITS
+    while value >= _ten_to(2 * half):
+        half *= 2
+    high, low = divmod(value, _ten_to(half))
+    return _zero_filled(high, width - half) + _zero_filled(low, half)
 
 
 def _bb_fits(table: Sequence[bernoulli.BBPoly], reduced: List[Tuple[int, int]]) -> bool:
@@ -196,8 +231,8 @@ def _dispatch(args: argparse.Namespace) -> int:
     `bb` and `bernoulli` print each row as soon as it is formatted, so their
     memory does not grow with the output.  Before the first row they settle
     that every value fits the int-to-str digit limit: a refused run prints
-    nothing.  str() of a huge --n runs under --output json only: it costs
-    more than the count.
+    nothing.  The JSON payload, with --n written out as `input`, is formed
+    under --output json only.
     """
     code, parts = 0, None
     if args.subcommand == "verify":
@@ -239,7 +274,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         count = compute(parts, given)
         if not _fits((count,)):
             raise _too_many_digits()
-        value = str(count)
+        value = _decimal(count)
         lines = [value]
 
     write = sys.stdout.write
@@ -262,7 +297,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         payload = {
             "subcommand": args.subcommand,
             "parts": list(parts.parts) if parts is not None else [],
-            "input": str(given),
+            "input": _decimal(given),
             "method": args.method if args.subcommand == "count" else None,
         }
         if isinstance(value, str):
@@ -282,11 +317,19 @@ def _dispatch(args: argparse.Namespace) -> int:
 def run(argv: Optional[Sequence[str]] = None) -> int:
     """Parse argv, execute, and return the exit code.
 
-    The parser is built once per process, on the first call.
+    The parsers are built once per process, on the first call.  An argv whose
+    first token names a subcommand goes straight to that subcommand's parser,
+    so it is parsed once; the top-level parser takes every other argv (none,
+    `-h`, an unknown name) and prints its usage.
     """
+    argv = list(argv) if argv is not None else sys.argv[1:]
     parser = _build_parser()
+    subparser = _SUBPARSERS.get(argv[0]) if argv else None
     try:
-        args = parser.parse_args(list(argv) if argv is not None else None)
+        if subparser is None:
+            args = parser.parse_args(argv)
+        else:
+            args = subparser.parse_args(argv[1:], argparse.Namespace(subcommand=argv[0]))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -518,6 +518,10 @@ class TestParserBuiltOnce:
         assert invoke(capsys, *argv)[:2] == (0, "12345\n")
 
 
+# Written out, 1,301 digits; p(n) for (2,3,5,7) has 3,897, so printing it
+# cuts at every power on `cli._decimal`'s ladder.
+HUGE_N = 10 ** 1300 + 12345
+
 # argv, exit code, and the first 16 hex digits of the sha256 of stdout.
 # stdout is byte-stable: a digest changes only with a deliberate change to
 # the output format.
@@ -543,6 +547,12 @@ PINNED = [
     ("theorem3 --parts 3,5,7 --x 15 --output json", 0, "bc5fe0bd07b684aa"),
     ("verify --trials 30", 0, "cf6f904d425535e7"),
     ("verify --trials 30 --output json", 0, "372583c0e9643a3e"),
+    (f"count --parts 2,3,5,7 --n {HUGE_N} --method theorem1", 0, "9422b7bde44f5202"),
+    (
+        f"count --parts 2,3,5,7 --n {HUGE_N} --method theorem1 --output json",
+        0,
+        "88c28d6121666378",
+    ),
     # Refusals: nothing on stdout.
     ("count --parts 2,4 --n 10 --method theorem1 --output json", 3, "e3b0c44298fc1c14"),
     ("verify --k-min 4 --k-max 3", 3, "e3b0c44298fc1c14"),
@@ -555,7 +565,11 @@ def stdout_digest(capsys, *argv):
 
 
 class TestStdoutPinned:
-    @pytest.mark.parametrize("argv, code, digest", PINNED, ids=[r[0] for r in PINNED])
+    @pytest.mark.parametrize(
+        "argv, code, digest",
+        PINNED,
+        ids=[r[0].replace(str(HUGE_N), "10**1300+12345") for r in PINNED],
+    )
     def test_stdout_and_exit_code(self, capsys, argv, code, digest):
         assert stdout_digest(capsys, *argv.split()) == (code, digest)
 
@@ -570,6 +584,124 @@ class TestStdoutPinned:
         monkeypatch.setattr(reductions, "theorem1_count", off_by_one)
         argv = ("verify", "--trials", "3", "--k-min", "2", "--k-max", "3")
         assert stdout_digest(capsys, *argv, "--output", output) == expected
+
+
+class TestDecimal:
+    """`cli._decimal` prints an int as str() does, by halves past ~1,000 digits."""
+
+    LADDER = (512, 1024, 2048, 4096)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(0, 4300).flatmap(
+            lambda d: st.integers(10 ** (d - 1) if d > 1 else 0, 10 ** d - 1)
+        ),
+        st.booleans(),
+    )
+    def test_equals_str(self, value, negative):
+        value = -value if negative else value
+        assert cli._decimal(value) == str(value)
+
+    def test_edge_values(self):
+        values = [0, 1, -1, 10 ** 3000]  # 10^3000's low halves are all zeros
+        for w in self.LADDER:
+            values += [10 ** w - 1, 10 ** w, 10 ** w + 1]
+        for value in values:
+            assert cli._decimal(value) == str(value)
+            assert cli._decimal(-value) == str(-value)
+
+    def test_pieces_under_a_lowered_limit(self):
+        # str() refuses any piece past 640 digits, the least limit Python
+        # takes, just above the 512-digit base width
+        value = 7 ** 4733  # 4,000 digits
+        limit = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(0)
+            expected = str(value)
+            sys.set_int_max_str_digits(640)
+            assert cli._decimal(value) == expected
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert len(expected) == 4000
+
+    def test_power_cache_bounded(self):
+        # work gate: every length up to 4,300 digits cuts at the same five
+        # powers, 10^512 to 10^8192
+        cli._ten_to.cache_clear()
+        for digits in range(1, 4301):
+            value = 10 ** digits - 1
+            assert cli._decimal(value) == "9" * digits
+        info = cli._ten_to.cache_info()
+        assert info.misses == info.currsize == 5
+
+
+class TestDispatch:
+    """An argv that names a subcommand is parsed by that subcommand's parser."""
+
+    VALID = [
+        ("count", "--parts", "2,3", "--n", "11"),
+        ("count", "--parts=2,3,5", "--n=59", "--meth", "waves", "--output=json"),
+        ("count", "--parts", "2,3", "--n", "7", "--parts", "3,5"),
+        ("bb", "--parts", "2,3,5", "--max-index", "3"),
+        ("bernoulli", "--max-index=4", "--output", "json"),
+        ("theorem2", "--parts", "2,3,5", "--x", "1"),
+        ("theorem3", "--parts", "3,5,7", "--x=15", "--output", "text"),
+        ("verify",),
+        ("verify", "--trials", "3", "--seed", "4", "--k-max", "3", "--seed", "9"),
+    ]
+
+    @pytest.mark.parametrize("argv", VALID, ids=" ".join)
+    def test_same_namespace_as_the_top_level_parser(self, monkeypatch, argv):
+        handed = []
+        monkeypatch.setattr(cli, "_dispatch", lambda args: handed.append(args) or 0)
+        assert run(list(argv)) == 0
+        assert handed == [_build_parser().parse_args(list(argv))]
+
+    def test_one_parse_per_valid_run(self, monkeypatch):
+        # work gate: the subcommand's parser alone reads argv; passing it on
+        # from the top-level parser made two parse_known_args calls per run
+        calls = []
+        parse_known_args = argparse.ArgumentParser.parse_known_args
+
+        def counting(parser, *args, **kwargs):
+            calls.append(parser.prog)
+            return parse_known_args(parser, *args, **kwargs)
+
+        run(["count", "--parts", "2,3", "--n", "11"])  # the parsers exist from here on
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
+        monkeypatch.setattr(cli, "_dispatch", lambda args: 0)
+        for argv in self.VALID:
+            calls.clear()
+            assert run(list(argv)) == 0
+            assert calls == [f"denumerant {argv[0]}"]
+
+    # exit code and the first 16 hex digits of the sha256 of stdout and of
+    # stderr, as before subcommands were dispatched by name
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            ((), (2, "e3b0c44298fc1c14", "0bb075338d82c58a")),
+            (("-h",), (0, "7f367cb4456510a2", "e3b0c44298fc1c14")),
+            (("nope",), (2, "e3b0c44298fc1c14", "ec2a94a6b1213552")),
+            (
+                ("--", "count", "--parts", "2,3", "--n", "11"),
+                (2, "e3b0c44298fc1c14", "e2f2ac8285574d45"),
+            ),
+        ],
+        ids=["none", "-h", "nope", "-- count"],
+    )
+    def test_top_level_argv_unchanged(self, monkeypatch, capsys, argv, expected):
+        monkeypatch.setenv("COLUMNS", "80")  # the usage text wraps at the width
+        code, out, err = invoke(capsys, *argv)
+        digests = [hashlib.sha256(text.encode()).hexdigest()[:16] for text in (out, err)]
+        assert (code, *digests) == expected
+
+    def test_unknown_flag_reported_by_the_subcommand(self, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        code, out, err = invoke(capsys, "count", "--parts", "2,3", "--n", "5", "--frob", "1")
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: denumerant count ")
+        assert err.endswith("denumerant count: error: unrecognized arguments: --frob 1\n")
 
 
 class TestDeterminism:
