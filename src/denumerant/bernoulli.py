@@ -33,16 +33,17 @@ numbers:
   ``lowest_terms`` reduces a table for printing without forming them.  The
   sequence's building blocks c_n = n! [s^n] s/(e^s - 1) are the Bernoulli
   numbers again (with c_1 = -1/2), but they are found a second way, by
-  inverting (e^s - 1)/s, and never read from the table.  theorem1 reads the
-  polynomials and section3 reads the table, so the two routes check each
-  other only while they share no values.
+  inverting (e^s - 1)/s in integer numerators over the product of the primes
+  up to m + 1, one exact division per step, and never read from the table.
+  theorem1 reads the polynomials and section3 reads the table, so the two
+  routes check each other only while they share no values.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import comb, factorial, gcd, lcm
+from math import comb, factorial, gcd, isqrt, prod
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .errors import DomainError
@@ -158,23 +159,35 @@ def lowest_terms(
         yield row
 
 
-# c_0, c_1, ... with c_n = n! [s^n] s/(e^s - 1), the unit factor of every
-# Bernoulli-Barnes product.  Kept apart from _KNOWN on purpose (see the module
-# docstring).  Grows monotonically; entries never change once computed.
-_UNIT: List[Fraction] = [Fraction(1)]
+# Numerators of c_0, c_1, ... (see _unit_coefficients) over the product of the
+# primes up to len(_UNIT).  Kept apart from _KNOWN on purpose (module docstring).
+_UNIT: List[int] = [1]
 
 
-def _unit_coefficients(m: int) -> List[Fraction]:
-    """c_0..c_m, inverting (e^s - 1)/s = sum_n s^n/(n+1)! one term at a time.
+@lru_cache  # read by every table build; trial division takes ~65 us at m = 97
+def _primorial(m: int) -> int:
+    """The product of the primes up to m."""
+    return prod(p for p in range(2, m + 1) if all(p % q for q in range(2, isqrt(p) + 1)))
 
-    Matching s^n in (e^s - 1)/s * s/(e^s - 1) = 1 and multiplying by (n+1)!
-    gives sum_{l <= n} C(n+1, l) c_l = 0 for n >= 1, which solves for c_n
-    from the terms before it, so the list extends without starting over.
+
+def _unit_coefficients(m: int) -> Tuple[List[int], int]:
+    """c_n = n! [s^n] s/(e^s - 1) for n <= m, the unit factor of every
+    Bernoulli-Barnes product, as integer numerators over D, the product of the
+    primes up to m + 1: by von Staudt and Clausen, the lcm of their denominators.
+
+    Matching s^n in (e^s - 1)/s * s/(e^s - 1) = 1 times (n+1)! gives
+    sum_{l <= n} C(n+1, l) c_l = 0 for n >= 1, so D c_n is one exact division
+    by n + 1 away.  A larger m rescales the held numerators once, then extends them.
     """
-    for n in range(len(_UNIT), m + 1):
-        acc = sum(comb(n + 1, l) * c for l, c in enumerate(_UNIT) if c)
-        _UNIT.append(-acc / (n + 1))
-    return _UNIT[: m + 1]
+    held, common = len(_UNIT), _primorial(m + 1)
+    if held <= m:
+        scale = common // _primorial(held)
+        _UNIT[:] = [c * scale for c in _UNIT]
+        for n in range(held, m + 1):
+            acc = sum(comb(n + 1, l) * c for l, c in enumerate(_UNIT) if c)
+            _UNIT.append(-acc // (n + 1))
+    scale = _primorial(len(_UNIT)) // common
+    return [c // scale for c in _UNIT[: m + 1]], common
 
 
 def bernoulli_barnes(parts: PartSet, max_index: int) -> Tuple[BBPoly, ...]:
@@ -210,17 +223,11 @@ def bernoulli_barnes(parts: PartSet, max_index: int) -> Tuple[BBPoly, ...]:
 # count-cold-product (0 / 380) never read a table twice.
 @lru_cache(maxsize=512)
 def _bernoulli_barnes(parts: PartSet, max_index: int) -> Tuple[BBPoly, ...]:
-    unit = _unit_coefficients(max_index)
-    common = lcm(*(c.denominator for c in unit))
-    numerators = [
-        (n, c.numerator * (common // c.denominator)) for n, c in enumerate(unit) if c
-    ]
+    unit, common = _unit_coefficients(max_index)
     first, *rest = parts
-    beta = [0] * (max_index + 1)
-    for n, c in numerators:
-        beta[n] = c * first ** n
+    beta = [c * first ** n for n, c in enumerate(unit)]
     for a in rest:
-        weights = [(n, c * a ** n) for n, c in numerators]
+        weights = [(n, c * a ** n) for n, c in enumerate(unit) if c]
         beta = [
             sum(comb(n, l) * beta[n - l] * w for l, w in weights if l <= n)
             for n in range(max_index + 1)

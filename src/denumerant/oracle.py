@@ -70,7 +70,7 @@ def _dp_counts(parts: Sequence[int], upper: int, held: Sequence[int] = ()) -> Li
 # Tables keyed by the parts they cover (all of a set but its largest), so
 # (2,3,5,7) and (2,3,5,11) share one: each the narrowest unsigned array that
 # holds its largest count, or a tuple past 2^64 - 1.  16 MiB holds the tables
-# the 75 seed-0 verify-sweep ops reuse (at most 12.5 MiB), so they make 571
+# the 75 seed-0 verify-sweep ops reuse (at most 12.5 MiB), so they make 576
 # kernel calls filling 2.24M entries; under 10 MiB they made 691 filling 3.14M.
 _TABLES: Dict[Tuple[int, ...], Sequence[int]] = {}
 _MAX_HELD_BYTES = 16 << 20
@@ -97,7 +97,7 @@ def _nbytes(table: Sequence[int]) -> int:
 
 def _counts_up_to(parts: PartSet, upper: int) -> Sequence[int]:
     key = parts.parts[:-1]
-    table = _TABLES.get(key, array("I"))
+    table = _TABLES.get(key) or array("I")  # held tables are never empty
     if len(table) <= upper:
         # Extended by at least a quarter; a refused growth keeps the held table.
         grown = min(len(table) * 5 // 4, _MAX_TABLE_ENTRIES) - 1

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from functools import cached_property
-from math import gcd, prod
+from math import lcm, prod
 from typing import Iterator, Tuple
 
 from .errors import CoprimalityError, DomainError
@@ -70,12 +70,8 @@ class PartSet:
 
     @cached_property
     def pairwise_coprime(self) -> bool:
-        ps = self.parts
-        return all(
-            gcd(ps[i], ps[j]) == 1
-            for i in range(len(ps))
-            for j in range(i + 1, len(ps))
-        )
+        """No two parts share a factor: the lcm of the parts is their product."""
+        return lcm(*self.parts) == self.product
 
     def require_pairwise_coprime(self) -> None:
         if not self.pairwise_coprime:

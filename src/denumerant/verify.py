@@ -9,8 +9,7 @@ perfbench/spans.py) reaches the sweep too.
 from __future__ import annotations
 
 import random
-from itertools import combinations
-from math import gcd, prod
+from math import lcm, prod
 from typing import List, NamedTuple, Tuple
 
 from . import oracle, reductions
@@ -45,12 +44,11 @@ def random_coprime_partset(
         raise DomainError(f"need at least one part, got k={k}")
     if max_part < k:
         raise DomainError(f"cannot draw {k} distinct parts from [1, {max_part}]")
-    population = range(1, max_part + 1)
+    population = tuple(range(1, max_part + 1))
     for _ in range(10_000):
         draw = rng.sample(population, k)
-        if prod(draw) <= max_product and all(
-            gcd(a, b) == 1 for a, b in combinations(draw, 2)
-        ):
+        product = prod(draw)
+        if product <= max_product and lcm(*draw) == product:
             return PartSet(tuple(draw))
     raise SamplingExhaustedError(
         f"no pairwise-coprime {k}-subset of [1, {max_part}]"
@@ -65,24 +63,22 @@ def _check_trial(
     k, product, total = parts.k, parts.product, parts.total
     n_inputs = (("trial", trial), ("n", n), ("q", q), ("r", r))
 
-    # One table serves the trial: its first lookup reaches every later one,
-    # since r <= n and each boundary argument lies below the product.  For
-    # n < P - 1 that is a lookup at P - 1 whose value no row reads.
-    if n < product - 1:
-        oracle.oracle_count(parts, product - 1)
-    expected = oracle.oracle_count(parts, n)
+    # x is drawn first, so the first lookup is the largest, max(n, P - x): its
+    # table holds r <= n and theorem3's arguments, below P - total < P - x, and
+    # a row reads every lookup.  One part draws no x; x = P looks up n first.
+    x = rng.randint(1, total - 1) if k >= 2 else product
+    first = oracle.oracle_count(parts, max(n, product - x))
+    expected = first if n >= product - x else oracle.oracle_count(parts, n)
     rows = [("theorem1", n_inputs, expected, reductions.theorem1_count(parts, n))]
     if k >= 2:
-        rows.append(
-            ("section3", n_inputs, expected, reductions.section3_count(parts, n))
-        )
+        value = reductions.section3_count(parts, n)
+        rows.append(("section3", n_inputs, expected, value))
     if 2 <= k <= 5:
         true_correction = expected - oracle.oracle_count(parts, r)
         correction = reductions.closed_form_correction(parts, n)
         rows.append(("closed-form", n_inputs, true_correction, correction))
     if k >= 2:
-        x = rng.randint(1, total - 1)
-        boundary = oracle.oracle_count(parts, product - x)
+        boundary = first if product - x > n else oracle.oracle_count(parts, product - x)
         x_inputs = (("trial", trial), ("x", x))
         value = reductions.theorem2_count(parts, x)
         rows.append(("theorem2", x_inputs, boundary, value))

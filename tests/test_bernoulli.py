@@ -14,7 +14,7 @@ convolution), and a work gate keeps that slow path from coming back.
 
 import random
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial, lcm
 
 import pytest
 import denumerant.bernoulli as bernoulli_module
@@ -105,6 +105,21 @@ def test_power_sum():
     assert power_sum(a, 0) == 3
     with pytest.raises(DomainError):
         power_sum(a, -1)
+
+
+def test_unit_coefficients_match_the_fraction_recurrence(monkeypatch):
+    """c_0..c_200 as integers over D equal the Fraction recurrence
+    sum_{l <= n} C(n+1, l) c_l = 0, however the list grew, and D is the lcm
+    of their denominators."""
+    expected = [F(1)]
+    for n in range(1, 201):
+        acc = sum(comb(n + 1, l) * c for l, c in enumerate(expected))
+        expected.append(-acc / (n + 1))
+    monkeypatch.setattr(bernoulli_module, "_UNIT", [1])
+    for m in (0, 1, 2, 3, 40, 200, 199, 60, 1, 0):
+        numerators, common = bernoulli_module._unit_coefficients(m)
+        assert [F(c, common) for c in numerators] == expected[: m + 1]
+        assert common == lcm(*(c.denominator for c in expected[: m + 1]))
 
 
 class TestBernoulliBarnes:

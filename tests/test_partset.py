@@ -1,11 +1,13 @@
 """PartSet construction and invariants."""
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from denumerant.errors import CoprimalityError, DomainError
 from denumerant.partset import PartSet
+
+from helpers import pairwise_coprime
 
 
 def test_sorted_regardless_of_input_order():
@@ -72,3 +74,11 @@ def test_construction_normalizes(values):
     assert a.parts == tuple(sorted(values))
     assert a.product >= 1
     assert a.total == sum(values)
+
+
+@given(st.lists(st.integers(min_value=1, max_value=60), min_size=1, max_size=8, unique=True))
+@example([1])
+@example([6, 10, 15])  # no common factor of all three, but each pair has one
+@example([1, 4, 9, 25, 49, 11, 13, 59])
+def test_pairwise_coprime_matches_the_pairwise_gcd_rule(values):
+    assert PartSet(tuple(values)).pairwise_coprime == pairwise_coprime(values)

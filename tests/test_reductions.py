@@ -367,6 +367,7 @@ ALLOWED = {
         "bernoulli.bernoulli_barnes",
         "bernoulli._bernoulli_barnes",
         "bernoulli._unit_coefficients",
+        "bernoulli._primorial",
         "series.poly_eval",
     },
     "section3": REDUCED
@@ -433,7 +434,7 @@ def test_routes_read_no_other_routes_source(monkeypatch, combo, route):
     monkeypatch.setattr(oracle, "_TABLES", {})
     monkeypatch.setattr(waves, "_SETUPS", {})
     monkeypatch.setattr(bernoulli, "_KNOWN", [F(1)])
-    monkeypatch.setattr(bernoulli, "_UNIT", [F(1)])
+    monkeypatch.setattr(bernoulli, "_UNIT", [1])
     for module, attr, _ in bindings:
         getattr(getattr(module, attr), "cache_clear", lambda: None)()
 
