@@ -140,6 +140,11 @@ def theorem3_rhs(parts: PartSet, x: int) -> int:
     _require_at_least_two_parts(parts)
     parts.require_pairwise_coprime()
     if not parts.total <= x <= parts.product:
+        if parts.total > parts.product:
+            raise RangeError(
+                f"parts {list(parts)} have no theorem3 domain: their sum"
+                f" {parts.total} passes their product {parts.product}"
+            )
         raise RangeError(
             f"x must lie in [{parts.total}, {parts.product}] for parts {list(parts)}, got {x}"
         )

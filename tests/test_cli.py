@@ -5,13 +5,11 @@ import hashlib
 import io
 import json
 import random
-import runpy
 import sys
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from math import comb, gcd
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -25,11 +23,9 @@ from denumerant.reductions import theorem1_count
 from denumerant.verify import format_failure, random_coprime_partset, run_verify
 from denumerant.waves import waves_count
 
-from helpers import coprime_part_tuples, run_module
+from helpers import brute_force_count, coprime_part_tuples, run_module
 
 F = Fraction
-
-VERIFY_SWEEP = Path(__file__).resolve().parent.parent / "scripts" / "verify_sweep.py"
 
 
 def invoke(capsys, *argv):
@@ -400,6 +396,14 @@ class TestExitCodes:
         code, _, _ = invoke(capsys, "theorem2", "--parts", "2,3,5", "--x", "10")
         assert code == 3
 
+    def test_theorem3_refuses_a_set_whose_sum_passes_its_product(self, capsys):
+        code, out, err = invoke(capsys, "theorem3", "--parts", "1,2", "--x", "3")
+        assert (code, out) == (3, "")
+        assert err == (
+            "error: parts [1, 2] have no theorem3 domain:"
+            " their sum 3 passes their product 2\n"
+        )
+
     def test_domain_error_duplicate_parts(self, capsys):
         code, _, _ = invoke(capsys, "count", "--parts", "2,2,3", "--n", "5")
         assert code == 3
@@ -414,6 +418,8 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: ") and "cap" in err
         assert "waves" in err and "tabulates" not in err
+        # the refusal names routes, not a flag: library callers have no --method
+        assert "routes" in err and "--method" not in err
         assert "Traceback" not in err
 
     def test_unprintable_bernoulli_refused_before_computing(
@@ -914,13 +920,6 @@ class TestVerify:
             assert isinstance(failure["lhs"], str) and isinstance(failure["rhs"], str)
             assert int(failure["rhs"]) == int(failure["lhs"]) + 1
 
-        sweep_argv = ["--trials", "3", "--seeds", "0", "--k-max", "2"]
-        monkeypatch.setattr(sys, "argv", [str(VERIFY_SWEEP), *sweep_argv])
-        with pytest.raises(SystemExit) as exc:
-            runpy.run_path(str(VERIFY_SWEEP), run_name="__main__")
-        assert exc.value.code == 1
-        assert fail_lines(capsys.readouterr().out) == expected
-
     def test_draw_stream_pinned(self, monkeypatch):
         # Every trial fails theorem1 once, so the FAIL lines carry each
         # trial's parts, n, q and r, and through them the x draws between.
@@ -1018,3 +1017,17 @@ def test_main_exits(monkeypatch, capsys):
         main()
     assert exc.value.code == 0
     assert capsys.readouterr().out == "2\n"
+
+
+def test_module_entry_point():
+    proc = run_module("count", "--parts", "2,3,5", "--n", "100")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == f"{brute_force_count((2, 3, 5), 100)}\n"
+
+    proc = run_module("--help")
+    assert proc.returncode == 0 and proc.stdout.startswith("usage: denumerant")
+
+    proc = run_module("count", "--parts", "2,3,5", "--n", "100", "--method", "nope")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("usage: denumerant count")
+    assert "invalid choice: 'nope'" in proc.stderr

@@ -13,9 +13,7 @@ import pytest
 import denumerant
 
 ROOT = Path(__file__).resolve().parent.parent
-SOURCES = sorted(
-    [*(ROOT / "src" / "denumerant").glob("*.py"), *(ROOT / "scripts").glob("*.py")]
-)
+SOURCES = sorted((ROOT / "src" / "denumerant").glob("*.py"))
 
 
 def test_every_exported_name_resolves():

@@ -1,10 +1,11 @@
-"""The README's Python examples run as written."""
+"""The README's Python and command-line examples run as written."""
 
 import re
+import shlex
 from array import array
 from pathlib import Path
 
-from denumerant import oracle
+from denumerant import cli, oracle
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -14,6 +15,33 @@ def test_library_example_runs():
     assert blocks
     for block in blocks:
         exec(compile(block, str(README), "exec"), {})
+
+
+def cli_examples() -> list:
+    """(argv, expected stdout lines) for each `$ denumerant ...` in a text block.
+
+    An example's output runs from its command line to the next blank line.
+    """
+    examples = []
+    for block in re.findall(r"^```text\n(.*?)^```", README.read_text(), re.M | re.S):
+        for chunk in block.split("\n\n"):
+            command, *lines = chunk.strip("\n").splitlines()
+            program, *argv = shlex.split(command.removeprefix("$ "), comments=True)
+            assert program == "denumerant", command
+            examples.append((argv, lines))
+    return examples
+
+
+def test_command_line_examples_print_as_shown(capsys):
+    """A trailing `...` line stands for any further output."""
+    examples = cli_examples()
+    assert examples
+    for argv, expected in examples:
+        assert cli.run(argv) == 0, argv
+        out = capsys.readouterr().out.splitlines()
+        if expected[-1] == "...":
+            expected, out = expected[:-1], out[: len(expected) - 1]
+        assert out == expected, argv
 
 
 def test_oracle_memory_note_matches_the_code():
