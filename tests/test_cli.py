@@ -860,6 +860,38 @@ class TestVerify:
         code, _, _ = invoke(capsys, "verify", "--trials", "-1")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["--seed", "a"], "--seed"),
+            (["--trials", "x"], "--trials"),
+            (["--k-min", "0"], "--k-min"),
+            (["--k-max", "0"], "--k-max"),
+            (["--max-part", "0"], "--max-part"),
+            (["--max-product", "0"], "--max-product"),
+        ],
+    )
+    def test_bad_arguments_are_usage_errors(self, capsys, argv, flag):
+        code, out, err = invoke(capsys, "verify", *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: denumerant verify") and "Traceback" not in err
+        assert f"error: argument {flag}: " in err.splitlines()[-1]
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_one_arity_per_run(self, monkeypatch, capsys, k):
+        # --k-min k --k-max k pins every trial's part set to k parts
+        arities, check_trial = [], verify._check_trial
+
+        def recording_check(trial, parts, *args):
+            arities.append(len(parts.parts))
+            return check_trial(trial, parts, *args)
+
+        monkeypatch.setattr(verify, "_check_trial", recording_check)
+        argv = ("--trials", "20", "--seed", "0", "--k-min", str(k), "--k-max", str(k))
+        code, out, _ = invoke(capsys, "verify", *argv)
+        assert (code, out) == (0, "trials: 20\nseed: 0\nfailures: 0\n")
+        assert arities == [k] * 20
+
     def test_oversized_tables_refused_before_the_first_trial(self, monkeypatch):
         # a trial's table has at most 4 * product entries
         builds = []

@@ -5,6 +5,8 @@ import shlex
 from array import array
 from pathlib import Path
 
+import pytest
+
 from denumerant import cli, oracle
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -28,20 +30,19 @@ def cli_examples() -> list:
             command, *lines = chunk.strip("\n").splitlines()
             program, *argv = shlex.split(command.removeprefix("$ "), comments=True)
             assert program == "denumerant", command
-            examples.append((argv, lines))
+            examples.append(pytest.param(argv, lines, id=" ".join(argv)))
+    assert examples
     return examples
 
 
-def test_command_line_examples_print_as_shown(capsys):
+@pytest.mark.parametrize("argv, expected", cli_examples())
+def test_command_line_examples_print_as_shown(capsys, argv, expected):
     """A trailing `...` line stands for any further output."""
-    examples = cli_examples()
-    assert examples
-    for argv, expected in examples:
-        assert cli.run(argv) == 0, argv
-        out = capsys.readouterr().out.splitlines()
-        if expected[-1] == "...":
-            expected, out = expected[:-1], out[: len(expected) - 1]
-        assert out == expected, argv
+    assert cli.run(argv) == 0, argv
+    out = capsys.readouterr().out.splitlines()
+    if expected[-1] == "...":
+        expected, out = expected[:-1], out[: len(expected) - 1]
+    assert out == expected, argv
 
 
 def test_oracle_memory_note_matches_the_code():
