@@ -44,7 +44,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import comb, factorial, gcd, isqrt, prod
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 from .errors import DomainError
 from .partset import PartSet
@@ -126,29 +126,18 @@ class BBPoly:
         return Fraction(poly_eval(self.numerators, x), self.denominator)
 
 
-def reduced_beta(table: Sequence[BBPoly]) -> List[Tuple[int, int]]:
-    """Each beta_l over the table's shared denominator, as (b_l, s_l) in lowest terms."""
-    d = table[0].denominator
-    reduced = []
+def lowest_terms(table: Sequence[BBPoly]) -> Iterator[List[Tuple[int, int]]]:
+    """Each polynomial's coefficients as (numerator, denominator) in lowest terms.
+
+    The polynomials share beta and the denominator d, so each beta_l is
+    reduced once, to b_l / s_l, and the coefficient C(i, j) b_{i-j} / s_{i-j}
+    only needs the gcd of the binomial with s_{i-j}: b_l is already prime to
+    s_l.  No numerator is formed, and each row is formed as it is read.
+    """
+    d, reduced = table[0].denominator, []
     for b in table[0].beta:
         g = gcd(b, d)
         reduced.append((b // g, d // g))
-    return reduced
-
-
-def lowest_terms(
-    table: Sequence[BBPoly], reduced: Optional[List[Tuple[int, int]]] = None
-) -> Iterator[List[Tuple[int, int]]]:
-    """Each polynomial's coefficients as (numerator, denominator) in lowest terms.
-
-    The polynomials share beta and the denominator, so each beta_l is
-    reduced once, to b_l / s_l (``reduced_beta``, or ``reduced`` when the
-    caller has it), and the coefficient C(i, j) b_{i-j} / s_{i-j} only needs
-    the gcd of the binomial with s_{i-j}: b_l is already prime to s_l.  No
-    numerator is formed, and each row is formed as it is read.
-    """
-    if reduced is None:
-        reduced = reduced_beta(table)
     for entry in table:
         i, row = entry.index, []
         for j in range(i + 1):

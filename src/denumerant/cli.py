@@ -11,8 +11,8 @@ Subcommands:
             (the engine is in verify.py)
 
 Exit codes: 0 success, 1 verification failures, 2 usage error, 3 domain
-error (bad part set, out-of-range argument, a result with more digits than
-Python converts to text, and similar).
+error (bad part set, out-of-range argument, a request over one of the size
+budgets in admission.py, and similar).
 
 With --output json, every potentially large numeric value is emitted as a
 decimal string so consumers that parse JSON numbers as floats cannot corrupt
@@ -26,14 +26,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 from functools import cache, lru_cache
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
-from . import bernoulli, oracle, reductions, waves
-from .errors import DomainError, ResourceLimitError
+from . import admission, bernoulli, oracle, reductions, waves
+from .errors import DomainError
 from .partset import PartSet
 from .verify import format_failure, run_verify
 
@@ -135,61 +134,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _too_many_digits() -> ResourceLimitError:
-    return ResourceLimitError(
-        f"the result has more than {sys.get_int_max_str_digits()} digits,"
-        " the limit of Python's int-to-str conversion"
-    )
-
-
-def _refuse_unprintable_bernoulli(max_index: int) -> None:
-    """Refuse `bernoulli --max-index` before computing when B_m cannot be printed.
-
-    For even m, |B_m| = 2 m! zeta(m) / (2 pi)^m, with zeta(m) taken as 1,
-    which it nears fast (zeta(10) < 1.001); by von Staudt and Clausen the
-    denominator of B_m is the product of the primes p with (p - 1) | m, and
-    the numerator digits follow.  Only an estimate more than one digit over
-    the limit is refused here; `_fits` checks the rest after computing.
-    """
-    limit = sys.get_int_max_str_digits()
-    # B_m vanishes for odd m >= 3.  Past 10^9, B_m has more digits than any
-    # limit Python accepts (at most 2^31 - 1).
-    m = min(max_index - max_index % 2, 10 ** 9)
-    if not limit or m < 2:
-        return
-    log10 = (math.lgamma(m + 1) - m * math.log(2 * math.pi)) / math.log(10)
-    log10 += math.log10(2)
-    low = [d for d in range(1, math.isqrt(m) + 1) if m % d == 0]
-    for p in {d + 1 for d in low} | {m // d + 1 for d in low}:
-        if all(p % f for f in range(2, math.isqrt(p) + 1)):
-            log10 += math.log10(p)
-    if math.floor(log10) + 1 > limit + 1:
-        raise _too_many_digits()
-
-
 @lru_cache(maxsize=16)
 def _ten_to(exponent: int) -> int:
     return 10 ** exponent
 
 
-def _fits(values: Iterable[int]) -> bool:
-    """Whether str() takes each of the ints under Python's int-to-str digit limit."""
-    limit = sys.get_int_max_str_digits()
-    bound = _ten_to(limit)
-    return not limit or all(abs(v) < bound for v in values)
-
-
 # Python 3.11's int-to-str takes time quadratic in the digits, and so does a
-# divmod by a power of ten, with a smaller constant.  Past about 1,000 digits
-# `_decimal` cuts a value by halves, at the powers 10^(_BASE_DIGITS * 2^j), into
-# pieces of at most _BASE_DIGITS digits: the halving method of CPython 3.12's
-# Lib/_pylong.py.
+# divmod by a power of ten, with a smaller constant.  Past 640 digits, the
+# least limit Python's int-to-str takes, `_decimal` cuts a value by halves, at
+# the powers 10^(_BASE_DIGITS * 2^j), into pieces of at most _BASE_DIGITS
+# digits: the halving method of CPython 3.12's Lib/_pylong.py.  So a count
+# prints at any length, under any such limit.
 _BASE_DIGITS = 512
 
 
 def _decimal(value: int) -> str:
-    """str(value), the digits cut by halves past about 1,000 digits."""
-    if value.bit_length() < 3400:  # under 10^1023.5
+    """str(value), the digits cut by halves past 640 digits."""
+    if value.bit_length() <= 2126:  # under 10^640
         return str(value)
     return ("-" if value < 0 else "") + _zero_filled(abs(value), 0)
 
@@ -209,30 +170,14 @@ def _zero_filled(value: int, width: int) -> str:
     return _zero_filled(high, width - half) + _zero_filled(low, half)
 
 
-def _bb_fits(table: Sequence[bernoulli.BBPoly], reduced: List[Tuple[int, int]]) -> bool:
-    """Whether `bb` can print every coefficient of the table.
-
-    The coefficient of x^j in B_i is C(i, j) b_l / s_l in lowest terms, with
-    b_l / s_l the reduced beta_l (``reduced``, see ``bernoulli.lowest_terms``),
-    so its numerator is at most C(m, m // 2) max |b_l| and its denominator at
-    most max s_l.  Only when those bounds do not fit are the coefficients
-    checked one by one, in ints, keeping none.
-    """
-    m = table[-1].index
-    top = math.comb(m, m // 2) * max(abs(b) for b, _ in reduced)
-    return _fits((top, max(s for _, s in reduced))) or _fits(
-        v for row in bernoulli.lowest_terms(table, reduced) for pair in row for v in pair
-    )
-
-
 def _dispatch(args: argparse.Namespace) -> int:
     """Run one subcommand, then print its text lines or its JSON payload.
 
     `bb` and `bernoulli` print each row as soon as it is formatted, so their
-    memory does not grow with the output.  Before the first row they settle
-    that every value fits the int-to-str digit limit: a refused run prints
-    nothing.  The JSON payload, with --n written out as `input`, is formed
-    under --output json only.
+    memory does not grow with the output.  Their digit budgets are settled
+    before any work (admission.py), so a refused run prints nothing.  The JSON
+    payload, with --n written out as `input`, is formed under --output json
+    only.
     """
     code, parts = 0, None
     if args.subcommand == "verify":
@@ -245,22 +190,19 @@ def _dispatch(args: argparse.Namespace) -> int:
         lines = [f"trials: {args.trials}", f"seed: {args.seed}"]
         lines += [f"failures: {len(failures)}", *map(format_failure, failures)]
     elif args.subcommand == "bernoulli":
-        _refuse_unprintable_bernoulli(args.max_index)
         given = args.max_index
-        numbers = bernoulli.bernoulli_numbers(given)
-        if not _fits(v for b in numbers for v in (b.numerator, b.denominator)):
-            raise _too_many_digits()
-        value = map(str, numbers)
+        admission.admit_bernoulli(given)
+        pairs = ((b.numerator, b.denominator) for b in bernoulli.bernoulli_numbers(given))
+        value = (_decimal(n) if d == 1 else f"{_decimal(n)}/{_decimal(d)}" for n, d in pairs)
         lines = (f"B_{i} = {v}" for i, v in enumerate(value))
     elif args.subcommand == "bb":
         parts, given = PartSet(args.parts), args.max_index
+        # str() takes 640 digits under any int-to-str limit, and is faster
+        text = str if admission.admit_bb(parts, given) <= 640 else _decimal
         table = bernoulli.bernoulli_barnes(parts, given)
-        reduced = bernoulli.reduced_beta(table)
-        if not _bb_fits(table, reduced):
-            raise _too_many_digits()
         value = (
-            [str(n) if d == 1 else f"{n}/{d}" for n, d in row]
-            for row in bernoulli.lowest_terms(table, reduced)
+            [text(n) if d == 1 else f"{text(n)}/{text(d)}" for n, d in row]
+            for row in bernoulli.lowest_terms(table)
         )
         lines = (f"B_{i} = [{', '.join(coeffs)}]" for i, coeffs in enumerate(value))
     else:
@@ -271,10 +213,7 @@ def _dispatch(args: argparse.Namespace) -> int:
             compute, given = reductions.theorem2_count, args.x
         else:
             compute, given = reductions.theorem3_rhs, args.x
-        count = compute(parts, given)
-        if not _fits((count,)):
-            raise _too_many_digits()
-        value = _decimal(count)
+        value = _decimal(compute(parts, given))
         lines = [value]
 
     write = sys.stdout.write

@@ -18,7 +18,7 @@ the table's last entries.  Counts are never negative, so a cached table is
 an unsigned array of 4-byte items, of 8-byte items once a count passes
 2^32 - 1, or a tuple past 2^64 - 1; the cached tables are held to
 _MAX_HELD_BYTES.  oracle_table builds the full table as an uncached tuple.  A
-table longer than _MAX_TABLE_ENTRIES is refused before it is allocated.
+table longer than admission.MAX_TABLE_ENTRIES is refused before it is allocated.
 """
 
 from __future__ import annotations
@@ -28,12 +28,9 @@ from array import array
 from itertools import accumulate
 from typing import Any, Callable, Dict, List, Sequence, Tuple
 
+from . import admission
 from .errors import DomainError, ResourceLimitError
 from .partset import PartSet
-
-# A build fills a list at ~36 bytes per entry and packs it into 4 to 8 more,
-# ~2.2 GB at the cap.  waves.py refuses a set whose walk steps pass it.
-_MAX_TABLE_ENTRIES = 50_000_000
 
 
 def _dp_counts(parts: Sequence[int], upper: int, held: Sequence[int] = ()) -> List[int]:
@@ -43,10 +40,11 @@ def _dp_counts(parts: Sequence[int], upper: int, held: Sequence[int] = ()) -> Li
     come from held's last sum(parts[1:]) entries by differencing: the table
     without a is the table with a minus itself shifted by a, 0 below n = 0.
     """
-    if upper + 1 > _MAX_TABLE_ENTRIES:
+    cap = admission.MAX_TABLE_ENTRIES
+    if upper + 1 > cap:
         raise ResourceLimitError(
             f"a count table for n = {upper} needs {upper + 1} entries, over the"
-            f" cap of {_MAX_TABLE_ENTRIES}; for pairwise-coprime parts, the waves,"
+            f" cap of {cap}; for pairwise-coprime parts, the waves,"
             " theorem1, section3 and closed-form routes need no count table"
         )
     low, span, first = len(held), sum(parts[1:]), parts[0]
@@ -100,7 +98,7 @@ def _counts_up_to(parts: PartSet, upper: int) -> Sequence[int]:
     table = _TABLES.get(key) or array("I")  # held tables are never empty
     if len(table) <= upper:
         # Extended by at least a quarter; a refused growth keeps the held table.
-        grown = min(len(table) * 5 // 4, _MAX_TABLE_ENTRIES) - 1
+        grown = min(len(table) * 5 // 4, admission.MAX_TABLE_ENTRIES) - 1
         new = _dp_counts(key, max(upper, grown), table)
         # p(n) <= p(n + a) for a in key, so the largest count is among the last
         top = max(new[-key[0] :])

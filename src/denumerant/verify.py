@@ -12,8 +12,8 @@ import random
 from math import lcm, prod
 from typing import List, NamedTuple, Tuple
 
-from . import oracle, reductions
-from .errors import DomainError, ResourceLimitError, SamplingExhaustedError
+from . import admission, oracle, reductions
+from .errors import DomainError, SamplingExhaustedError
 from .partset import PartSet
 
 
@@ -112,11 +112,9 @@ def run_verify(
     uniform, then checks every identity applicable to the arity.  Returns
     the failed checks in trial order.
 
-    A trial's table has at most 4P entries, since n <= 4P - 1 for its product
-    P, and P is at most max_product and at most the product of the k_max
-    largest integers in [1, max_part].  Arguments that would let a table pass
-    the oracle's cap, or a k_max over max_part, are refused before the first
-    trial.
+    Arguments that would let a trial's table pass the table cap
+    (``admission.admit_sweep``), or a k_max over max_part, are refused before
+    the first trial.
     """
     if trials < 0:
         raise DomainError(f"trials must be nonnegative, got {trials}")
@@ -124,17 +122,7 @@ def run_verify(
         raise DomainError(f"need 1 <= k-min <= k-max, got {k_min}..{k_max}")
     if max_part < k_max:
         raise DomainError(f"cannot draw {k_max} distinct parts from [1, {max_part}]")
-    widest = 1
-    for a in range(max_part, max(max_part - k_max, 0), -1):
-        if widest >= max_product:
-            break
-        widest *= a
-    entries = 4 * min(max_product, widest)
-    if entries > oracle._MAX_TABLE_ENTRIES:
-        raise ResourceLimitError(
-            f"verify tables may need {entries} entries, over the cap of"
-            f" {oracle._MAX_TABLE_ENTRIES}; lower --max-product or --max-part"
-        )
+    admission.admit_sweep(k_max, max_part, max_product)
     rng = random.Random(seed)
     failures = []
     for trial in range(trials):

@@ -20,8 +20,8 @@ Each inverted factor adds one 1/a_j, so a_j^k w_j is an integer wave whose
 entries are sized by a_j, not by the product.  Set-up walks (k - 1) S steps
 per part set, and a query costs O(k) integer operations: it scales each wave
 entry by D / a_j^k onto the common denominator D = (k - 1)! P^k of the
-polynomial.  A set whose walk steps, max(k - 1, 1) S, pass the oracle's table
-cap is refused before anything is built.
+polynomial.  A set whose walk steps, max(k - 1, 1) S, pass the table cap is
+refused before anything is built (``admission.admit_waves``).
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ from math import comb, factorial
 from operator import itemgetter
 from typing import Dict, Tuple
 
-from . import oracle
-from .errors import DomainError, InternalInconsistencyError, ResourceLimitError
+from . import admission, oracle
+from .errors import DomainError, InternalInconsistencyError
 from .partset import PartSet
 
 # (bytes held, D, Newton coefficients of D * Poly, (a_j, D / a_j^k, a_j^k * w_j) per
@@ -85,20 +85,11 @@ def _setup(parts: PartSet) -> _Setup:
 
 
 def waves_count(parts: PartSet, n: int) -> int:
-    """p(n) for pairwise-coprime parts, as a polynomial plus one wave per part.
-
-    Refuses a set whose set-up would pass the oracle's table cap, before
-    building anything: the waves walk (k - 1) S steps and hold S entries.
-    """
+    """p(n) for pairwise-coprime parts, as a polynomial plus one wave per part."""
     if n < 0:
         raise DomainError("counts are defined for nonnegative n only")
     parts.require_pairwise_coprime()
-    steps = max(parts.k - 1, 1) * parts.total
-    if steps > oracle._MAX_TABLE_ENTRIES:
-        raise ResourceLimitError(
-            f"the waves of {parts.k} parts summing to {parts.total} need {steps}"
-            f" walk steps, over the cap of {oracle._MAX_TABLE_ENTRIES}"
-        )
+    admission.admit_waves(parts)
     setup = _SETUPS.pop(parts.parts, None)
     if setup is None:
         setup = oracle._hold(_SETUPS, parts.parts, _setup(parts), itemgetter(0))

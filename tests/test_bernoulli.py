@@ -33,7 +33,7 @@ from denumerant.errors import DomainError
 from denumerant.partset import PartSet
 from denumerant.series import series_mul
 
-from helpers import bb_polys_by_factor_order, coprime_part_tuples, exp_via_egf
+from helpers import bb_polys_by_factor_order, coprime_part_tuples, exp_via_egf, run_module
 
 F = Fraction
 
@@ -56,6 +56,12 @@ def test_table_matches_sympy():
 
 def test_table_smallest():
     assert list(bernoulli_numbers(0)) == [F(1)]
+
+
+def test_table_smallest_in_a_fresh_process():
+    # the table here may already be grown; a new process reads the seed entry
+    done = run_module("bernoulli", "--max-index", "0")
+    assert (done.returncode, done.stdout, done.stderr) == (0, "B_0 = 1\n", "")
 
 
 def test_odd_entries_vanish():

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from denumerant import bernoulli, cli, oracle, reductions, verify, waves
+from denumerant import admission, bernoulli, cli, oracle, reductions, verify, waves
 from denumerant.cli import _build_parser, main, run
 from denumerant.errors import DomainError, ResourceLimitError, SamplingExhaustedError
 from denumerant.partset import PartSet
@@ -190,52 +190,34 @@ class TestOtherSubcommands:
         assert out.splitlines()[0] == "B_0 = [1]"
         assert out.splitlines()[3] == "B_3 = [0, 1/2, -3/2, 1]"
 
-    def test_bb_coefficient_past_the_digit_limit_refused(self, capsys, monkeypatch):
-        limit = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(640)
-        try:
-            for beta, denominator in (((10 ** 700 + 1,), 3), ((1,), 10 ** 700 + 1)):
-                table = (bernoulli.BBPoly(beta, 0, denominator),)
-                monkeypatch.setattr(bernoulli, "bernoulli_barnes", lambda p, m: table)
-                code, out, err = invoke(capsys, "bb", "--parts", "2", "--max-index", "0")
-                assert code == 3
-                assert out == ""
-                assert "640 digits" in err
-        finally:
-            sys.set_int_max_str_digits(limit)
+    def test_bb_refused_from_its_bound_before_the_table(self, capsys, monkeypatch):
+        # the bound for (2,3,5,7) passes 4,300 digits from m = 873 on; at
+        # m = 900 the table alone takes about 30 s to build
+        builds = []
+        monkeypatch.setattr(bernoulli, "_bernoulli_barnes", lambda p, m: builds.append(m))
+        for output in ("text", "json"):
+            code, out, err = invoke(
+                capsys, "bb", "--parts", "2,3,5,7", "--max-index", "900", "--output", output
+            )
+            assert (code, out) == (3, "")
+            assert err.count("\n") == 1 and err.startswith("error: ")
+            assert "cap of 4300" in err
+        assert builds == []
+        admission.admit_bb(PartSet.of(2, 3, 5, 7), 800)  # --max-index 800 prints
 
-    def test_refused_bb_prints_no_row(self, capsys, monkeypatch):
-        # Only B_3 has a coefficient past the limit (C(3, 0) beta_3), so a run
-        # that printed rows before checking them all would print B_0..B_2.
-        beta = (1, 1, 1, 10 ** 700 + 1)
-        table = tuple(bernoulli.BBPoly(beta, i, 3) for i in range(4))
-        monkeypatch.setattr(bernoulli, "bernoulli_barnes", lambda p, m: table)
+    @pytest.mark.parametrize("output", ["text", "json"])
+    def test_bb_prints_past_a_lowered_int_to_str_limit(self, capsys, output):
+        # the largest numerator of B_120(x; 10^6) has 826 digits: past 640
+        # digits bb prints by halves, as counts do
+        argv = ("bb", "--parts", "1000000", "--max-index", "120", "--output", output)
+        expected = invoke(capsys, *argv)
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(640)
         try:
-            for output in ("text", "json"):
-                code, out, err = invoke(
-                    capsys, "bb", "--parts", "2", "--max-index", "3", "--output", output
-                )
-                assert (code, out) == (3, "")
-                assert "640 digits" in err
+            assert invoke(capsys, *argv) == expected
         finally:
             sys.set_int_max_str_digits(limit)
-
-    def test_bb_printed_when_only_the_bound_passes_the_limit(self, capsys, monkeypatch):
-        # C(3, 1) * 5 * 10^639 passes 10^640, but every coefficient fits: the
-        # largest is C(i, i) beta_0 = 5 * 10^639, with 640 digits
-        big = 5 * 10 ** 639
-        table = tuple(bernoulli.BBPoly((big, 1, 1, 1), i, 1) for i in range(4))
-        monkeypatch.setattr(bernoulli, "bernoulli_barnes", lambda p, m: table)
-        limit = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(640)
-        try:
-            code, out, _ = invoke(capsys, "bb", "--parts", "2", "--max-index", "3")
-        finally:
-            sys.set_int_max_str_digits(limit)
-        assert code == 0
-        assert out.splitlines()[3] == f"B_3 = [1, 3, 3, {big}]"
+        assert expected[0] == 0 and any(len(token) > 640 for token in expected[1].split())
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -425,7 +407,7 @@ class TestExitCodes:
     def test_unprintable_bernoulli_refused_before_computing(
         self, monkeypatch, capsys
     ):
-        # at a 640-digit limit, B_448 is the first with too long a numerator
+        # at a 640-digit budget, B_448 is the first with too long a numerator
         calls = []
         real = bernoulli.bernoulli_numbers
 
@@ -434,34 +416,32 @@ class TestExitCodes:
             return real(m)
 
         monkeypatch.setattr(bernoulli, "bernoulli_numbers", counting)
-        limit = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(640)
-        try:
-            for index in ("448", "449", "2600", str(10 ** 400)):
-                code, out, err = invoke(capsys, "bernoulli", "--max-index", index)
-                assert (code, out) == (3, "")
-                assert err.startswith("error: ") and "640 digits" in err
-            assert calls == []
-            code, out, _ = invoke(capsys, "bernoulli", "--max-index", "447")
-            assert code == 0 and out.count("\n") == 448
-            sys.set_int_max_str_digits(0)  # no limit, no refusal
-            code, out, _ = invoke(capsys, "bernoulli", "--max-index", "449")
-            assert code == 0 and out.count("\n") == 450
-        finally:
-            sys.set_int_max_str_digits(limit)
-        assert calls == [447, 449]
+        monkeypatch.setattr(admission, "MAX_DIGITS", 640)
+        for index in ("448", "449", "2600", str(10 ** 400)):
+            code, out, err = invoke(capsys, "bernoulli", "--max-index", index)
+            assert (code, out) == (3, "")
+            assert err.startswith("error: ") and "cap of 640" in err
+        assert calls == []
+        code, out, _ = invoke(capsys, "bernoulli", "--max-index", "447")
+        assert code == 0 and out.count("\n") == 448
+        assert calls == [447]
 
-    def test_result_past_the_int_to_str_limit_refused(self, capsys):
-        # p(10^3000) for (2,3,5) has about 6000 digits, past Python's limit
-        limit = sys.get_int_max_str_digits()
+    @pytest.mark.parametrize("output", ["text", "json"])
+    def test_count_prints_past_the_int_to_str_limit(self, capsys, output):
+        # p(10^3000) for (2,3,5) has about 6,000 digits, past the 4,300 that
+        # Python's int-to-str takes at once
         n = str(10 ** 3000)
-        code, out, err = invoke(
-            capsys, "count", "--parts", "2,3,5", "--n", n, "--method", "theorem1"
-        )
-        assert code == 3
-        assert out == ""
-        assert err.count("\n") == 1 and err.startswith("error: ")
-        assert str(limit) in err
+        values = set()
+        for method in ("waves", "theorem1", "section3", "closed-form"):
+            code, out, err = invoke(
+                capsys, "count", "--parts", "2,3,5", "--n", n, "--method", method,
+                "--output", output,
+            )
+            assert (code, err) == (0, "")
+            values.add(json.loads(out)["value"] if output == "json" else out[:-1])
+        (value,) = values
+        assert len(value) == 5999 and value.isdigit()
+        assert value.startswith("1666666666")  # p(n) ~ n^2 / (2! * 30)
 
 
 class TestParserBuiltOnce:
@@ -593,7 +573,7 @@ class TestStdoutPinned:
 
 
 class TestDecimal:
-    """`cli._decimal` prints an int as str() does, by halves past ~1,000 digits."""
+    """`cli._decimal` prints an int as str() does, by halves past 640 digits."""
 
     LADDER = (512, 1024, 2048, 4096)
 
@@ -616,10 +596,14 @@ class TestDecimal:
             assert cli._decimal(value) == str(value)
             assert cli._decimal(-value) == str(-value)
 
-    def test_pieces_under_a_lowered_limit(self):
+    @pytest.mark.parametrize(
+        "value",
+        [10 ** 640, 7 ** 1000, 10 ** 1023 - 1, 7 ** 4733],
+        ids=["10^640", "7^1000", "10^1023-1", "7^4733"],
+    )
+    def test_pieces_under_a_lowered_limit(self, value):
         # str() refuses any piece past 640 digits, the least limit Python
         # takes, just above the 512-digit base width
-        value = 7 ** 4733  # 4,000 digits
         limit = sys.get_int_max_str_digits()
         try:
             sys.set_int_max_str_digits(0)
@@ -628,7 +612,7 @@ class TestDecimal:
             assert cli._decimal(value) == expected
         finally:
             sys.set_int_max_str_digits(limit)
-        assert len(expected) == 4000
+        assert len(expected) > 640
 
     def test_power_cache_bounded(self):
         # work gate: every length up to 4,300 digits cuts at the same five
@@ -743,6 +727,36 @@ class TestVerify:
             trials=20, seed=0, k_min=2, k_max=4, max_part=13, max_product=100000
         )
         assert failures == ()
+
+    ALL_CHECKS = (
+        "theorem1", "section3", "closed-form", "theorem2", "closed-form-theorem2", "theorem3"
+    )
+
+    @pytest.mark.parametrize(
+        "values, checks",
+        [
+            ((7,), ALL_CHECKS[:1]),
+            ((2, 3), ALL_CHECKS),
+            ((1, 2), ALL_CHECKS[:5]),
+            ((1, 2, 3), ALL_CHECKS),
+            ((1, 2, 3, 5, 7), ALL_CHECKS),
+            ((1, 2, 3, 5, 7, 11), ("theorem1", "section3", "theorem2", "theorem3")),
+        ],
+        ids=lambda v: ",".join(map(str, v)) if isinstance(v[0], int) else "",
+    )
+    def test_checks_run_per_arity(self, values, checks):
+        # every check applicable to the set runs: section3 from k = 2, the
+        # closed forms up to k = 5, theorem3 while the sum is at most the
+        # product: (1,2,3) has both 6, and (1,2) a sum of 3 over a product of 2
+        parts = PartSet(values)
+        reports = verify._check_trial(0, parts, 2 * parts.product + 1, 2, 1, random.Random(0))
+        assert tuple(report.check for report in reports) == checks
+        assert all(report.holds for report in reports)
+
+    def test_as_many_parts_as_the_largest_part(self, capsys):
+        argv = ("--trials", "5", "--k-max", "3", "--max-part", "3")
+        code, out, _ = invoke(capsys, "verify", *argv)
+        assert (code, out) == (0, "trials: 5\nseed: 0\nfailures: 0\n")
 
     def test_one_table_per_trial(self, monkeypatch):
         builds, per_trial = [], []
@@ -903,7 +917,7 @@ class TestVerify:
 
         monkeypatch.setattr(oracle, "_dp_counts", counting_dp)
         monkeypatch.setattr(oracle, "_TABLES", {})
-        monkeypatch.setattr(oracle, "_MAX_TABLE_ENTRIES", 100)
+        monkeypatch.setattr(admission, "MAX_TABLE_ENTRIES", 100)
         arguments = dict(trials=40, seed=0, k_min=2, k_max=3, max_part=13)
         with pytest.raises(ResourceLimitError, match="cap of 100"):
             run_verify(max_product=30, **arguments)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from denumerant import oracle, waves
+from denumerant import admission, oracle, waves
 from denumerant.errors import DomainError, ResourceLimitError
 from denumerant.oracle import oracle_count, oracle_table
 from denumerant.partset import PartSet
@@ -183,7 +183,7 @@ def test_one_part_counts_read_no_table(monkeypatch):
 
 
 def test_oversized_tables_refused_before_allocating(monkeypatch):
-    monkeypatch.setattr(oracle, "_MAX_TABLE_ENTRIES", 100)
+    monkeypatch.setattr(admission, "MAX_TABLE_ENTRIES", 100)
     monkeypatch.setattr(oracle, "_TABLES", {})
     parts = PartSet.of(2, 3, 5)
     assert oracle_count(parts, 80) == brute_force_count(parts.parts, 80)
@@ -204,7 +204,7 @@ def test_oversized_tables_refused_before_allocating(monkeypatch):
 
 def test_cache_bounded_in_bytes(monkeypatch):
     """Past the byte budget the oldest tables go, never the one just used."""
-    monkeypatch.setattr(oracle, "_MAX_TABLE_ENTRIES", 100)
+    monkeypatch.setattr(admission, "MAX_TABLE_ENTRIES", 100)
     monkeypatch.setattr(oracle, "_MAX_HELD_BYTES", 600)
     monkeypatch.setattr(oracle, "_TABLES", {})
     lookups = [
@@ -226,7 +226,7 @@ def test_cache_bounded_in_bytes(monkeypatch):
 
 def test_refused_growth_keeps_the_held_table(monkeypatch):
     """A lookup refused at the cap leaves the smaller held table in place."""
-    monkeypatch.setattr(oracle, "_MAX_TABLE_ENTRIES", 100)
+    monkeypatch.setattr(admission, "MAX_TABLE_ENTRIES", 100)
     monkeypatch.setattr(oracle, "_TABLES", {})
     parts = PartSet.of(2, 3, 5)
     assert oracle_count(parts, 60) == brute_force_count(parts.parts, 60)
@@ -245,6 +245,16 @@ def test_refused_growth_keeps_the_held_table(monkeypatch):
     assert {key: len(table) for key, table in oracle._TABLES.items()} == {
         parts.parts[:-1]: 61
     }
+
+
+def test_eviction_stops_once_the_held_bytes_fit(monkeypatch):
+    """Past the budget the oldest entries go, one at a time, only until the rest fit."""
+    monkeypatch.setattr(oracle, "_MAX_HELD_BYTES", 10)
+    cache = {"a": 4, "b": 4, "c": 2}
+    assert oracle._hold(cache, "d", 4, int) == 4
+    assert cache == {"b": 4, "c": 2, "d": 4}  # 14 held, dropping "a" leaves 10
+    oracle._hold(cache, "e", 11, int)
+    assert cache == {"e": 11}  # an entry over the budget alone is still kept
 
 
 def test_held_bytes_stay_under_the_budget(monkeypatch):
@@ -294,7 +304,7 @@ def test_refused_extension_leaves_the_held_table_unchanged(
     monkeypatch, values, n, cap, width
 ):
     """In each width: the held object stays cached, same length, same counts."""
-    monkeypatch.setattr(oracle, "_MAX_TABLE_ENTRIES", cap)
+    monkeypatch.setattr(admission, "MAX_TABLE_ENTRIES", cap)
     monkeypatch.setattr(oracle, "_TABLES", {})
     parts = PartSet(values)
     oracle_count(parts, n)

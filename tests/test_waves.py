@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from denumerant import oracle, waves
+from denumerant import admission, oracle, waves
 from denumerant.errors import (
     CoprimalityError,
     DomainError,
@@ -119,7 +119,7 @@ def test_oversized_part_sum_refused_before_building(monkeypatch):
     def no_setup(parts):
         raise AssertionError("waves were built for a refused part set")
 
-    monkeypatch.setattr(oracle, "_MAX_TABLE_ENTRIES", 30)
+    monkeypatch.setattr(admission, "MAX_TABLE_ENTRIES", 30)
     monkeypatch.setattr(waves, "_SETUPS", {})
     # (k - 1) S walk steps: 2 * 15 = 30 fits the cap, 2 * 23 = 46 does not
     assert waves_count(PartSet.of(3, 5, 7), 29) == brute_force_count((3, 5, 7), 29)
