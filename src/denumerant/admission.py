@@ -8,13 +8,14 @@ oracle kernel, ``oracle._dp_counts``, keeps MAX_TABLE_ENTRIES as a last guard.
     waves          max(k - 1, 1) S walk steps                    MAX_TABLE_ENTRIES
     verify sweep   4 P entries in a trial's table                MAX_TABLE_ENTRIES
     bernoulli      the digits of B_m, by Stirling                MAX_DIGITS
-    bb             a bound on every printed numerator's and      MAX_DIGITS
-                   denominator's digits, from (parts, m)
+    bb             a bound on every printed numerator's and      MAX_DIGITS, or a
+                   denominator's digits, from (parts, m)         lower int-to-str limit
 """
 
 from __future__ import annotations
 
 import math
+import sys
 
 from .errors import ResourceLimitError
 from .partset import PartSet
@@ -77,8 +78,9 @@ def admit_bernoulli(max_index: int) -> None:
         )
 
 
-def bb_digits(parts: PartSet, max_index: int) -> int:
-    """At least the digits of every numerator and denominator `bb` prints.
+def admit_bb(parts: PartSet, max_index: int) -> None:
+    """Refuse `bb` when its bound on the digits of any number it prints passes
+    MAX_DIGITS, or a lower int-to-str limit: `bb` prints through str.
 
     The coefficient of x^j in B_i is C(i, j) beta_{i-j} / (D^k P) in lowest
     terms, with beta_l = D^k l! [s^l] prod_j a_j s / (e^{a_j s} - 1) and D the
@@ -91,18 +93,13 @@ def bb_digits(parts: PartSet, max_index: int) -> int:
     m, k, ln10 = min(max_index, _M_CLAMP), parts.k, math.log(10)
     log_d = 1.01624 * (m + 1) / ln10
     half = math.lgamma(m + 1) - math.lgamma(m // 2 + 1) - math.lgamma(m - m // 2 + 1)
-    growth = math.lgamma(m + 1) + m * math.log(parts.parts[-1] / math.pi)
+    # math.log of the int: a part past 10^308 has no float
+    growth = math.lgamma(m + 1) + m * (math.log(parts.parts[-1]) - math.log(math.pi))
     numerator = (half + max(0.0, growth)) / ln10 + k * (math.log10(3.2835) + log_d)
-    denominator = k * log_d + math.log10(parts.product)
-    return math.floor(max(numerator, denominator)) + 1
-
-
-def admit_bb(parts: PartSet, max_index: int) -> int:
-    """The bound ``bb_digits``, once it is within MAX_DIGITS."""
-    digits = bb_digits(parts, max_index)
-    if digits > MAX_DIGITS:
+    digits = math.floor(max(numerator, k * log_d + math.log10(parts.product))) + 1
+    cap = min(MAX_DIGITS, sys.get_int_max_str_digits() or MAX_DIGITS)
+    if digits > cap:
         raise ResourceLimitError(
             f"bb to index {max_index} on parts {list(parts)} may print {digits}-digit"
-            f" numbers, over the cap of {MAX_DIGITS}"
+            f" numbers, over the cap of {cap}"
         )
-    return digits

@@ -117,11 +117,6 @@ class BBPoly:
         i, beta = self.index, self.beta
         return tuple(comb(i, j) * beta[i - j] for j in range(i + 1))
 
-    @property
-    def coeffs(self) -> Tuple[Fraction, ...]:
-        """The coefficients of x^0, x^1, ... in lowest terms."""
-        return tuple(Fraction(c, self.denominator) for c in self.numerators)
-
     def at(self, x) -> Fraction:
         return Fraction(poly_eval(self.numerators, x), self.denominator)
 
@@ -134,10 +129,8 @@ def lowest_terms(table: Sequence[BBPoly]) -> Iterator[List[Tuple[int, int]]]:
     only needs the gcd of the binomial with s_{i-j}: b_l is already prime to
     s_l.  No numerator is formed, and each row is formed as it is read.
     """
-    d, reduced = table[0].denominator, []
-    for b in table[0].beta:
-        g = gcd(b, d)
-        reduced.append((b // g, d // g))
+    beta, d = table[0].beta, table[0].denominator
+    reduced = [(b // g, d // g) for b, g in zip(beta, [gcd(b, d) for b in beta])]
     for entry in table:
         i, row = entry.index, []
         for j in range(i + 1):

@@ -197,12 +197,10 @@ def _dispatch(args: argparse.Namespace) -> int:
         lines = (f"B_{i} = {v}" for i, v in enumerate(value))
     elif args.subcommand == "bb":
         parts, given = PartSet(args.parts), args.max_index
-        # str() takes 640 digits under any int-to-str limit, and is faster
-        text = str if admission.admit_bb(parts, given) <= 640 else _decimal
-        table = bernoulli.bernoulli_barnes(parts, given)
+        admission.admit_bb(parts, given)
         value = (
-            [text(n) if d == 1 else f"{text(n)}/{text(d)}" for n, d in row]
-            for row in bernoulli.lowest_terms(table)
+            [str(n) if d == 1 else f"{n}/{d}" for n, d in row]
+            for row in bernoulli.lowest_terms(bernoulli.bernoulli_barnes(parts, given))
         )
         lines = (f"B_{i} = [{', '.join(coeffs)}]" for i, coeffs in enumerate(value))
     else:

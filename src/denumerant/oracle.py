@@ -40,12 +40,11 @@ def _dp_counts(parts: Sequence[int], upper: int, held: Sequence[int] = ()) -> Li
     come from held's last sum(parts[1:]) entries by differencing: the table
     without a is the table with a minus itself shifted by a, 0 below n = 0.
     """
-    cap = admission.MAX_TABLE_ENTRIES
-    if upper + 1 > cap:
+    if upper + 1 > admission.MAX_TABLE_ENTRIES:
         raise ResourceLimitError(
-            f"a count table for n = {upper} needs {upper + 1} entries, over the"
-            f" cap of {cap}; for pairwise-coprime parts, the waves,"
-            " theorem1, section3 and closed-form routes need no count table"
+            f"a count table for n = {upper} needs {upper + 1} entries, over the cap"
+            f" of {admission.MAX_TABLE_ENTRIES}; for pairwise-coprime parts, the"
+            " waves, theorem1, section3 and closed-form routes need no count table"
         )
     low, span, first = len(held), sum(parts[1:]), parts[0]
     window = [0] * max(span - low, 0) + list(held[max(low - span, 0) :])

@@ -112,9 +112,8 @@ def run_verify(
     uniform, then checks every identity applicable to the arity.  Returns
     the failed checks in trial order.
 
-    Arguments that would let a trial's table pass the table cap
-    (``admission.admit_sweep``), or a k_max over max_part, are refused before
-    the first trial.
+    A k_max over max_part, or trial tables that could pass the table cap
+    (``admission.admit_sweep``), are refused before the first trial.
     """
     if trials < 0:
         raise DomainError(f"trials must be nonnegative, got {trials}")

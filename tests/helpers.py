@@ -104,6 +104,11 @@ def exp_via_egf(h: Tuple[Fraction, ...]) -> Tuple[Fraction, ...]:
     return tuple(Fraction(c, d ** i * factorial(i)) for i, c in enumerate(g))
 
 
+def bb_coeffs(poly) -> Tuple[Fraction, ...]:
+    """A Bernoulli-Barnes polynomial's coefficients of x^0, x^1, ... in lowest terms."""
+    return tuple(Fraction(c, poly.denominator) for c in poly.numerators)
+
+
 def bb_polys_by_factor_order(
     parts_in_order: Sequence[int], max_index: int
 ) -> List[Tuple[Fraction, ...]]:

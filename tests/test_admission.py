@@ -83,12 +83,26 @@ def test_bernoulli_budget_at_the_default():
         admission.admit_bernoulli(2064)
 
 
-def test_bb_bound_at_the_readme_example():
+def test_bb_bound_at_the_readme_example(monkeypatch):
     # the README quotes 3911 and 4446; (2,3,5,7) is refused from m = 873 on,
     # though at m = 900 the longest number printed has about 2,330 digits
     parts = PartSet.of(2, 3, 5, 7)
-    bounds = [admission.bb_digits(parts, m) for m in (800, 872, 873, 900)]
-    assert bounds == [3911, 4295, 4301, 4446]
+    admission.admit_bb(parts, 872)
+    with pytest.raises(ResourceLimitError, match="may print 4301-digit numbers"):
+        admission.admit_bb(parts, 873)
+    monkeypatch.setattr(admission, "MAX_DIGITS", 0)
+    for m, bound in [(800, 3911), (872, 4295), (900, 4446)]:
+        with pytest.raises(ResourceLimitError, match=f"may print {bound}-digit numbers"):
+            admission.admit_bb(parts, m)
+
+
+@pytest.mark.parametrize("m, bound", [(0, 401), (1, 401), (2, 802), (3, 1203)])
+def test_bb_bound_takes_parts_past_the_float_range(monkeypatch, m, bound):
+    # 10^400 has no float, so the bound reads parts through logs of the int;
+    # B_2 = [5 10^399/3, -1, 1/10^400] has 401-digit numbers
+    monkeypatch.setattr(admission, "MAX_DIGITS", 0)
+    with pytest.raises(ResourceLimitError, match=f"may print {bound}-digit numbers"):
+        admission.admit_bb(PartSet.of(10 ** 400), m)
 
 
 def digits(value: int) -> int:
@@ -98,10 +112,15 @@ def digits(value: int) -> int:
 @settings(max_examples=60, deadline=None)
 @given(st.sets(st.integers(1, 40), min_size=1, max_size=6), st.integers(0, 60))
 def test_bb_bound_holds(combo, m):
-    # coprime or not: the bound reads only k, the largest part, P and m
+    # coprime or not: the bound reads only k, the largest part, P and m; it
+    # is refused under a budget one digit short of the longest printed number
     parts = PartSet(tuple(combo))
     table = bernoulli.bernoulli_barnes(parts, m)
     longest = max(
         max(digits(n), digits(d)) for row in bernoulli.lowest_terms(table) for n, d in row
     )
-    assert admission.bb_digits(parts, m) >= longest
+    admission.admit_bb(parts, m)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(admission, "MAX_DIGITS", longest - 1)
+        with pytest.raises(ResourceLimitError):
+            admission.admit_bb(parts, m)

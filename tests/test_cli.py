@@ -23,7 +23,7 @@ from denumerant.reductions import theorem1_count
 from denumerant.verify import format_failure, random_coprime_partset, run_verify
 from denumerant.waves import waves_count
 
-from helpers import brute_force_count, coprime_part_tuples, run_module
+from helpers import bb_coeffs, brute_force_count, coprime_part_tuples, run_module
 
 F = Fraction
 
@@ -175,7 +175,7 @@ class TestOtherSubcommands:
     def test_bb_coefficients_print_as_fractions(self, combo, m):
         table = bernoulli.bernoulli_barnes(PartSet(tuple(combo)), m)
         assert list(bernoulli.lowest_terms(table)) == [
-            [(f.numerator, f.denominator) for f in entry.coeffs] for entry in table
+            [(f.numerator, f.denominator) for f in bb_coeffs(entry)] for entry in table
         ]
 
     def test_bb_coefficient_examples(self, capsys):
@@ -205,19 +205,28 @@ class TestOtherSubcommands:
         assert builds == []
         admission.admit_bb(PartSet.of(2, 3, 5, 7), 800)  # --max-index 800 prints
 
+    def test_bb_of_a_part_past_the_float_range(self, capsys):
+        # a part of 10^400 passes any float, and the bound takes it
+        big = str(10 ** 400)
+        code, out, err = invoke(capsys, "bb", "--parts", big, "--max-index", "0")
+        assert (code, out, err) == (0, f"B_0 = [1/{big}]\n", "")
+
     @pytest.mark.parametrize("output", ["text", "json"])
-    def test_bb_prints_past_a_lowered_int_to_str_limit(self, capsys, output):
-        # the largest numerator of B_120(x; 10^6) has 826 digits: past 640
-        # digits bb prints by halves, as counts do
+    def test_bb_refused_past_a_lowered_int_to_str_limit(self, capsys, monkeypatch, output):
+        # bb prints through str, so a lowered limit caps its bound too: the
+        # bound on B_120(x; 10^6) is 949 digits, under 4,300 and over 640
         argv = ("bb", "--parts", "1000000", "--max-index", "120", "--output", output)
-        expected = invoke(capsys, *argv)
+        assert invoke(capsys, *argv)[0] == 0
+        builds = []
+        monkeypatch.setattr(bernoulli, "_bernoulli_barnes", lambda p, m: builds.append(m))
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(640)
         try:
-            assert invoke(capsys, *argv) == expected
+            code, out, err = invoke(capsys, *argv)
         finally:
             sys.set_int_max_str_digits(limit)
-        assert expected[0] == 0 and any(len(token) > 640 for token in expected[1].split())
+        assert (code, out, builds) == (3, "", [])
+        assert err.count("\n") == 1 and "may print 949-digit numbers, over the cap of 640" in err
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -230,7 +239,7 @@ class TestOtherSubcommands:
         # joined lines and of json.dumps of the whole payload, built here from
         # Fractions rather than from lowest_terms.
         parts = PartSet(tuple(combo))
-        rows = [[str(c) for c in entry.coeffs] for entry in bernoulli.bernoulli_barnes(parts, m)]
+        rows = [[str(c) for c in bb_coeffs(entry)] for entry in bernoulli.bernoulli_barnes(parts, m)]
         numbers = [str(b) for b in bernoulli.bernoulli_numbers(index)]
         cases = (
             (
