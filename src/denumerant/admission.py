@@ -85,13 +85,14 @@ def admit_bb(parts: PartSet, max_index: int) -> None:
     The coefficient of x^j in B_i is C(i, j) beta_{i-j} / (D^k P) in lowest
     terms, with beta_l = D^k l! [s^l] prod_j a_j s / (e^{a_j s} - 1) and D the
     product of the primes up to m + 1 (``bernoulli.bernoulli_barnes``), which
-    is under e^(1.01624 (m + 1)) (Rosser and Schoenfeld, 1962).  On |s| =
-    pi / a_max each factor is at most 3.2835 in modulus, its value at a_j s =
-    -pi, so by Cauchy's estimate |beta_l| <= (3.2835 D)^k l! (a_max / pi)^l,
-    which over l <= m is largest at l = 0 or at l = m.
+    is under e^(1.01624 (m + 1)) (Rosser and Schoenfeld, 1962) for m >= 1 and
+    is 1 at m = 0, with no prime up to 1.  On |s| = pi / a_max each factor is
+    at most 3.2835 in modulus, its value at a_j s = -pi, so by Cauchy's
+    estimate |beta_l| <= (3.2835 D)^k l! (a_max / pi)^l, which over l <= m is
+    largest at l = 0 or at l = m.
     """
     m, k, ln10 = min(max_index, _M_CLAMP), parts.k, math.log(10)
-    log_d = 1.01624 * (m + 1) / ln10
+    log_d = 1.01624 * (m + 1) / ln10 if m else 0.0
     half = math.lgamma(m + 1) - math.lgamma(m // 2 + 1) - math.lgamma(m - m // 2 + 1)
     # math.log of the int: a part past 10^308 has no float
     growth = math.lgamma(m + 1) + m * (math.log(parts.parts[-1]) - math.log(math.pi))

@@ -251,13 +251,55 @@ def _dispatch(args: argparse.Namespace) -> int:
     return code
 
 
+def _bind(parser: argparse.ArgumentParser, tokens: Sequence[str]) -> Optional[argparse.Namespace]:
+    """The Namespace `parser.parse_args(tokens)` returns, bound from the
+    parser's own option table when the tokens are plain `--name value` pairs.
+
+    Each name must be an exact option string of a plain store action, given
+    once, no value may start with `-`, and each value must convert with the
+    action's type and pass its choices; defaults are applied as argparse
+    applies them to options that each have their own dest, as here.  Every
+    other argv (abbreviations, `--name=value`, repeats, negative numbers,
+    `-h`, a missing required option, any error) gives None, and argparse
+    parses it and prints any usage or error itself.
+    """
+    if len(tokens) % 2 or parser._mutually_exclusive_groups:
+        return None
+    values: Dict[argparse.Action, object] = {}
+    try:
+        for name, text in zip(tokens[::2], tokens[1::2]):
+            action = parser._option_string_actions.get(name)
+            if type(action) is not argparse._StoreAction or action.nargs is not None:
+                return None
+            if action in values or text.startswith("-"):
+                return None
+            values[action] = value = parser._get_value(action, text)
+            parser._check_value(action, value)
+        namespace = argparse.Namespace(**parser._defaults)
+        for action in parser._actions:
+            if action in values:
+                setattr(namespace, action.dest, values[action])
+            elif action.required:
+                return None
+            elif action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS:
+                default = action.default
+                if isinstance(default, str):
+                    default = parser._get_value(action, default)
+                setattr(namespace, action.dest, default)
+    except argparse.ArgumentError:
+        return None
+    return namespace
+
+
 def run(argv: Optional[Sequence[str]] = None) -> int:
     """Parse argv, execute, and return the exit code.
 
     The parsers are built once per process, on the first call.  An argv whose
-    first token names a subcommand goes straight to that subcommand's parser,
-    so it is parsed once; the top-level parser takes every other argv (none,
-    `-h`, an unknown name) and prints its usage.
+    first token names a subcommand is read by that subcommand's parser alone:
+    `_bind` takes plain `--name value` pairs from its option table, and
+    argparse parses every other form, so each argv is parsed once.  The
+    top-level parser takes every other argv (none, `-h`, an unknown name) and
+    prints its usage.
     """
     argv = list(argv) if argv is not None else sys.argv[1:]
     parser = _build_parser()
@@ -266,7 +308,8 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         if subparser is None:
             args = parser.parse_args(argv)
         else:
-            args = subparser.parse_args(argv[1:], argparse.Namespace(subcommand=argv[0]))
+            args = _bind(subparser, argv[1:]) or subparser.parse_args(argv[1:])
+            args.subcommand = argv[0]
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

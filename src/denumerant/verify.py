@@ -44,7 +44,7 @@ def random_coprime_partset(
         raise DomainError(f"need at least one part, got k={k}")
     if max_part < k:
         raise DomainError(f"cannot draw {k} distinct parts from [1, {max_part}]")
-    population = tuple(range(1, max_part + 1))
+    population = range(1, max_part + 1)
     for _ in range(10_000):
         draw = rng.sample(population, k)
         product = prod(draw)

@@ -9,10 +9,10 @@ import sys
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, lcm, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from denumerant import admission, bernoulli, cli, oracle, reductions, verify, waves
@@ -210,6 +210,14 @@ class TestOtherSubcommands:
         big = str(10 ** 400)
         code, out, err = invoke(capsys, "bb", "--parts", big, "--max-index", "0")
         assert (code, out, err) == (0, f"B_0 = [1/{big}]\n", "")
+
+    def test_bb_of_a_4300_digit_part_at_index_0(self, capsys):
+        # D, the product of the primes up to m + 1, is 1 at m = 0, so B_0 = [1/P]
+        # is bounded by P's own 4,300 digits; a D^k term of 0.441 digits per
+        # part refused it
+        part = str(4 * 10 ** 4299 + 1)
+        code, out, err = invoke(capsys, "bb", "--parts", part, "--max-index", "0")
+        assert (code, out, err) == (0, f"B_0 = [1/{part}]\n", "")
 
     @pytest.mark.parametrize("output", ["text", "json"])
     def test_bb_refused_past_a_lowered_int_to_str_limit(self, capsys, monkeypatch, output):
@@ -634,6 +642,70 @@ class TestDecimal:
         assert info.misses == info.currsize == 5
 
 
+# Per subcommand, each option with plain values and odd ones: values that fail
+# to convert or miss its choices, or start with `-`.  "-1_000" converts, but
+# argparse reads it as an option, not as a negative number; "9" * 4301 passes
+# the int-to-str limit.
+PARTS = (["2,3", "3,5,7"], ["2,,3", "0,2", "-2,3", ""])
+INTS = (["11", "0", "1_000"], ["-5", "-1_000", "x1", "9" * 4301])
+OUTPUT = (["text", "json"], ["xml", "-x"])
+ARGV_OPTIONS = {
+    "count": {
+        "--parts": PARTS,
+        "--n": INTS,
+        "--method": (["oracle", "theorem1", "closed-form"], ["nope", "-x"]),
+        "--output": OUTPUT,
+    },
+    "bb": {"--parts": PARTS, "--max-index": INTS, "--output": OUTPUT},
+    "bernoulli": {"--max-index": INTS, "--output": OUTPUT},
+    "theorem2": {"--parts": PARTS, "--x": INTS, "--output": OUTPUT},
+    "theorem3": {"--parts": PARTS, "--x": INTS, "--output": OUTPUT},
+    "verify": {
+        name: INTS
+        for name in ("--trials", "--seed", "--k-min", "--k-max", "--max-part", "--max-product")
+    }
+    | {"--output": OUTPUT},
+}
+LONE_TOKENS = ["-h", "--help", "--", "", "-5", "--frob", "7"]
+
+
+@st.composite
+def bind_argvs(draw):
+    """A subcommand and its tokens: mostly plain `--name value` pairs, each
+    option left out at times, and among them abbreviations, `--name=value`,
+    repeats, odd values and lone tokens."""
+    subcommand = draw(st.sampled_from(sorted(ARGV_OPTIONS)))
+    options = ARGV_OPTIONS[subcommand]
+    names = [name for name in draw(st.permutations(sorted(options))) if draw(st.integers(0, 5))]
+    if draw(st.integers(0, 7)) == 0:
+        names.append(draw(st.sampled_from(sorted(options))))  # a repeat
+    tokens = []
+    for name in names:
+        plain, odd = options[name]
+        value = draw(st.sampled_from(plain if draw(st.integers(0, 4)) else odd))
+        form = draw(st.integers(0, 19))
+        if form == 0:
+            name = name[: draw(st.sampled_from([3, 5]))]
+        if form == 1:
+            tokens.append(f"{name}={value}")
+        else:
+            tokens += [name, value]
+    if draw(st.integers(0, 7)) == 0:
+        tokens.insert(draw(st.integers(0, len(tokens))), draw(st.sampled_from(LONE_TOKENS)))
+    return subcommand, tokens
+
+
+def outcome(call):
+    """(the result or exit code of call(), its stdout, its stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            result = call()
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
 class TestDispatch:
     """An argv that names a subcommand is parsed by that subcommand's parser."""
 
@@ -657,8 +729,9 @@ class TestDispatch:
         assert handed == [_build_parser().parse_args(list(argv))]
 
     def test_one_parse_per_valid_run(self, monkeypatch):
-        # work gate: the subcommand's parser alone reads argv; passing it on
-        # from the top-level parser made two parse_known_args calls per run
+        # work gate: plain `--name value` argv are bound from the subcommand
+        # parser's option table with no argparse parse; `=`, the `--meth`
+        # abbreviation or a repeated option is parsed once, by that parser alone
         calls = []
         parse_known_args = argparse.ArgumentParser.parse_known_args
 
@@ -669,10 +742,36 @@ class TestDispatch:
         run(["count", "--parts", "2,3", "--n", "11"])  # the parsers exist from here on
         monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
         monkeypatch.setattr(cli, "_dispatch", lambda args: 0)
-        for argv in self.VALID:
+        parsed = [0, 1, 1, 0, 1, 0, 1, 0, 1]
+        for argv, parses in zip(self.VALID, parsed, strict=True):
             calls.clear()
             assert run(list(argv)) == 0
-            assert calls == [f"denumerant {argv[0]}"]
+            assert calls == [f"denumerant {argv[0]}"] * parses, argv
+
+    @settings(max_examples=400)
+    @given(bind_argvs())
+    @example(("theorem2", ["--parts", "2,3", "--x", "-1_000"]))  # a value read as an option
+    @example(("count", ["--n", "11", "--method", "waves"]))  # --parts left out
+    def test_bind_agrees_with_argparse(self, drawn):
+        # _bind gives None or the Namespace parse_args gives, and run prints
+        # and exits as it does when argparse parses every argv
+        subcommand, tokens = drawn
+        _build_parser()
+        subparser = cli._SUBPARSERS[subcommand]
+        bound = cli._bind(subparser, tokens)
+        if bound is not None:
+            assert outcome(lambda: subparser.parse_args(tokens)) == (bound, "", "")
+
+        def echo(args):
+            print(sorted(vars(args).items()))
+            return 0
+
+        argv = [subcommand, *tokens]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "_dispatch", echo)
+            bound_run = outcome(lambda: run(argv))
+            patch.setattr(cli, "_bind", lambda parser, tokens: None)
+            assert outcome(lambda: run(argv)) == bound_run
 
     # exit code and the first 16 hex digits of the sha256 of stdout and of
     # stderr, as before subcommands were dispatched by name
@@ -1039,6 +1138,21 @@ class TestRandomCoprimePartset:
                 for i in range(3)
                 for j in range(i + 1, 3)
             )
+
+    @pytest.mark.parametrize("max_part", [13, 100, 100_000, 10 ** 6])
+    def test_same_sets_as_sampling_a_tuple(self, max_part):
+        # rng.sample draws indices alone, so sampling the range picks the sets
+        # that sampling a tuple of its values picked, and each seed checks the
+        # same sets; building that tuple took ~3.4 ms a draw at 10^5
+        values = tuple(range(1, max_part + 1))
+        ours, tuples = random.Random(7), random.Random(7)
+        for k in (1, 2, 3, 5, 2, 4):
+            max_product = max_part ** k // 4
+            draw = tuples.sample(values, k)
+            while prod(draw) > max_product or lcm(*draw) != prod(draw):
+                draw = tuples.sample(values, k)
+            assert random_coprime_partset(k, max_part, max_product, ours) == PartSet(tuple(draw))
+        assert ours.getstate() == tuples.getstate()
 
     def test_exhaustion(self):
         # [1,6] has no six pairwise-coprime values, so every draw is rejected
