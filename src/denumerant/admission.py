@@ -1,4 +1,5 @@
-"""Size policy: the budgets, and one check per request made before its work.
+"""Size policy: the budgets, one check per request made before its work, and
+the rule that holds each cache to MAX_HELD_BYTES.
 
 Each refusal is a ResourceLimitError raised here before anything the request
 bounds is built, so the command line exits 3 with nothing on stdout.  The
@@ -7,7 +8,8 @@ oracle kernel, ``oracle._dp_counts``, keeps MAX_TABLE_ENTRIES as a last guard.
     request        estimate                                      budget
     waves          max(k - 1, 1) S walk steps                    MAX_TABLE_ENTRIES
     verify sweep   4 P entries in a trial's table                MAX_TABLE_ENTRIES
-    bernoulli      the digits of B_m, by Stirling                MAX_DIGITS
+    bernoulli      every B_j's digits, j <= m, by Stirling and   MAX_DIGITS
+                   von Staudt and Clausen
     bb             a bound on every printed numerator's and      MAX_DIGITS, or a
                    denominator's digits, from (parts, m)         lower int-to-str limit
 """
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import math
 import sys
+from typing import Any, Callable
 
 from .errors import ResourceLimitError
 from .partset import PartSet
@@ -28,8 +31,23 @@ MAX_TABLE_ENTRIES = 50_000_000
 # the default of Python's int-to-str limit.  Counts print at any length.
 MAX_DIGITS = 4_300
 
-# Both digit estimates grow with m, and pass 10^9 digits at m = 10^9.
-_M_CLAMP = 10 ** 9
+# The bytes each cache of recent results holds: the oracle's tables and the
+# waves' set-ups.  16 MiB holds the tables the 75 seed-0 verify-sweep ops reuse
+# (at most 12.5 MiB), so they make 576 kernel calls filling 2.24M entries;
+# under 10 MiB they made 691 filling 3.14M.
+MAX_HELD_BYTES = 16 << 20
+
+
+def hold(cache: dict, key: tuple, value: Any, weigh: Callable[[Any], int]) -> Any:
+    """Store value as the newest entry of cache, then drop the oldest others while
+    the held weights, in bytes by weigh, pass MAX_HELD_BYTES: only the entry just
+    stored may pass the budget alone.  A caller moves a hit to the end itself."""
+    cache.pop(key, None)
+    held = weigh(value) + sum(map(weigh, cache.values()))
+    while cache and held > MAX_HELD_BYTES:
+        held -= weigh(cache.pop(next(iter(cache))))
+    cache[key] = value
+    return value
 
 
 def admit_waves(parts: PartSet) -> None:
@@ -59,23 +77,35 @@ def admit_sweep(k_max: int, max_part: int, max_product: int) -> None:
 
 
 def admit_bernoulli(max_index: int) -> None:
-    """For even m, |B_m| = 2 m! zeta(m) / (2 pi)^m, with zeta(m) taken as 1,
-    which it nears fast (zeta(10) < 1.001); by von Staudt and Clausen the
-    denominator of B_m is the product of the primes p with (p - 1) | m, and
-    the numerator's digits follow.  B_m vanishes for odd m >= 3."""
-    m = min(max_index - max_index % 2, _M_CLAMP)
-    if m < 2:
-        return
-    log10 = math.log10(2) + (math.lgamma(m + 1) - m * math.log(2 * math.pi)) / math.log(10)
-    low = [d for d in range(1, math.isqrt(m) + 1) if m % d == 0]
-    for p in {d + 1 for d in low} | {m // d + 1 for d in low}:
-        if all(p % f for f in range(2, math.isqrt(p) + 1)):
-            log10 += math.log10(p)
-    digits = math.floor(log10) + 1
-    if digits > MAX_DIGITS:
-        raise ResourceLimitError(
-            f"B_{m} has about {digits} digits, over the cap of {MAX_DIGITS}"
-        )
+    """Refuse when a bound on the digits of the numerator or the denominator
+    of any B_j, j <= m, passes MAX_DIGITS.  B_0 = 1, B_1 = 1/2, and B_j
+    vanishes for odd j >= 3.
+
+    For even j >= 2, |B_j| = 2 j! zeta(j) / (2 pi)^j with zeta(j) <= 1 + 3 / 2^j,
+    and by von Staudt and Clausen the denominator D_j is the product of the
+    primes p with (p - 1) | j, found for every j by one sieve over the primes
+    up to m + 1.  Since |B_j| D_j >= 12 j! / (2 pi)^j, the sieve stops at the
+    first power of 2 whose row must pass the cap.  1e-9 covers float rounding.
+    """
+    ln10, log_2pi, top = math.log(10), math.log(2 * math.pi), 2
+    while math.log10(12) + (math.lgamma(top + 1) - top * log_2pi) / ln10 <= MAX_DIGITS:
+        top *= 2
+    m = min(max_index, top)
+    log_d = [math.log10(2)] * (m + 1)  # 2 divides every D_j
+    composite = bytearray(m + 2)
+    for p in range(3, m + 2, 2):
+        if not composite[p]:
+            composite[p * p :: p] = b"\1" * len(range(p * p, m + 2, p))
+            log_p = math.log10(p)
+            for j in range(p - 1, m + 1, p - 1):
+                log_d[j] += log_p
+    for j in range(2, m + 1, 2):
+        log_b = math.log10(2 + math.ldexp(6, -j)) + (math.lgamma(j + 1) - j * log_2pi) / ln10
+        digits = math.floor(max(log_b, 0.0) + log_d[j] + 1e-9) + 1
+        if digits > MAX_DIGITS:
+            raise ResourceLimitError(
+                f"B_{j} has about {digits} digits, over the cap of {MAX_DIGITS}"
+            )
 
 
 def admit_bb(parts: PartSet, max_index: int) -> None:
@@ -91,7 +121,8 @@ def admit_bb(parts: PartSet, max_index: int) -> None:
     estimate |beta_l| <= (3.2835 D)^k l! (a_max / pi)^l, which over l <= m is
     largest at l = 0 or at l = m.
     """
-    m, k, ln10 = min(max_index, _M_CLAMP), parts.k, math.log(10)
+    # the bound grows with m, and passes 10^9 digits at m = 10^9
+    m, k, ln10 = min(max_index, 10 ** 9), parts.k, math.log(10)
     log_d = 1.01624 * (m + 1) / ln10 if m else 0.0
     half = math.lgamma(m + 1) - math.lgamma(m // 2 + 1) - math.lgamma(m - m // 2 + 1)
     # math.log of the int: a part past 10^308 has no float

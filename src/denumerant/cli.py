@@ -81,57 +81,47 @@ _COUNT_METHODS: Dict[str, Callable[[PartSet, int], int]] = {
 }
 
 
-# The subcommand parsers by name, as `_build_parser` made them.
-_SUBPARSERS: Dict[str, argparse.ArgumentParser] = {}
+# Each subcommand's help line and options, in the order its help lists them:
+# option -> (type, default).  A type is a converter or a tuple of choices, and
+# a default of None marks the option required.  `_build_parser` makes the
+# argparse parsers from this table, and `_bind` reads it.
+_OUTPUT = {"--output": (("text", "json"), "text")}
+_OPTIONS: Dict[str, Tuple[str, Dict[str, Tuple[object, object]]]] = {
+    "count": ("count representations of n", {
+        "--parts": (parse_parts, None), "--n": (int, None),
+        "--method": (tuple(_COUNT_METHODS), "oracle"), **_OUTPUT}),
+    "bb": ("Bernoulli-Barnes polynomials", {
+        "--parts": (parse_parts, None), "--max-index": (nonnegative_int, None), **_OUTPUT}),
+    "bernoulli": ("Bernoulli numbers", {"--max-index": (nonnegative_int, None), **_OUTPUT}),
+    "theorem2": ("count at product - x, small x", {
+        "--parts": (parse_parts, None), "--x": (int, None), **_OUTPUT}),
+    "theorem3": ("two-sided boundary value at x", {
+        "--parts": (parse_parts, None), "--x": (int, None), **_OUTPUT}),
+    "verify": ("seeded random identity checks", {
+        "--trials": (nonnegative_int, 500), "--seed": (int, 0),
+        "--k-min": (positive_int, 2), "--k-max": (positive_int, 5),
+        "--max-part": (positive_int, 13), "--max-product": (positive_int, 100000),
+        **_OUTPUT}),
+}
 
 
 @cache
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and the subcommand parsers by name, from _OPTIONS."""
     parser = argparse.ArgumentParser(
         prog="denumerant",
         description="exact restricted-count computations and identity checks",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def with_output(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--output", choices=("text", "json"), default="text")
-
-    count = sub.add_parser("count", help="count representations of n")
-    count.add_argument("--parts", type=parse_parts, required=True)
-    count.add_argument("--n", type=int, required=True)
-    count.add_argument("--method", choices=tuple(_COUNT_METHODS), default="oracle")
-    with_output(count)
-
-    bb = sub.add_parser("bb", help="Bernoulli-Barnes polynomials")
-    bb.add_argument("--parts", type=parse_parts, required=True)
-    bb.add_argument("--max-index", type=nonnegative_int, required=True)
-    with_output(bb)
-
-    numbers = sub.add_parser("bernoulli", help="Bernoulli numbers")
-    numbers.add_argument("--max-index", type=nonnegative_int, required=True)
-    with_output(numbers)
-
-    theorem2 = sub.add_parser("theorem2", help="count at product - x, small x")
-    theorem2.add_argument("--parts", type=parse_parts, required=True)
-    theorem2.add_argument("--x", type=int, required=True)
-    with_output(theorem2)
-
-    theorem3 = sub.add_parser("theorem3", help="two-sided boundary value at x")
-    theorem3.add_argument("--parts", type=parse_parts, required=True)
-    theorem3.add_argument("--x", type=int, required=True)
-    with_output(theorem3)
-
-    verify = sub.add_parser("verify", help="seeded random identity checks")
-    verify.add_argument("--trials", type=nonnegative_int, default=500)
-    verify.add_argument("--seed", type=int, default=0)
-    verify.add_argument("--k-min", type=positive_int, default=2)
-    verify.add_argument("--k-max", type=positive_int, default=5)
-    verify.add_argument("--max-part", type=positive_int, default=13)
-    verify.add_argument("--max-product", type=positive_int, default=100000)
-    with_output(verify)
-
-    _SUBPARSERS.update(sub.choices)
-    return parser
+    for name, (summary, options) in _OPTIONS.items():
+        subparser = sub.add_parser(name, help=summary)
+        for option, (kind, default) in options.items():
+            choices = kind if isinstance(kind, tuple) else None
+            subparser.add_argument(
+                option, type=None if choices else kind, choices=choices,
+                required=default is None, default=default,
+            )
+    return parser, sub.choices
 
 
 @lru_cache(maxsize=16)
@@ -251,44 +241,34 @@ def _dispatch(args: argparse.Namespace) -> int:
     return code
 
 
-def _bind(parser: argparse.ArgumentParser, tokens: Sequence[str]) -> Optional[argparse.Namespace]:
-    """The Namespace `parser.parse_args(tokens)` returns, bound from the
-    parser's own option table when the tokens are plain `--name value` pairs.
+def _bind(subcommand: str, tokens: Sequence[str]) -> Optional[argparse.Namespace]:
+    """The Namespace the subcommand's parser returns for tokens, bound from
+    _OPTIONS when the tokens are plain `--name value` pairs.
 
-    Each name must be an exact option string of a plain store action, given
-    once, no value may start with `-`, and each value must convert with the
-    action's type and pass its choices; defaults are applied as argparse
-    applies them to options that each have their own dest, as here.  Every
-    other argv (abbreviations, `--name=value`, repeats, negative numbers,
-    `-h`, a missing required option, any error) gives None, and argparse
-    parses it and prints any usage or error itself.
+    Each name must be an option of the subcommand, given once, no value may
+    start with `-`, each value must convert by its type or be one of its
+    choices, and every required option must be given.  Every other argv
+    (abbreviations, `--name=value`, repeats, negative numbers, `-h`, any
+    error) gives None, and argparse parses it and prints any usage or error.
     """
-    if len(tokens) % 2 or parser._mutually_exclusive_groups:
+    options = _OPTIONS[subcommand][1]
+    given = dict(zip(tokens[::2], tokens[1::2]))
+    if len(tokens) != 2 * len(given) or not given.keys() <= options.keys():
         return None
-    values: Dict[argparse.Action, object] = {}
-    try:
-        for name, text in zip(tokens[::2], tokens[1::2]):
-            action = parser._option_string_actions.get(name)
-            if type(action) is not argparse._StoreAction or action.nargs is not None:
+    bound = argparse.Namespace()
+    for name, (kind, default) in options.items():
+        text, value = given.get(name), default
+        if text is not None:
+            if text.startswith("-") or isinstance(kind, tuple) and text not in kind:
                 return None
-            if action in values or text.startswith("-"):
+            try:
+                value = text if isinstance(kind, tuple) else kind(text)
+            except (ValueError, argparse.ArgumentTypeError):
                 return None
-            values[action] = value = parser._get_value(action, text)
-            parser._check_value(action, value)
-        namespace = argparse.Namespace(**parser._defaults)
-        for action in parser._actions:
-            if action in values:
-                setattr(namespace, action.dest, values[action])
-            elif action.required:
-                return None
-            elif action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS:
-                default = action.default
-                if isinstance(default, str):
-                    default = parser._get_value(action, default)
-                setattr(namespace, action.dest, default)
-    except argparse.ArgumentError:
-        return None
-    return namespace
+        if value is None:  # a required option left out
+            return None
+        setattr(bound, name[2:].replace("-", "_"), value)
+    return bound
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
@@ -296,19 +276,19 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
 
     The parsers are built once per process, on the first call.  An argv whose
     first token names a subcommand is read by that subcommand's parser alone:
-    `_bind` takes plain `--name value` pairs from its option table, and
+    `_bind` takes plain `--name value` pairs from _OPTIONS, and
     argparse parses every other form, so each argv is parsed once.  The
     top-level parser takes every other argv (none, `-h`, an unknown name) and
     prints its usage.
     """
     argv = list(argv) if argv is not None else sys.argv[1:]
-    parser = _build_parser()
-    subparser = _SUBPARSERS.get(argv[0]) if argv else None
+    parser, subparsers = _build_parser()
+    subparser = subparsers.get(argv[0]) if argv else None
     try:
         if subparser is None:
             args = parser.parse_args(argv)
         else:
-            args = _bind(subparser, argv[1:]) or subparser.parse_args(argv[1:])
+            args = _bind(argv[0], argv[1:]) or subparser.parse_args(argv[1:])
             args.subcommand = argv[0]
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2

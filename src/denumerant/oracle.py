@@ -17,8 +17,9 @@ too short for n is extended in place: each pass resumes its prefix sums from
 the table's last entries.  Counts are never negative, so a cached table is
 an unsigned array of 4-byte items, of 8-byte items once a count passes
 2^32 - 1, or a tuple past 2^64 - 1; the cached tables are held to
-_MAX_HELD_BYTES.  oracle_table builds the full table as an uncached tuple.  A
-table longer than admission.MAX_TABLE_ENTRIES is refused before it is allocated.
+admission.MAX_HELD_BYTES.  oracle_table builds the full table as an uncached
+tuple.  A table longer than admission.MAX_TABLE_ENTRIES is refused before it
+is allocated.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 import sys
 from array import array
 from itertools import accumulate
-from typing import Any, Callable, Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from . import admission
 from .errors import DomainError, ResourceLimitError
@@ -66,23 +67,8 @@ def _dp_counts(parts: Sequence[int], upper: int, held: Sequence[int] = ()) -> Li
 
 # Tables keyed by the parts they cover (all of a set but its largest), so
 # (2,3,5,7) and (2,3,5,11) share one: each the narrowest unsigned array that
-# holds its largest count, or a tuple past 2^64 - 1.  16 MiB holds the tables
-# the 75 seed-0 verify-sweep ops reuse (at most 12.5 MiB), so they make 576
-# kernel calls filling 2.24M entries; under 10 MiB they made 691 filling 3.14M.
+# holds its largest count, or a tuple past 2^64 - 1.  Held by admission.hold.
 _TABLES: Dict[Tuple[int, ...], Sequence[int]] = {}
-_MAX_HELD_BYTES = 16 << 20
-
-
-def _hold(cache: dict, key: tuple, value: Any, weigh: Callable[[Any], int]) -> Any:
-    """Store value as the newest entry of cache, then drop the oldest others while
-    the held weights, in bytes by weigh, pass _MAX_HELD_BYTES: only the entry just
-    stored may pass the budget alone.  A caller moves a hit to the end itself."""
-    cache.pop(key, None)
-    held = weigh(value) + sum(map(weigh, cache.values()))
-    while cache and held > _MAX_HELD_BYTES:
-        held -= weigh(cache.pop(next(iter(cache))))
-    cache[key] = value
-    return value
 
 
 def _nbytes(table: Sequence[int]) -> int:
@@ -107,7 +93,7 @@ def _counts_up_to(parts: PartSet, upper: int) -> Sequence[int]:
             if top >> 8 * table.itemsize:  # past 2^32 - 1 in 'I'
                 table = array("Q", table)
             table.fromlist(new)
-        return _hold(_TABLES, key, table, _nbytes)
+        return admission.hold(_TABLES, key, table, _nbytes)
     _TABLES[key] = _TABLES.pop(key)  # now the newest
     return table
 

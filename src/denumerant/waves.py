@@ -32,7 +32,7 @@ from math import comb, factorial
 from operator import itemgetter
 from typing import Dict, Tuple
 
-from . import admission, oracle
+from . import admission
 from .errors import DomainError, InternalInconsistencyError
 from .partset import PartSet
 
@@ -40,8 +40,8 @@ from .partset import PartSet
 # part).  Each wave has its own denominator a_j^k; its multiplier is applied per query.
 _Setup = Tuple[int, int, Tuple[int, ...], Tuple[Tuple[int, int, Tuple[int, ...]], ...]]
 
-# Recently used set-ups by parts tuple, held to the oracle's byte budget by
-# oracle._hold: the 75 seed-0 verify-sweep ops hold 422 in 0.55 MB, the 190
+# Recently used set-ups by parts tuple, held to admission.MAX_HELD_BYTES by
+# admission.hold: the 75 seed-0 verify-sweep ops hold 422 in 0.55 MB, the 190
 # count-cold-product ops 190 in 0.84 MB and count-huge-n 21, so none is built
 # twice.  A set-up of the first 100 primes weighs 5.5 MB, so three fit.
 _SETUPS: Dict[Tuple[int, ...], _Setup] = {}
@@ -92,7 +92,7 @@ def waves_count(parts: PartSet, n: int) -> int:
     admission.admit_waves(parts)
     setup = _SETUPS.pop(parts.parts, None)
     if setup is None:
-        setup = oracle._hold(_SETUPS, parts.parts, _setup(parts), itemgetter(0))
+        setup = admission.hold(_SETUPS, parts.parts, _setup(parts), itemgetter(0))
     _, common, newton, waves = _SETUPS[parts.parts] = setup  # now the newest
     acc = 0
     for i in reversed(range(len(newton))):

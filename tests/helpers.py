@@ -7,7 +7,8 @@ exact arithmetic primitives but follow different algorithms than the code
 under test (summing powers instead of the derivative recursion, caller-given
 factor order instead of the sorted one).  exp_via_egf is the adapter that
 reads the integer series_exp on a series of Fractions.  run_module runs the
-command line in a fresh interpreter.
+command line in a fresh interpreter, and cold_caches empties every cache the
+package keeps between calls.
 """
 
 import os
@@ -19,6 +20,7 @@ from math import factorial, gcd, lcm, prod
 from pathlib import Path
 from typing import Iterable, List, Sequence, Tuple
 
+from denumerant import bernoulli, cli, oracle, reductions, waves
 from denumerant.series import series_exp, series_inv, series_mul
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -33,6 +35,22 @@ def run_module(*argv: str) -> subprocess.CompletedProcess:
         env=dict(os.environ, PYTHONPATH=str(SRC)),
         timeout=300,
     )
+
+
+def cold_caches() -> None:
+    """Empty every module-level cache in src, as in a fresh process."""
+    oracle._TABLES.clear()
+    waves._SETUPS.clear()
+    bernoulli._KNOWN[:] = [Fraction(1)]
+    bernoulli._UNIT[:] = [1]
+    for cached in (
+        bernoulli._primorial,
+        bernoulli._bernoulli_barnes,
+        reductions._log_weights,
+        cli._ten_to,
+        cli._build_parser,
+    ):
+        cached.cache_clear()
 
 
 def brute_force_count(parts: Sequence[int], n: int) -> int:

@@ -83,6 +83,20 @@ def test_bernoulli_budget_at_the_default():
         admission.admit_bernoulli(2064)
 
 
+def test_bernoulli_bound_holds_for_every_row(monkeypatch):
+    # every max index is refused under a budget one digit short of the longest
+    # numerator or denominator it prints, in any earlier row too: B_38's
+    # numerator has 16 digits, B_36's 20, and B_4 = -1/30 has a 2-digit
+    # denominator
+    longest = 0
+    for m, b in enumerate(bernoulli.bernoulli_numbers(700)):
+        longest = max(longest, digits(b.numerator), digits(b.denominator))
+        if m >= 2:
+            monkeypatch.setattr(admission, "MAX_DIGITS", longest - 1)
+            with pytest.raises(ResourceLimitError):
+                admission.admit_bernoulli(m)
+
+
 def test_bb_bound_at_the_readme_example(monkeypatch):
     # the README quotes 3911 and 4446; (2,3,5,7) is refused from m = 873 on,
     # though at m = 900 the longest number printed has about 2,330 digits

@@ -726,7 +726,7 @@ class TestDispatch:
         handed = []
         monkeypatch.setattr(cli, "_dispatch", lambda args: handed.append(args) or 0)
         assert run(list(argv)) == 0
-        assert handed == [_build_parser().parse_args(list(argv))]
+        assert handed == [_build_parser()[0].parse_args(list(argv))]
 
     def test_one_parse_per_valid_run(self, monkeypatch):
         # work gate: plain `--name value` argv are bound from the subcommand
@@ -756,9 +756,8 @@ class TestDispatch:
         # _bind gives None or the Namespace parse_args gives, and run prints
         # and exits as it does when argparse parses every argv
         subcommand, tokens = drawn
-        _build_parser()
-        subparser = cli._SUBPARSERS[subcommand]
-        bound = cli._bind(subparser, tokens)
+        subparser = _build_parser()[1][subcommand]
+        bound = cli._bind(subcommand, tokens)
         if bound is not None:
             assert outcome(lambda: subparser.parse_args(tokens)) == (bound, "", "")
 
@@ -770,11 +769,12 @@ class TestDispatch:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(cli, "_dispatch", echo)
             bound_run = outcome(lambda: run(argv))
-            patch.setattr(cli, "_bind", lambda parser, tokens: None)
+            patch.setattr(cli, "_bind", lambda subcommand, tokens: None)
             assert outcome(lambda: run(argv)) == bound_run
 
     # exit code and the first 16 hex digits of the sha256 of stdout and of
-    # stderr, as before subcommands were dispatched by name
+    # stderr: the top-level argv as before subcommands were dispatched by name,
+    # and each subcommand's help as before its parser was built from _OPTIONS
     @pytest.mark.parametrize(
         "argv, expected",
         [
@@ -785,8 +785,15 @@ class TestDispatch:
                 ("--", "count", "--parts", "2,3", "--n", "11"),
                 (2, "e3b0c44298fc1c14", "e2f2ac8285574d45"),
             ),
+            (("count", "-h"), (0, "61b038e6153563c7", "e3b0c44298fc1c14")),
+            (("bb", "-h"), (0, "fe2bbaffb2520b9a", "e3b0c44298fc1c14")),
+            (("bernoulli", "-h"), (0, "9e99f5986ad2f2e4", "e3b0c44298fc1c14")),
+            (("theorem2", "-h"), (0, "50e7a33fc054fe0f", "e3b0c44298fc1c14")),
+            (("theorem3", "-h"), (0, "ee230140471e1344", "e3b0c44298fc1c14")),
+            (("verify", "-h"), (0, "4377ab3ab081a51e", "e3b0c44298fc1c14")),
         ],
-        ids=["none", "-h", "nope", "-- count"],
+        ids=["none", "-h", "nope", "-- count"]
+        + [f"{name} -h" for name in ("count", "bb", "bernoulli", "theorem2", "theorem3", "verify")],
     )
     def test_top_level_argv_unchanged(self, monkeypatch, capsys, argv, expected):
         monkeypatch.setenv("COLUMNS", "80")  # the usage text wraps at the width
@@ -1169,7 +1176,7 @@ class TestRandomCoprimePartset:
 
 
 def test_config_defaults():
-    parser = _build_parser()
+    parser, _ = _build_parser()
     verify = parser.parse_args(["verify"])
     assert verify.output == "text"
     assert verify.trials == 500

@@ -205,7 +205,7 @@ def test_oversized_tables_refused_before_allocating(monkeypatch):
 def test_cache_bounded_in_bytes(monkeypatch):
     """Past the byte budget the oldest tables go, never the one just used."""
     monkeypatch.setattr(admission, "MAX_TABLE_ENTRIES", 100)
-    monkeypatch.setattr(oracle, "_MAX_HELD_BYTES", 600)
+    monkeypatch.setattr(admission, "MAX_HELD_BYTES", 600)
     monkeypatch.setattr(oracle, "_TABLES", {})
     lookups = [
         (values, n)
@@ -249,11 +249,11 @@ def test_refused_growth_keeps_the_held_table(monkeypatch):
 
 def test_eviction_stops_once_the_held_bytes_fit(monkeypatch):
     """Past the budget the oldest entries go, one at a time, only until the rest fit."""
-    monkeypatch.setattr(oracle, "_MAX_HELD_BYTES", 10)
+    monkeypatch.setattr(admission, "MAX_HELD_BYTES", 10)
     cache = {"a": 4, "b": 4, "c": 2}
-    assert oracle._hold(cache, "d", 4, int) == 4
+    assert admission.hold(cache, "d", 4, int) == 4
     assert cache == {"b": 4, "c": 2, "d": 4}  # 14 held, dropping "a" leaves 10
-    oracle._hold(cache, "e", 11, int)
+    admission.hold(cache, "e", 11, int)
     assert cache == {"e": 11}  # an entry over the budget alone is still kept
 
 
@@ -261,7 +261,7 @@ def test_held_bytes_stay_under_the_budget(monkeypatch):
     """Gate: after verify sweeps and wide waves, the oracle tables and the wave
     set-ups each hold at most the budget, not counting their newest entry."""
     budget = 1 << 16
-    monkeypatch.setattr(oracle, "_MAX_HELD_BYTES", budget)
+    monkeypatch.setattr(admission, "MAX_HELD_BYTES", budget)
     monkeypatch.setattr(oracle, "_TABLES", {})
     monkeypatch.setattr(waves, "_SETUPS", {})
     used, setups, dp_counts, setup = set(), [], oracle._dp_counts, waves._setup
@@ -337,7 +337,7 @@ def test_extended_tables_equal_a_fresh_build(lookups):
     tuple past 2^64 - 1.  The explicit examples widen 'I' to 'Q' to a tuple,
     and 'I' to a tuple at once, under a budget of a few tables' bytes, so
     tables are dropped in between."""
-    with mock.patch.object(oracle, "_MAX_HELD_BYTES", 300), mock.patch.object(
+    with mock.patch.object(admission, "MAX_HELD_BYTES", 300), mock.patch.object(
         oracle, "_TABLES", {}
     ):
         for values, n in lookups:
@@ -409,7 +409,7 @@ def test_shared_tables_exact_under_a_small_byte_budget(shared, lookups):
     tables are dropped, extended and rebuilt in between."""
     shared = sorted(shared)
     top = shared[-1] if shared else 0
-    with mock.patch.object(oracle, "_MAX_HELD_BYTES", 300), mock.patch.object(
+    with mock.patch.object(admission, "MAX_HELD_BYTES", 300), mock.patch.object(
         oracle, "_TABLES", {}
     ):
         for step, n in lookups:

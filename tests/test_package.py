@@ -2,15 +2,20 @@
 
 import ast
 import importlib
+import io
 import os
 import subprocess
 import sys
+from contextlib import redirect_stdout
 from pathlib import Path
 from types import ModuleType
 
 import pytest
 
 import denumerant
+from denumerant import cli
+
+from helpers import cold_caches
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "denumerant").glob("*.py"))
@@ -120,7 +125,7 @@ ROUTE_MODULES = ("oracle", "waves", "reductions", "bernoulli")
 def names_imported_from_routes(source: str) -> list:
     """Names imported one by one from a route module, e.g. `from .oracle import f`."""
     return sorted(
-        f"{node.module}.{alias.name} (line {node.lineno})"
+        f"{node.module or ''}.{alias.name} (line {node.lineno})"
         for node in ast.walk(ast.parse(source))
         if isinstance(node, ast.ImportFrom)
         and (node.module or "").split(".")[-1] in ROUTE_MODULES
@@ -143,3 +148,86 @@ def test_callers_reach_routes_through_their_modules(name):
     # test's monkeypatch, or the span tracer in perfbench/spans.py).
     source = (ROOT / "src" / "denumerant" / name).read_text()
     assert names_imported_from_routes(source) == []
+
+
+def is_private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def private_reads(source: str) -> list:
+    """Private names a module reads on anything but `self`, or imports by name."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and is_private(node.attr):
+            if not (isinstance(node.value, ast.Name) and node.value.id == "self"):
+                found.append(f"{ast.unparse(node)} (line {node.lineno})")
+        elif isinstance(node, ast.ImportFrom):
+            found += [
+                f"{node.module or ''}.{alias.name} (line {node.lineno})"
+                for alias in node.names
+                if is_private(alias.name)
+            ]
+    return sorted(found)
+
+
+def test_private_read_check_finds_them():
+    source = (
+        "from . import oracle\n"
+        "from .waves import _wave, waves_count\n"
+        "class A:\n"
+        "    def f(self):\n"
+        "        return self._x, self.__dict__, oracle._hold(oracle.__name__)\n"
+    )
+    assert private_reads(source) == ["oracle._hold (line 5)", "waves._wave (line 2)"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_private_reads_across_modules(path):
+    # A module's private names are its own: another module that reads one
+    # couples to code it does not own, a route to another route's caches or
+    # the command line to argparse's internals.
+    assert private_reads(path.read_text()) == []
+
+
+# Module-level tables that never change after import.
+CONSTANT_TABLES = {"cli._COUNT_METHODS", "cli._OPTIONS", "cli._OUTPUT"}
+
+
+def module_caches() -> dict:
+    """module.name -> value for every module-level dict, list and functools
+    cache in src, but for __dunder__ names and CONSTANT_TABLES."""
+    found = {}
+    for path in SOURCES:
+        module = importlib.import_module(f"denumerant.{path.stem}".replace(".__init__", ""))
+        for attr, value in vars(module).items():
+            name = f"{path.stem}.{attr}"
+            if attr.startswith("__") or name in CONSTANT_TABLES:
+                continue
+            if isinstance(value, (dict, list)) or hasattr(value, "cache_clear"):
+                found[name] = value
+    return found
+
+
+def size(value) -> int:
+    """Entries held, less the one entry a list cache starts with."""
+    if hasattr(value, "cache_clear"):
+        return value.cache_info().currsize
+    return len(value) - isinstance(value, list)
+
+
+def test_cold_caches_empties_every_module_cache():
+    # A cache that cold_caches left out would carry one test's values into the
+    # next, and let a route read what another route computed.  Each cache is
+    # filled first, so a new one that these runs do not reach fails here too.
+    argvs = [["count", "--parts", "2,3,5", "--n", "100"]]
+    argvs += [
+        ["count", "--parts", "2,3,5", "--n", str(10 ** 700), "--method", method]
+        for method in ("theorem1", "section3", "closed-form", "waves")
+    ]
+    for argv in argvs:
+        with redirect_stdout(io.StringIO()):
+            assert cli.run(argv) == 0
+    caches = module_caches()
+    assert [name for name, value in caches.items() if not size(value)] == []
+    cold_caches()
+    assert {name: size(value) for name, value in caches.items()} == dict.fromkeys(caches, 0)

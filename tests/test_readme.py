@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from denumerant import cli, oracle
+from denumerant import admission, cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -50,6 +50,6 @@ def test_oracle_memory_note_matches_the_code():
     text = " ".join(README.read_text().split())
     budgets = re.findall(r"held to a (\d+) MiB budget|Past (\d+) MiB held", text)
     assert len(budgets) == 2
-    assert {int(a or b) << 20 for a, b in budgets} == {oracle._MAX_HELD_BYTES}
+    assert {int(a or b) << 20 for a, b in budgets} == {admission.MAX_HELD_BYTES}
     limits = [2 ** int(e) - 1 for e in re.findall(r"passes 2\^(\d+) − 1", text)]
     assert limits == [2 ** (8 * array(c).itemsize) - 1 for c in "IQ"]

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import denumerant
-from denumerant import bernoulli, oracle, reductions, waves
+from denumerant import bernoulli, reductions
 from denumerant.errors import (
     CoprimalityError,
     RangeError,
@@ -33,7 +33,7 @@ from denumerant.series import poly_eval, series_exp
 from denumerant.verify import TheoremReport
 from denumerant.waves import waves_count
 
-from helpers import coprime_part_tuples
+from helpers import cold_caches, coprime_part_tuples
 
 F = Fraction
 
@@ -357,7 +357,7 @@ def test_report_holds_semantics():
 # polynomials, section3 the Bernoulli number table, the closed forms neither,
 # and all three take p(r) from the waves, which read no other route.  The
 # waves' size check in admission.py is policy, not a route.
-WAVES = {"waves.waves_count", "waves._setup", "waves._wave", "oracle._hold"}
+WAVES = {"waves.waves_count", "waves._setup", "waves._wave", "admission.hold"}
 WAVES |= {"admission.admit_waves"}
 REDUCED = WAVES | {"reductions.decompose", "reductions._exact"}
 ALLOWED = {
@@ -433,12 +433,7 @@ def test_routes_read_no_other_routes_source(monkeypatch, combo, route):
     names = {key for _, _, key in bindings}
     assert ALLOWED[route] <= names
 
-    monkeypatch.setattr(oracle, "_TABLES", {})
-    monkeypatch.setattr(waves, "_SETUPS", {})
-    monkeypatch.setattr(bernoulli, "_KNOWN", [F(1)])
-    monkeypatch.setattr(bernoulli, "_UNIT", [1])
-    for module, attr, _ in bindings:
-        getattr(getattr(module, attr), "cache_clear", lambda: None)()
+    cold_caches()
 
     called = set()
 

@@ -159,7 +159,7 @@ def test_one_wave_per_part_and_none_when_warm(monkeypatch):
 def test_cache_bounded_in_bytes(monkeypatch):
     """Past the byte budget the oldest set-ups go, never the one just used."""
     monkeypatch.setattr(waves, "_SETUPS", {})
-    monkeypatch.setattr(oracle, "_MAX_HELD_BYTES", 3000)
+    monkeypatch.setattr(admission, "MAX_HELD_BYTES", 3000)
     # a pair weighs under 1,200 bytes, the first 12 primes alone over 10,000
     pairs = [(2, a) for a in (3, 5, 7, 11, 13, 17, 19, 23)]
     used, held_counts, hits = [], set(), 0
