@@ -1,5 +1,5 @@
 """Size policy: the budgets, one check per request made before its work, and
-the rule that holds each cache to MAX_HELD_BYTES.
+the least-recently-used rule that holds each cache to MAX_HELD_BYTES.
 
 Each refusal is a ResourceLimitError raised here before anything the request
 bounds is built, so the command line exits 3 with nothing on stdout.  The
@@ -38,10 +38,17 @@ MAX_DIGITS = 4_300
 MAX_HELD_BYTES = 16 << 20
 
 
+def recall(cache: dict, key: tuple) -> Any:
+    """The value cache holds at key, moved to be the newest entry, or None."""
+    if (value := cache.pop(key, None)) is not None:
+        cache[key] = value
+    return value
+
+
 def hold(cache: dict, key: tuple, value: Any, weigh: Callable[[Any], int]) -> Any:
     """Store value as the newest entry of cache, then drop the oldest others while
     the held weights, in bytes by weigh, pass MAX_HELD_BYTES: only the entry just
-    stored may pass the budget alone.  A caller moves a hit to the end itself."""
+    stored may pass the budget alone."""
     cache.pop(key, None)
     held = weigh(value) + sum(map(weigh, cache.values()))
     while cache and held > MAX_HELD_BYTES:

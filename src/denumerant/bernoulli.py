@@ -37,6 +37,9 @@ numbers:
   up to m + 1, one exact division per step, and never read from the table.
   theorem1 reads the polynomials and section3 reads the table, so the two
   routes check each other only while they share no values.
+
+The table is built afresh on each call; the unit coefficients and the
+Bernoulli-Barnes tables are pure functions under bounded ``lru_cache``s.
 """
 
 from __future__ import annotations
@@ -51,10 +54,6 @@ from .partset import PartSet
 from .series import poly_eval
 
 
-# Grows monotonically; entries never change once computed.
-_KNOWN: List[Fraction] = [Fraction(1)]
-
-
 def _tangent_numbers(count: int) -> List[int]:
     """T_1..T_count by Brent and Harvey's in-place integer recurrence."""
     t = [0, 1] + [0] * (count - 1)
@@ -66,21 +65,14 @@ def _tangent_numbers(count: int) -> List[int]:
     return t[1 : count + 1]
 
 
-def _grow(m: int) -> None:
-    if m < len(_KNOWN):
-        return
-    fresh = [Fraction(1), Fraction(1, 2)] + [Fraction(0)] * (m - 1)
-    for j, t in enumerate(_tangent_numbers(m // 2), start=1):
-        fresh[2 * j] = Fraction((-1) ** (j - 1) * 2 * j * t, 4 ** j * (4 ** j - 1))
-    _KNOWN[:] = fresh[: m + 1]
-
-
 def bernoulli_numbers(m: int) -> Tuple[Fraction, ...]:
     """B_0..B_m (see the module docstring for the convention)."""
     if m < 0:
         raise DomainError("table size must be nonnegative")
-    _grow(m)
-    return tuple(_KNOWN[: m + 1])
+    table = [Fraction(1), Fraction(1, 2)] + [Fraction(0)] * (m - 1)
+    for j, t in enumerate(_tangent_numbers(m // 2), start=1):
+        table[2 * j] = Fraction((-1) ** (j - 1) * 2 * j * t, 4 ** j * (4 ** j - 1))
+    return tuple(table[: m + 1])
 
 
 def log_coefficients(m: int) -> Tuple[Fraction, ...]:
@@ -141,35 +133,28 @@ def lowest_terms(table: Sequence[BBPoly]) -> Iterator[List[Tuple[int, int]]]:
         yield row
 
 
-# Numerators of c_0, c_1, ... (see _unit_coefficients) over the product of the
-# primes up to len(_UNIT).  Kept apart from _KNOWN on purpose (module docstring).
-_UNIT: List[int] = [1]
-
-
-@lru_cache  # read by every table build; trial division takes ~65 us at m = 97
 def _primorial(m: int) -> int:
     """The product of the primes up to m."""
     return prod(p for p in range(2, m + 1) if all(p % q for q in range(2, isqrt(p) + 1)))
 
 
-def _unit_coefficients(m: int) -> Tuple[List[int], int]:
+# Runs ask for few indices; the largest admitted, m = 1446 (bb), weighs 0.64 MB.
+@lru_cache(maxsize=8)
+def _unit_coefficients(m: int) -> Tuple[Tuple[int, ...], int]:
     """c_n = n! [s^n] s/(e^s - 1) for n <= m, the unit factor of every
     Bernoulli-Barnes product, as integer numerators over D, the product of the
     primes up to m + 1: by von Staudt and Clausen, the lcm of their denominators.
 
     Matching s^n in (e^s - 1)/s * s/(e^s - 1) = 1 times (n+1)! gives
     sum_{l <= n} C(n+1, l) c_l = 0 for n >= 1, so D c_n is one exact division
-    by n + 1 away.  A larger m rescales the held numerators once, then extends them.
+    by n + 1 away, from D c_0 = D.
     """
-    held, common = len(_UNIT), _primorial(m + 1)
-    if held <= m:
-        scale = common // _primorial(held)
-        _UNIT[:] = [c * scale for c in _UNIT]
-        for n in range(held, m + 1):
-            acc = sum(comb(n + 1, l) * c for l, c in enumerate(_UNIT) if c)
-            _UNIT.append(-acc // (n + 1))
-    scale = _primorial(len(_UNIT)) // common
-    return [c // scale for c in _UNIT[: m + 1]], common
+    common = _primorial(m + 1)
+    unit = [common]
+    for n in range(1, m + 1):
+        acc = sum(comb(n + 1, l) * c for l, c in enumerate(unit) if c)
+        unit.append(-acc // (n + 1))
+    return tuple(unit), common
 
 
 def bernoulli_barnes(parts: PartSet, max_index: int) -> Tuple[BBPoly, ...]:
@@ -202,7 +187,7 @@ def bernoulli_barnes(parts: PartSet, max_index: int) -> Tuple[BBPoly, ...]:
 # until a polynomial's numerators are read: (2,3,5,7) at index 400 holds
 # ~0.25 MB.  Hits / misses per workload: verify-sweep 21,675 / 423 and
 # count-huge-n 3,650 / 21 fit in 512; bb-high-index (0 / 59) and
-# count-cold-product (0 / 380) never read a table twice.
+# count-cold-product (0 / 380) never read a table twice, only its unit coefficients.
 @lru_cache(maxsize=512)
 def _bernoulli_barnes(parts: PartSet, max_index: int) -> Tuple[BBPoly, ...]:
     unit, common = _unit_coefficients(max_index)

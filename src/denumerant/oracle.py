@@ -67,7 +67,7 @@ def _dp_counts(parts: Sequence[int], upper: int, held: Sequence[int] = ()) -> Li
 
 # Tables keyed by the parts they cover (all of a set but its largest), so
 # (2,3,5,7) and (2,3,5,11) share one: each the narrowest unsigned array that
-# holds its largest count, or a tuple past 2^64 - 1.  Held by admission.hold.
+# holds its largest count, or a tuple past 2^64 - 1.  Held by admission's rule.
 _TABLES: Dict[Tuple[int, ...], Sequence[int]] = {}
 
 
@@ -80,7 +80,7 @@ def _nbytes(table: Sequence[int]) -> int:
 
 def _counts_up_to(parts: PartSet, upper: int) -> Sequence[int]:
     key = parts.parts[:-1]
-    table = _TABLES.get(key) or array("I")  # held tables are never empty
+    table = admission.recall(_TABLES, key) or array("I")  # held tables are never empty
     if len(table) <= upper:
         # Extended by at least a quarter; a refused growth keeps the held table.
         grown = min(len(table) * 5 // 4, admission.MAX_TABLE_ENTRIES) - 1
@@ -94,7 +94,6 @@ def _counts_up_to(parts: PartSet, upper: int) -> Sequence[int]:
                 table = array("Q", table)
             table.fromlist(new)
         return admission.hold(_TABLES, key, table, _nbytes)
-    _TABLES[key] = _TABLES.pop(key)  # now the newest
     return table
 
 

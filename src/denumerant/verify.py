@@ -9,7 +9,7 @@ perfbench/spans.py) reaches the sweep too.
 from __future__ import annotations
 
 import random
-from math import lcm, prod
+from math import isqrt, lcm, prod
 from typing import List, NamedTuple, Tuple
 
 from . import admission, oracle, reductions
@@ -112,8 +112,10 @@ def run_verify(
     uniform, then checks every identity applicable to the arity.  Returns
     the failed checks in trial order.
 
-    A k_max over max_part, or trial tables that could pass the table cap
-    (``admission.admit_sweep``), are refused before the first trial.
+    A k_max over max_part, a k_max that no pairwise-coprime set from
+    [1, max_part] with product at most max_product has, and trial tables that
+    could pass the table cap (``admission.admit_sweep``) are refused before
+    the first trial.
     """
     if trials < 0:
         raise DomainError(f"trials must be nonnegative, got {trials}")
@@ -121,6 +123,18 @@ def run_verify(
         raise DomainError(f"need 1 <= k-min <= k-max, got {k_min}..{k_max}")
     if max_part < k_max:
         raise DomainError(f"cannot draw {k_max} distinct parts from [1, {max_part}]")
+    # 1 and the first k_max - 1 primes are the pairwise-coprime k_max-set of
+    # least product and least largest part; walk the primes until that settles
+    primes, least, p = 0, 1, 1
+    while primes < k_max - 1 and least <= max_product and p < max_part:
+        p += 1
+        if all(p % q for q in range(2, isqrt(p) + 1)):
+            primes, least = primes + 1, least * p
+    if primes < k_max - 1 or least > max_product:
+        raise DomainError(
+            f"no pairwise-coprime {k_max}-subset of [1, {max_part}]"
+            f" has product <= {max_product}"
+        )
     admission.admit_sweep(k_max, max_part, max_product)
     rng = random.Random(seed)
     failures = []

@@ -41,7 +41,7 @@ from .partset import PartSet
 _Setup = Tuple[int, int, Tuple[int, ...], Tuple[Tuple[int, int, Tuple[int, ...]], ...]]
 
 # Recently used set-ups by parts tuple, held to admission.MAX_HELD_BYTES by
-# admission.hold: the 75 seed-0 verify-sweep ops hold 422 in 0.55 MB, the 190
+# admission's rule: the 75 seed-0 verify-sweep ops hold 422 in 0.55 MB, the 190
 # count-cold-product ops 190 in 0.84 MB and count-huge-n 21, so none is built
 # twice.  A set-up of the first 100 primes weighs 5.5 MB, so three fit.
 _SETUPS: Dict[Tuple[int, ...], _Setup] = {}
@@ -90,10 +90,9 @@ def waves_count(parts: PartSet, n: int) -> int:
         raise DomainError("counts are defined for nonnegative n only")
     parts.require_pairwise_coprime()
     admission.admit_waves(parts)
-    setup = _SETUPS.pop(parts.parts, None)
-    if setup is None:
-        setup = admission.hold(_SETUPS, parts.parts, _setup(parts), itemgetter(0))
-    _, common, newton, waves = _SETUPS[parts.parts] = setup  # now the newest
+    _, common, newton, waves = admission.recall(_SETUPS, parts.parts) or admission.hold(
+        _SETUPS, parts.parts, _setup(parts), itemgetter(0)
+    )
     acc = 0
     for i in reversed(range(len(newton))):
         acc = acc * (n + i) + newton[i]

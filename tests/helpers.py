@@ -41,10 +41,8 @@ def cold_caches() -> None:
     """Empty every module-level cache in src, as in a fresh process."""
     oracle._TABLES.clear()
     waves._SETUPS.clear()
-    bernoulli._KNOWN[:] = [Fraction(1)]
-    bernoulli._UNIT[:] = [1]
     for cached in (
-        bernoulli._primorial,
+        bernoulli._unit_coefficients,
         bernoulli._bernoulli_barnes,
         reductions._log_weights,
         cli._ten_to,

@@ -75,6 +75,22 @@ def test_small_budget_refuses_before_any_work(monkeypatch, capsys, argv, budget,
     assert f"over the cap of {small}" in err
 
 
+def test_recall_misses_without_reordering():
+    cache = {"a": 1, "b": 2}
+    assert admission.recall(cache, "c") is None
+    assert list(cache.items()) == [("a", 1), ("b", 2)]
+
+
+def test_recall_makes_a_hit_the_newest(monkeypatch):
+    # the hit outlives the others once the next entry passes the budget
+    monkeypatch.setattr(admission, "MAX_HELD_BYTES", 10)
+    cache = {"a": 4, "b": 3, "c": 3}
+    assert admission.recall(cache, "a") == 4
+    assert list(cache) == ["b", "c", "a"]
+    admission.hold(cache, "d", 4, int)  # 14 held: "b" and "c" go, not "a"
+    assert list(cache.items()) == [("a", 4), ("d", 4)]
+
+
 def test_bernoulli_budget_at_the_default():
     # B_2064 is the first index whose numerator passes 4,300 digits: B_2062 has
     # 4,300

@@ -119,19 +119,22 @@ def test_power_sum():
         power_sum(a, -1)
 
 
-def test_unit_coefficients_match_the_fraction_recurrence(monkeypatch):
+def test_unit_coefficients_match_the_fraction_recurrence():
     """c_0..c_200 as integers over D equal the Fraction recurrence
-    sum_{l <= n} C(n+1, l) c_l = 0, however the list grew, and D is the lcm
-    of their denominators."""
+    sum_{l <= n} C(n+1, l) c_l = 0, in any order of m from a cold cache, and
+    D is the lcm of their denominators; the number table, in the same order,
+    is each time a prefix of the largest."""
     expected = [F(1)]
     for n in range(1, 201):
         acc = sum(comb(n + 1, l) * c for l, c in enumerate(expected))
         expected.append(-acc / (n + 1))
-    monkeypatch.setattr(bernoulli_module, "_UNIT", [1])
+    largest = bernoulli_numbers(200)
+    bernoulli_module._unit_coefficients.cache_clear()
     for m in (0, 1, 2, 3, 40, 200, 199, 60, 1, 0):
         numerators, common = bernoulli_module._unit_coefficients(m)
         assert [F(c, common) for c in numerators] == expected[: m + 1]
         assert common == lcm(*(c.denominator for c in expected[: m + 1]))
+        assert bernoulli_numbers(m) == largest[: m + 1]
 
 
 class TestBernoulliBarnes:

@@ -985,6 +985,32 @@ class TestVerify:
                     trials=trials, seed=0, k_min=2, k_max=3, max_part=2, max_product=100
                 )
 
+    def test_unreachable_arity_refused_before_any_draw(self, monkeypatch, capsys):
+        # no pairwise-coprime 2000-subset of [1, 2000] has a product up to 10^5:
+        # the least product, 1 times the first 1999 primes, passes it by the 7th prime
+        def no_draw(*args):
+            raise AssertionError("a part set was drawn")
+
+        monkeypatch.setattr(verify, "random_coprime_partset", no_draw)
+        argv = ("--trials", "1", "--k-min", "2000", "--k-max", "2000", "--max-part", "2000")
+        code, out, err = invoke(capsys, "verify", *argv)
+        assert (code, out) == (3, "")
+        assert err == "error: no pairwise-coprime 2000-subset of [1, 2000] has product <= 100000\n"
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            # 1, 2, 3, 5, 7, 11, 13 is the one coprime 7-subset of [1, 13] under 30031
+            (("--max-part", "13", "--max-product", "30030"), 0),
+            (("--max-part", "13", "--max-product", "30029"), 3),
+            # 7 parts need the 6 primes up to 13
+            (("--max-part", "12", "--max-product", "1000000000"), 3),
+        ],
+    )
+    def test_unreachable_arity_boundary(self, capsys, argv, code):
+        done, out, _ = invoke(capsys, "verify", "--trials", "0", "--k-max", "7", *argv)
+        assert (done, out) == (code, "trials: 0\nseed: 0\nfailures: 0\n" if code == 0 else "")
+
     def test_negative_trials_rejected_at_parse(self, capsys):
         code, _, _ = invoke(capsys, "verify", "--trials", "-1")
         assert code == 2

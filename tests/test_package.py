@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 import io
 import os
 import subprocess
@@ -209,10 +210,8 @@ def module_caches() -> dict:
 
 
 def size(value) -> int:
-    """Entries held, less the one entry a list cache starts with."""
-    if hasattr(value, "cache_clear"):
-        return value.cache_info().currsize
-    return len(value) - isinstance(value, list)
+    """Entries held."""
+    return value.cache_info().currsize if hasattr(value, "cache_clear") else len(value)
 
 
 def test_cold_caches_empties_every_module_cache():
@@ -231,3 +230,90 @@ def test_cold_caches_empties_every_module_cache():
     assert [name for name, value in caches.items() if not size(value)] == []
     cold_caches()
     assert {name: size(value) for name, value in caches.items()} == dict.fromkeys(caches, 0)
+
+
+# The caches admission's rule holds to its byte budget.
+HELD = {"oracle._TABLES", "waves._SETUPS"}
+
+
+def bounded(name: str, value) -> bool:
+    """A dict admission holds, or a functools cache with a finite maxsize or
+    of a function that takes no arguments."""
+    if isinstance(value, dict):
+        return name in HELD
+    if not hasattr(value, "cache_info"):
+        return False
+    if value.cache_info().maxsize is not None:
+        return True
+    return not inspect.signature(value.__wrapped__).parameters
+
+
+def unstated_bounds(source: str) -> list:
+    """Functions under an lru_cache that leaves maxsize at its default, 128."""
+    return [
+        f"{node.name} (line {node.lineno})"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.FunctionDef)
+        for decorator in node.decorator_list
+        if ast.unparse(decorator) in {"lru_cache", "lru_cache()"}
+    ]
+
+
+def test_every_module_cache_is_bounded():
+    # Memory stays bounded in a long-running process, and no cache keeps state
+    # of its own: each is a pure function under a bounded functools cache, or
+    # one of the dicts admission's rule holds.  A module-level list is neither.
+    # Each lru_cache states its bound, so the bound is chosen, not defaulted.
+    caches = module_caches()
+    assert set(HELD) <= set(caches)
+    assert [name for name, value in caches.items() if not bounded(name, value)] == []
+    assert [f"{p.name}: {f}" for p in SOURCES for f in unstated_bounds(p.read_text())] == []
+
+
+def module_dict_writes(source: str) -> list:
+    """Pops, clears and item writes on a dict bound at a module's top level."""
+    tree = ast.parse(source)
+    dicts = set()
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and isinstance(node.value, ast.Dict):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            dicts.update(t.id for t in targets if isinstance(t, ast.Name))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Load):
+            target = node.value
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            mutating = node.func.attr in {"pop", "popitem", "clear", "update", "setdefault"}
+            target = node.func.value if mutating else None
+        else:
+            continue
+        if isinstance(target, ast.Name) and target.id in dicts:
+            found.append(f"{ast.unparse(node)} (line {node.lineno})")
+    return sorted(found)
+
+
+def test_module_dict_write_check_finds_them():
+    source = (
+        "_HELD: dict = {}\n"
+        "_LIST = []\n"
+        "def f(key, cache):\n"
+        "    _HELD.get(key), cache.pop(key), _LIST.clear()\n"
+        "    _, x = _HELD[key] = _HELD.pop(key)\n"
+        "    del _HELD[key]\n"
+    )
+    assert module_dict_writes(source) == [
+        "_HELD.pop(key) (line 5)",
+        "_HELD[key] (line 5)",
+        "_HELD[key] (line 6)",
+    ]
+
+
+@pytest.mark.parametrize(
+    "path",
+    [path for path in SOURCES if path.name != "admission.py"],
+    ids=lambda p: f"{p.parent.name}/{p.name}",
+)
+def test_only_admission_reorders_or_evicts_a_held_cache(path):
+    # A cache a module reorders or evicts by hand is state of its own; the
+    # held caches go through admission.recall and admission.hold.
+    assert module_dict_writes(path.read_text()) == []

@@ -358,7 +358,7 @@ def test_report_holds_semantics():
 # and all three take p(r) from the waves, which read no other route.  The
 # waves' size check in admission.py is policy, not a route.
 WAVES = {"waves.waves_count", "waves._setup", "waves._wave", "admission.hold"}
-WAVES |= {"admission.admit_waves"}
+WAVES |= {"admission.recall", "admission.admit_waves"}
 REDUCED = WAVES | {"reductions.decompose", "reductions._exact"}
 ALLOWED = {
     "theorem1": REDUCED
@@ -379,7 +379,6 @@ ALLOWED = {
         "reductions._log_weights",
         "bernoulli.log_coefficients",
         "bernoulli.bernoulli_numbers",
-        "bernoulli._grow",
         "bernoulli._tangent_numbers",
         "bernoulli.power_sum",
         "series.series_exp",
