@@ -37,9 +37,11 @@ from .partset import PartSet
 def _dp_counts(parts: Sequence[int], upper: int, held: Sequence[int] = ()) -> List[int]:
     """Entries len(held)..upper of the table over parts, resuming from held.
 
-    The pass for part a resumes from its last a entries below len(held).  They
-    come from held's last sum(parts[1:]) entries by differencing: the table
-    without a is the table with a minus itself shifted by a, 0 below n = 0.
+    The pass for part a resumes from its last min(a, len(held)) entries below
+    len(held).  They come from held's last sum(parts[1:]) entries by
+    differencing: the table without a is the table with a minus itself shifted
+    by a.  Entries below n = 0 are 0, so none is held or padded: a part past
+    upper costs no memory.
     """
     if upper + 1 > admission.MAX_TABLE_ENTRIES:
         raise ResourceLimitError(
@@ -48,19 +50,24 @@ def _dp_counts(parts: Sequence[int], upper: int, held: Sequence[int] = ()) -> Li
             " waves, theorem1, section3 and closed-form routes need no count table"
         )
     low, span, first = len(held), sum(parts[1:]), parts[0]
-    window = [0] * max(span - low, 0) + list(held[max(low - span, 0) :])
+    window = list(held[max(low - span, 0) :])  # entries from low - span, none below 0
     tails = []
     for a in reversed(parts[1:]):
-        tails.append(window[len(window) - a :])
-        window = [x - y for x, y in zip(window[a:], window)]
+        tails.append(window[-a:])
+        span -= a
+        start = len(window) - min(span, low)
+        window = [
+            window[j] - (window[j - a] if j >= a else 0) for j in range(start, len(window))
+        ]
     # counts[pad:] are entries low..upper; the pass for a reads its tail below
-    pad, size = max(parts[1:], default=0), upper + 1 - low
+    pad, size = max(map(len, tails), default=0), upper + 1 - low
     counts = [0] * (pad + size)
     ones = range(pad + (-low) % first, pad + size, first)
     counts[ones.start :: first] = [1] * len(ones)
     for a, tail in zip(parts[1:], reversed(tails)):
-        counts[pad - a : pad] = tail
-        for start in range(pad - a, pad - a + min(a, size)):
+        begin = pad - len(tail)
+        counts[begin:pad] = tail
+        for start in range(begin, min(begin + a, len(counts))):
             counts[start::a] = accumulate(counts[start::a])
     return counts[pad:]
 

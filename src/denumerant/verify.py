@@ -1,15 +1,18 @@
 """Seeded random cross-checks of every identity against the oracle.
 
-The routes are reached through their modules (``oracle.oracle_count``,
-``reductions.theorem1_count``), not bound here by name, so that rebinding a
-route on its module (a test's monkeypatch, or the span tracer in
-perfbench/spans.py) reaches the sweep too.
+Each check is one row of ``_CHECKS``, in report order: name, least and most
+arity, the drawn argument it reads, its oracle side from the trial's lookups
+p, and its formula side, which for a count row is what `count --method <name>`
+returns.  The routes are reached through their modules
+(``oracle.oracle_count``, ``reductions.theorem1_count``), not bound here by
+name, so that rebinding a route on its module (a test's monkeypatch, or the
+span tracer in perfbench/spans.py) reaches the sweep too.
 """
 
 from __future__ import annotations
 
 import random
-from math import isqrt, lcm, prod
+from math import inf, isqrt, lcm, prod
 from typing import List, NamedTuple, Tuple
 
 from . import admission, oracle, reductions
@@ -56,44 +59,51 @@ def random_coprime_partset(
     )
 
 
+_CHECKS = (
+    ("theorem1", 1, inf, "n", lambda p, parts, n: p(n),
+     lambda parts, n: reductions.theorem1_count(parts, n)),
+    ("section3", 2, inf, "n", lambda p, parts, n: p(n),
+     lambda parts, n: reductions.section3_count(parts, n)),
+    ("closed-form", 2, 5, "n", lambda p, parts, n: p(n),
+     lambda parts, n: reductions.closed_form_count(parts, n)),
+    ("theorem2", 2, inf, "x", lambda p, parts, x: p(parts.product - x),
+     lambda parts, x: reductions.theorem2_count(parts, x)),
+    ("closed-form-theorem2", 2, 5, "x", lambda p, parts, x: p(parts.product - x),
+     lambda parts, x: reductions.closed_form_theorem2(parts, x)),
+    ("theorem3", 2, inf, "x3",
+     lambda p, parts, x: p(parts.product - x) + (-1) ** parts.k * p(x - parts.total),
+     lambda parts, x: reductions.theorem3_rhs(parts, x)),
+)
+
+
 def _check_trial(
     trial: int, parts: PartSet, n: int, q: int, r: int, rng: random.Random
 ) -> List[TheoremReport]:
-    """All identity checks for one sampled instance, oracle on the left."""
+    """Each row of _CHECKS that covers k and whose argument was drawn: x in
+    [1, S - 1] for k >= 2, then x3 in [S, P] while S <= P.  Each distinct
+    argument is looked up once, the largest, max(n, P - x), first (theorem3's
+    are below P - S), so one table serves the trial."""
     k, product, total = parts.k, parts.product, parts.total
-    n_inputs = (("trial", trial), ("n", n), ("q", q), ("r", r))
-
-    # x is drawn first, so the first lookup is the largest, max(n, P - x): its
-    # table holds r <= n and theorem3's arguments, below P - total < P - x, and
-    # a row reads every lookup.  One part draws no x; x = P looks up n first.
-    x = rng.randint(1, total - 1) if k >= 2 else product
-    first = oracle.oracle_count(parts, max(n, product - x))
-    expected = first if n >= product - x else oracle.oracle_count(parts, n)
-    rows = [("theorem1", n_inputs, expected, reductions.theorem1_count(parts, n))]
+    drawn = {"n": n}
     if k >= 2:
-        value = reductions.section3_count(parts, n)
-        rows.append(("section3", n_inputs, expected, value))
-    if 2 <= k <= 5:
-        true_correction = expected - oracle.oracle_count(parts, r)
-        correction = reductions.closed_form_correction(parts, n)
-        rows.append(("closed-form", n_inputs, true_correction, correction))
-    if k >= 2:
-        boundary = first if product - x > n else oracle.oracle_count(parts, product - x)
-        x_inputs = (("trial", trial), ("x", x))
-        value = reductions.theorem2_count(parts, x)
-        rows.append(("theorem2", x_inputs, boundary, value))
-        if k <= 5:
-            value = reductions.closed_form_theorem2(parts, x)
-            rows.append(("closed-form-theorem2", x_inputs, boundary, value))
+        drawn["x"] = rng.randint(1, total - 1)
         if total <= product:
-            x3 = rng.randint(total, product)
-            high = oracle.oracle_count(parts, product - x3)
-            two_sided = high + (-1) ** k * oracle.oracle_count(parts, x3 - total)
-            value = reductions.theorem3_rhs(parts, x3)
-            rows.append(("theorem3", (("trial", trial), ("x", x3)), two_sided, value))
+            drawn["x3"] = rng.randint(total, product)
+    seen = {}
+    def p(m):
+        if m not in seen:
+            seen[m] = oracle.oracle_count(parts, m)
+        return seen[m]
+    p(max(n, product - drawn.get("x", product)))
     return [
-        TheoremReport(check, parts, inputs, lhs, rhs)
-        for check, inputs, lhs, rhs in rows
+        TheoremReport(
+            check, parts,
+            (("trial", trial), ("n", n), ("q", q), ("r", r)) if arg == "n"
+            else (("trial", trial), ("x", drawn[arg])),
+            oracle_side(p, parts, drawn[arg]), formula(parts, drawn[arg]),
+        )
+        for check, least, most, arg, oracle_side, formula in _CHECKS
+        if least <= k <= most and arg in drawn
     ]
 
 

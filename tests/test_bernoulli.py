@@ -137,6 +137,27 @@ def test_unit_coefficients_match_the_fraction_recurrence():
         assert bernoulli_numbers(m) == largest[: m + 1]
 
 
+def test_unit_coefficients_skip_the_odd_rows(monkeypatch):
+    """Work gate: c_n = 0 for odd n >= 3, so those rows form no sum.
+
+    From a cold cache, m = 200 takes 5,151 binomials; summing every row took
+    10,299."""
+    calls = []
+
+    def counting(n, k):
+        calls.append(n)
+        return comb(n, k)
+
+    monkeypatch.setattr(bernoulli_module, "comb", counting)
+    bernoulli_module._unit_coefficients.cache_clear()
+    try:
+        bernoulli_module._unit_coefficients(200)
+    finally:
+        bernoulli_module._unit_coefficients.cache_clear()
+    assert 0 < len(calls) <= 5_664  # 55% of 10,299
+    assert all(n % 2 == 1 or n == 2 for n in calls)
+
+
 class TestBernoulliBarnes:
     def test_constant_for_two_parts(self):
         (b0,) = bernoulli_barnes(PartSet.of(2, 3), 0)
@@ -246,6 +267,17 @@ class TestBernoulliBarnes:
         bernoulli_barnes(PartSet.of(13, 16, 19, 29), 37)
         assert cache.cache_info().misses == misses + 2
         assert calls == {"series_inv": 0, "series_mul": 0}
+
+    def test_denominator_reduced_at_large_k(self):
+        # Size gate: over the first 60 primes at index 58, beta and its
+        # denominator lose their gcd after each convolution, 4,626 -> 458 bits
+        primes = [p for p in range(2, 282) if all(p % q for q in range(2, p))]
+        parts = PartSet(tuple(primes))
+        table = bernoulli_barnes(parts, 58)
+        assert len(primes) == 60 and table[0].denominator.bit_length() < 1_000
+        assert bb_coeffs(table[0]) == (F(1, parts.product),)
+        assert bb_coeffs(table[58])[-1] == F(1, parts.product)
+        assert bb_coeffs(table[1]) == (F(-parts.total, 2 * parts.product), F(1, parts.product))
 
     def test_cache_is_bounded(self):
         # a long-running process must not hoard polynomials, while the ~30

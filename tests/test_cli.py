@@ -17,7 +17,13 @@ from hypothesis import strategies as st
 
 from denumerant import admission, bernoulli, cli, oracle, reductions, verify, waves
 from denumerant.cli import _build_parser, main, run
-from denumerant.errors import DomainError, ResourceLimitError, SamplingExhaustedError
+from denumerant.errors import (
+    DomainError,
+    RangeError,
+    ResourceLimitError,
+    SamplingExhaustedError,
+    UnsupportedArityError,
+)
 from denumerant.partset import PartSet
 from denumerant.reductions import theorem1_count
 from denumerant.verify import format_failure, random_coprime_partset, run_verify
@@ -809,6 +815,61 @@ class TestDispatch:
         assert err.endswith("denumerant count: error: unrecognized arguments: --frob 1\n")
 
 
+# Values for the run fuzz.  Parts are small, or so large that a step sized by
+# a part rather than by n fails at once instead of filling memory.
+HUGE_PARTS = (10 ** 18, 2 ** 64, 10 ** 30)
+RUN_VALUES = {
+    "--parts": st.lists(
+        st.integers(1, 13) | st.sampled_from(HUGE_PARTS), min_size=1, max_size=5
+    ).map(lambda values: ",".join(map(str, values))),
+    "--n": st.integers(-2, 60),
+    "--x": st.integers(-2, 60),
+    "--trials": st.integers(0, 3),
+    "--seed": st.integers(0, 9),
+    "--k-min": st.integers(1, 4),
+    "--k-max": st.integers(1, 4),
+    "--max-part": st.integers(1, 13),
+    "--max-product": st.integers(1, 20000),
+}
+MAX_INDEX = {"bb": 40, "bernoulli": 300}
+
+
+@st.composite
+def run_argvs(draw):
+    """A subcommand and a value for each of its options from _OPTIONS, each
+    optional one left out at times."""
+    subcommand = draw(st.sampled_from(sorted(cli._OPTIONS)))
+    argv = [subcommand]
+    for name, (kind, default) in cli._OPTIONS[subcommand][1].items():
+        if default is not None and draw(st.booleans()):
+            continue
+        if isinstance(kind, tuple):
+            value = draw(st.sampled_from(kind))
+        elif name == "--max-index":
+            value = draw(st.integers(0, MAX_INDEX[subcommand]))
+        else:
+            value = draw(RUN_VALUES[name])
+        argv += [name, str(value)]
+    return argv
+
+
+class TestRunFuzz:
+    @settings(max_examples=200)
+    @given(run_argvs())
+    # a part far past n among the oracle's tabulated parts, not the largest
+    @example(["count", "--parts", f"2,3,{10 ** 18},{2 ** 64}", "--n", "11"])
+    @example(
+        ["count", "--parts", f"2,3,{2 ** 64},{10 ** 30}", "--n", "0", "--method", "oracle"]
+    )
+    def test_every_argv_ends_in_its_exit_code(self, argv):
+        # no traceback: 0, 2 (usage) or 3 (refused, nothing on stdout), and 1
+        # only from verify's failures
+        code, out, err = outcome(lambda: run(argv))
+        assert code in ({0, 1, 2, 3} if argv[0] == "verify" else {0, 2, 3})
+        assert "Traceback" not in err
+        assert code in (0, 1) or out == ""
+
+
 class TestDeterminism:
     def test_identical_argv_identical_stdout(self, capsys):
         argv = ("verify", "--trials", "40", "--seed", "11", "--output", "json")
@@ -867,6 +928,35 @@ class TestVerify:
         reports = verify._check_trial(0, parts, 2 * parts.product + 1, 2, 1, random.Random(0))
         assert tuple(report.check for report in reports) == checks
         assert all(report.holds for report in reports)
+
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_rows_apply_where_their_routes_accept(self, k):
+        # verify's arity domains against the routes' own: a row that applies
+        # ran its route, and every other row's route refuses the set at an
+        # argument it would otherwise take (x = 1, or x3 = S)
+        parts = PartSet((1, 2, 3, 5, 7, 11, 13)[:k])
+        n = 2 * parts.product + 1
+        reports = verify._check_trial(0, parts, n, 2, 1, random.Random(0))
+        applied = {report.check for report in reports}
+        assert all(report.holds for report in reports)
+        arguments = {"n": n, "x": 1, "x3": parts.total}
+        for check, *_, arg, _, formula in verify._CHECKS:
+            if check not in applied:
+                with pytest.raises((UnsupportedArityError, RangeError)):
+                    formula(parts, arguments[arg])
+        assert len(applied) == len(reports)
+
+    def test_closed_form_row_reads_the_closed_form_count(self, monkeypatch):
+        # count --method closed-form with its correction subtracted, not added
+        def mutant(parts, n):
+            _, r = reductions.decompose(parts, n)
+            return waves_count(parts, r) - reductions.closed_form_correction(parts, n)
+
+        monkeypatch.setattr(reductions, "closed_form_count", mutant)
+        failures = run_verify(
+            trials=50, seed=0, k_min=2, k_max=5, max_part=13, max_product=20000
+        )
+        assert failures and {failure.check for failure in failures} == {"closed-form"}
 
     def test_as_many_parts_as_the_largest_part(self, capsys):
         argv = ("--trials", "5", "--k-max", "3", "--max-part", "3")
@@ -938,15 +1028,24 @@ class TestVerify:
         assert 0 < builds <= 620 and entries <= 2_400_000
 
     def test_no_trial_discards_an_oracle_value(self, monkeypatch):
-        """In every trial, the oracle lookups are the values its rows read,
-        and the first lookup is the largest, so one table serves them all.
+        """In every trial, the oracle lookups are distinct, the first is the
+        largest, so one table serves them all, and together they are exactly
+        the values its rows read.
 
-        The rows read p(n) (theorem1, section3), p(r) (closed-form), p(P - x)
-        (theorem2, closed-form-theorem2) and two values (theorem3).
+        The rows read p(n) (theorem1, section3, closed-form), p(P - x)
+        (theorem2, closed-form-theorem2), and p(P - x) and p(x - S) (theorem3).
         """
-        reads = {"theorem1": 1, "closed-form": 1, "theorem2": 1, "theorem3": 2}
         trials, lookups = [], []
         oracle_count, check_trial = oracle.oracle_count, verify._check_trial
+
+        def read(report):
+            inputs, parts = dict(report.inputs), report.parts
+            if "n" in inputs:
+                return {inputs["n"]}
+            x = inputs["x"]
+            if report.check == "theorem3":
+                return {parts.product - x, x - parts.total}
+            return {parts.product - x}
 
         def counting_oracle(parts, n):
             lookups.append(n)
@@ -955,8 +1054,7 @@ class TestVerify:
         def counting_check(*args):
             before = len(lookups)
             reports = check_trial(*args)
-            read = sum(reads.get(report.check, 0) for report in reports)
-            trials.append((lookups[before:], read))
+            trials.append((lookups[before:], set().union(*map(read, reports))))
             return reports
 
         monkeypatch.setattr(oracle, "oracle_count", counting_oracle)
@@ -966,8 +1064,11 @@ class TestVerify:
                 trials=50, seed=seed, k_min=1, k_max=6, max_part=13, max_product=20000
             )
         assert len(trials) == 250
-        assert all(len(made) == read for made, read in trials)
+        assert all(len(made) == len(set(made)) for made, _ in trials)
         assert all(made[0] == max(made) for made, _ in trials)
+        assert all(set(made) == rows_read for made, rows_read in trials)
+        # theorem3 reads two values and often shares none with the other rows
+        assert any(len(made) >= 4 for made, _ in trials)
 
     def test_k_range_validated(self):
         with pytest.raises(DomainError):

@@ -1,6 +1,7 @@
 """The dynamic-programming oracle against independent enumeration."""
 
 import sys
+import tracemalloc
 from array import array
 from operator import itemgetter
 from unittest import mock
@@ -16,7 +17,7 @@ from denumerant.partset import PartSet
 from denumerant.verify import run_verify
 from denumerant.waves import waves_count
 
-from helpers import brute_force_count
+from helpers import brute_force_count, cold_caches
 
 small_partsets = st.lists(
     st.integers(min_value=1, max_value=12), min_size=1, max_size=4, unique=True
@@ -480,3 +481,42 @@ def test_width_boundaries(monkeypatch, top, typecode, itemsize):
             assert type(table) is tuple
         else:
             assert table.typecode == typecode and table.itemsize == itemsize
+
+
+@settings(max_examples=60)
+@given(
+    st.sets(st.integers(min_value=1, max_value=12), min_size=1, max_size=3),
+    st.sets(
+        st.integers(min_value=13, max_value=70)
+        | st.sampled_from([10 ** 6, 10 ** 18, 2 ** 64, 10 ** 30]),
+        min_size=1,
+        max_size=3,
+    ),
+    st.lists(st.integers(min_value=0, max_value=60), min_size=1, max_size=5),
+)
+@example({2, 3}, {10 ** 18, 2 ** 64}, [11, 40])
+def test_parts_past_n_add_nothing(small, large, ns):
+    """Parts above n, held tables' length included, count as if left out: a
+    count matches enumeration, and a table the one built without them."""
+    parts = PartSet(tuple(small | large))
+    with mock.patch.object(oracle, "_TABLES", {}):
+        for n in ns:
+            below = [a for a in parts if a <= n] or parts.parts[:1]
+            assert oracle_count(parts, n) == brute_force_count(below, n)
+            assert oracle_table(parts, n) == oracle_table(PartSet(tuple(below)), n)
+            assert tuple(oracle._TABLES[parts.parts[:-1]])[: n + 1] == oracle_table(
+                PartSet(parts.parts[:-1]), n
+            )
+
+
+def test_parts_past_n_allocate_nothing():
+    """Memory gate: a count reads only entries 0..n of any part's table, and
+    entries below 0 are 0, so parts of 10^6 cost no table of 10^6 entries."""
+    cold_caches()
+    tracemalloc.start()
+    try:
+        assert oracle_count(PartSet.of(2, 3, 10 ** 6, 10 ** 6 + 1), 11) == 2
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
