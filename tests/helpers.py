@@ -6,16 +6,18 @@ evidence rather than circularity.  The series helpers reuse the package's
 exact arithmetic primitives but follow different algorithms than the code
 under test (summing powers instead of the derivative recursion, caller-given
 factor order instead of the sorted one).  exp_via_egf is the adapter that
-reads the integer series_exp on a series of Fractions.  run_module runs the
-command line in a fresh interpreter, and cold_caches empties every cache the
-package keeps between calls.
+reads the integer series_exp on a series of Fractions.  index_walk_wave is
+Sylvester's wave by the plain index walk over a^k, the reference for the
+sliced, reduced walk in waves._wave.  run_module runs the command line in a
+fresh interpreter, and cold_caches empties every cache the package keeps
+between calls.
 """
 
 import os
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import factorial, gcd, lcm, prod
 from pathlib import Path
 from typing import Iterable, List, Sequence, Tuple
@@ -66,6 +68,21 @@ def brute_force_count(parts: Sequence[int], n: int) -> int:
         return sum(go(remaining - m * a, idx + 1) for m in range(remaining // a + 1))
 
     return go(n, 0)
+
+
+def index_walk_wave(a: int, others: Sequence[int]) -> Tuple[int, ...]:
+    """a^(len(others) + 1) * w on Z/a, the wave of part a against the others.
+
+    Each factor walks 0, c, 2c, ... mod a by index, takes cumulative sums
+    along the walk, and writes them back by residue, with no reduction.
+    """
+    wave = [a - 1] + [-1] * (a - 1)  # a * ([a divides n] - 1/a)
+    for c in others:
+        step = pow(c, -1, a)  # residue n comes at step n * c^-1 of the walk
+        walked = list(accumulate(wave[(m * c) % a] for m in range(a)))
+        total = sum(walked)
+        wave = [a * walked[(n * step) % a] - total for n in range(a)]
+    return tuple(wave)
 
 
 def pairwise_coprime(values: Iterable[int]) -> bool:

@@ -357,7 +357,7 @@ def test_report_holds_semantics():
 # polynomials, section3 the Bernoulli number table, the closed forms neither,
 # and all three take p(r) from the waves, which read no other route.  The
 # waves' size check in admission.py is policy, not a route.
-WAVES = {"waves.waves_count", "waves._setup", "waves._wave", "admission.hold"}
+WAVES = {"waves.waves_count", "waves._setup", "waves._wave", "waves._walk", "admission.hold"}
 WAVES |= {"admission.recall", "admission.admit_waves"}
 REDUCED = WAVES | {"reductions.decompose", "reductions._exact"}
 ALLOWED = {

@@ -1,10 +1,11 @@
 """Sylvester's waves against the oracle, the reductions and their limits."""
 
 import sys
+from fractions import Fraction
 from math import gcd, prod
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from denumerant import admission, oracle, waves
@@ -19,7 +20,7 @@ from denumerant.partset import PartSet
 from denumerant.reductions import closed_form_count, section3_count, theorem1_count
 from denumerant.waves import waves_count
 
-from helpers import brute_force_count, coprime_part_tuples
+from helpers import brute_force_count, coprime_part_tuples, index_walk_wave
 
 COPRIME_SETS = coprime_part_tuples(13, range(1, 7), max_product=5000)
 
@@ -64,7 +65,8 @@ def test_matches_oracle_on_wide_parts(case):
     assert waves_count(parts, n) == oracle_count(parts, n)
 
 
-FIRST_30_PRIMES = tuple(p for p in range(2, 114) if all(p % d for d in range(2, p)))
+FIRST_100_PRIMES = tuple(p for p in range(2, 542) if all(p % d for d in range(2, p)))
+FIRST_30_PRIMES = FIRST_100_PRIMES[:30]
 
 
 @pytest.mark.parametrize(
@@ -138,6 +140,99 @@ def test_held_waves_sized_by_the_parts(monkeypatch):
     assert bits < 10 ** 6
 
 
+@st.composite
+def coprime_parts(draw):
+    """Up to five pairwise-coprime parts from 1..300, so strides past 32 occur."""
+    chosen = []
+    for a in draw(st.lists(st.integers(min_value=1, max_value=300), min_size=1, max_size=5)):
+        if all(gcd(a, b) == 1 and a != b for b in chosen):
+            chosen.append(a)
+    return tuple(chosen)
+
+
+@given(coprime_parts())
+@example((101, 103, 107, 109))  # both gathers, both directions
+@example((2, 257, 263))
+@example((1, 2, 3))
+def test_waves_equal_the_index_walk(parts):
+    """Each wave d_j w_j over d_j equals the unreduced index walk over a_j^k."""
+    for j, a in enumerate(parts):
+        others = parts[:j] + parts[j + 1 :]
+        d, wave = waves._wave(a, others)
+        full = a ** len(parts)
+        assert full % d == 0
+        reference = index_walk_wave(a, others)
+        assert [Fraction(v, d) for v in wave] == [Fraction(v, full) for v in reference]
+
+
+class Probe(list):
+    """A list that records which form of gather read it."""
+
+    def __init__(self, values, forms):
+        super().__init__(values)
+        self.forms = forms
+
+    def __mul__(self, times):
+        self.forms.append("slices")
+        return list(self) * times
+
+    def __getitem__(self, i):
+        if isinstance(i, int):
+            self.forms.append("index")
+        return super().__getitem__(i)
+
+
+@pytest.mark.parametrize("a", [1, 2, 5, 64, 67, 101, 263])
+def test_walk_gathers_by_slices_up_to_stride_32(a):
+    """Stride s reads entry m * s mod a; by slices iff min(s, a - s) <= 32."""
+    values = list(range(10 ** 6, 10 ** 6 + a))
+    for s in (s for s in range(a) if gcd(s, a) == 1):
+        forms = []
+        walked = waves._walk(Probe(values, forms), s)
+        assert walked == [values[m * s % a] for m in range(a)]
+        assert set(forms) == {"index" if min(s, a - s) > 32 else "slices"}
+
+
+@pytest.mark.parametrize("values", [(7,), (2, 3), (3, 5, 7), (2, 3, 5, 7, 11), FIRST_30_PRIMES[:6]])
+def test_each_wave_walks_once_per_factor_but_the_first(monkeypatch, values):
+    """k - 2 factors gather once each and one gather restores residue order."""
+    calls = []
+    real_walk = waves._walk
+
+    def counting(wave, s):
+        calls.append(len(wave))
+        return real_walk(wave, s)
+
+    monkeypatch.setattr(waves, "_walk", counting)
+    k = len(values)
+    for j, a in enumerate(values):
+        calls.clear()
+        waves._wave(a, values[:j] + values[j + 1 :])
+        assert calls == [a] * (k - 1)
+
+
+def test_reduced_denominators_at_large_k():
+    """First 60 primes: D is 23,266 bits and entries 506 bits over (k - 1)! P^k."""
+    _, common, _, held = waves._setup(PartSet(FIRST_100_PRIMES[:60]))
+    assert common.bit_length() < 1000
+    assert max(abs(v).bit_length() for _, _, wave in held for v in wave) < 64
+
+
+@pytest.mark.parametrize(
+    "values", [(2, 3), (1, 2, 3, 5, 7, 11), (3, 7, 11, 13, 16), FIRST_30_PRIMES]
+)
+def test_setup_is_in_lowest_terms(values):
+    """D, the multipliers and the Newton coefficients share no factor."""
+    _, common, newton, held = waves._setup(PartSet(values))
+    assert gcd(common, *newton, *(scale for _, scale, _ in held)) == 1
+
+
+def test_large_k_setup_weighs_under_2_mib():
+    """First 100 primes: 5.27 MiB over (k - 1)! P^k."""
+    weight, _, _, _ = waves._setup(PartSet(FIRST_100_PRIMES))
+    assert weight < 2 << 20
+
+
 def test_one_wave_per_part_and_none_when_warm(monkeypatch):
     calls = []
     real_wave = waves._wave
@@ -160,7 +255,7 @@ def test_cache_bounded_in_bytes(monkeypatch):
     """Past the byte budget the oldest set-ups go, never the one just used."""
     monkeypatch.setattr(waves, "_SETUPS", {})
     monkeypatch.setattr(admission, "MAX_HELD_BYTES", 3000)
-    # a pair weighs under 1,200 bytes, the first 12 primes alone over 10,000
+    # a pair weighs under 1,200 bytes, the first 12 primes alone over 8,000
     pairs = [(2, a) for a in (3, 5, 7, 11, 13, 17, 19, 23)]
     used, held_counts, hits = [], set(), 0
     for values in pairs + [(2, 17), (2, 23), FIRST_30_PRIMES[:12], (3, 5, 7)] + pairs:
