@@ -28,9 +28,9 @@ numbers:
   2011) yields in O(m^2) steps.  Then B_2j = (-1)^(j-1) 2j T_j / (4^j (4^j - 1)).
 - The Bernoulli-Barnes polynomials come from one scalar sequence beta,
   built by integer binomial convolutions (see ``bernoulli_barnes``).  A
-  table is that sequence, m + 1 integers over one denominator, and each
-  polynomial forms its integer numerators C(i, j) beta_{i-j} on first read;
-  ``lowest_terms`` reduces a table for printing without forming them.  The
+  table is that sequence, m + 1 integers over one denominator, and nothing
+  else: ``numerators_at`` reads it at x and ``lowest_terms`` reduces it for
+  printing, and neither forms the numerators C(i, j) beta_{i-j}.  The
   sequence's building blocks c_n = n! [s^n] s/(e^s - 1) are the Bernoulli
   numbers again (with c_1 = -1/2), but they are found a second way, by
   inverting (e^s - 1)/s in integer numerators over the product of the primes
@@ -45,13 +45,12 @@ Bernoulli-Barnes tables are pure functions under bounded ``lru_cache``s.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import comb, factorial, gcd, isqrt, prod
 from typing import Iterator, List, Sequence, Tuple
 
 from .errors import DomainError
 from .partset import PartSet
-from .series import poly_eval
 
 
 def _tangent_numbers(count: int) -> List[int]:
@@ -96,21 +95,34 @@ class BBPoly:
     Every polynomial of one table shares the tuple beta and the denominator,
     D^k P over a gcd (see ``bernoulli_barnes``), so a table holds m + 1
     integers, not (m + 1)(m + 2)/2, and a sum over a table stays in integers
-    and divides once.  The numerators are formed on first read and kept.  Equality is
-    identity, so no comparison walks the shared beta.
+    and divides once.  A polynomial keeps nothing else: ``at`` reads it from
+    beta through ``numerators_at``.  Equality is identity, so no comparison
+    walks the shared beta.
     """
 
     def __init__(self, beta: Tuple[int, ...], index: int, denominator: int) -> None:
         self.beta, self.index, self.denominator = beta, index, denominator
 
-    @cached_property
-    def numerators(self) -> Tuple[int, ...]:
-        """The integer coefficients of x^0, x^1, ... over ``denominator``."""
-        i, beta = self.index, self.beta
-        return tuple(comb(i, j) * beta[i - j] for j in range(i + 1))
-
     def at(self, x) -> Fraction:
-        return Fraction(poly_eval(self.numerators, x), self.denominator)
+        return Fraction(numerators_at(self.beta[: self.index + 1], x)[-1], self.denominator)
+
+
+def numerators_at(beta: Sequence[int], x) -> List[int]:
+    """The numerators of B_0(x)..B_m(x) over their table's denominator, m = len(beta) - 1.
+
+    A difference triangle from row 0 = beta: entry l of row i is x times
+    entry l of row i - 1 plus entry l + 1 of row i - 1, so it is
+    sum_j C(i, j) beta_{l+i-j} x^j, and row i starts with the numerator of
+    B_i(x).  Row i is written in place over places i..m, from the last down,
+    so the first entries of the rows before it stay in front.  That is
+    m(m + 1)/2 multiply-adds, as many as Horner's rule on every polynomial,
+    and no numerator C(i, j) beta_{i-j} is formed.
+    """
+    row = list(beta)
+    for i in range(1, len(row)):
+        for l in range(len(row) - 1, i - 1, -1):
+            row[l] = x * row[l - 1] + row[l]
+    return row
 
 
 def lowest_terms(table: Sequence[BBPoly]) -> Iterator[List[Tuple[int, int]]]:
@@ -187,11 +199,12 @@ def bernoulli_barnes(parts: PartSet, max_index: int) -> Tuple[BBPoly, ...]:
     return _bernoulli_barnes(parts, max_index)
 
 
-# Bounded by tables, not bytes, but a table is only its m + 1 integers beta
-# until a polynomial's numerators are read: (2,3,5,7) at index 400 holds
-# ~0.25 MB.  Hits / misses per workload: verify-sweep 21,675 / 423 and
-# count-huge-n 3,650 / 21 fit in 512; bb-high-index (0 / 59) and
-# count-cold-product (0 / 380) never read a table twice, only its unit coefficients.
+# Bounded by tables, not bytes, but a table is only its m + 1 integers beta,
+# and reading it keeps nothing more: (2,3,5,7) at index 400 holds 114,140
+# bytes of beta.  Hits / misses per traced seed-0 run: verify-sweep (75 ops)
+# 10,619 / 422 and count-huge-n (4,100 ops) 1,814 / 21 fit in 512;
+# bb-high-index (30 ops, 0 / 29) and count-cold-product (190 ops, 0 / 190)
+# never read a table twice, only its unit coefficients.
 @lru_cache(maxsize=512)
 def _bernoulli_barnes(parts: PartSet, max_index: int) -> Tuple[BBPoly, ...]:
     unit, common = _unit_coefficients(max_index)

@@ -43,10 +43,10 @@ from itertools import combinations
 from math import comb, factorial, lcm
 from typing import Tuple
 
-from .bernoulli import bernoulli_barnes, log_coefficients, power_sum
+from .bernoulli import bernoulli_barnes, log_coefficients, numerators_at, power_sum
 from .errors import InternalInconsistencyError, RangeError, UnsupportedArityError
 from .partset import PartSet
-from .series import poly_eval, series_exp
+from .series import series_exp
 from .waves import waves_count
 
 
@@ -73,14 +73,13 @@ def _bb_sum(parts: PartSet, t: int, x: int) -> int:
     Times (k-1)!, the weights are the binomials C(k-1, i+1), and the
     polynomials of one table share their denominator, so the sum runs in
     integers and divides once.  Only B_0..B_{k-2} are read, so the table
-    stops there; for k = 1 the sum is empty.
+    stops there, and one difference triangle on its beta gives all their
+    numerators at x; for k = 1 the sum is empty.
     """
     k = parts.k
     table = bernoulli_barnes(parts, max(k - 2, 0))
-    total = sum(
-        comb(k - 1, i + 1) * (-t) ** i * poly_eval(table[k - i - 2].numerators, x)
-        for i in range(k - 1)
-    )
+    values = numerators_at(table[0].beta, x)
+    total = sum(comb(k - 1, i + 1) * (-t) ** i * values[k - i - 2] for i in range(k - 1))
     denominator = factorial(k - 1) * table[0].denominator
     return _exact((-1) ** k * t * total, denominator, "Bernoulli-Barnes sum")
 

@@ -2,8 +2,10 @@
 
 A polynomial is a tuple of coefficients from degree 0 upward.  ``poly_eval``
 evaluates one by Horner's rule, in ints when the coefficients and the point
-are ints.  A truncated power series in s is a tuple of coefficients with
-order ``len(c) - 1``, and the series functions keep the order they are given.
+are ints; no src path calls it, since a Bernoulli-Barnes table is read at x
+from its beta (``bernoulli.numerators_at``).  A truncated power series in s
+is a tuple of coefficients with order ``len(c) - 1``, and the series
+functions keep the order they are given.
 ``series_exp`` works on integer exponential generating functions, where
 ``c[i]`` is the coefficient of s**i / i!, so it never divides.  ``series_mul``
 and ``series_inv`` take ordinary series of Fractions, ``c[i]`` the coefficient

@@ -3,10 +3,11 @@
 Each check is one row of ``_CHECKS``, in report order: name, least and most
 arity, the drawn argument it reads, its oracle side from the trial's lookups
 p, and its formula side, which for a count row is what `count --method <name>`
-returns.  The routes are reached through their modules
-(``oracle.oracle_count``, ``reductions.theorem1_count``), not bound here by
-name, so that rebinding a route on its module (a test's monkeypatch, or the
-span tracer in perfbench/spans.py) reaches the sweep too.
+returns; every method but the oracle has a count row.  The routes are reached
+through their modules (``oracle.oracle_count``, ``reductions.theorem1_count``,
+``waves.waves_count``), not bound here by name, so that rebinding a route on
+its module (a test's monkeypatch, or the span tracer in perfbench/spans.py)
+reaches the sweep too.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import random
 from math import inf, isqrt, lcm, prod
 from typing import List, NamedTuple, Tuple
 
-from . import admission, oracle, reductions
+from . import admission, oracle, reductions, waves
 from .errors import DomainError, SamplingExhaustedError
 from .partset import PartSet
 
@@ -66,6 +67,8 @@ _CHECKS = (
      lambda parts, n: reductions.section3_count(parts, n)),
     ("closed-form", 2, 5, "n", lambda p, parts, n: p(n),
      lambda parts, n: reductions.closed_form_count(parts, n)),
+    ("waves", 1, inf, "n", lambda p, parts, n: p(n),
+     lambda parts, n: waves.waves_count(parts, n)),
     ("theorem2", 2, inf, "x", lambda p, parts, x: p(parts.product - x),
      lambda parts, x: reductions.theorem2_count(parts, x)),
     ("closed-form-theorem2", 2, 5, "x", lambda p, parts, x: p(parts.product - x),

@@ -18,7 +18,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from itertools import accumulate, combinations
-from math import factorial, gcd, lcm, prod
+from math import comb, factorial, gcd, lcm, prod
 from pathlib import Path
 from typing import Iterable, List, Sequence, Tuple
 
@@ -138,8 +138,10 @@ def exp_via_egf(h: Tuple[Fraction, ...]) -> Tuple[Fraction, ...]:
 
 
 def bb_coeffs(poly) -> Tuple[Fraction, ...]:
-    """A Bernoulli-Barnes polynomial's coefficients of x^0, x^1, ... in lowest terms."""
-    return tuple(Fraction(c, poly.denominator) for c in poly.numerators)
+    """A Bernoulli-Barnes polynomial's coefficients of x^0, x^1, ... in lowest
+    terms: C(i, j) beta_{i-j} over the table's denominator."""
+    i, beta = poly.index, poly.beta
+    return tuple(Fraction(comb(i, j) * beta[i - j], poly.denominator) for j in range(i + 1))
 
 
 def bb_polys_by_factor_order(

@@ -9,10 +9,14 @@ index 1 that the +1/2 convention introduces.
 
 The Bernoulli-Barnes polynomials are checked against a per-factor series
 inversion and product (the algorithm the package used before its scalar
-convolution), and a work gate keeps that slow path from coming back.
+convolution), and a work gate keeps that slow path from coming back.  The
+difference triangle that reads a table at x is checked against the
+numerators it never forms, and a memory gate holds a table that the routes
+have read to its beta.
 """
 
 import random
+import sys
 from fractions import Fraction
 from math import comb, factorial, lcm
 
@@ -27,15 +31,18 @@ from denumerant.bernoulli import (
     bernoulli_barnes,
     bernoulli_numbers,
     log_coefficients,
+    numerators_at,
     power_sum,
 )
 from denumerant.errors import DomainError
 from denumerant.partset import PartSet
+from denumerant.reductions import theorem1_count, theorem2_count, theorem3_rhs
 from denumerant.series import series_mul
 
 from helpers import (
     bb_coeffs,
     bb_polys_by_factor_order,
+    cold_caches,
     coprime_part_tuples,
     exp_via_egf,
     run_module,
@@ -180,13 +187,47 @@ class TestBernoulliBarnes:
         for combo in ((1,), (3, 4), (2, 3, 5), (3, 4, 5, 7)):
             table = bernoulli_barnes(PartSet(combo), 6)
             assert all(isinstance(entry, BBPoly) for entry in table)
-            assert [len(entry.numerators) for entry in table] == list(range(1, 8))
-            assert all(type(c) is int for entry in table for c in entry.numerators)
+            assert [entry.index for entry in table] == list(range(7))
+            assert all(entry.beta is table[0].beta for entry in table)
+            assert len(table[0].beta) == 7 and all(type(b) is int for b in table[0].beta)
             assert len({entry.denominator for entry in table}) == 1
             for entry in table:
                 for x in (-12, -3, -1, 0, 1, 4, 10 ** 20):
                     expected = sum(c * x ** j for j, c in enumerate(bb_coeffs(entry)))
                     assert entry.at(x) == expected
+
+    @given(
+        st.lists(st.integers(-10 ** 30, 10 ** 30), min_size=1, max_size=12),
+        st.integers(-10 ** 6, 10 ** 6),
+    )
+    def test_numerators_at_reads_every_polynomial(self, beta, x):
+        # the difference triangle against the numerators it never forms:
+        # sum_j C(i, j) beta_{i-j} x^j for every i <= m
+        values = numerators_at(beta, x)
+        assert values == [
+            sum(comb(i, j) * beta[i - j] * x ** j for j in range(i + 1))
+            for i in range(len(beta))
+        ]
+        assert all(type(v) is int for v in values)
+
+    def test_tables_keep_only_beta_after_every_route_reads_them(self):
+        # memory gate: theorem1, theorem2 and theorem3 read the first 60
+        # primes' table at index 58, and it stays one beta of 5.3 KB; kept
+        # numerators made it ~144 KB
+        primes = [p for p in range(2, 282) if all(p % q for q in range(2, p))]
+        parts = PartSet(tuple(primes))
+        cold_caches()
+        theorem1_count(parts, 10 ** 30 + 12345)
+        theorem2_count(parts, 1)
+        theorem3_rhs(parts, parts.total)
+        assert bernoulli_module._bernoulli_barnes.cache_info().currsize == 1
+        table = bernoulli_barnes(parts, 58)
+        assert all(set(vars(entry)) == {"beta", "index", "denominator"} for entry in table)
+        beta = table[0].beta
+        assert all(entry.beta is beta for entry in table)
+        held = sys.getsizeof(table) + sys.getsizeof(beta) + sum(map(sys.getsizeof, beta))
+        held += sum(sys.getsizeof(entry) + sys.getsizeof(vars(entry)) for entry in table)
+        assert held < 16_000
 
     @given(st.sampled_from(ANY_SETS))
     def test_first_two_closed_forms(self, combo):

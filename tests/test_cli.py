@@ -301,8 +301,8 @@ class TestOtherSubcommands:
         assert peak < 1 << 20
 
     def test_bb_prints_without_forming_numerators(self, capsys):
-        # work gate: a bb table is one shared beta, and printing it forms no
-        # polynomial's numerators
+        # work gate: a bb table is one shared beta, and neither printing it
+        # nor reading a polynomial at x leaves anything else in it
         bernoulli._bernoulli_barnes.cache_clear()
         code, _, _ = invoke(capsys, "bb", "--parts", "2,3,5,7", "--max-index", "40")
         assert code == 0
@@ -310,10 +310,8 @@ class TestOtherSubcommands:
         assert len(table[0].beta) == 41
         assert all(type(b) is int for b in table[0].beta)
         assert all(entry.beta is table[0].beta for entry in table)
-        assert all("numerators" not in vars(entry) for entry in table)
-        # a route's first read forms them once and keeps them
-        assert table[5].numerators is table[5].numerators
-        assert "numerators" in vars(table[5])
+        assert table[5].at(3) == sum(c * 3 ** j for j, c in enumerate(bb_coeffs(table[5])))
+        assert all(set(vars(entry)) == {"beta", "index", "denominator"} for entry in table)
 
     def test_bb_rows_formed_as_read(self, monkeypatch):
         # work gate: the first row of the (2,3,5,7) table at index 40 takes one
@@ -905,18 +903,19 @@ class TestVerify:
         assert failures == ()
 
     ALL_CHECKS = (
-        "theorem1", "section3", "closed-form", "theorem2", "closed-form-theorem2", "theorem3"
+        "theorem1", "section3", "closed-form", "waves",
+        "theorem2", "closed-form-theorem2", "theorem3",
     )
 
     @pytest.mark.parametrize(
         "values, checks",
         [
-            ((7,), ALL_CHECKS[:1]),
+            ((7,), ("theorem1", "waves")),
             ((2, 3), ALL_CHECKS),
-            ((1, 2), ALL_CHECKS[:5]),
+            ((1, 2), ALL_CHECKS[:6]),
             ((1, 2, 3), ALL_CHECKS),
             ((1, 2, 3, 5, 7), ALL_CHECKS),
-            ((1, 2, 3, 5, 7, 11), ("theorem1", "section3", "theorem2", "theorem3")),
+            ((1, 2, 3, 5, 7, 11), ("theorem1", "section3", "waves", "theorem2", "theorem3")),
         ],
         ids=lambda v: ",".join(map(str, v)) if isinstance(v[0], int) else "",
     )
@@ -945,6 +944,24 @@ class TestVerify:
                 with pytest.raises((UnsupportedArityError, RangeError)):
                     formula(parts, arguments[arg])
         assert len(applied) == len(reports)
+
+    def test_every_count_method_but_the_oracle_has_a_row_at_n(self):
+        # a new `count --method` route cannot ship without its verify row
+        methods = set(cli._OPTIONS["count"][1]["--method"][0]) - {"oracle"}
+        rows = {check for check, _, _, arg, *_ in verify._CHECKS if arg == "n"}
+        assert methods <= rows
+
+    def test_waves_row_reads_the_waves_at_n(self, monkeypatch):
+        # a waves count off by one from n = P on: the other routes take the
+        # waves only at r < P, so only the waves row sees it
+        real = waves.waves_count
+        monkeypatch.setattr(
+            waves, "waves_count", lambda parts, n: real(parts, n) + (n >= parts.product)
+        )
+        failures = run_verify(
+            trials=50, seed=0, k_min=1, k_max=5, max_part=13, max_product=20000
+        )
+        assert failures and {failure.check for failure in failures} == {"waves"}
 
     def test_closed_form_row_reads_the_closed_form_count(self, monkeypatch):
         # count --method closed-form with its correction subtracted, not added

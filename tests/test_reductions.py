@@ -29,7 +29,7 @@ from denumerant.reductions import (
     theorem2_count,
     theorem3_rhs,
 )
-from denumerant.series import poly_eval, series_exp
+from denumerant.series import series_exp
 from denumerant.verify import TheoremReport
 from denumerant.waves import waves_count
 
@@ -284,47 +284,42 @@ class TestClosedForms:
     "combo", [(3, 5), (3, 4, 5), (3, 4, 5, 7), (3, 4, 5, 7, 11), (3, 4, 5, 7, 11, 13)]
 )
 def test_bernoulli_barnes_routes_evaluate_k_minus_1_polynomials(monkeypatch, combo):
-    """Work gate: theorem1, theorem2 and theorem3 read B_0..B_{k-2} of one table.
-
-    Each evaluation is recorded by its polynomial's degree, through either
-    reductions.poly_eval or BBPoly.at; section3 evaluates none.
+    """Work gate: theorem1, theorem2 and theorem3 read B_0..B_{k-2} of one table
+    by one call of numerators_at at their x, on the table's beta, through
+    reductions or through BBPoly.at; section3 reads no table and calls neither.
     """
     parts = PartSet(combo)
     k = parts.k
-    tables, degrees = [], []
-    real_at = bernoulli.BBPoly.at
+    tables, reads = [], []
+    real_eval = bernoulli.numerators_at
 
     def table_spy(p, m):
         tables.append((p, m))
         return bernoulli.bernoulli_barnes(p, m)
 
-    def eval_spy(coeffs, x):
-        degrees.append(len(coeffs) - 1)
-        return poly_eval(coeffs, x)
-
-    def at_spy(entry, x):
-        degrees.append(len(entry.numerators) - 1)
-        return real_at(entry, x)
+    def eval_spy(beta, x):
+        reads.append((len(beta), x))
+        return real_eval(beta, x)
 
     monkeypatch.setattr(reductions, "bernoulli_barnes", table_spy)
-    monkeypatch.setattr(reductions, "poly_eval", eval_spy)
-    monkeypatch.setattr(bernoulli.BBPoly, "at", at_spy)
+    monkeypatch.setattr(reductions, "numerators_at", eval_spy)
+    monkeypatch.setattr(bernoulli, "numerators_at", eval_spy)
     n = 10 ** 30 + 12345
     calls = (
-        (theorem1_count, n),
-        (theorem2_count, parts.total - 1),
-        (theorem3_rhs, parts.total),
+        (theorem1_count, n, -(n % parts.product)),
+        (theorem2_count, parts.total - 1, parts.total - 1),
+        (theorem3_rhs, parts.total, parts.total),
     )
-    for route, arg in calls:
+    for route, arg, x in calls:
         tables.clear()
-        degrees.clear()
+        reads.clear()
         route(parts, arg)
-        assert tables == [(parts, max(k - 2, 0))]
-        assert sorted(degrees) == list(range(k - 1))
+        assert tables == [(parts, k - 2)]
+        assert reads == [(k - 1, x)]
     tables.clear()
-    degrees.clear()
+    reads.clear()
     section3_count(parts, n)
-    assert (tables, degrees) == ([], [])
+    assert (tables, reads) == ([], [])
 
 
 def test_boundary_switchover_matches_oracle():
@@ -370,7 +365,7 @@ ALLOWED = {
         "bernoulli._bernoulli_barnes",
         "bernoulli._unit_coefficients",
         "bernoulli._primorial",
-        "series.poly_eval",
+        "bernoulli.numerators_at",
     },
     "section3": REDUCED
     | {
