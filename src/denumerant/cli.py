@@ -19,7 +19,8 @@ decimal string so consumers that parse JSON numbers as floats cannot corrupt
 it.  Output on stdout is byte-identical for identical argv and seed; wall
 time goes to stderr.
 
-Routes are reached through their modules, as in verify.py, and return ints.
+`count`, `theorem2` and `theorem3` run the oracle or a row of ``verify.CHECKS``:
+every other route the CLI runs is one that `verify` checks.
 """
 
 from __future__ import annotations
@@ -31,10 +32,10 @@ import time
 from functools import cache, lru_cache
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
-from . import admission, bernoulli, oracle, reductions, waves
+from . import admission, bernoulli, oracle
 from .errors import DomainError
 from .partset import PartSet
-from .verify import format_failure, run_verify
+from .verify import CHECKS, format_failure, run_verify
 
 
 def parse_parts(text: str) -> Tuple[int, ...]:
@@ -69,15 +70,14 @@ def positive_int(text: str) -> int:
     return value
 
 
-# The `count --method` choices.  Each looks its route up on the route's module
-# when `count` runs, so rebinding a route there (a test's monkeypatch, or the
-# span tracer in perfbench/spans.py) reaches `count` too, as in verify.py.
-_COUNT_METHODS: Dict[str, Callable[[PartSet, int], int]] = {
+# The routes by name: the oracle, then the formula side of each of verify's
+# rows, so the CLI runs what `verify` checks.  Each looks its route up on the
+# route's module when it runs, so rebinding a route there (a test's
+# monkeypatch, or the span tracer in perfbench/spans.py) reaches the CLI too.
+# `count --method` takes the oracle and the rows at n.
+_ROUTES: Dict[str, Callable[[PartSet, int], int]] = {
     "oracle": lambda parts, n: oracle.oracle_count(parts, n),
-    "theorem1": lambda parts, n: reductions.theorem1_count(parts, n),
-    "section3": lambda parts, n: reductions.section3_count(parts, n),
-    "closed-form": lambda parts, n: reductions.closed_form_count(parts, n),
-    "waves": lambda parts, n: waves.waves_count(parts, n),
+    **{check: formula for check, *_, formula in CHECKS},
 }
 
 
@@ -89,7 +89,9 @@ _OUTPUT = {"--output": (("text", "json"), "text")}
 _OPTIONS: Dict[str, Tuple[str, Dict[str, Tuple[object, object]]]] = {
     "count": ("count representations of n", {
         "--parts": (parse_parts, None), "--n": (int, None),
-        "--method": (tuple(_COUNT_METHODS), "oracle"), **_OUTPUT}),
+        "--method": (
+            ("oracle", *(check for check, _, _, arg, *_ in CHECKS if arg == "n")), "oracle"),
+        **_OUTPUT}),
     "bb": ("Bernoulli-Barnes polynomials", {
         "--parts": (parse_parts, None), "--max-index": (nonnegative_int, None), **_OUTPUT}),
     "bernoulli": ("Bernoulli numbers", {"--max-index": (nonnegative_int, None), **_OUTPUT}),
@@ -194,14 +196,9 @@ def _dispatch(args: argparse.Namespace) -> int:
         )
         lines = (f"B_{i} = [{', '.join(coeffs)}]" for i, coeffs in enumerate(value))
     else:
-        parts = PartSet(args.parts)
-        if args.subcommand == "count":
-            compute, given = _COUNT_METHODS[args.method], args.n
-        elif args.subcommand == "theorem2":
-            compute, given = reductions.theorem2_count, args.x
-        else:
-            compute, given = reductions.theorem3_rhs, args.x
-        value = _decimal(compute(parts, given))
+        count = args.subcommand == "count"
+        parts, given = PartSet(args.parts), args.n if count else args.x
+        value = _decimal(_ROUTES[args.method if count else args.subcommand](parts, given))
         lines = [value]
 
     write = sys.stdout.write

@@ -74,10 +74,10 @@ def _bb_sum(parts: PartSet, t: int, x: int) -> int:
     polynomials of one table share their denominator, so the sum runs in
     integers and divides once.  Only B_0..B_{k-2} are read, so the table
     stops there, and one difference triangle on its beta gives all their
-    numerators at x; for k = 1 the sum is empty.
+    numerators at x.  Needs k >= 2: for k = 1 the sum is empty.
     """
     k = parts.k
-    table = bernoulli_barnes(parts, max(k - 2, 0))
+    table = bernoulli_barnes(parts, k - 2)
     values = numerators_at(table[0].beta, x)
     total = sum(comb(k - 1, i + 1) * (-t) ** i * values[k - i - 2] for i in range(k - 1))
     denominator = factorial(k - 1) * table[0].denominator
@@ -89,10 +89,11 @@ def theorem1_correction(parts: PartSet, n: int) -> int:
 
     For k = 1 the sum is empty and the correction is 0, which is the right
     degenerate reading: with a single part, p(n) depends only on n mod a_1.
+    So no Bernoulli-Barnes table is read or held for it.
     """
     _, r = decompose(parts, n)
     parts.require_pairwise_coprime()
-    return _bb_sum(parts, n - r, -r)
+    return _bb_sum(parts, n - r, -r) if parts.k > 1 else 0
 
 
 def theorem1_count(parts: PartSet, n: int) -> int:

@@ -1,13 +1,14 @@
 """Seeded random cross-checks of every identity against the oracle.
 
-Each check is one row of ``_CHECKS``, in report order: name, least and most
+Each check is one row of ``CHECKS``, in report order: name, least and most
 arity, the drawn argument it reads, its oracle side from the trial's lookups
-p, and its formula side, which for a count row is what `count --method <name>`
-returns; every method but the oracle has a count row.  The routes are reached
+p, and its formula side.  The CLI runs the formula sides: `count --method
+<name>` takes the rows at n, and `theorem2` and `theorem3` their rows, so every
+method but the oracle has a count row by construction.  The routes are reached
 through their modules (``oracle.oracle_count``, ``reductions.theorem1_count``,
 ``waves.waves_count``), not bound here by name, so that rebinding a route on
 its module (a test's monkeypatch, or the span tracer in perfbench/spans.py)
-reaches the sweep too.
+reaches the sweep and the CLI too.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ def random_coprime_partset(
     )
 
 
-_CHECKS = (
+CHECKS = (
     ("theorem1", 1, inf, "n", lambda p, parts, n: p(n),
      lambda parts, n: reductions.theorem1_count(parts, n)),
     ("section3", 2, inf, "n", lambda p, parts, n: p(n),
@@ -82,7 +83,7 @@ _CHECKS = (
 def _check_trial(
     trial: int, parts: PartSet, n: int, q: int, r: int, rng: random.Random
 ) -> List[TheoremReport]:
-    """Each row of _CHECKS that covers k and whose argument was drawn: x in
+    """Each row of CHECKS that covers k and whose argument was drawn: x in
     [1, S - 1] for k >= 2, then x3 in [S, P] while S <= P.  Each distinct
     argument is looked up once, the largest, max(n, P - x), first (theorem3's
     are below P - S), so one table serves the trial."""
@@ -105,7 +106,7 @@ def _check_trial(
             else (("trial", trial), ("x", drawn[arg])),
             oracle_side(p, parts, drawn[arg]), formula(parts, drawn[arg]),
         )
-        for check, least, most, arg, oracle_side, formula in _CHECKS
+        for check, least, most, arg, oracle_side, formula in CHECKS
         if least <= k <= most and arg in drawn
     ]
 

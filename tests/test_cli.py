@@ -939,7 +939,7 @@ class TestVerify:
         applied = {report.check for report in reports}
         assert all(report.holds for report in reports)
         arguments = {"n": n, "x": 1, "x3": parts.total}
-        for check, *_, arg, _, formula in verify._CHECKS:
+        for check, *_, arg, _, formula in verify.CHECKS:
             if check not in applied:
                 with pytest.raises((UnsupportedArityError, RangeError)):
                     formula(parts, arguments[arg])
@@ -947,9 +947,32 @@ class TestVerify:
 
     def test_every_count_method_but_the_oracle_has_a_row_at_n(self):
         # a new `count --method` route cannot ship without its verify row
-        methods = set(cli._OPTIONS["count"][1]["--method"][0]) - {"oracle"}
-        rows = {check for check, _, _, arg, *_ in verify._CHECKS if arg == "n"}
-        assert methods <= rows
+        methods = cli._OPTIONS["count"][1]["--method"][0]
+        assert methods == ("oracle", "theorem1", "section3", "closed-form", "waves")
+        rows = {check for check, _, _, arg, *_ in verify.CHECKS if arg == "n"}
+        assert set(methods) - {"oracle"} <= rows
+
+    ARGV_ROUTES = (
+        (("count", "--n", "59", "--method", "oracle"), oracle, "oracle_count"),
+        (("count", "--n", "59", "--method", "theorem1"), reductions, "theorem1_count"),
+        (("count", "--n", "59", "--method", "section3"), reductions, "section3_count"),
+        (("count", "--n", "59", "--method", "closed-form"), reductions, "closed_form_count"),
+        (("count", "--n", "59", "--method", "waves"), waves, "waves_count"),
+        (("theorem2", "--x", "7"), reductions, "theorem2_count"),
+        (("theorem3", "--x", "12"), reductions, "theorem3_rhs"),
+    )
+
+    @pytest.mark.parametrize(
+        "argv, module, route", ARGV_ROUTES, ids=[route for *_, route in ARGV_ROUTES]
+    )
+    def test_argv_routes_are_looked_up_when_they_run(
+        self, capsys, monkeypatch, argv, module, route
+    ):
+        # a route rebound on its module after import (a test's monkeypatch, or
+        # the span tracer in perfbench/spans.py) is the one the CLI runs
+        monkeypatch.setattr(module, route, lambda parts, given: 10 ** 40 + given)
+        code, out, _ = invoke(capsys, *argv, "--parts", "2,3,5")
+        assert (code, out) == (0, f"{10 ** 40 + int(argv[2])}\n")
 
     def test_waves_row_reads_the_waves_at_n(self, monkeypatch):
         # a waves count off by one from n = P on: the other routes take the

@@ -92,6 +92,14 @@ class TestTheorem1:
         # k = 1 reads no Bernoulli-Barnes polynomial: the correction is 0
         assert theorem1_count(PartSet.of(a), n) == oracle_count(PartSet.of(a), n)
 
+    def test_single_part_holds_no_table(self):
+        # from cold caches a one-part count builds, and so holds, no
+        # Bernoulli-Barnes table and no unit coefficients; 10^30 = 1 mod 7
+        cold_caches()
+        assert theorem1_count(PartSet.of(7), 10 ** 30 + 13) == 1
+        assert bernoulli._bernoulli_barnes.cache_info().currsize == 0
+        assert bernoulli._unit_coefficients.cache_info().currsize == 0
+
     @given(st.sampled_from(COPRIME_2_TO_4), small_n)
     @settings(max_examples=200)
     def test_matches_oracle(self, combo, n):
