@@ -40,7 +40,7 @@ from .verify import CHECKS, format_failure, run_verify
 
 def parse_parts(text: str) -> Tuple[int, ...]:
     pieces = [piece.strip() for piece in text.split(",")]
-    if not pieces or any(not piece for piece in pieces):
+    if not all(pieces):
         raise argparse.ArgumentTypeError(
             "parts must be comma-separated positive integers, e.g. 2,3,5"
         )
@@ -132,57 +132,68 @@ def _ten_to(exponent: int) -> int:
 
 
 # Python 3.11's int-to-str takes time quadratic in the digits, and so does a
-# divmod by a power of ten, with a smaller constant.  Past 640 digits, the
-# least limit Python's int-to-str takes, `_decimal` cuts a value by halves, at
-# the powers 10^(_BASE_DIGITS * 2^j), into pieces of at most _BASE_DIGITS
-# digits: the halving method of CPython 3.12's Lib/_pylong.py.  So a count
-# prints at any length, under any such limit.
+# divmod by a power of ten, with a smaller constant.  Past _BASE_DIGITS digits,
+# `_decimal` cuts a value by halves, at the powers 10^(_BASE_DIGITS * 2^j), into
+# pieces of at most _BASE_DIGITS digits: the halving method of CPython 3.12's
+# Lib/_pylong.py.  512 is under 640, the least int-to-str limit Python takes, so
+# a count prints at any length, under any such limit.
 _BASE_DIGITS = 512
 
 
-def _decimal(value: int) -> str:
-    """str(value), the digits cut by halves past 640 digits."""
-    if value.bit_length() <= 2126:  # under 10^640
-        return str(value)
-    return ("-" if value < 0 else "") + _zero_filled(abs(value), 0)
-
-
-def _zero_filled(value: int, width: int) -> str:
-    """The digits of 0 <= value, zero-filled to `width`.
+def _decimal(value: int, width: int = 0) -> str:
+    """str(value), zero-filled to `width`, the digits cut by halves past 512.
 
     The cut 10^half is the first power on the ladder above the value's square
     root, so both halves are below it; the low half is filled to `half`.
     """
+    if value < 0:
+        return "-" + _decimal(-value)
     if value < _ten_to(_BASE_DIGITS):
         return str(value).zfill(width)
     half = _BASE_DIGITS
     while value >= _ten_to(2 * half):
         half *= 2
     high, low = divmod(value, _ten_to(half))
-    return _zero_filled(high, width - half) + _zero_filled(low, half)
+    return _decimal(high, width - half) + _decimal(low, half)
 
 
 def _dispatch(args: argparse.Namespace) -> int:
-    """Run one subcommand, then print its text lines or its JSON payload.
+    """Run one subcommand, print its text lines or its JSON payload, and
+    return its exit code.
 
+    `verify` prints its report and its wall time, and returns 1 on a failure.
     `bb` and `bernoulli` print each row as soon as it is formatted, so their
     memory does not grow with the output.  Their digit budgets are settled
-    before any work (admission.py), so a refused run prints nothing.  The JSON
-    payload, with --n written out as `input`, is formed under --output json
-    only.
+    before any work (admission.py), so a refused run prints nothing.  Counts
+    print through `_decimal`, by halves past 512 digits.  The JSON payload,
+    with --n written out as `input`, is formed under --output json only.
     """
-    code, parts = 0, None
     if args.subcommand == "verify":
         started = time.perf_counter()
         failures = run_verify(
             args.trials, args.seed, args.k_min, args.k_max, args.max_part, args.max_product
         )
         elapsed = time.perf_counter() - started
-        code = 1 if failures else 0
-        lines = [f"trials: {args.trials}", f"seed: {args.seed}"]
-        lines += [f"failures: {len(failures)}", *map(format_failure, failures)]
-    elif args.subcommand == "bernoulli":
-        given = args.max_index
+        report = [f"trials: {args.trials}", f"seed: {args.seed}", f"failures: {len(failures)}"]
+        if args.output == "text":
+            print(*report, *map(format_failure, failures), sep="\n")
+        else:
+            failed = [
+                {
+                    "check": failure.check,
+                    "parts": list(failure.parts.parts),
+                    "inputs": {name: str(val) for name, val in failure.inputs},
+                    "lhs": str(failure.lhs),
+                    "rhs": str(failure.rhs),
+                }
+                for failure in failures
+            ]
+            print(json.dumps({"trials": args.trials, "failures": failed, "seed": args.seed}))
+        print(f"elapsed: {elapsed:.3f}s", file=sys.stderr)
+        return 1 if failures else 0
+
+    if args.subcommand == "bernoulli":
+        parts, given = (), args.max_index
         admission.admit_bernoulli(given)
         pairs = ((b.numerator, b.denominator) for b in bernoulli.bernoulli_numbers(given))
         value = (_decimal(n) if d == 1 else f"{_decimal(n)}/{_decimal(d)}" for n, d in pairs)
@@ -205,37 +216,22 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.output == "text":
         for line in lines:
             write(f"{line}\n")
-    elif args.subcommand == "verify":
-        failed = [
-            {
-                "check": failure.check,
-                "parts": list(failure.parts.parts),
-                "inputs": {name: str(val) for name, val in failure.inputs},
-                "lhs": str(failure.lhs),
-                "rhs": str(failure.rhs),
-            }
-            for failure in failures
-        ]
-        print(json.dumps({"trials": args.trials, "failures": failed, "seed": args.seed}))
+        return 0
+    payload = {
+        "subcommand": args.subcommand,
+        "parts": list(parts),
+        "input": _decimal(given),
+        "method": getattr(args, "method", None),
+    }
+    if isinstance(value, str):
+        print(json.dumps(payload | {"value": value}))
     else:
-        payload = {
-            "subcommand": args.subcommand,
-            "parts": list(parts.parts) if parts is not None else [],
-            "input": _decimal(given),
-            "method": args.method if args.subcommand == "count" else None,
-        }
-        if isinstance(value, str):
-            payload["value"] = value
-            print(json.dumps(payload))
-        else:
-            # "value" is the payload's last key: its rows follow the rest.
-            write(f'{json.dumps(payload)[:-1]}, "value": [')
-            for i, row in enumerate(value):
-                write(f", {json.dumps(row)}" if i else json.dumps(row))
-            write("]}\n")
-    if args.subcommand == "verify":
-        print(f"elapsed: {elapsed:.3f}s", file=sys.stderr)
-    return code
+        # "value" is the payload's last key: its rows follow the rest.
+        write(f'{json.dumps(payload)[:-1]}, "value": [')
+        for i, row in enumerate(value):
+            write(f", {json.dumps(row)}" if i else json.dumps(row))
+        write("]}\n")
+    return 0
 
 
 def _bind(subcommand: str, tokens: Sequence[str]) -> Optional[argparse.Namespace]:

@@ -13,6 +13,7 @@ reaches the sweep and the CLI too.
 
 from __future__ import annotations
 
+import functools
 import random
 from math import inf, isqrt, lcm, prod
 from typing import List, NamedTuple, Tuple
@@ -93,11 +94,7 @@ def _check_trial(
         drawn["x"] = rng.randint(1, total - 1)
         if total <= product:
             drawn["x3"] = rng.randint(total, product)
-    seen = {}
-    def p(m):
-        if m not in seen:
-            seen[m] = oracle.oracle_count(parts, m)
-        return seen[m]
+    p = functools.cache(lambda m: oracle.oracle_count(parts, m))
     p(max(n, product - drawn.get("x", product)))
     return [
         TheoremReport(

@@ -594,7 +594,7 @@ class TestStdoutPinned:
 
 
 class TestDecimal:
-    """`cli._decimal` prints an int as str() does, by halves past 640 digits."""
+    """`cli._decimal` prints an int as str() does, by halves past 512 digits."""
 
     LADDER = (512, 1024, 2048, 4096)
 

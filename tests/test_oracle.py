@@ -1,5 +1,6 @@
 """The dynamic-programming oracle against independent enumeration."""
 
+import functools
 import sys
 import tracemalloc
 from array import array
@@ -9,6 +10,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from denumerant import admission, oracle, waves
 from denumerant.errors import DomainError, ResourceLimitError
@@ -520,3 +522,78 @@ def test_parts_past_n_allocate_nothing():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+# Part sets that share an oracle key in pairs, (2,3,5,7) and (2,3,5,11) share
+# (2,3,5), each with the largest n drawn for it and the n at which the counts
+# over its key first pass 2^32 - 1 and 2^64 - 1, where a held table widens.
+HELD_POOL = {
+    (7,): (300, ()),
+    (3, 4): (600, ()),
+    (2, 3, 5, 7): (3000, ()),
+    (2, 3, 5, 11): (3000, ()),
+    (1, 2, 3, 5, 7, 11): (4000, (2148,)),
+    (1, 2, 3, 5, 7, 13): (4000, (2148,)),
+    (1, 2, 3, 5, 7, 11, 13, 17, 19): (14000, (497, 12463)),
+    (1, 2, 3, 5, 7, 11, 13, 17, 23): (14000, (497, 12463)),
+}
+
+
+@functools.cache
+def held_pool_table(values):
+    """The oracle's full table over values, built from nothing: no held table,
+    no cache.  It reaches 5/4 of the pool's largest n, as far as a held table
+    grows."""
+    return oracle_table(PartSet(values), 5 * max(top for top, _ in HELD_POOL.values()) // 4)
+
+
+@st.composite
+def held_pool_lookups(draw):
+    """A part set of the pool and an n up to its largest, at times just past
+    a point where a table over its key widens."""
+    values = draw(st.sampled_from(sorted(HELD_POOL)))
+    top, widens = HELD_POOL[values]
+    if widens and draw(st.booleans()):
+        start = draw(st.sampled_from(widens))
+        return values, draw(st.integers(start, start + 50))
+    return values, draw(st.integers(0, top))
+
+
+class HeldCaches(RuleBasedStateMachine):
+    """Oracle and waves counts in any order, under any byte budget from 64 B to
+    16 MiB, equal the full table.  Each held oracle table, however it was
+    extended, widened or dropped, is a prefix of it in the narrowest form."""
+
+    @initialize(budget=st.integers(64, 16 << 20))
+    def cold_start(self, budget):
+        cold_caches()
+        self.patch = pytest.MonkeyPatch()
+        self.patch.setattr(admission, "MAX_HELD_BYTES", budget)
+
+    @rule(case=held_pool_lookups())
+    def oracle_lookup(self, case):
+        values, n = case
+        assert oracle_count(PartSet(values), n) == held_pool_table(values)[n]
+        if held := oracle._TABLES.get(values[:-1]):
+            assert tuple(held) == held_pool_table(values[:-1])[: len(held)]
+
+    @rule(case=held_pool_lookups())
+    def waves_lookup(self, case):
+        values, n = case
+        assert waves_count(PartSet(values), n) == held_pool_table(values)[n]
+
+    @invariant()
+    def held_narrowest_within_budget(self):
+        tables = list(oracle._TABLES.values())
+        for table in tables:
+            width = max(table).bit_length()
+            form = "tuple" if type(table) is tuple else table.typecode
+            assert form == ("I" if width <= 32 else "Q" if width <= 64 else "tuple")
+        assert len(tables) <= 1 or sum(map(oracle._nbytes, tables)) <= admission.MAX_HELD_BYTES
+
+    def teardown(self):
+        self.patch.undo()
+
+
+HeldCaches.TestCase.settings = settings(max_examples=100, stateful_step_count=20)
+TestHeldCaches = HeldCaches.TestCase
