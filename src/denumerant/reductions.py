@@ -74,12 +74,15 @@ def _bb_sum(parts: PartSet, t: int, x: int) -> int:
     polynomials of one table share their denominator, so the sum runs in
     integers and divides once.  Only B_0..B_{k-2} are read, so the table
     stops there, and one difference triangle on its beta gives all their
-    numerators at x.  Needs k >= 2: for k = 1 the sum is empty.
+    numerators at x.  The sum is a polynomial in -t, summed by Horner's rule,
+    so no power of t is formed.  Needs k >= 2: for k = 1 the sum is empty.
     """
     k = parts.k
     table = bernoulli_barnes(parts, k - 2)
     values = numerators_at(table[0].beta, x)
-    total = sum(comb(k - 1, i + 1) * (-t) ** i * values[k - i - 2] for i in range(k - 1))
+    total = 0
+    for i in range(k - 2, -1, -1):
+        total = total * -t + comb(k - 1, i + 1) * values[k - i - 2]
     denominator = factorial(k - 1) * table[0].denominator
     return _exact((-1) ** k * t * total, denominator, "Bernoulli-Barnes sum")
 
@@ -151,20 +154,24 @@ def theorem3_rhs(parts: PartSet, x: int) -> int:
     return _product_sum_rhs(parts, x)
 
 
-# Bounded, since an entry holds O(order^2 log D) digits; count-huge-n reads
-# orders 1..5 only.
+# Bounded, since an entry holds O(order^2 log D) digits, its unit exponential
+# included; count-huge-n reads orders 1..5 only.
 @lru_cache(maxsize=16)
-def _log_weights(order: int) -> Tuple[int, Tuple[int, ...]]:
-    """D and the ints D^j j! c_j for j = 1..order, c_j the log coefficients.
+def _log_weights(order: int) -> Tuple[int, Tuple[int, ...], Tuple[int, ...]]:
+    """D, the ints w_j = D^j j! c_j for j = 1..order, c_j the log coefficients,
+    and the unit exponential series_exp((0, -w_1, ..., -w_order)).
 
-    j! c_j = -B_j / j has a small denominator, and D is the lcm of them.
+    j! c_j = -B_j / j has a small denominator, and D is the lcm of them.  The
+    unit exponential is exp(-ln(Ds / (e^(Ds) - 1))) as an exponential
+    generating function, so its i-th entry is D^i / (i + 1).
     """
     weights = [factorial(j) * c for j, c in enumerate(log_coefficients(order), start=1)]
     d = lcm(*(w.denominator for w in weights))
-    return d, tuple(
+    weights = tuple(
         w.numerator * (d // w.denominator) * d ** (j - 1)
         for j, w in enumerate(weights, start=1)
     )
+    return d, weights, series_exp((0, *(-w for w in weights)))
 
 
 def section3_count(parts: PartSet, n: int) -> int:
@@ -183,6 +190,13 @@ def section3_count(parts: PartSet, n: int) -> int:
     so the correction (-1)^k q G_{k-2} is divided by D^{k-2} (k-2)! once.
     Scaling by D^j, not by D alone, is what makes U the series of h(Ds).
 
+    Only the Bernoulli part of U holds n: U(s) = A((r - n) s) + C(s), with
+    A_j = -w_j and C_j = w_j p_j (C_1 also -r D).  So e^U = E((r - n) s) e^C,
+    where E = e^A is the unit exponential ``_log_weights`` keeps per order,
+    and only C, whose ints are n-free, is exponentiated here.  As exponential
+    generating functions multiply, G_m = sum_i C(m, i) E_i (e^C)_{m-i}
+    (r - n)^i, which is summed by Horner's rule in r - n.
+
     The coefficient read is f_{k-2}, and the recursion makes it depend on
     h_1..h_{k-2} only, so h is truncated at order k - 2 and the value is
     exact.  The order is at least 1 because the s term, -r s, is always built.
@@ -192,13 +206,16 @@ def section3_count(parts: PartSet, n: int) -> int:
     q, r = decompose(parts, n)
     k = parts.k
     order = max(k - 2, 1)
-    d, weights = _log_weights(order)
+    d, weights, unit = _log_weights(order)
     shift = r - n
     u = [0, -r * d] + [0] * (order - 1)
     for j, w in enumerate(weights, start=1):
         if w:
-            u[j] -= w * (shift ** j - power_sum(parts, j))
-    g = series_exp(tuple(u))[k - 2]
+            u[j] += w * power_sum(parts, j)
+    rest = series_exp(tuple(u))
+    g = 0
+    for i in range(k - 2, -1, -1):
+        g = g * shift + comb(k - 2, i) * unit[i] * rest[k - 2 - i]
     denominator = d ** (k - 2) * factorial(k - 2)
     correction = _exact((-1) ** k * q * g, denominator, "series correction")
     return waves_count(parts, r) + correction

@@ -218,7 +218,11 @@ class TestSection3:
          (2, 3, 5, 7, 11, 13, 17)],
     )
     def test_series_truncated_at_the_coefficient_read(self, monkeypatch, combo):
-        """Work gate: one exp at order max(k - 2, 1), ints in and out; k = 2 is the clamp."""
+        """Work gate: exps at order max(k - 2, 1) only, ints in and out; k = 2 is
+        the clamp.  From cold caches the first call makes two, the unit
+        exponential and e^C, and each later call makes one, e^C alone.
+        """
+        cold_caches()
         orders = []
 
         def spy(series):
@@ -232,7 +236,52 @@ class TestSection3:
         parts = PartSet(combo)
         for n in (10 ** 30 + 12345, 10 ** 30 + 7 * parts.product - 1):
             assert section3_count(parts, n) == waves_count(parts, n)
-        assert orders == [max(parts.k - 2, 1)] * 2
+        assert orders == [max(parts.k - 2, 1)] * 3
+
+    def test_series_ints_do_not_grow_with_n(self, monkeypatch):
+        """Bit gate: every series exponentiated is n-free, so the widest int
+        in or out of series_exp is the same at n ~ 10^30 P and 10^3000 P."""
+        widest = []
+
+        def spy(series):
+            out = series_exp(series)
+            widest[-1] = max(widest[-1], *(abs(c).bit_length() for c in series + out))
+            return out
+
+        monkeypatch.setattr(reductions, "series_exp", spy)
+        parts = PartSet.of(2, 3, 5, 7, 11, 13, 17)
+        for e in (30, 3000):
+            cold_caches()
+            widest.append(0)
+            n = 10 ** e * parts.product + 12345
+            assert section3_count(parts, n) == theorem1_count(parts, n)
+        assert widest[0] == widest[1] < 200
+
+    def test_unit_exponential_is_the_bernoulli_generating_function(self):
+        """exp(ln((e^y - 1)/y)) = (e^y - 1)/y at y = Ds, so the unit
+        exponential, built from the Bernoulli table, has (i + 1) E_i = D^i."""
+        for order in range(1, 61):
+            d, _, unit = reductions._log_weights(order)
+            assert len(unit) == order + 1
+            assert all((i + 1) * e == d ** i for i, e in enumerate(unit))
+
+
+@pytest.mark.parametrize(
+    "combo",
+    [(7, 37), (5, 17, 29), (3, 5, 7, 23), (1, 3, 5, 7, 19), (1, 3, 5, 7, 11, 13),
+     (1, 2, 3, 5, 7, 11, 13)],
+)
+def test_routes_agree_in_the_huge_n_regime(combo):
+    """At n of about 3,900 / (k - 1) digits, as count-huge-n reads them, the
+    general routes, the waves and (k <= 5) the closed forms give one value."""
+    parts = PartSet(combo)
+    e = 3900 // (parts.k - 1)
+    n = random.Random(parts.k).randrange(10 ** (e - 1), 10 ** e)
+    expected = waves_count(parts, n)
+    assert theorem1_count(parts, n) == expected
+    assert section3_count(parts, n) == expected
+    if parts.k <= 5:
+        assert closed_form_count(parts, n) == expected
 
 
 class TestClosedForms:
