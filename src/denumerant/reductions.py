@@ -92,11 +92,12 @@ def theorem1_correction(parts: PartSet, n: int) -> int:
 
     For k = 1 the sum is empty and the correction is 0, which is the right
     degenerate reading: with a single part, p(n) depends only on n mod a_1.
-    So no Bernoulli-Barnes table is read or held for it.
+    For n < P, q = 0 and the sum is multiplied by n - r = 0.  So in neither
+    case is a Bernoulli-Barnes table read or held.
     """
-    _, r = decompose(parts, n)
+    q, r = decompose(parts, n)
     parts.require_pairwise_coprime()
-    return _bb_sum(parts, n - r, -r) if parts.k > 1 else 0
+    return _bb_sum(parts, n - r, -r) if parts.k > 1 and q else 0
 
 
 def theorem1_count(parts: PartSet, n: int) -> int:
@@ -200,10 +201,13 @@ def section3_count(parts: PartSet, n: int) -> int:
     The coefficient read is f_{k-2}, and the recursion makes it depend on
     h_1..h_{k-2} only, so h is truncated at order k - 2 and the value is
     exact.  The order is at least 1 because the s term, -r s, is always built.
+    For n < P the correction is multiplied by q = 0, so no series is built.
     """
     _require_at_least_two_parts(parts)
     parts.require_pairwise_coprime()
     q, r = decompose(parts, n)
+    if not q:
+        return waves_count(parts, r)
     k = parts.k
     order = max(k - 2, 1)
     d, weights, unit = _log_weights(order)

@@ -14,19 +14,22 @@ where (E^{-c} w)(n) = w(n - c).  Since gcd(c, a_j) = 1, the walk 0, c, 2c, ...
 mod a_j visits every residue once, and one factor is inverted by a cumulative
 sum along that walk minus its mean.  Poly is then interpolated from p(0) = 1
 and p(-1) = ... = p(-(k-1)) = 0, so neither the Bernoulli numbers, the
-Bernoulli-Barnes polynomials nor the oracle are read.
+Bernoulli-Barnes polynomials nor the oracle are read.  Poly is fitted to the
+held waves, so it takes up any constant added to one: the last cumulative
+sums are held uncentred, w_j plus a constant, and only sums that are walked
+again are centred.
 
-Each inverted factor multiplies the denominator by a_j, and each new entry,
-a_j times a cumulative sum minus their total T, is -T mod a_j, so the factor
-divides its wave by gcd(a_j, T) as it goes.  Wave j is held as an integer
-wave d_j w_j, d_j a divisor of a_j^k, with entries sized by a_j, not by the
-product (33 bits at most on the first 60 primes).  The wave is kept in the
-order of its last walk, so each factor gathers once (by slices for strides
-up to 32), and a last gather puts it back in residue order.  Set-up walks
-(k - 1) S steps per part set, and a query costs O(k) integer operations: it
-scales each wave entry by D / d_j onto the common denominator D of the
-polynomial, which the set-up reduces with the multipliers and the Newton
-coefficients by their gcd.  A set whose walk steps, max(k - 1, 1) S, pass
+Centring a sum multiplies the denominator by a_j: each new entry, a_j times
+a partial sum minus their total T, is -T mod a_j, so it divides the wave by
+gcd(a_j, T) as it goes.  Wave j is held as an integer wave d_j (w_j + c_j),
+c_j constant and d_j a divisor of a_j^k, with entries sized by a_j, not by
+the product (33 bits at most on the first 60 primes).  The wave is kept in the
+order of its last walk, c, so each factor but the first gathers once (by
+slices for strides up to 32), and a count reads residue n at n c^-1 mod a_j.
+Set-up walks (k - 1) S steps per part set, and a query costs O(k) integer
+operations: it scales each wave entry by D / d_j onto the common denominator
+D of the polynomial, which the set-up reduces with the multipliers and the
+Newton coefficients by their gcd.  A set whose walk steps, max(k - 1, 1) S, pass
 the table cap is refused before anything is built (``admission.admit_waves``).
 """
 
@@ -34,7 +37,7 @@ from __future__ import annotations
 
 import sys
 from itertools import accumulate
-from math import comb, factorial, gcd, prod
+from math import factorial, gcd, prod
 from operator import itemgetter
 from typing import Dict, List, Tuple
 
@@ -42,10 +45,12 @@ from . import admission
 from .errors import DomainError, InternalInconsistencyError
 from .partset import PartSet
 
-# (bytes held, D, Newton coefficients of D * Poly, (a_j, D / d_j, d_j * w_j) per
-# part).  Each wave has its own denominator d_j, a divisor of a_j^k; its multiplier is
-# applied per query.  D, the multipliers and the Newton coefficients share no factor.
-_Setup = Tuple[int, int, Tuple[int, ...], Tuple[Tuple[int, int, Tuple[int, ...]], ...]]
+# (bytes held, D, Newton coefficients of D * Poly, (a_j, D / d_j, c^-1, d_j * w_j) per
+# part), w_j up to a constant.  Each wave has its own denominator d_j, a divisor of
+# a_j^k; its multiplier is applied per query.  D, the multipliers and the Newton
+# coefficients share no factor.  Residue n of wave j is at index n c^-1 mod a_j, c the
+# stride of its last walk.
+_Setup = Tuple[int, int, Tuple[int, ...], Tuple[Tuple[int, int, int, Tuple[int, ...]], ...]]
 
 # Recently used set-ups by parts tuple, held to admission.MAX_HELD_BYTES by
 # admission's rule: the 75 seed-0 verify-sweep ops hold 422 in 0.54 MB, the 190
@@ -64,24 +69,28 @@ def _walk(wave: List[int], s: int) -> List[int]:
     return walked if t == s else walked[:1] + walked[:0:-1]
 
 
-def _wave(a: int, others: Tuple[int, ...]) -> Tuple[int, Tuple[int, ...]]:
-    """(d, d * w) on Z/a: the wave w of part a against the others, d | a^(len(others) + 1)."""
+def _wave(a: int, others: Tuple[int, ...]) -> Tuple[int, int, Tuple[int, ...]]:
+    """(d, c^-1 mod a, d * w) on Z/a: the wave w of part a against the others, up
+    to a constant, d | a^(len(others) + 1), read along the walk of stride c, the last
+    of the others (1 if there are none), so residue n is at index n c^-1 mod a."""
     if not others:
-        return a, (a - 1,) + (-1,) * (a - 1)  # a * ([a divides n] - 1/a)
+        return a, 1, (a - 1,) + (-1,) * (a - 1)  # a * ([a divides n] - 1/a)
     # The first walk reads a - 1 and then -1s, so its cumulative sums are
     # a - 1 - m, with mean (a - 1) / 2: w is (a - 1 - 2m) / 2a there.
     if a % 2:
         d, wave = a, list(range((a - 1) // 2, -(a + 1) // 2, -1))
     else:
         d, wave = 2 * a, list(range(a - 1, -a - 1, -2))
-    # The wave is held in the order of the last walk: entry m is at residue m * c.
+    # Each later walk reads the wave centred; the last one's sums are held as
+    # they are, in its order: entry m is at residue m * c.
     for before, c in zip(others, others[1:]):
-        partials = list(accumulate(_walk(wave, c * pow(before, -1, a) % a)))
-        total = sum(partials)
-        g = gcd(a, total)  # divides every a * partial - total
-        d, a_g, total_g = d * a // g, a // g, total // g
-        wave = [a_g * partial - total_g for partial in partials]
-    return d, tuple(_walk(wave, pow(others[-1], -1, a)))
+        total = sum(wave)  # 0 for the first wave
+        if total:
+            g = gcd(a, total)  # divides every a * entry - total
+            d, a_g, total_g = d * a // g, a // g, total // g
+            wave = [a_g * entry - total_g for entry in wave]
+        wave = list(accumulate(_walk(wave, c * pow(before, -1, a) % a)))
+    return d, pow(others[-1], -1, a), tuple(wave)
 
 
 def _setup(parts: PartSet) -> _Setup:
@@ -89,26 +98,28 @@ def _setup(parts: PartSet) -> _Setup:
     walked = [_wave(aj, a[:j] + a[j + 1 :]) for j, aj in enumerate(a)]
     # common is a multiple of each d_j, so the values below are integers, and of
     # (k - 1)!, so every Newton division is exact.
-    common = factorial(k - 1) * prod(d for d, _ in walked)
-    waves = [(aj, common // d, wave) for aj, (d, wave) in zip(a, walked)]
+    common = factorial(k - 1) * prod(d for d, _, _ in walked)
+    waves = [(aj, common // d, inv, wave) for aj, (d, inv, wave) in zip(a, walked)]
     # common * Poly(-m) for m = 0..k-1, from p(0) = 1 and p(-m) = 0.
-    values = [
+    row = [
         (common if m == 0 else 0)
-        - sum(scale * wave[-m % aj] for aj, scale, wave in waves)
+        - sum(scale * wave[-m * inv % aj] for aj, scale, inv, wave in waves)
         for m in range(k)
     ]
     # Newton form on the nodes 0, -1, -2, ...: Poly(n) is the sum over i of
-    # f_i n (n+1) ... (n+i-1), with f_i = sum_m (-1)^m C(i, m) Poly(-m) / i!.
-    newton = [
-        sum((-1) ** m * comb(i, m) * values[m] for m in range(i + 1)) // factorial(i)
-        for i in range(k)
-    ]
-    g = gcd(common, *newton, *(scale for _, scale, _ in waves))
+    # f_i n (n+1) ... (n+i-1), and i! f_i starts row i of the values'
+    # difference triangle, whose row i + 1 is x - y over adjacent entries.
+    newton = []
+    for i in range(k):
+        newton.append(row[0] // factorial(i))
+        row = [x - y for x, y in zip(row, row[1:])]
+    g = gcd(common, *newton, *(scale for _, scale, _, _ in waves))
     common, newton = common // g, tuple(f // g for f in newton)
-    waves = tuple((aj, scale // g, wave) for aj, scale, wave in waves)
-    # O(k), not O(S): a wave's entries are about as wide as its first.
+    waves = tuple((aj, scale // g, inv, wave) for aj, scale, inv, wave in waves)
+    # O(k), not O(S): a wave's entries are about as wide as its first.  Like
+    # a_j, c^-1 is a small int below a_j and is not weighed.
     weight = sum(map(sys.getsizeof, (common, *newton))) + sum(
-        sys.getsizeof(s) + sys.getsizeof(w) + len(w) * sys.getsizeof(w[0]) for _, s, w in waves
+        sys.getsizeof(s) + sys.getsizeof(w) + len(w) * sys.getsizeof(w[0]) for _, s, _, w in waves
     )
     return weight, common, newton, waves
 
@@ -125,7 +136,7 @@ def waves_count(parts: PartSet, n: int) -> int:
     acc = 0
     for i in reversed(range(len(newton))):
         acc = acc * (n + i) + newton[i]
-    acc += sum(scale * wave[n % aj] for aj, scale, wave in waves)
+    acc += sum(scale * wave[n % aj * inv % aj] for aj, scale, inv, wave in waves)
     count, rest = divmod(acc, common)
     if rest:
         raise InternalInconsistencyError(

@@ -8,9 +8,10 @@ under test (summing powers instead of the derivative recursion, caller-given
 factor order instead of the sorted one).  exp_via_egf is the adapter that
 reads the integer series_exp on a series of Fractions.  index_walk_wave is
 Sylvester's wave by the plain index walk over a^k, the reference for the
-sliced, reduced walk in waves._wave.  run_module runs the command line in a
-fresh interpreter, and cold_caches empties every cache the package keeps
-between calls.
+sliced, reduced walk in waves._wave, and newton_by_binomials the binomial
+formula for the Newton coefficients that waves._setup takes from a difference
+triangle.  run_module runs the command line in a fresh interpreter, and
+cold_caches empties every cache the package keeps between calls.
 """
 
 import os
@@ -83,6 +84,21 @@ def index_walk_wave(a: int, others: Sequence[int]) -> Tuple[int, ...]:
         total = sum(walked)
         wave = [a * walked[(n * step) % a] - total for n in range(a)]
     return tuple(wave)
+
+
+def newton_by_binomials(values: Sequence[int]) -> List[int]:
+    """f_i = sum_m (-1)^m C(i, m) values[m] / i! for i = 0..len(values) - 1.
+
+    With values[m] = D Poly(-m), these are the coefficients of D Poly in the
+    Newton form on the nodes 0, -1, -2, ...: the sum over i of
+    f_i n (n+1) ... (n+i-1).  Each division must be exact.
+    """
+    out = []
+    for i in range(len(values)):
+        f, rest = divmod(sum((-1) ** m * comb(i, m) * values[m] for m in range(i + 1)), factorial(i))
+        assert rest == 0
+        out.append(f)
+    return out
 
 
 def pairwise_coprime(values: Iterable[int]) -> bool:

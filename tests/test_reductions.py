@@ -266,6 +266,28 @@ class TestSection3:
             assert all((i + 1) * e == d ** i for i, e in enumerate(unit))
 
 
+@pytest.mark.parametrize("combo", [(2, 3), (2, 3, 5, 7), (3, 5, 7, 11, 13, 16)])
+def test_no_correction_is_built_at_q_zero(monkeypatch, combo):
+    """Work gate: for n < P the correction is multiplied by q = 0, so neither
+    theorem1 nor section3 builds it; at q = 1 both do."""
+    calls = []
+    for name in ("bernoulli_barnes", "series_exp"):
+        real = getattr(reductions, name)
+
+        def spy(*args, real=real, name=name):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(reductions, name, spy)
+    parts = PartSet(combo)
+    for n in (0, parts.product // 2, parts.product - 1):
+        assert theorem1_count(parts, n) == section3_count(parts, n) == waves_count(parts, n)
+    assert calls == []
+    n = parts.product + parts.product // 2
+    assert theorem1_count(parts, n) == section3_count(parts, n) == waves_count(parts, n)
+    assert set(calls) == {"bernoulli_barnes", "series_exp"}
+
+
 @pytest.mark.parametrize(
     "combo",
     [(7, 37), (5, 17, 29), (3, 5, 7, 23), (1, 3, 5, 7, 19), (1, 3, 5, 7, 11, 13),

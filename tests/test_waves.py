@@ -20,7 +20,7 @@ from denumerant.partset import PartSet
 from denumerant.reductions import closed_form_count, section3_count, theorem1_count
 from denumerant.waves import waves_count
 
-from helpers import brute_force_count, coprime_part_tuples, index_walk_wave
+from helpers import brute_force_count, coprime_part_tuples, index_walk_wave, newton_by_binomials
 
 COPRIME_SETS = coprime_part_tuples(13, range(1, 7), max_product=5000)
 
@@ -136,7 +136,7 @@ def test_held_waves_sized_by_the_parts(monkeypatch):
     parts = PartSet(FIRST_30_PRIMES)
     waves_count(parts, 10 ** 60)
     _, _, _, held = waves._SETUPS[parts.parts]
-    bits = sum(abs(v).bit_length() for _, scale, wave in held for v in (scale,) + wave)
+    bits = sum(abs(v).bit_length() for _, scale, _, wave in held for v in (scale,) + wave)
     assert bits < 10 ** 6
 
 
@@ -155,14 +155,16 @@ def coprime_parts(draw):
 @example((2, 257, 263))
 @example((1, 2, 3))
 def test_waves_equal_the_index_walk(parts):
-    """Each wave d_j w_j over d_j equals the unreduced index walk over a_j^k."""
+    """Each wave over d_j, less its mean, equals the unreduced index walk over a_j^k."""
     for j, a in enumerate(parts):
         others = parts[:j] + parts[j + 1 :]
-        d, wave = waves._wave(a, others)
+        d, inv, wave = waves._wave(a, others)
         full = a ** len(parts)
         assert full % d == 0
         reference = index_walk_wave(a, others)
-        assert [Fraction(v, d) for v in wave] == [Fraction(v, full) for v in reference]
+        mean = Fraction(sum(wave), a * d)
+        by_residue = [Fraction(wave[n * inv % a], d) - mean for n in range(a)]
+        assert by_residue == [Fraction(v, full) for v in reference]
 
 
 class Probe(list):
@@ -195,7 +197,7 @@ def test_walk_gathers_by_slices_up_to_stride_32(a):
 
 @pytest.mark.parametrize("values", [(7,), (2, 3), (3, 5, 7), (2, 3, 5, 7, 11), FIRST_30_PRIMES[:6]])
 def test_each_wave_walks_once_per_factor_but_the_first(monkeypatch, values):
-    """k - 2 factors gather once each and one gather restores residue order."""
+    """Each factor but the first gathers once: k - 2 gathers, and none for residue order."""
     calls = []
     real_walk = waves._walk
 
@@ -208,14 +210,14 @@ def test_each_wave_walks_once_per_factor_but_the_first(monkeypatch, values):
     for j, a in enumerate(values):
         calls.clear()
         waves._wave(a, values[:j] + values[j + 1 :])
-        assert calls == [a] * (k - 1)
+        assert calls == [a] * max(k - 2, 0)
 
 
 def test_reduced_denominators_at_large_k():
     """First 60 primes: D is 23,266 bits and entries 506 bits over (k - 1)! P^k."""
     _, common, _, held = waves._setup(PartSet(FIRST_100_PRIMES[:60]))
     assert common.bit_length() < 1000
-    assert max(abs(v).bit_length() for _, _, wave in held for v in wave) < 64
+    assert max(abs(v).bit_length() for _, _, _, wave in held for v in wave) < 64
 
 
 @pytest.mark.parametrize(
@@ -224,7 +226,32 @@ def test_reduced_denominators_at_large_k():
 def test_setup_is_in_lowest_terms(values):
     """D, the multipliers and the Newton coefficients share no factor."""
     _, common, newton, held = waves._setup(PartSet(values))
-    assert gcd(common, *newton, *(scale for _, scale, _ in held)) == 1
+    assert gcd(common, *newton, *(scale for _, scale, _, _ in held)) == 1
+
+
+@st.composite
+def coprime_sets_of_each_arity(draw):
+    """k = 1..8 pairwise-coprime parts from 1..40."""
+    chosen = []
+    for _ in range(draw(st.integers(min_value=1, max_value=8))):
+        fits = [a for a in range(1, 41) if all(gcd(a, b) == 1 and a != b for b in chosen)]
+        chosen.append(draw(st.sampled_from(fits)))
+    return tuple(chosen)
+
+
+@given(coprime_sets_of_each_arity())
+@example((1, 2, 3, 5, 7, 11, 13, 17))
+@example((30, 7, 11, 13, 17, 19, 23, 29))
+@example((4,))
+def test_newton_coefficients_equal_the_binomial_formula(values):
+    """The difference triangle gives sum_m (-1)^m C(i, m) D Poly(-m) / i!, reduced."""
+    _, common, newton, held = waves._setup(PartSet(values))
+    poly_values = [
+        (common if m == 0 else 0)
+        - sum(scale * wave[-m * inv % a] for a, scale, inv, wave in held)
+        for m in range(len(values))
+    ]
+    assert list(newton) == newton_by_binomials(poly_values)
 
 
 def test_large_k_setup_weighs_under_2_mib():
@@ -282,7 +309,7 @@ def test_recorded_weight_is_the_held_bytes(values):
     weight, common, newton, held = waves._setup(PartSet(values))
     size = sum(map(sys.getsizeof, (common, *newton))) + sum(
         sys.getsizeof(scale) + sys.getsizeof(wave) + sum(map(sys.getsizeof, wave))
-        for _, scale, wave in held
+        for _, scale, _, wave in held
     )
     assert abs(weight - size) <= 0.05 * size
 
