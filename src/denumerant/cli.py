@@ -29,7 +29,7 @@ import argparse
 import json
 import sys
 import time
-from functools import cache, lru_cache
+from functools import cache, lru_cache, partial
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from . import admission, bernoulli, oracle
@@ -53,21 +53,20 @@ def parse_parts(text: str) -> Tuple[int, ...]:
     return values
 
 
-def nonnegative_int(text: str) -> int:
+# The integer options' converters: each refuses text that is not an integer,
+# then a value under its least.
+def _int_at_least(least: int, word: str, text: str) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {value}")
+    if value < least:
+        raise argparse.ArgumentTypeError(f"expected a {word} integer, got {value}")
     return value
 
 
-def positive_int(text: str) -> int:
-    value = nonnegative_int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
-    return value
+nonnegative_int = partial(_int_at_least, 0, "nonnegative")
+positive_int = partial(_int_at_least, 1, "positive")
 
 
 # The routes by name: the oracle, then the formula side of each of verify's

@@ -117,11 +117,12 @@ def _product_sum_rhs(parts: PartSet, x: int) -> int:
     return _bb_sum(parts, parts.product, x)
 
 
-def _require_at_least_two_parts(parts: PartSet) -> None:
+def _require_two_coprime_parts(parts: PartSet) -> None:
     if parts.k < 2:
         raise UnsupportedArityError(
             f"this identity needs at least two parts, got {parts.k}"
         )
+    parts.require_pairwise_coprime()
 
 
 def _require_below_sum(parts: PartSet, x: int) -> None:
@@ -133,16 +134,14 @@ def _require_below_sum(parts: PartSet, x: int) -> None:
 
 def theorem2_count(parts: PartSet, x: int) -> int:
     """p(product - x) for x below the sum of the parts (1 <= x <= S - 1)."""
-    _require_at_least_two_parts(parts)
-    parts.require_pairwise_coprime()
+    _require_two_coprime_parts(parts)
     _require_below_sum(parts, x)
     return _product_sum_rhs(parts, x)
 
 
 def theorem3_rhs(parts: PartSet, x: int) -> int:
     """The value of p(product - x) + (-1)^k p(x - S) for S <= x <= product."""
-    _require_at_least_two_parts(parts)
-    parts.require_pairwise_coprime()
+    _require_two_coprime_parts(parts)
     if not parts.total <= x <= parts.product:
         if parts.total > parts.product:
             raise RangeError(
@@ -203,8 +202,7 @@ def section3_count(parts: PartSet, n: int) -> int:
     exact.  The order is at least 1 because the s term, -r s, is always built.
     For n < P the correction is multiplied by q = 0, so no series is built.
     """
-    _require_at_least_two_parts(parts)
-    parts.require_pairwise_coprime()
+    _require_two_coprime_parts(parts)
     q, r = decompose(parts, n)
     if not q:
         return waves_count(parts, r)

@@ -1,14 +1,15 @@
 """Seeded random cross-checks of every identity against the oracle.
 
 Each check is one row of ``CHECKS``, in report order: name, least and most
-arity, the drawn argument it reads, its oracle side from the trial's lookups
-p, and its formula side.  The CLI runs the formula sides: `count --method
-<name>` takes the rows at n, and `theorem2` and `theorem3` their rows, so every
-method but the oracle has a count row by construction.  The routes are reached
-through their modules (``oracle.oracle_count``, ``reductions.theorem1_count``,
-``waves.waves_count``), not bound here by name, so that rebinding a route on
-its module (a test's monkeypatch, or the span tracer in perfbench/spans.py)
-reaches the sweep and the CLI too.
+arity, the drawn argument it reads, and its formula side.  The argument's
+kind gives the oracle side, from the trial's lookups p (``_ORACLE_SIDES``).
+The CLI runs the formula sides: `count --method <name>` takes the rows at n,
+and `theorem2` and `theorem3` their rows, so every method but the oracle has
+a count row by construction.  The routes are reached through their modules
+(``oracle.oracle_count``, ``reductions.theorem1_count``, ``waves.waves_count``),
+not bound here by name, so that rebinding a route on its module (a test's
+monkeypatch, or the span tracer in perfbench/spans.py) reaches the sweep and
+the CLI too.
 """
 
 from __future__ import annotations
@@ -62,33 +63,34 @@ def random_coprime_partset(
     )
 
 
+# A row's oracle side, by the argument it reads: p(n), p(P - x), and for x3
+# the two-sided p(P - x) + (-1)^k p(x - S).
+_ORACLE_SIDES = {
+    "n": lambda p, parts, n: p(n),
+    "x": lambda p, parts, x: p(parts.product - x),
+    "x3": lambda p, parts, x: p(parts.product - x) + (-1) ** parts.k * p(x - parts.total),
+}
+
 CHECKS = (
-    ("theorem1", 1, inf, "n", lambda p, parts, n: p(n),
-     lambda parts, n: reductions.theorem1_count(parts, n)),
-    ("section3", 2, inf, "n", lambda p, parts, n: p(n),
-     lambda parts, n: reductions.section3_count(parts, n)),
-    ("closed-form", 2, 5, "n", lambda p, parts, n: p(n),
-     lambda parts, n: reductions.closed_form_count(parts, n)),
-    ("waves", 1, inf, "n", lambda p, parts, n: p(n),
-     lambda parts, n: waves.waves_count(parts, n)),
-    ("theorem2", 2, inf, "x", lambda p, parts, x: p(parts.product - x),
-     lambda parts, x: reductions.theorem2_count(parts, x)),
-    ("closed-form-theorem2", 2, 5, "x", lambda p, parts, x: p(parts.product - x),
+    ("theorem1", 1, inf, "n", lambda parts, n: reductions.theorem1_count(parts, n)),
+    ("section3", 2, inf, "n", lambda parts, n: reductions.section3_count(parts, n)),
+    ("closed-form", 2, 5, "n", lambda parts, n: reductions.closed_form_count(parts, n)),
+    ("waves", 1, inf, "n", lambda parts, n: waves.waves_count(parts, n)),
+    ("theorem2", 2, inf, "x", lambda parts, x: reductions.theorem2_count(parts, x)),
+    ("closed-form-theorem2", 2, 5, "x",
      lambda parts, x: reductions.closed_form_theorem2(parts, x)),
-    ("theorem3", 2, inf, "x3",
-     lambda p, parts, x: p(parts.product - x) + (-1) ** parts.k * p(x - parts.total),
-     lambda parts, x: reductions.theorem3_rhs(parts, x)),
+    ("theorem3", 2, inf, "x3", lambda parts, x: reductions.theorem3_rhs(parts, x)),
 )
 
 
-def _check_trial(
-    trial: int, parts: PartSet, n: int, q: int, r: int, rng: random.Random
-) -> List[TheoremReport]:
-    """Each row of CHECKS that covers k and whose argument was drawn: x in
-    [1, S - 1] for k >= 2, then x3 in [S, P] while S <= P.  Each distinct
-    argument is looked up once, the largest, max(n, P - x), first (theorem3's
-    are below P - S), so one table serves the trial."""
+def _check_trial(trial: int, parts: PartSet, n: int, rng: random.Random) -> List[TheoremReport]:
+    """Each row of CHECKS that covers k and whose argument was drawn: n,
+    reported with q and r (n = qP + r), then x in [1, S - 1] for k >= 2, then
+    x3 in [S, P] while S <= P.  Each distinct argument is looked up once, the
+    largest, max(n, P - x), first (theorem3's are below P - S), so one table
+    serves the trial."""
     k, product, total = parts.k, parts.product, parts.total
+    q, r = divmod(n, product)
     drawn = {"n": n}
     if k >= 2:
         drawn["x"] = rng.randint(1, total - 1)
@@ -101,9 +103,9 @@ def _check_trial(
             check, parts,
             (("trial", trial), ("n", n), ("q", q), ("r", r)) if arg == "n"
             else (("trial", trial), ("x", drawn[arg])),
-            oracle_side(p, parts, drawn[arg]), formula(parts, drawn[arg]),
+            _ORACLE_SIDES[arg](p, parts, drawn[arg]), formula(parts, drawn[arg]),
         )
-        for check, least, most, arg, oracle_side, formula in CHECKS
+        for check, least, most, arg, formula in CHECKS
         if least <= k <= most and arg in drawn
     ]
 
@@ -152,10 +154,9 @@ def run_verify(
     for trial in range(trials):
         k = rng.randint(k_min, k_max)
         parts = random_coprime_partset(k, max_part, max_product, rng)
-        q = rng.randint(0, 3)
-        r = rng.randrange(parts.product)
-        n = q * parts.product + r
-        reports = _check_trial(trial, parts, n, q, r, rng)
+        # q in 0..3, then r in [0, P): a seed's draws keep this order
+        n = rng.randint(0, 3) * parts.product + rng.randrange(parts.product)
+        reports = _check_trial(trial, parts, n, rng)
         failures.extend(report for report in reports if not report.holds)
     return tuple(failures)
 

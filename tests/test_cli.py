@@ -924,7 +924,7 @@ class TestVerify:
         # closed forms up to k = 5, theorem3 while the sum is at most the
         # product: (1,2,3) has both 6, and (1,2) a sum of 3 over a product of 2
         parts = PartSet(values)
-        reports = verify._check_trial(0, parts, 2 * parts.product + 1, 2, 1, random.Random(0))
+        reports = verify._check_trial(0, parts, 2 * parts.product + 1, random.Random(0))
         assert tuple(report.check for report in reports) == checks
         assert all(report.holds for report in reports)
 
@@ -935,11 +935,11 @@ class TestVerify:
         # argument it would otherwise take (x = 1, or x3 = S)
         parts = PartSet((1, 2, 3, 5, 7, 11, 13)[:k])
         n = 2 * parts.product + 1
-        reports = verify._check_trial(0, parts, n, 2, 1, random.Random(0))
+        reports = verify._check_trial(0, parts, n, random.Random(0))
         applied = {report.check for report in reports}
         assert all(report.holds for report in reports)
         arguments = {"n": n, "x": 1, "x3": parts.total}
-        for check, *_, arg, _, formula in verify.CHECKS:
+        for check, *_, arg, formula in verify.CHECKS:
             if check not in applied:
                 with pytest.raises((UnsupportedArityError, RangeError)):
                     formula(parts, arguments[arg])
@@ -1157,21 +1157,26 @@ class TestVerify:
         assert code == 2
 
     @pytest.mark.parametrize(
-        "argv, flag",
+        "argv, flag, message",
         [
-            (["--seed", "a"], "--seed"),
-            (["--trials", "x"], "--trials"),
-            (["--k-min", "0"], "--k-min"),
-            (["--k-max", "0"], "--k-max"),
-            (["--max-part", "0"], "--max-part"),
-            (["--max-product", "0"], "--max-product"),
+            (["--seed", "a"], "--seed", "invalid int value: 'a'"),
+            (["--trials", "x"], "--trials", "expected an integer, got 'x'"),
+            (["--k-min", "0"], "--k-min", "expected a positive integer, got 0"),
+            (["--k-max", "0"], "--k-max", "expected a positive integer, got 0"),
+            (["--max-part", "0"], "--max-part", "expected a positive integer, got 0"),
+            (["--max-product", "0"], "--max-product", "expected a positive integer, got 0"),
+            # a value that starts with `-` needs the `=` form, or argparse
+            # reads it as an option
+            (["--k-max=-3"], "--k-max", "expected a positive integer, got -3"),
+            (["--max-product=-1"], "--max-product", "expected a positive integer, got -1"),
+            (["--trials=-1"], "--trials", "expected a nonnegative integer, got -1"),
         ],
     )
-    def test_bad_arguments_are_usage_errors(self, capsys, argv, flag):
+    def test_bad_arguments_are_usage_errors(self, capsys, argv, flag, message):
         code, out, err = invoke(capsys, "verify", *argv)
         assert (code, out) == (2, "")
         assert err.startswith("usage: denumerant verify") and "Traceback" not in err
-        assert f"error: argument {flag}: " in err.splitlines()[-1]
+        assert err.splitlines()[-1].endswith(f"error: argument {flag}: {message}")
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_one_arity_per_run(self, monkeypatch, capsys, k):

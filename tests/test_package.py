@@ -191,7 +191,7 @@ def test_no_private_reads_across_modules(path):
 
 
 # Module-level tables that never change after import.
-CONSTANT_TABLES = {"cli._ROUTES", "cli._OPTIONS", "cli._OUTPUT"}
+CONSTANT_TABLES = {"cli._ROUTES", "cli._OPTIONS", "cli._OUTPUT", "verify._ORACLE_SIDES"}
 
 
 def module_caches() -> dict:

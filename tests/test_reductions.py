@@ -449,7 +449,7 @@ ALLOWED = {
     "section3": REDUCED
     | {
         "reductions.section3_count",
-        "reductions._require_at_least_two_parts",
+        "reductions._require_two_coprime_parts",
         "reductions._log_weights",
         "bernoulli.log_coefficients",
         "bernoulli.bernoulli_numbers",
