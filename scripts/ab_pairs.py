@@ -12,7 +12,10 @@ length, with PYTHONDONTWRITEBYTECODE=1; the side that runs first alternates,
 the parent first in pair 0.  A series has at least two pairs.  Every metric in a run's result line is summarised by
 `summarize`: its runs on each side, their median and inclusive quartiles, and
 `change_wins`, the pairs where the change's value is the better one by
-BENCHMARK.json's `better`.  Ties count for neither side.
+BENCHMARK.json's `better`.  Ties count for neither side.  `gain` is the
+verdict of the rule for claiming a gain: the change wins at least nine tenths
+of the pairs, and its median is better than the parent's by more than the
+parent's quartile spread, q3 - q1.
 
 The series is stored in the --out file (made if missing) at [key][workload],
 next to what the file holds already.  Only the standard library is used.
@@ -38,11 +41,14 @@ SIDES = ("parent", "change")
 
 
 def summarize(parent_runs: Sequence[float], change_runs: Sequence[float], better: str) -> dict:
-    """Median and inclusive quartiles per side, and the pairs the change wins.
+    """Median and inclusive quartiles per side, the pairs the change wins, and
+    whether that is a gain.
 
     Pair i is (parent_runs[i], change_runs[i]).  The change wins a pair when
     its value is lower (better = "lower") or higher (better = "higher");
-    equal values count for neither side.
+    equal values count for neither side.  It gains when it wins at least
+    nine tenths of the pairs and its median is better than the parent's by
+    more than q3 - q1 of the parent's runs.
     """
     if len(parent_runs) != len(change_runs) or len(parent_runs) < 2:
         raise ValueError("need one parent run and one change run per pair, and two pairs")
@@ -55,10 +61,13 @@ def summarize(parent_runs: Sequence[float], change_runs: Sequence[float], better
         q1, median, q3 = statistics.quantiles(runs, n=4, method="inclusive")
         return {"median": round(median, 6), "q1": round(q1, 6), "q3": round(q3, 6)}
 
+    parent, change = spread(parent_runs), spread(change_runs)
+    lead = sign * (parent["median"] - change["median"])
     return {
-        "parent": spread(parent_runs),
-        "change": spread(change_runs),
+        "parent": parent,
+        "change": change,
         "change_wins": f"{wins}/{len(parent_runs)}",
+        "gain": 10 * wins >= 9 * len(parent_runs) and lead > parent["q3"] - parent["q1"],
         "parent_runs": list(parent_runs),
         "change_runs": list(change_runs),
     }

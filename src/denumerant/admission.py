@@ -23,8 +23,9 @@ from typing import Any, Callable
 from .errors import ResourceLimitError
 from .partset import PartSet
 
-# A table build fills a list at ~36 bytes per entry and packs it into 4 to 8
-# more, ~2.2 GB at the cap.
+# A table build holds its packed entries, 4 or 8 bytes each, and one block of
+# them as ints (oracle._dp_counts): ~0.4 GB at the cap.  Only a table whose
+# counts pass 2^64 - 1 holds ints throughout, at ~44 bytes an entry, ~2.2 GB.
 MAX_TABLE_ENTRIES = 50_000_000
 
 # Digits of one printed `bernoulli` or `bb` numerator or denominator, set at

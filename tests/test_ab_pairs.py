@@ -35,6 +35,25 @@ def test_quartiles_are_rounded_and_runs_kept_whole():
 
 
 @pytest.mark.parametrize(
+    "parent, change, better, gain",
+    [
+        # 10/10 wins, medians 2.25 apart, parent's quartile spread 0.375
+        ([10, 10.25, 10.5, 10, 10.25, 10.5, 10, 10.25, 10.5, 10.25], [8] * 10, "lower", True),
+        ([10] * 10, [12] * 9 + [9], "higher", True),  # 9/10 wins is enough
+        ([10] * 10, [12] * 8 + [9] * 2, "higher", False),  # 8/10 is not
+        ([10] * 10, [10] * 10, "lower", False),  # ties win nothing
+        # 10/10 wins, but 0.1 apart is within the parent's spread of 1.0
+        ([9.6, 10.6, 9.6, 10.6, 9.6, 10.6, 9.6, 10.6, 9.6, 10.6], [9.5, 10.5] * 5, "lower", False),
+        ([1, 2, 3, 4], [0.5, 1.5, 2.5, 3.5], "higher", False),  # better the wrong way
+    ],
+)
+def test_gain_needs_nine_tenths_of_pairs_and_medians_past_the_parent_spread(
+    parent, change, better, gain
+):
+    assert ab_pairs.summarize(parent, change, better)["gain"] is gain
+
+
+@pytest.mark.parametrize(
     "parent, change, better",
     [([1, 2], [1], "lower"), ([], [], "lower"), ([1], [2], "lower"), ([1, 2], [2, 1], "smaller")],
 )

@@ -4,6 +4,7 @@ import functools
 import sys
 import tracemalloc
 from array import array
+from itertools import accumulate
 from operator import itemgetter
 from unittest import mock
 
@@ -330,22 +331,27 @@ def test_refused_extension_leaves_the_held_table_unchanged(
         ),
         min_size=1,
         max_size=8,
-    )
+    ),
+    st.integers(min_value=1, max_value=8),
 )
-@example([(WIDE, 100), (WIDE, 140), (WIDE, 200), (WIDE, 640), (WIDE, 700)])
-@example([((2, 3, 5), 700), (WIDE, 100), ((2, 3, 5), 10), (WIDE, 700), (WIDE, 5)])
-def test_extended_tables_equal_a_fresh_build(lookups):
+@example([(WIDE, 100), (WIDE, 140), (WIDE, 200), (WIDE, 640), (WIDE, 700)], 3)
+@example([((2, 3, 5), 700), (WIDE, 100), ((2, 3, 5), 10), (WIDE, 700), (WIDE, 5)], 1)
+def test_extended_tables_equal_a_fresh_build(lookups, block):
     """Any lookups extend a table to what oracle_table builds over the covered
     parts, in the narrowest unsigned width: 'I', 'Q' past 2^32 - 1, then a
     tuple past 2^64 - 1.  The explicit examples widen 'I' to 'Q' to a tuple,
     and 'I' to a tuple at once, under a budget of a few tables' bytes, so
-    tables are dropped in between."""
+    tables are dropped in between.  The lookups fill their tables in blocks
+    of `block` entries, whatever the parts, so a growth crosses many blocks
+    and most parts are wider than a block; oracle_table builds at the
+    kernel's own block size."""
     with mock.patch.object(admission, "MAX_HELD_BYTES", 300), mock.patch.object(
         oracle, "_TABLES", {}
     ):
         for values, n in lookups:
             parts, key = PartSet(values), values[:-1]
-            count = oracle_count(parts, n)
+            with mock.patch.multiple(oracle, _BLOCK_ENTRIES=block, _BLOCK_SPANS=0):
+                count = oracle_count(parts, n)
             assert type(count) is int and count == oracle_table(parts, n)[n]
             table = oracle._TABLES[key]
             assert len(table) > n
@@ -353,6 +359,50 @@ def test_extended_tables_equal_a_fresh_build(lookups):
             width = table.typecode if isinstance(table, array) else "tuple"
             top = max(table)
             assert width == ("tuple" if top >> 64 else "Q" if top >> 32 else "I")
+
+
+def test_cold_build_peaks_near_its_packed_table(monkeypatch):
+    """Memory gate: a build holds its packed entries and one block as ints, so
+    a cold count's traced peak stays under 1.5 times the table it leaves held.
+    Filling the whole growth as ints before packing it peaked at 50.2 MiB for
+    this 7.63 MiB table."""
+    monkeypatch.setattr(oracle, "_TABLES", {})
+    parts, n = PartSet.of(2, 3, 5, 7), 10 ** 6
+    tracemalloc.start()
+    try:
+        count = oracle_count(parts, n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    (table,) = oracle._TABLES.values()
+    assert table.typecode == "Q" and len(table) == n + 1
+    assert peak < 1.5 * oracle._nbytes(table)
+    assert count == waves_count(parts, n)
+
+
+def test_wide_parts_fill_a_growth_in_few_accumulates(monkeypatch):
+    """Work gate: a block spans at least 64 times the parts the passes stride
+    by, so the table over (7, 50000) to n = 2*10^6 is one block, one
+    accumulate per residue of 50000: 50,000 calls, and the bound is 4 times
+    that.  Blocks of 16 times made 150,000 calls in 3 blocks, and blocks of a
+    fixed 4,096 entries 24.2M."""
+    calls = 0
+
+    def counting(iterable):
+        nonlocal calls
+        calls += 1
+        return accumulate(iterable)
+
+    monkeypatch.setattr(oracle, "accumulate", counting)
+    monkeypatch.setattr(oracle, "_TABLES", {})
+    n = 2 * 10 ** 6
+    count = sum(
+        (n - 99991 * i - 50000 * j) % 7 == 0
+        for i in range(n // 99991 + 1)
+        for j in range((n - 99991 * i) // 50000 + 1)
+    )
+    assert oracle_count(PartSet.of(7, 50000, 99991), n) == count
+    assert calls <= 4 * 50_000
 
 
 def test_sweep_extends_one_table(monkeypatch):
@@ -466,12 +516,13 @@ def test_table_stored_in_the_narrowest_width(monkeypatch, values, n, typecode, l
 def test_width_boundaries(monkeypatch, top, typecode, itemsize):
     """A table is widened only once a count no longer fits its unsigned items.
 
-    The kernel is stubbed to return top everywhere, so each limit is met
-    exactly: fresh, and when a held 'I' table is extended.
+    The kernel is stubbed to return top everywhere, packed by the rule the
+    real kernel packs each block by, so each limit is met exactly: fresh, and
+    when a held 'I' table is extended.
     """
 
     def kernel(parts, upper, held=()):
-        return [top] * (upper + 1 - len(held))
+        return oracle._joined(array("I"), [top] * (upper + 1 - len(held)), 1)
 
     monkeypatch.setattr(oracle, "_dp_counts", kernel)
     for held in ([], [5, 7]):
