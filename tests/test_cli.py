@@ -9,7 +9,7 @@ import sys
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
-from math import comb, gcd, lcm, prod
+from math import comb, lcm, prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -29,7 +29,7 @@ from denumerant.reductions import theorem1_count
 from denumerant.verify import format_failure, random_coprime_partset, run_verify
 from denumerant.waves import waves_count
 
-from helpers import bb_coeffs, brute_force_count, coprime_part_tuples, run_module
+from helpers import bb_coeffs, brute_force_count, run_module
 
 F = Fraction
 
@@ -41,44 +41,6 @@ def invoke(capsys, *argv):
 
 
 class TestCount:
-    def test_default_method(self, capsys):
-        code, out, _ = invoke(capsys, "count", "--parts", "2,3", "--n", "11")
-        assert code == 0
-        assert out == "2\n"
-
-    def test_named_methods_agree(self, capsys):
-        outputs = set()
-        for method in ("oracle", "theorem1", "section3", "closed-form", "waves"):
-            code, out, _ = invoke(
-                capsys, "count", "--parts", "2,3,5", "--n", "59", "--method", method
-            )
-            assert code == 0
-            outputs.add(out)
-        assert outputs == {"68\n"}
-
-    def test_seeded_method_agreement(self, capsys):
-        rng = random.Random(42)
-        pool = coprime_part_tuples(13, (2, 3, 4))
-        for _ in range(25):
-            combo = rng.choice(pool)
-            parts = PartSet(combo)
-            n = rng.randint(0, 3) * parts.product + rng.randrange(parts.product)
-            seen = set()
-            for method in ("oracle", "theorem1", "section3", "closed-form", "waves"):
-                code, out, _ = invoke(
-                    capsys,
-                    "count",
-                    "--parts",
-                    ",".join(map(str, combo)),
-                    "--n",
-                    str(n),
-                    "--method",
-                    method,
-                )
-                assert code == 0
-                seen.add(out)
-            assert len(seen) == 1
-
     def test_table_free_methods_past_the_oracle_cap(self, capsys):
         # the product is about 1.1e8, so n mod the product may pass the cap
         argv = ("count", "--parts", "3,5,7,11,13,17,19,23", "--n", str(10 ** 30))
@@ -104,29 +66,6 @@ class TestCount:
         assert out == ""
         assert "error:" in err
 
-    def test_large_value_exact_through_json(self, capsys):
-        n = 10 ** 30 + 1
-        code, out, _ = invoke(
-            capsys,
-            "count",
-            "--parts",
-            "2,3",
-            "--n",
-            str(n),
-            "--method",
-            "theorem1",
-            "--output",
-            "json",
-        )
-        assert code == 0
-        payload = json.loads(out)
-        assert payload["subcommand"] == "count"
-        assert payload["parts"] == [2, 3]
-        assert payload["input"] == str(n)
-        assert payload["method"] == "theorem1"
-        assert int(payload["value"]) == theorem1_count(PartSet.of(2, 3), n)
-        assert int(payload["value"]) > 2 ** 53  # a float would have mangled it
-
     def test_text_mode_builds_no_json_only_value(self, capsys):
         # str() of this n passes the lowered digit limit, so a payload built
         # in text mode would raise; the count itself has 637 digits.
@@ -149,30 +88,6 @@ class TestCount:
 
 
 class TestOtherSubcommands:
-    def test_theorem2(self, capsys):
-        code, out, _ = invoke(capsys, "theorem2", "--parts", "2,3,5", "--x", "1")
-        assert code == 0
-        assert out == "19\n"
-
-    def test_theorem3(self, capsys):
-        code, out, _ = invoke(capsys, "theorem3", "--parts", "3,5,7", "--x", "15")
-        assert code == 0
-        assert out == "45\n"
-
-    def test_bb_text(self, capsys):
-        code, out, _ = invoke(capsys, "bb", "--parts", "2,3,5", "--max-index", "1")
-        assert code == 0
-        assert out == "B_0 = [1/30]\nB_1 = [-1/6, 1/30]\n"
-
-    def test_bb_json_roundtrip(self, capsys):
-        code, out, _ = invoke(
-            capsys, "bb", "--parts", "2,3,5", "--max-index", "1", "--output", "json"
-        )
-        assert code == 0
-        payload = json.loads(out)
-        coeffs = [[F(c) for c in poly] for poly in payload["value"]]
-        assert coeffs == [[F(1, 30)], [F(-1, 6), F(1, 30)]]
-
     @settings(max_examples=300)
     @given(
         st.sets(st.integers(1, 40), min_size=1, max_size=6),
@@ -350,39 +265,8 @@ class TestOtherSubcommands:
         assert code == 0
         assert out.splitlines() == expected
 
-    def test_bernoulli_text(self, capsys):
-        code, out, _ = invoke(capsys, "bernoulli", "--max-index", "4")
-        assert code == 0
-        assert out == "B_0 = 1\nB_1 = 1/2\nB_2 = 1/6\nB_3 = 0\nB_4 = -1/30\n"
-
-    def test_bernoulli_json(self, capsys):
-        code, out, _ = invoke(
-            capsys, "bernoulli", "--max-index", "4", "--output", "json"
-        )
-        payload = json.loads(out)
-        assert [F(v) for v in payload["value"]] == [
-            F(1),
-            F(1, 2),
-            F(1, 6),
-            F(0),
-            F(-1, 30),
-        ]
-        assert payload["parts"] == []
-
 
 class TestExitCodes:
-    def test_usage_error_bad_parts(self, capsys):
-        code, _, _ = invoke(capsys, "count", "--parts", "2,x", "--n", "5")
-        assert code == 2
-
-    def test_usage_error_missing_subcommand(self, capsys):
-        assert run([]) == 2
-        capsys.readouterr()
-
-    def test_usage_error_unknown_flag(self, capsys):
-        code, _, _ = invoke(capsys, "count", "--parts", "2,3", "--n", "5", "--frob", "1")
-        assert code == 2
-
     def test_usage_error_nonpositive_parts(self, capsys):
         code, _, _ = invoke(capsys, "count", "--parts", "0,3", "--n", "5")
         assert code == 2
@@ -500,29 +384,11 @@ class TestParserBuiltOnce:
             assert run(list(bad)) == 2
         code, out, err = invoke(capsys, *good)
         fresh_bad, fresh_good = run_module(*bad), run_module(*good)
-        assert fresh_bad.returncode == 2
+        assert (fresh_bad.returncode, fresh_bad.stdout) == (2, "")
         assert redirected.getvalue() == fresh_bad.stderr
         assert redirected.getvalue().startswith("usage: denumerant count")
+        assert "invalid choice: 'nope'" in fresh_bad.stderr
         assert (code, out, err) == (0, fresh_good.stdout, fresh_good.stderr)
-
-    @pytest.mark.parametrize(
-        "method, module, name",
-        [
-            ("oracle", oracle, "oracle_count"),
-            ("theorem1", reductions, "theorem1_count"),
-            ("section3", reductions, "section3_count"),
-            ("closed-form", reductions, "closed_form_count"),
-            ("waves", waves, "waves_count"),
-        ],
-        ids=lambda value: value if isinstance(value, str) else "",
-    )
-    def test_rebound_count_function_reached_after_first_run(
-        self, monkeypatch, capsys, method, module, name
-    ):
-        argv = ("count", "--parts", "2,3", "--n", "11", "--method", method)
-        assert invoke(capsys, *argv)[:2] == (0, "2\n")
-        monkeypatch.setattr(module, name, lambda parts, n: 12345)
-        assert invoke(capsys, *argv)[:2] == (0, "12345\n")
 
 
 # Written out, 1,301 digits; p(n) for (2,3,5,7) has 3,897, so printing it
@@ -548,9 +414,7 @@ PINNED = [
     ("bb --parts 2,3,5 --max-index 3 --output json", 0, "ae6bf374cee06ba3"),
     ("bernoulli --max-index 10", 0, "305fc60cad91cebe"),
     ("bernoulli --max-index 10 --output json", 0, "1eb3b80468859ec4"),
-    ("theorem2 --parts 3,5,7 --x 4", 0, "2a57042a43991d2c"),
     ("theorem2 --parts 3,5,7 --x 4 --output json", 0, "0a739e183b302c95"),
-    ("theorem3 --parts 3,5,7 --x 15", 0, "420002158111bff8"),
     ("theorem3 --parts 3,5,7 --x 15 --output json", 0, "bc5fe0bd07b684aa"),
     ("verify --trials 30", 0, "cf6f904d425535e7"),
     ("verify --trials 30 --output json", 0, "372583c0e9643a3e"),
@@ -579,18 +443,6 @@ class TestStdoutPinned:
     )
     def test_stdout_and_exit_code(self, capsys, argv, code, digest):
         assert stdout_digest(capsys, *argv.split()) == (code, digest)
-
-    @pytest.mark.parametrize(
-        "output, expected",
-        [("text", (1, "29229b9dbdf6cb7b")), ("json", (1, "ef74b9f2a609ac3c"))],
-    )
-    def test_verify_failures(self, monkeypatch, capsys, output, expected):
-        def off_by_one(parts, n):
-            return theorem1_count(parts, n) + 1
-
-        monkeypatch.setattr(reductions, "theorem1_count", off_by_one)
-        argv = ("verify", "--trials", "3", "--k-min", "2", "--k-max", "3")
-        assert stdout_digest(capsys, *argv, "--output", output) == expected
 
 
 class TestDecimal:
@@ -725,32 +577,30 @@ class TestDispatch:
         ("verify", "--trials", "3", "--seed", "4", "--k-max", "3", "--seed", "9"),
     ]
 
-    @pytest.mark.parametrize("argv", VALID, ids=" ".join)
-    def test_same_namespace_as_the_top_level_parser(self, monkeypatch, argv):
-        handed = []
-        monkeypatch.setattr(cli, "_dispatch", lambda args: handed.append(args) or 0)
-        assert run(list(argv)) == 0
-        assert handed == [_build_parser()[0].parse_args(list(argv))]
+    PARSES = [0, 1, 1, 0, 1, 0, 1, 0, 1]
 
-    def test_one_parse_per_valid_run(self, monkeypatch):
-        # work gate: plain `--name value` argv are bound from the subcommand
-        # parser's option table with no argparse parse; `=`, the `--meth`
-        # abbreviation or a repeated option is parsed once, by that parser alone
-        calls = []
+    @pytest.mark.parametrize(
+        "argv, parses", list(zip(VALID, PARSES, strict=True)), ids=map(" ".join, VALID)
+    )
+    def test_one_parse_per_valid_run(self, monkeypatch, argv, parses):
+        # the argv reaches _dispatch as the Namespace the top-level parser
+        # gives it.  Work gate: plain `--name value` argv are bound from the
+        # subcommand parser's option table with no argparse parse; `=`, the
+        # `--meth` abbreviation or a repeated option is parsed once, by that
+        # parser alone
+        calls, handed = [], []
         parse_known_args = argparse.ArgumentParser.parse_known_args
 
         def counting(parser, *args, **kwargs):
             calls.append(parser.prog)
             return parse_known_args(parser, *args, **kwargs)
 
-        run(["count", "--parts", "2,3", "--n", "11"])  # the parsers exist from here on
+        expected = _build_parser()[0].parse_args(list(argv))
         monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
-        monkeypatch.setattr(cli, "_dispatch", lambda args: 0)
-        parsed = [0, 1, 1, 0, 1, 0, 1, 0, 1]
-        for argv, parses in zip(self.VALID, parsed, strict=True):
-            calls.clear()
-            assert run(list(argv)) == 0
-            assert calls == [f"denumerant {argv[0]}"] * parses, argv
+        monkeypatch.setattr(cli, "_dispatch", lambda args: handed.append(args) or 0)
+        assert run(list(argv)) == 0
+        assert calls == [f"denumerant {argv[0]}"] * parses
+        assert handed == [expected]
 
     @settings(max_examples=400)
     @given(bind_argvs())
@@ -868,82 +718,51 @@ class TestRunFuzz:
         assert code in (0, 1) or out == ""
 
 
-class TestDeterminism:
-    def test_identical_argv_identical_stdout(self, capsys):
-        argv = ("verify", "--trials", "40", "--seed", "11", "--output", "json")
-        _, first, _ = invoke(capsys, *argv)
-        _, second, _ = invoke(capsys, *argv)
-        assert first == second
-
+class TestVerify:
     def test_elapsed_goes_to_stderr_not_stdout(self, capsys):
         code, out, err = invoke(capsys, "verify", "--trials", "5")
         assert code == 0
         assert "elapsed" not in out
         assert "elapsed" in err
 
-
-class TestVerify:
-    def test_small_sweep_passes(self, capsys):
-        code, out, _ = invoke(capsys, "verify", "--trials", "30", "--seed", "3")
-        assert code == 0
-        assert "failures: 0" in out
-
-    def test_json_shape(self, capsys):
-        code, out, _ = invoke(
-            capsys, "verify", "--trials", "25", "--seed", "5", "--output", "json"
-        )
-        assert code == 0
-        payload = json.loads(out)
-        assert payload == {"trials": 25, "failures": [], "seed": 5}
-
-    def test_report_object(self):
-        failures = run_verify(
-            trials=20, seed=0, k_min=2, k_max=4, max_part=13, max_product=100000
-        )
-        assert failures == ()
-
     ALL_CHECKS = (
         "theorem1", "section3", "closed-form", "waves",
         "theorem2", "closed-form-theorem2", "theorem3",
     )
+    PAST_FIVE = ("theorem1", "section3", "waves", "theorem2", "theorem3")
 
     @pytest.mark.parametrize(
         "values, checks",
         [
             ((7,), ("theorem1", "waves")),
+            ((1,), ("theorem1", "waves")),
             ((2, 3), ALL_CHECKS),
             ((1, 2), ALL_CHECKS[:6]),
             ((1, 2, 3), ALL_CHECKS),
+            ((1, 2, 3, 5), ALL_CHECKS),
             ((1, 2, 3, 5, 7), ALL_CHECKS),
-            ((1, 2, 3, 5, 7, 11), ("theorem1", "section3", "waves", "theorem2", "theorem3")),
+            ((1, 2, 3, 5, 7, 11), PAST_FIVE),
+            ((1, 2, 3, 5, 7, 11, 13), PAST_FIVE),
         ],
         ids=lambda v: ",".join(map(str, v)) if isinstance(v[0], int) else "",
     )
-    def test_checks_run_per_arity(self, values, checks):
-        # every check applicable to the set runs: section3 from k = 2, the
-        # closed forms up to k = 5, theorem3 while the sum is at most the
-        # product: (1,2,3) has both 6, and (1,2) a sum of 3 over a product of 2
+    def test_rows_apply_where_their_routes_accept(self, values, checks):
+        # every check applicable to the set runs, in report order: section3
+        # from k = 2, the closed forms up to k = 5, theorem3 while the sum is
+        # at most the product: (1,2,3) has both 6, and (1,2) a sum of 3 over a
+        # product of 2.  verify's arity domains against the routes' own: every
+        # other row's route refuses the set at an argument it would otherwise
+        # take (x = 1, or x3 = S)
         parts = PartSet(values)
-        reports = verify._check_trial(0, parts, 2 * parts.product + 1, random.Random(0))
-        assert tuple(report.check for report in reports) == checks
-        assert all(report.holds for report in reports)
-
-    @pytest.mark.parametrize("k", range(1, 8))
-    def test_rows_apply_where_their_routes_accept(self, k):
-        # verify's arity domains against the routes' own: a row that applies
-        # ran its route, and every other row's route refuses the set at an
-        # argument it would otherwise take (x = 1, or x3 = S)
-        parts = PartSet((1, 2, 3, 5, 7, 11, 13)[:k])
         n = 2 * parts.product + 1
         reports = verify._check_trial(0, parts, n, random.Random(0))
-        applied = {report.check for report in reports}
+        assert tuple(report.check for report in reports) == checks
         assert all(report.holds for report in reports)
         arguments = {"n": n, "x": 1, "x3": parts.total}
         for check, *_, arg, formula in verify.CHECKS:
-            if check not in applied:
+            if check not in checks:
                 with pytest.raises((UnsupportedArityError, RangeError)):
                     formula(parts, arguments[arg])
-        assert len(applied) == len(reports)
 
     def test_every_count_method_but_the_oracle_has_a_row_at_n(self):
         # a new `count --method` route cannot ship without its verify row
@@ -968,8 +787,10 @@ class TestVerify:
     def test_argv_routes_are_looked_up_when_they_run(
         self, capsys, monkeypatch, argv, module, route
     ):
-        # a route rebound on its module after import (a test's monkeypatch, or
-        # the span tracer in perfbench/spans.py) is the one the CLI runs
+        # a route rebound on its module after import and after a first run (a
+        # test's monkeypatch, or the span tracer in perfbench/spans.py) is the
+        # one the CLI runs
+        assert invoke(capsys, *argv, "--parts", "2,3,5")[0] == 0
         monkeypatch.setattr(module, route, lambda parts, given: 10 ** 40 + given)
         code, out, _ = invoke(capsys, *argv, "--parts", "2,3,5")
         assert (code, out) == (0, f"{10 ** 40 + int(argv[2])}\n")
@@ -1003,50 +824,42 @@ class TestVerify:
         code, out, _ = invoke(capsys, "verify", *argv)
         assert (code, out) == (0, "trials: 5\nseed: 0\nfailures: 0\n")
 
-    def test_one_table_per_trial(self, monkeypatch):
-        builds, per_trial = [], []
+    @pytest.fixture(scope="class")
+    def sweep_work(self):
+        """The kernel calls of the first ten of 75 50-trial sweeps from cold
+        caches, as entries filled per call; those of all 75; and the calls
+        each trial made."""
+        work, per_trial = [], []
         dp_counts, check_trial = oracle._dp_counts, verify._check_trial
 
         def counting_dp(parts, upper, held=()):
-            builds.append(upper)
-            return dp_counts(parts, upper, held)
-
-        def counting_check(*args):
-            before = len(builds)
-            reports = check_trial(*args)
-            per_trial.append(len(builds) - before)
-            return reports
-
-        monkeypatch.setattr(oracle, "_dp_counts", counting_dp)
-        monkeypatch.setattr(oracle, "_TABLES", {})
-        monkeypatch.setattr(verify, "_check_trial", counting_check)
-        for seed in range(10):
-            run_verify(
-                trials=50, seed=seed, k_min=2, k_max=5, max_part=13, max_product=20000
-            )
-        assert builds and len(per_trial) == 500 and max(per_trial) == 1
-
-    @staticmethod
-    def sweep_work(monkeypatch, seeds):
-        """Kernel calls and entries filled by 50-trial sweeps from cold caches."""
-        work = [0, 0]
-        dp_counts = oracle._dp_counts
-
-        def counting_dp(parts, upper, held=()):
             table = dp_counts(parts, upper, held)
-            work[0] += 1
-            work[1] += len(table)
+            work.append(len(table))
             return table
 
-        monkeypatch.setattr(oracle, "_dp_counts", counting_dp)
-        monkeypatch.setattr(oracle, "_TABLES", {})
-        for seed in seeds:
-            run_verify(
-                trials=50, seed=seed, k_min=2, k_max=5, max_part=13, max_product=20000
-            )
-        return work
+        def counting_check(*args):
+            before = len(work)
+            reports = check_trial(*args)
+            per_trial.append(len(work) - before)
+            return reports
 
-    def test_sweep_work_bounded(self, monkeypatch):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(oracle, "_dp_counts", counting_dp)
+            patch.setattr(oracle, "_TABLES", {})
+            patch.setattr(verify, "_check_trial", counting_check)
+            for seed in range(75):
+                if seed == 10:
+                    first_ten = list(work)
+                run_verify(
+                    trials=50, seed=seed, k_min=2, k_max=5, max_part=13, max_product=20000
+                )
+        return first_ten, work, per_trial
+
+    def test_one_table_per_trial(self, sweep_work):
+        *_, per_trial = sweep_work
+        assert len(per_trial) == 3750 and max(per_trial) == 1
+
+    def test_sweep_work_bounded(self, sweep_work):
         """Work gate: the oracle cache keeps a sweep's tables across trials.
 
         These ten sweeps make 257 kernel calls filling 1,092,314 entries, as
@@ -1054,18 +867,18 @@ class TestVerify:
         under 10 MiB and 16 MiB alike.  Rebuilding a short table from n = 0 at
         twice its length made 245 builds filling 1,630,479 entries.
         """
-        builds, entries = self.sweep_work(monkeypatch, range(10))
-        assert 0 < builds <= 260 and entries <= 1_200_000
+        first_ten, *_ = sweep_work
+        assert 0 < len(first_ten) <= 260 and sum(first_ten) <= 1_200_000
 
-    def test_working_set_held_across_a_long_sweep(self, monkeypatch):
+    def test_working_set_held_across_a_long_sweep(self, sweep_work):
         """Work gate: 75 sweeps' tables stay held under the byte budget.
 
         Held to 16 MiB they make 581 kernel calls filling 2,209,961 entries.
         Under 10 MiB, short of their ~12.5 MiB working set, tables were dropped
         and built again: 726 calls filling 3,351,075 entries.
         """
-        builds, entries = self.sweep_work(monkeypatch, range(75))
-        assert 0 < builds <= 620 and entries <= 2_400_000
+        _, work, _ = sweep_work
+        assert 0 < len(work) <= 620 and sum(work) <= 2_400_000
 
     def test_no_trial_discards_an_oracle_value(self, monkeypatch):
         """In every trial, the oracle lookups are distinct, the first is the
@@ -1110,10 +923,6 @@ class TestVerify:
         # theorem3 reads two values and often shares none with the other rows
         assert any(len(made) >= 4 for made, _ in trials)
 
-    def test_k_range_validated(self):
-        with pytest.raises(DomainError):
-            run_verify(trials=1, seed=0, k_min=3, k_max=2, max_part=13, max_product=10)
-
     def test_more_parts_than_max_part_refused_before_any_draw(self, monkeypatch):
         def no_draw(*args):
             raise AssertionError("a part set was drawn")
@@ -1152,10 +961,6 @@ class TestVerify:
         done, out, _ = invoke(capsys, "verify", "--trials", "0", "--k-max", "7", *argv)
         assert (done, out) == (code, "trials: 0\nseed: 0\nfailures: 0\n" if code == 0 else "")
 
-    def test_negative_trials_rejected_at_parse(self, capsys):
-        code, _, _ = invoke(capsys, "verify", "--trials", "-1")
-        assert code == 2
-
     @pytest.mark.parametrize(
         "argv, flag, message",
         [
@@ -1170,6 +975,7 @@ class TestVerify:
             (["--k-max=-3"], "--k-max", "expected a positive integer, got -3"),
             (["--max-product=-1"], "--max-product", "expected a positive integer, got -1"),
             (["--trials=-1"], "--trials", "expected a nonnegative integer, got -1"),
+            (["--trials", "-1"], "--trials", "expected a nonnegative integer, got -1"),
         ],
     )
     def test_bad_arguments_are_usage_errors(self, capsys, argv, flag, message):
@@ -1224,44 +1030,46 @@ class TestVerify:
         assert err.count("\n") == 1 and err.startswith("error: ") and "cap" in err
         assert "Traceback" not in err
 
-    def test_failures_reported(self, monkeypatch, capsys):
+    @pytest.fixture
+    def theorem1_off_by_one(self, monkeypatch):
         def off_by_one(parts, n):
             return theorem1_count(parts, n) + 1
 
-        def fail_lines(out):
-            return [line for line in out.splitlines() if line.startswith("FAIL")]
-
         monkeypatch.setattr(reductions, "theorem1_count", off_by_one)
+
+    FAILING = ("verify", "--trials", "3", "--k-min", "2", "--k-max", "3")
+
+    def digest(self, out):
+        # each output is pinned by the first 16 hex digits of its sha256
+        return hashlib.sha256(out.encode()).hexdigest()[:16]
+
+    def test_failures_reported_as_text(self, theorem1_off_by_one, capsys):
+        # the FAIL lines are format_failure's
         failures = run_verify(
-            trials=3, seed=0, k_min=2, k_max=2, max_part=13, max_product=100000
+            trials=3, seed=0, k_min=2, k_max=3, max_part=13, max_product=100000
         )
         expected = [format_failure(f) for f in failures]
         assert len(expected) == 3 and all(
             line.startswith("FAIL theorem1 parts=[") for line in expected
         )
+        code, out, _ = invoke(capsys, *self.FAILING)
+        assert code == 1 and "failures: 3" in out and self.digest(out) == "29229b9dbdf6cb7b"
+        assert [line for line in out.splitlines() if line.startswith("FAIL")] == expected
 
-        argv = ("verify", "--trials", "3", "--k-min", "2", "--k-max", "2")
-        code, out, _ = invoke(capsys, *argv)
-        assert code == 1 and "failures: 3" in out
-        assert fail_lines(out) == expected
-
-        code, out, _ = invoke(capsys, *argv, "--output", "json")
-        assert code == 1
+    def test_failures_reported_as_json(self, theorem1_off_by_one, capsys):
+        code, out, _ = invoke(capsys, *self.FAILING, "--output", "json")
+        assert code == 1 and self.digest(out) == "ef74b9f2a609ac3c"
         failures = json.loads(out)["failures"]
         assert [f["check"] for f in failures] == ["theorem1"] * 3
         for failure in failures:
             assert isinstance(failure["lhs"], str) and isinstance(failure["rhs"], str)
             assert int(failure["rhs"]) == int(failure["lhs"]) + 1
 
-    def test_draw_stream_pinned(self, monkeypatch):
+    def test_draw_stream_pinned(self, theorem1_off_by_one):
         # Every trial fails theorem1 once, so the FAIL lines carry each
         # trial's parts, n, q and r, and through them the x draws between.
         # The digest is that of the two nested sampling loops the single
         # loop replaced: both must draw the same sets.
-        def off_by_one(parts, n):
-            return theorem1_count(parts, n) + 1
-
-        monkeypatch.setattr(reductions, "theorem1_count", off_by_one)
         failures = run_verify(
             trials=200, seed=7, k_min=1, k_max=6, max_part=13, max_product=20000
         )
@@ -1304,19 +1112,6 @@ class TestRandomCoprimePartset:
     def test_forced_pair(self):
         rng = random.Random(0)
         assert random_coprime_partset(2, 2, 13 ** 6, rng) == PartSet.of(1, 2)
-
-    def test_postcondition(self):
-        rng = random.Random(9)
-        for _ in range(50):
-            parts = random_coprime_partset(3, 13, 13 ** 6, rng)
-            values = parts.parts
-            assert len(values) == 3
-            assert all(1 <= v <= 13 for v in values)
-            assert all(
-                gcd(values[i], values[j]) == 1
-                for i in range(3)
-                for j in range(i + 1, 3)
-            )
 
     @pytest.mark.parametrize("max_part", [13, 100, 100_000, 10 ** 6])
     def test_same_sets_as_sampling_a_tuple(self, max_part):
@@ -1374,8 +1169,3 @@ def test_module_entry_point():
 
     proc = run_module("--help")
     assert proc.returncode == 0 and proc.stdout.startswith("usage: denumerant")
-
-    proc = run_module("count", "--parts", "2,3,5", "--n", "100", "--method", "nope")
-    assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr.startswith("usage: denumerant count")
-    assert "invalid choice: 'nope'" in proc.stderr

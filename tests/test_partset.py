@@ -10,11 +10,6 @@ from denumerant.partset import PartSet
 from helpers import pairwise_coprime
 
 
-def test_sorted_regardless_of_input_order():
-    assert PartSet((5, 2, 3)).parts == (2, 3, 5)
-    assert PartSet.of(5, 2, 3) == PartSet.of(2, 3, 5)
-
-
 def test_rejects_bad_parts():
     with pytest.raises(DomainError):
         PartSet(())

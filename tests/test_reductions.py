@@ -4,9 +4,10 @@ import importlib
 import pkgutil
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import denumerant
@@ -38,9 +39,16 @@ from helpers import cold_caches, coprime_part_tuples
 F = Fraction
 
 COPRIME_2_TO_4 = coprime_part_tuples(13, (2, 3, 4), max_product=4000)
-COPRIME_2_TO_5 = coprime_part_tuples(12, (2, 3, 4, 5), max_product=20000)
+COPRIME_2_TO_5 = coprime_part_tuples(13, (2, 3, 4, 5))
 
 small_n = st.integers(min_value=0, max_value=2000)
+
+
+def with_n(pool):
+    """A part set from pool and an n: at most 2000, or below 4P as verify draws it."""
+    return st.sampled_from(pool).flatmap(
+        lambda combo: st.tuples(st.just(combo), small_n | st.integers(0, 4 * prod(combo) - 1))
+    )
 
 
 class TestDecompose:
@@ -108,18 +116,8 @@ class TestTheorem1:
         for count in (theorem1_count, closed_form_count):
             assert count(parts, n) == expected
 
-    @given(st.sampled_from(COPRIME_2_TO_5), small_n)
-    def test_correction_is_integral(self, combo, n):
-        value = theorem1_correction(PartSet(combo), n)
-        assert value.denominator == 1
-
 
 class TestTheorem2:
-    def test_examples(self):
-        assert theorem2_count(PartSet.of(2, 3), 4) == 1
-        assert theorem2_count(PartSet.of(2, 3, 5), 1) == 19
-        assert theorem2_count(PartSet.of(2, 3, 5), 9) == 11
-
     def test_range_enforced(self):
         parts = PartSet.of(2, 3, 5)
         with pytest.raises(RangeError):
@@ -135,6 +133,11 @@ class TestTheorem2:
 
     @given(st.sampled_from(COPRIME_2_TO_4))
     @settings(max_examples=60)
+    @example((2, 3))
+    @example((2, 3, 5))
+    @example((3, 4, 5))
+    @example((2, 3, 5, 7))
+    @example((1, 2, 3, 5, 7))
     def test_total_on_its_domain(self, combo):
         parts = PartSet(combo)
         for x in range(1, parts.total):
@@ -142,20 +145,6 @@ class TestTheorem2:
 
 
 class TestTheorem3:
-    def test_examples(self):
-        parts = PartSet.of(2, 3, 5)
-        assert theorem3_rhs(parts, 10) == 10
-        assert oracle_count(parts, 20) - oracle_count(parts, 0) == 10
-        assert theorem3_rhs(PartSet.of(2, 3), 5) == 1
-        assert theorem3_rhs(PartSet.of(3, 5, 7), 15) == 45
-
-    def test_three_five_seven_boundary(self):
-        # the two-sided value at the smallest x, against the oracle parts
-        parts = PartSet.of(3, 5, 7)
-        assert oracle_count(parts, 90) == 46
-        assert oracle_count(parts, 0) == 1
-        assert theorem3_rhs(parts, 15) == 46 - 1
-
     def test_range_enforced(self):
         parts = PartSet.of(2, 3, 5)
         with pytest.raises(RangeError):
@@ -171,6 +160,10 @@ class TestTheorem3:
 
     @given(st.sampled_from([c for c in COPRIME_2_TO_4 if sum(c) <= 150]))
     @settings(max_examples=40)
+    @example((2, 3))
+    @example((2, 3, 5))
+    @example((3, 4, 5))
+    @example((2, 3, 5, 7))
     def test_total_on_its_domain(self, combo):
         parts = PartSet(combo)
         if parts.total > parts.product:
@@ -180,9 +173,7 @@ class TestTheorem3:
             lhs = oracle_count(parts, parts.product - x) + sign * oracle_count(
                 parts, x - parts.total
             )
-            value = theorem3_rhs(parts, x)
-            assert value.denominator == 1
-            assert value == lhs
+            assert theorem3_rhs(parts, x) == lhs
 
     @given(st.sampled_from([c for c in COPRIME_2_TO_4 if len(c) == 3]))
     def test_linear_in_x_for_three_parts(self, combo):
@@ -206,9 +197,10 @@ class TestSection3:
         with pytest.raises(CoprimalityError):
             section3_count(PartSet.of(2, 4), 10)
 
-    @given(st.sampled_from(COPRIME_2_TO_5), small_n)
+    @given(with_n(COPRIME_2_TO_5))
     @settings(max_examples=200)
-    def test_agrees_with_the_correction_sum(self, combo, n):
+    def test_agrees_with_the_correction_sum(self, drawn):
+        combo, n = drawn
         parts = PartSet(combo)
         assert section3_count(parts, n) == theorem1_count(parts, n)
 
@@ -322,11 +314,6 @@ class TestClosedForms:
                 expected = oracle_count(parts, parts.product - x)
                 assert closed_form_theorem2(parts, x) == expected
 
-    def test_four_parts_against_the_general_routes(self):
-        parts = PartSet.of(2, 3, 5, 7)
-        assert closed_form_correction(parts, 210) == theorem1_correction(parts, 210)
-        assert closed_form_theorem2(parts, 16) == theorem2_count(parts, 16)
-
     def test_unsupported_arities(self):
         with pytest.raises(UnsupportedArityError):
             closed_form_correction(PartSet.of(7), 21)
@@ -345,17 +332,24 @@ class TestClosedForms:
         with pytest.raises(RangeError):
             closed_form_theorem2(PartSet.of(2, 3, 5), 10)
 
-    @given(st.sampled_from(COPRIME_2_TO_5), small_n)
+    @given(with_n(COPRIME_2_TO_5))
     @settings(max_examples=300)
-    def test_correction_equivalence(self, combo, n):
+    @example(((2, 3, 5, 7), 210))
+    def test_correction_equivalence(self, drawn):
+        combo, n = drawn
         parts = PartSet(combo)
         assert closed_form_correction(parts, n) == theorem1_correction(parts, n)
 
-    @given(st.sampled_from(COPRIME_2_TO_5), st.data())
+    @given(
+        st.sampled_from(COPRIME_2_TO_5).flatmap(
+            lambda combo: st.tuples(st.just(combo), st.integers(1, sum(combo) - 1))
+        )
+    )
     @settings(max_examples=300)
-    def test_theorem2_equivalence(self, combo, data):
+    @example(((2, 3, 5, 7), 16))
+    def test_theorem2_equivalence(self, drawn):
+        combo, x = drawn
         parts = PartSet(combo)
-        x = data.draw(st.integers(min_value=1, max_value=parts.total - 1))
         assert closed_form_theorem2(parts, x) == theorem2_count(parts, x)
 
 
@@ -399,17 +393,6 @@ def test_bernoulli_barnes_routes_evaluate_k_minus_1_polynomials(monkeypatch, com
     reads.clear()
     section3_count(parts, n)
     assert (tables, reads) == ([], [])
-
-
-def test_boundary_switchover_matches_oracle():
-    """x = total - 1 uses one identity, x = total the other; both exact."""
-    for combo in ((2, 3), (2, 3, 5), (3, 4, 5), (2, 3, 5, 7)):
-        parts = PartSet(combo)
-        below = theorem2_count(parts, parts.total - 1)
-        assert below == oracle_count(parts, parts.product - parts.total + 1)
-        at = theorem3_rhs(parts, parts.total)
-        sign = (-1) ** parts.k
-        assert at == oracle_count(parts, parts.product - parts.total) + sign
 
 
 def test_report_holds_semantics():

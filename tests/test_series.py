@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import comb, gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from denumerant.errors import DomainError
@@ -23,7 +23,15 @@ def add(a: tuple, b: tuple) -> tuple:
     return tuple(x + y for x, y in zip(a, b))
 
 
-rationals = st.fractions(min_value=-4, max_value=4, max_denominator=12)
+# Every value st.fractions(min_value=-4, max_value=4, max_denominator=12) can
+# draw, simplest first, so that a failure shrinks toward 0 and small
+# denominators; sampling them costs a fifth of building each fraction.
+rationals = st.sampled_from(
+    sorted(
+        {F(n, d) for d in range(1, 13) for n in range(-4 * d, 4 * d + 1)},
+        key=lambda v: (v.denominator, abs(v), v),
+    )
+)
 
 
 def series_strategy(order: int, nonzero_constant=False, zero_constant=False):
@@ -65,8 +73,13 @@ class TestSeriesMul:
             series_mul(ts(1, 0), ts(1, 0, 0))
 
     @given(series_strategy(4), series_strategy(4))
+    @example(ts(0, 2, 0, 0, 0), ts(0, 3, 0, 0, 0))  # zero entries are 0/1
     def test_commutative(self, a, b):
-        assert series_mul(a, b) == series_mul(b, a)
+        product = series_mul(a, b)
+        assert product == series_mul(b, a)
+        for c in product:  # Fractions in lowest terms, the sign on the numerator
+            assert c.denominator > 0
+            assert gcd(abs(c.numerator), c.denominator) == 1
 
     @given(series_strategy(3), series_strategy(3), series_strategy(3))
     def test_associative(self, a, b, c):
@@ -140,20 +153,3 @@ class TestSeriesExp:
     @given(egf_strategy(4), egf_strategy(4))
     def test_exp_is_a_homomorphism(self, u1, u2):
         assert series_exp(add(u1, u2)) == egf_mul(series_exp(u1), series_exp(u2))
-
-
-class TestCanonicalForm:
-    @given(series_strategy(4), series_strategy(4))
-    def test_results_stay_reduced(self, a, b):
-        for series in (
-            series_mul(a, b),
-            add(a, b),
-        ):
-            for c in series:
-                assert c.denominator > 0
-                assert gcd(abs(c.numerator), c.denominator) == 1
-
-    def test_zero_is_zero_over_one(self):
-        product = series_mul(ts(0, 2), ts(0, 3))
-        assert product[0] == F(0)
-        assert product[0].denominator == 1

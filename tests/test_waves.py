@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from denumerant import admission, oracle, waves
+from denumerant import admission, waves
 from denumerant.errors import (
     CoprimalityError,
     DomainError,
@@ -89,25 +89,6 @@ def test_table_free_routes_agree_far_past_any_table(parts):
         assert section3_count(parts, n) == value
         if parts.k <= 5:
             assert closed_form_count(parts, n) == value
-
-
-def test_reductions_build_no_count_table(monkeypatch):
-    builds = []
-    original = oracle._dp_counts
-
-    def counting(parts, upper, held=()):
-        builds.append(upper)
-        return original(parts, upper, held)
-
-    monkeypatch.setattr(oracle, "_dp_counts", counting)
-    monkeypatch.setattr(oracle, "_TABLES", {})
-    for parts in ((5, 7, 11, 13), (2, 3, 5, 7, 11), (3, 4, 5)):
-        parts = PartSet(parts)
-        n = 10 ** 30 + parts.product - 1  # the residue is the largest there is
-        theorem1_count(parts, n)
-        section3_count(parts, n)
-        closed_form_count(parts, n)
-    assert builds == []
 
 
 def test_rejects_what_the_identity_does_not_cover():
