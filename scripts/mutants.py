@@ -62,10 +62,11 @@ PANEL = (
     Mutant("waves-off-by-one-from-P", "src/denumerant/waves.py",
            "    return count\n", "    return count + (n >= parts.product)\n", "e774d71"),
     Mutant("widening-threshold", "src/denumerant/oracle.py",
-           "if top >> 8 * table.itemsize:", "if top >> 8 * table.itemsize + 1:", "a53e92a"),
+           "while top >> 8 * len(self.planes):", "while top >> 8 * (len(self.planes) + 1):",
+           "a53e92a"),
     Mutant("window-one-late", "src/denumerant/oracle.py",
-           "window = list(held[max(low - span, 0) :])",
-           "window = list(held[max(low - span, 0) + 1 :])", "a53e92a"),
+           "window = held.ints(max(low - span, 0))",
+           "window = held.ints(max(low - span, 0) + 1)", "a53e92a"),
     Mutant("b4-sign", "src/denumerant/bernoulli.py",
            "    return tuple(table[: m + 1])",
            "    if m >= 4:\n        table[4] = -table[4]\n    return tuple(table[: m + 1])",

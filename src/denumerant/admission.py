@@ -23,9 +23,12 @@ from typing import Any, Callable
 from .errors import ResourceLimitError
 from .partset import PartSet
 
-# A table build holds its packed entries, 4 or 8 bytes each, and one block of
-# them as ints (oracle._dp_counts): ~0.4 GB at the cap.  Only a table whose
-# counts pass 2^64 - 1 holds ints throughout, at ~44 bytes an entry, ~2.2 GB.
+# A table build holds its packed entries, as many bytes each as its largest
+# count needs, and one block of them as ints (oracle._dp_counts).  Joining its
+# pieces takes one plane more, and joining a held table to its growth the held
+# bytes more.  At the cap a plane weighs 50 MB: counts under 2^64 take at most
+# 0.4 GB, 0.45 GB while a cold build joins, and each byte past 8 adds 50 MB,
+# where a tuple of ints took ~44 bytes an entry, ~2.2 GB.
 MAX_TABLE_ENTRIES = 50_000_000
 
 # Digits of one printed `bernoulli` or `bb` numerator or denominator, set at
@@ -34,8 +37,9 @@ MAX_DIGITS = 4_300
 
 # The bytes each cache of recent results holds: the oracle's tables and the
 # waves' set-ups.  16 MiB holds the tables the 75 seed-0 verify-sweep ops reuse
-# (at most 12.5 MiB), so they make 576 kernel calls filling 2.24M entries;
-# under 10 MiB they made 691 filling 3.14M.
+# (at most 8.5 MiB as byte planes, 12.5 MiB as 4- and 8-byte items), so they
+# make 576 kernel calls filling 2.24M entries; under 10 MiB the 4- and 8-byte
+# items made 691 filling 3.14M.
 MAX_HELD_BYTES = 16 << 20
 
 

@@ -13,20 +13,19 @@ table over the other parts, and the count is the stride sum
 
 so a k-part count costs k - 2 prefix-sum passes and one sum of n / a_max
 entries, and a one-part count is [a | n] and reads no table.  A cached table
-too short for n is extended in place: each pass resumes its prefix sums from
-the table's last entries.  Counts are never negative, so a cached table is
-an unsigned array of 4-byte items, of 8-byte items once a count passes
-2^32 - 1, or a tuple past 2^64 - 1; the cached tables are held to
+too short for n is extended: each pass resumes its prefix sums from the
+table's last entries.  Counts are never negative, so a table is stored as
+byte planes, as many as its largest count needs: plane i holds byte i of
+every entry, so each count takes that many bytes, past 8 too, and a stride
+sum is one sum of bytes per plane.  The cached tables are held to
 admission.MAX_HELD_BYTES.  oracle_table builds the full table as an uncached
 tuple.  A table longer than admission.MAX_TABLE_ENTRIES is refused before it
 is allocated.
 
 A build fills its entries block by block and packs each block before the
-next, so it holds the packed table plus one block of ints.  A cold count over
-(2, 3, 5, 7) at n = 10^6 peaks at 9.2 MiB traced for its 7.63 MiB table, and
-`count --parts 2,3,5,7 --n 4000000` at 50 MB RSS; filling the whole growth as
-ints before packing it took 50.2 MiB and 362 MB.  Only a tuple table, past
-2^64 - 1, holds ints throughout, at ~36-44 bytes an entry.
+next, so it holds the packed table plus one block of ints.  As planes, the
+tables the 75 seed-0 verify-sweep ops hold weigh 8.50 MiB, against 12.51 MiB
+as 4- and 8-byte items.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from __future__ import annotations
 import sys
 from array import array
 from itertools import accumulate
-from typing import Dict, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from . import admission
 from .errors import DomainError, ResourceLimitError
@@ -50,10 +49,92 @@ from .partset import PartSet
 _BLOCK_ENTRIES = 1 << 12
 _BLOCK_SPANS = 64
 
+# A growth is packed into pieces of whole blocks, each at least an eighth of
+# the growth and allocated when its first block is packed, and the pieces are
+# joined plane by plane at the end.  A build so holds at most one piece not
+# yet filled, and a join the table and one plane more.  `count --parts
+# 2,3,5000,7919 --n 2000000` peaks at 36.4 MB RSS so, at 38.1 MB with the
+# whole growth allocated first, and at 39.6 MB with planes grown a chunk at a
+# time.  A block is packed _PACK_ENTRIES entries at a time, eight planes at a
+# time, through an array of unsigned 8-byte items ('B' and 'H' arrays fill
+# from a list at a third of the speed); the cold build of (1, 2, 3, 5) to
+# 10^5 peaks at 1.29 times its planes so, and at 1.39 times when packed 4,096
+# entries at a time.
+_PACK_ENTRIES = 1 << 10
+_LIMB = (1 << 64) - 1
 
-def _dp_counts(parts: Sequence[int], upper: int, held: Sequence[int] = ()) -> Sequence[int]:
+
+def _byte(i: int) -> int:
+    """The offset of byte i, counted from the low end, in a native 8-byte item."""
+    return i if sys.byteorder == "little" else 7 - i
+
+
+class _Table:
+    """Counts as byte planes: planes[i][n] is byte i of entry n, from the low
+    end, and there are as many planes as the largest entry needs, at least one."""
+
+    __slots__ = ("planes",)
+
+    def __init__(self, planes: List[bytearray]) -> None:
+        self.planes = planes
+
+    def __len__(self) -> int:
+        return len(self.planes[0])
+
+    def stride_sum(self, start: int, stop: int, step: int) -> int:
+        """sum(entries[start:stop:step]): one sum of bytes per plane."""
+        return sum(sum(plane[start:stop:step]) << 8 * i for i, plane in enumerate(self.planes))
+
+    def ints(self, start: int = 0) -> List[int]:
+        """Entries start.. as ints, read eight planes at a time."""
+        values = None
+        for base in reversed(range(0, len(self.planes), 8)):
+            words = bytearray(8 * (len(self) - start))
+            for i, plane in enumerate(self.planes[base : base + 8]):
+                words[_byte(i) :: 8] = plane[start:]
+            limbs = array("Q", words).tolist()
+            values = limbs if values is None else [v << 64 | w for v, w in zip(values, limbs)]
+        return values
+
+    def put(self, at: int, counts: List[int], top: int) -> None:
+        """Write counts to entries at.., adding a zero plane for each byte
+        their largest, top, needs past the planes held."""
+        while top >> 8 * len(self.planes):
+            self.planes.append(bytearray(len(self)))
+        for start in range(0, len(counts), _PACK_ENTRIES):
+            chunk = counts[start : start + _PACK_ENTRIES]
+            where = slice(at + start, at + start + len(chunk))
+            for base in range(0, len(self.planes), 8):
+                more = base + 8 < len(self.planes)
+                words = array("Q")  # fromlist: two thirds of the constructor's time
+                words.fromlist([v & _LIMB for v in chunk] if more else chunk)
+                raw = words.tobytes()
+                for i, plane in enumerate(self.planes[base : base + 8]):
+                    plane[where] = raw[_byte(i) :: 8]
+                if more:
+                    chunk = [v >> 64 for v in chunk]
+
+
+def _joined(tables: List[_Table]) -> _Table:
+    """The entries of tables in turn, in as many planes as the last, which has
+    the most.  Each plane is joined, and taken from the tables, before the
+    next: a join holds the tables and one plane more, and empties them."""
+    if len(tables) == 1:
+        return tables[0]
+    lengths, joined = [len(table) for table in tables], _Table([])
+    for _ in range(len(tables[-1].planes)):
+        column = [t.planes.pop(0) if t.planes else bytes(m) for t, m in zip(tables, lengths)]
+        joined.planes.append(bytearray().join(column))
+    return joined
+
+
+def _nbytes(table: _Table) -> int:
+    return len(table) * len(table.planes)
+
+
+def _dp_counts(parts: Sequence[int], upper: int, held: _Table | Tuple[()] = ()) -> _Table:
     """Entries len(held)..upper of the table over parts, resuming from held,
-    packed as _joined packs a table: at least held's width.
+    in at least held's planes.
 
     The pass for part a resumes from its last min(a, len(held)) entries below
     len(held).  They come from held's last sum(parts[1:]) entries by
@@ -61,11 +142,9 @@ def _dp_counts(parts: Sequence[int], upper: int, held: Sequence[int] = ()) -> Se
     by a.  Entries below n = 0 are 0, so none is held or padded: a part past
     upper costs no memory.  The entries are then filled block by block, each
     pass carrying its last a entries into the next block, and each block is
-    packed before the next is filled: a build holds the packed entries and one
-    block as ints, not the whole growth as ints at ~36-44 bytes an entry.  For
-    (2, 3, 5) to n = 10^6 that is a 9.2 MiB traced peak for 7.63 MiB of 'Q'
-    items, against 50.2 MiB for one list of the growth.  Counts past 2^64 - 1
-    are kept as ints and joined to a tuple once.
+    packed into a piece before the next is filled: a build holds the packed
+    entries and one block as ints, not the whole growth as ints at ~36-44
+    bytes an entry.  The pieces are joined once, at the end.
     """
     if upper + 1 > admission.MAX_TABLE_ENTRIES:
         raise ResourceLimitError(
@@ -73,9 +152,10 @@ def _dp_counts(parts: Sequence[int], upper: int, held: Sequence[int] = ()) -> Se
             f" of {admission.MAX_TABLE_ENTRIES}; for pairwise-coprime parts, the"
             " waves, theorem1, section3 and closed-form routes need no count table"
         )
+    held = held or _Table([bytearray()])
     low, span, first = len(held), sum(parts[1:]), parts[0]
     size = max(_BLOCK_ENTRIES, _BLOCK_SPANS * span)
-    window = list(held[max(low - span, 0) :])  # entries from low - span, none below 0
+    window = held.ints(max(low - span, 0))  # entries from low - span, none below 0
     tails = []
     for a in reversed(parts[1:]):
         tails.append(window[-a:])
@@ -85,7 +165,8 @@ def _dp_counts(parts: Sequence[int], upper: int, held: Sequence[int] = ()) -> Se
             window[j] - (window[j - a] if j >= a else 0) for j in range(start, len(window))
         ]
     tails.reverse()
-    packed, wide = array(getattr(held, "typecode", "I")), []
+    piece = size * -(-(upper + 1 - low) // (8 * size))  # whole blocks, an eighth or more
+    pieces = [held]
     for base in range(low, upper + 1, size):
         # counts[pad:] are entries base..; the pass for a reads its tail below
         pad = max(map(len, tails), default=0)
@@ -99,54 +180,29 @@ def _dp_counts(parts: Sequence[int], upper: int, held: Sequence[int] = ()) -> Se
                 counts[start::a] = accumulate(counts[start::a])
             tails[i] = counts[max(begin, len(counts) - a) :]
         del counts[:pad]  # in place: a copy would hold the block twice
-        if wide or max(counts[-first:]) >> 64:
-            wide += counts
-        else:
-            packed = _joined(packed, counts, first)
-    return _joined(packed, wide, first) if wide else packed
-
-
-def _joined(table: Sequence[int], new: Sequence[int], first: int) -> Sequence[int]:
-    """table followed by new, in the narrowest form that holds both: an
-    unsigned array of 4-byte items, of 8-byte items once a count passes
-    2^32 - 1, or a tuple past 2^64 - 1.  An array is extended in place.
-
-    p(n) <= p(n + first), so new's largest count is among its last first.
-    """
-    top = max(new[-first:], default=0)
-    if type(table) is tuple or top >> 64:
-        return (*table, *new)
-    if top >> 8 * table.itemsize:
-        table = array("Q", table)
-    if type(new) is list:
-        table.fromlist(new)  # a third of extend's time for a list
-    else:
-        table.extend(new)
-    return table
+        if (base - low) % piece == 0:
+            length = min(piece, upper + 1 - base)
+            pieces.append(_Table([bytearray(length) for _ in pieces[-1].planes]))
+        # p(n) <= p(n + first), so the block's largest count is among its last first
+        pieces[-1].put((base - low) % piece, counts, max(counts[-first:]))
+    return _joined(pieces[1:])
 
 
 # Tables keyed by the parts they cover (all of a set but its largest), so
-# (2,3,5,7) and (2,3,5,11) share one: each the narrowest unsigned array that
-# holds its largest count, or a tuple past 2^64 - 1.  Held by admission's rule.
-_TABLES: Dict[Tuple[int, ...], Sequence[int]] = {}
+# (2,3,5,7) and (2,3,5,11) share one.  Held by admission's rule.
+_TABLES: Dict[Tuple[int, ...], _Table] = {}
 
 
-def _nbytes(table: Sequence[int]) -> int:
-    if isinstance(table, array):
-        return table.itemsize * len(table)
-    # Counts grow with n, so the last is about the widest: O(1), not O(len).
-    return sys.getsizeof(table) + len(table) * sys.getsizeof(table[-1])
-
-
-def _counts_up_to(parts: PartSet, upper: int) -> Sequence[int]:
+def _counts_up_to(parts: PartSet, upper: int) -> _Table:
     key = parts.parts[:-1]
     table = admission.recall(_TABLES, key) or ()  # held tables are never empty
     if len(table) <= upper:
         # Extended by at least a quarter; a refused growth keeps the held table.
         grown = min(len(table) * 5 // 4, admission.MAX_TABLE_ENTRIES) - 1
         new = _dp_counts(key, max(upper, grown), table)
-        table = _joined(table, new, key[0]) if table else new
-        return admission.hold(_TABLES, key, table, _nbytes)
+        if table:  # joined from a copy of its list of planes, so a failure leaves it whole
+            new = _joined([_Table(list(table.planes)), new])
+        return admission.hold(_TABLES, key, new, _nbytes)
     return table
 
 
@@ -154,7 +210,7 @@ def oracle_table(parts: PartSet, upper: int) -> Tuple[int, ...]:
     """The full table of counts: entry n is the count for n, 0 <= n <= upper."""
     if upper < 0:
         raise DomainError("table upper bound must be nonnegative")
-    return tuple(_dp_counts(parts.parts, upper))
+    return tuple(_dp_counts(parts.parts, upper).ints())
 
 
 def oracle_count(parts: PartSet, n: int) -> int:
@@ -164,4 +220,4 @@ def oracle_count(parts: PartSet, n: int) -> int:
     largest = parts.parts[-1]
     if parts.k == 1:
         return int(n % largest == 0)
-    return sum(_counts_up_to(parts, n)[n % largest : n + 1 : largest])
+    return _counts_up_to(parts, n).stride_sum(n % largest, n + 1, largest)

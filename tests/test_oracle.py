@@ -1,9 +1,7 @@
 """The dynamic-programming oracle against independent enumeration."""
 
 import functools
-import sys
 import tracemalloc
-from array import array
 from itertools import accumulate
 from operator import itemgetter
 from unittest import mock
@@ -165,9 +163,10 @@ def test_oversized_tables_refused_before_allocating(monkeypatch):
 
 
 def test_cache_bounded_in_bytes(monkeypatch):
-    """Past the byte budget the oldest tables go, never the one just used."""
+    """Past the byte budget the oldest tables go, never the one just used.
+    Every count here is under 256, so each table is one plane, a byte an entry."""
     monkeypatch.setattr(admission, "MAX_TABLE_ENTRIES", 100)
-    monkeypatch.setattr(admission, "MAX_HELD_BYTES", 600)
+    monkeypatch.setattr(admission, "MAX_HELD_BYTES", 150)
     monkeypatch.setattr(oracle, "_TABLES", {})
     lookups = [
         (values, n)
@@ -178,9 +177,10 @@ def test_cache_bounded_in_bytes(monkeypatch):
     for values, n in lookups + lookups[::-1]:
         assert oracle_count(PartSet(values), n) == brute_force_count(values, n)
         tables = list(oracle._TABLES.values())
-        assert all(isinstance(table, array) and table.itemsize == 4 for table in tables)
-        held = sum(4 * len(table) for table in tables)
-        assert held <= 600 or len(tables) == 1
+        assert all(len(table.planes) == 1 for table in tables)
+        held = sum(map(len, tables))
+        assert held == sum(map(oracle._nbytes, tables))
+        assert held <= 150 or len(tables) == 1
         assert list(oracle._TABLES)[-1] == values[:-1]  # the table just used is kept
         held_counts.add(len(tables))
     assert max(held_counts) > 1 and min(held_counts) < 6  # some kept, some dropped
@@ -231,32 +231,52 @@ def test_held_bytes_stay_under_the_budget(monkeypatch):
     assert len(oracle._TABLES) < len(used) and len(waves._SETUPS) < len(setups)
 
 
-# Counts over 1..20 pass 2^32 at n = 141 and 2^64 at n = 658.
+def planes_for(table):
+    """The planes a table's largest count needs, at least one."""
+    return max(1, -(-max(table).bit_length() // 8))
+
+
+def test_held_tables_take_the_bytes_their_counts_need():
+    """Bytes gate: after a verify sweep from cold caches, each held table
+    weighs its length times the bytes its largest count needs, at least one,
+    and all of them less than 0.8 times what items of 4 bytes, or 8 past
+    2^32 - 1, took: 1,949,578 bytes against 2,517,656."""
+    cold_caches()
+    assert run_verify(200, 0, 2, 5, 13, 20000) == ()
+    tables = list(oracle._TABLES.values())
+    counts = [table.ints() for table in tables]
+    assert list(map(oracle._nbytes, tables)) == [len(c) * planes_for(c) for c in counts]
+    items = sum(len(c) * (8 if max(c) >> 32 else 4) for c in counts)
+    assert sum(map(oracle._nbytes, tables)) < 0.8 * items
+
+
+# Counts over 1..20 pass 2^8 at n = 17, 2^32 at n = 141, 2^64 at n = 658.
 WIDE = tuple(range(1, 22))
 
 
 @pytest.mark.parametrize(
-    "values, n, cap, width",
-    [((2, 3, 5), 60, 100, "I"), (WIDE, 200, 700, "Q"), (WIDE, 680, 700, "tuple")],
+    "values, n, cap, planes",
+    [((2, 3, 5), 60, 100, 1), (WIDE, 200, 700, 5), (WIDE, 680, 700, 9)],
 )
 def test_refused_extension_leaves_the_held_table_unchanged(
-    monkeypatch, values, n, cap, width
+    monkeypatch, values, n, cap, planes
 ):
-    """In each width: the held object stays cached, same length, same counts,
-    and a later lookup it covers builds nothing."""
+    """In one plane, five, and nine (past 2^64 - 1): the held object stays
+    cached, same length, same planes, same counts, and a later lookup it
+    covers builds nothing."""
     monkeypatch.setattr(admission, "MAX_TABLE_ENTRIES", cap)
     monkeypatch.setattr(oracle, "_TABLES", {})
     parts = PartSet(values)
     expected = oracle_table(parts, n - 10)[n - 10]
     oracle_count(parts, n)
     (table,) = oracle._TABLES.values()
-    assert (table.typecode if isinstance(table, array) else "tuple") == width
-    before = list(table)
+    assert len(table.planes) == planes
+    before = [bytes(plane) for plane in table.planes]
     with pytest.raises(ResourceLimitError, match=f"cap of {cap}"):
         oracle_count(parts, cap)
     assert oracle._TABLES == {values[:-1]: table}
     assert oracle._TABLES[values[:-1]] is table
-    assert len(table) == n + 1 and list(table) == before
+    assert len(table) == n + 1 and [bytes(plane) for plane in table.planes] == before
 
     def no_build(*args):
         raise AssertionError("a lookup the held table covers built a table")
@@ -281,35 +301,37 @@ def test_refused_extension_leaves_the_held_table_unchanged(
 @example([((2, 3, 5), 700), (WIDE, 100), ((2, 3, 5), 10), (WIDE, 700), (WIDE, 5)], 1)
 def test_extended_tables_equal_a_fresh_build(lookups, block):
     """Any lookups extend a table to what oracle_table builds over the covered
-    parts, in the narrowest unsigned width: 'I', 'Q' past 2^32 - 1, then a
-    tuple past 2^64 - 1.  The explicit examples widen 'I' to 'Q' to a tuple,
-    and 'I' to a tuple at once, under a budget of a few tables' bytes, so
-    tables are dropped in between.  The lookups fill their tables in blocks
-    of `block` entries, whatever the parts, so a growth crosses many blocks
-    and most parts are wider than a block; oracle_table builds at the
-    kernel's own block size."""
+    parts, in as many planes as its largest count needs.  The explicit
+    examples extend a held table from four planes to five, eight and nine,
+    past 2^64 - 1, and build nine planes from one within a build, under a
+    budget of a few tables' bytes, so tables are dropped in between.  The
+    lookups fill their tables in blocks of `block` entries, whatever the
+    parts, so a growth crosses many blocks and most parts are wider than a
+    block, and pack each block 3 entries at a time; oracle_table builds at
+    the kernel's own block sizes."""
     with mock.patch.object(admission, "MAX_HELD_BYTES", 300), mock.patch.object(
         oracle, "_TABLES", {}
     ):
         for values, n in lookups:
             parts, key = PartSet(values), values[:-1]
-            with mock.patch.multiple(oracle, _BLOCK_ENTRIES=block, _BLOCK_SPANS=0):
+            with mock.patch.multiple(
+                oracle, _BLOCK_ENTRIES=block, _BLOCK_SPANS=0, _PACK_ENTRIES=3
+            ):
                 count = oracle_count(parts, n)
             assert type(count) is int and count == oracle_table(parts, n)[n]
             table = oracle._TABLES[key]
             assert len(table) > n
-            assert tuple(table) == oracle_table(PartSet(key), len(table) - 1)
-            width = table.typecode if isinstance(table, array) else "tuple"
-            top = max(table)
-            assert width == ("tuple" if top >> 64 else "Q" if top >> 32 else "I")
+            counts = table.ints()
+            assert tuple(counts) == oracle_table(PartSet(key), len(table) - 1)
+            assert len(table.planes) == planes_for(counts)
 
 
 def test_cold_build_peaks_near_its_packed_table(monkeypatch):
     """Memory gate: a build holds its packed entries and one block as ints, so
     a cold count's traced peak stays under 1.5 times the table it leaves held.
-    The table over (1, 2, 3, 5) widens from 'I' to 'Q' during the build.  Its
-    peak is 1.29 times its 0.76 MiB; filling the whole growth as ints before
-    packing it peaked at 7.01 times."""
+    The table over (1, 2, 3, 5) widens plane by plane to six during the build.
+    Its peak is 1.39 times its 0.57 MiB; filling the whole growth as ints
+    before packing it peaked at 7.01 times 'Q' items' 0.76 MiB."""
     monkeypatch.setattr(oracle, "_TABLES", {})
     parts, n = PartSet.of(1, 2, 3, 5, 7), 10 ** 5
     tracemalloc.start()
@@ -319,15 +341,15 @@ def test_cold_build_peaks_near_its_packed_table(monkeypatch):
     finally:
         tracemalloc.stop()
     (table,) = oracle._TABLES.values()
-    assert table.typecode == "Q" and len(table) == n + 1
     assert peak < 1.5 * oracle._nbytes(table)
+    assert oracle._nbytes(table) == 6 * (n + 1)
     assert count == waves_count(parts, n)
 
 
 def test_wide_parts_fill_a_growth_in_few_accumulates(monkeypatch):
     """Work gate: a block spans at least 64 times the parts the passes stride
     by, so the table over (7, 50000) to n = 2*10^6 is one block, one
-    accumulate per residue of 50000: 50,000 calls, and the bound is 4 times
+    accumulate per residue of 50000: 50,000 calls, and the bound is twice
     that.  Blocks of 16 times made 150,000 calls in 3 blocks, and blocks of a
     fixed 4,096 entries 24.2M."""
     calls = 0
@@ -346,7 +368,7 @@ def test_wide_parts_fill_a_growth_in_few_accumulates(monkeypatch):
         for j in range((n - 99991 * i) // 50000 + 1)
     )
     assert oracle_count(PartSet.of(7, 50000, 99991), n) == count
-    assert calls <= 4 * 50_000
+    assert calls <= 2 * 50_000
 
 
 def test_sweep_extends_one_table(monkeypatch):
@@ -417,30 +439,21 @@ def test_shared_tables_exact_under_a_small_byte_budget(shared, lookups):
 
 
 @pytest.mark.parametrize(
-    "values, n, typecode, low, high",
-    [
-        ((2, 3, 5, 7), 1000, "I", 0, 2 ** 32),
-        ((1, 2, 3, 4, 5, 6), 2000, "Q", 2 ** 32, 2 ** 64),
-        (tuple(range(1, 10)), 10 ** 4, None, 2 ** 64, None),
-    ],
+    "values, n, planes",
+    [((2, 3, 5, 7), 1000, 2), ((1, 2, 3, 4, 5, 6), 2000, 5), (tuple(range(1, 10)), 10 ** 4, 9)],
 )
-def test_table_stored_in_the_narrowest_width(monkeypatch, values, n, typecode, low, high):
-    """Each width holds the same counts as the full tuple table."""
+def test_table_stored_in_the_narrowest_width(monkeypatch, values, n, planes):
+    """Each count takes as many bytes as the table's largest needs, past 8 too,
+    and the planes hold the same counts as the full tuple table."""
     monkeypatch.setattr(oracle, "_TABLES", {})
     parts = PartSet(values)
     count = oracle_count(parts, n)
     (table,) = oracle._TABLES.values()
-    if typecode is None:
-        assert type(table) is tuple
-    else:
-        assert isinstance(table, array) and table.typecode == typecode
-    assert low <= max(table) and (high is None or max(table) < high)
-    assert tuple(table) == oracle_table(PartSet(parts.parts[:-1]), len(table) - 1)
-    if typecode is None:
-        real = sys.getsizeof(table) + sum(map(sys.getsizeof, table))
-    else:
-        real = table.itemsize * len(table)
-    assert real <= oracle._nbytes(table) <= 1.1 * real
+    counts = table.ints()
+    assert 2 ** (8 * planes - 8) <= max(counts) < 2 ** (8 * planes)
+    assert tuple(counts) == oracle_table(PartSet(parts.parts[:-1]), len(table) - 1)
+    assert [len(plane) for plane in table.planes] == [len(table)] * planes
+    assert oracle._nbytes(table) == planes * len(table)
     full = oracle_table(parts, n)
     assert type(count) is int and count == full[n]
     for m in range(0, n, n // 50):
@@ -449,35 +462,35 @@ def test_table_stored_in_the_narrowest_width(monkeypatch, values, n, typecode, l
 
 
 @pytest.mark.parametrize(
-    "top, typecode, itemsize",
-    [
-        (2 ** 32 - 1, "I", 4),
-        (2 ** 32, "Q", 8),
-        (2 ** 64 - 1, "Q", 8),
-        (2 ** 64, None, None),
-    ],
+    "top, planes",
+    [(0, 1)] + [(2 ** (8 * k) - 1 + j, k + j) for k in range(1, 10) for j in (0, 1)],
 )
-def test_width_boundaries(monkeypatch, top, typecode, itemsize):
-    """A table is widened only once a count no longer fits its unsigned items.
+def test_width_boundaries(monkeypatch, top, planes):
+    """A table gains a plane only once a count no longer fits its bytes, at
+    every byte boundary, 2^64 and 2^72 included.
 
     The kernel is stubbed to return top everywhere, packed by the rule the
     real kernel packs each block by, so each limit is met exactly: fresh, and
-    when a held 'I' table is extended.
+    when a held one-plane table is extended.
     """
 
     def kernel(parts, upper, held=()):
-        return oracle._joined(array("I"), [top] * (upper + 1 - len(held)), 1)
+        table = oracle._Table([bytearray(upper + 1 - len(held))])
+        table.put(0, [top] * len(table), top)
+        return table
 
     monkeypatch.setattr(oracle, "_dp_counts", kernel)
     for held in ([], [5, 7]):
-        monkeypatch.setattr(oracle, "_TABLES", {(1,): array("I", held)} if held else {})
-        oracle_count(PartSet.of(1, 2), 3)
+        tables = {}
+        if held:
+            tables[(1,)] = oracle._Table([bytearray(len(held))])
+            tables[(1,)].put(0, held, max(held))
+        monkeypatch.setattr(oracle, "_TABLES", tables)
+        counts = held + [top] * (4 - len(held))
+        assert oracle_count(PartSet.of(1, 2), 3) == counts[1] + counts[3]
         table = oracle._TABLES[(1,)]
-        assert list(table) == held + [top] * (4 - len(held))
-        if typecode is None:
-            assert type(table) is tuple
-        else:
-            assert table.typecode == typecode and table.itemsize == itemsize
+        assert table.ints() == counts
+        assert len(table.planes) == planes and oracle._nbytes(table) == 4 * planes
 
 
 @settings(max_examples=60)
@@ -501,7 +514,7 @@ def test_parts_past_n_add_nothing(small, large, ns):
             below = [a for a in parts if a <= n] or parts.parts[:1]
             assert oracle_count(parts, n) == brute_force_count(below, n)
             assert oracle_table(parts, n) == oracle_table(PartSet(tuple(below)), n)
-            assert tuple(oracle._TABLES[parts.parts[:-1]])[: n + 1] == oracle_table(
+            assert tuple(oracle._TABLES[parts.parts[:-1]].ints()[: n + 1]) == oracle_table(
                 PartSet(parts.parts[:-1]), n
             )
 
@@ -521,16 +534,16 @@ def test_parts_past_n_allocate_nothing():
 
 # Part sets that share an oracle key in pairs, (2,3,5,7) and (2,3,5,11) share
 # (2,3,5), each with the largest n drawn for it and the n at which the counts
-# over its key first pass 2^32 - 1 and 2^64 - 1, where a held table widens.
+# over its key first pass 2^(8k) - 1, where a held table gains its k+1-th plane.
 HELD_POOL = {
     (7,): (300, ()),
     (3, 4): (600, ()),
-    (2, 3, 5, 7): (3000, ()),
-    (2, 3, 5, 11): (3000, ()),
-    (1, 2, 3, 5, 7, 11): (4000, (2148,)),
-    (1, 2, 3, 5, 7, 13): (4000, (2148,)),
-    (1, 2, 3, 5, 7, 11, 13, 17, 19): (14000, (497, 12463)),
-    (1, 2, 3, 5, 7, 11, 13, 17, 23): (14000, (497, 12463)),
+    (2, 3, 5, 7): (3000, (119, 1978)),
+    (2, 3, 5, 11): (3000, (119, 1978)),
+    (1, 2, 3, 5, 7, 11): (4000, (26, 126, 531, 2148)),
+    (1, 2, 3, 5, 7, 13): (4000, (26, 126, 531, 2148)),
+    (1, 2, 3, 5, 7, 11, 13, 17, 19): (14000, (23, 80, 210, 497, 1131, 2533, 5628, 12463)),
+    (1, 2, 3, 5, 7, 11, 13, 17, 23): (14000, (23, 80, 210, 497, 1131, 2533, 5628, 12463)),
 }
 
 
@@ -557,7 +570,8 @@ def held_pool_lookups(draw):
 class HeldCaches(RuleBasedStateMachine):
     """Oracle and waves counts in any order, under any byte budget from 64 B to
     16 MiB, equal the full table.  Each held oracle table, however it was
-    extended, widened or dropped, is a prefix of it in the narrowest form."""
+    extended, widened or dropped, is a prefix of it in as many planes as its
+    largest count needs."""
 
     @initialize(budget=st.integers(64, 16 << 20))
     def cold_start(self, budget):
@@ -570,7 +584,7 @@ class HeldCaches(RuleBasedStateMachine):
         values, n = case
         assert oracle_count(PartSet(values), n) == held_pool_table(values)[n]
         if held := oracle._TABLES.get(values[:-1]):
-            assert tuple(held) == held_pool_table(values[:-1])[: len(held)]
+            assert tuple(held.ints()) == held_pool_table(values[:-1])[: len(held)]
 
     @rule(case=held_pool_lookups())
     def waves_lookup(self, case):
@@ -581,9 +595,7 @@ class HeldCaches(RuleBasedStateMachine):
     def held_narrowest_within_budget(self):
         tables = list(oracle._TABLES.values())
         for table in tables:
-            width = max(table).bit_length()
-            form = "tuple" if type(table) is tuple else table.typecode
-            assert form == ("I" if width <= 32 else "Q" if width <= 64 else "tuple")
+            assert len(table.planes) == planes_for(table.ints())
         assert len(tables) <= 1 or sum(map(oracle._nbytes, tables)) <= admission.MAX_HELD_BYTES
 
     def teardown(self):

@@ -37,10 +37,8 @@ LEDGER = {
         "k <= 5 makes section3's order at most 3, which reads T_1 only",
     ("_tangent_numbers", "for j in range(k, count + 1):"): "as above: T_1 only",
     ("_tangent_numbers", "t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]"): "as above: T_1 only",
-    ("_dp_counts", "wide += counts"): "counts past 2^64 - 1 need n far past 4P",
-    ("_joined", "return (*table, *new)"): "as above: tuple tables only",
-    ("_nbytes", "return sys.getsizeof(table) + len(table) * sys.getsizeof(table[-1])"):
-        "as above: tuple tables only",
+    ("_Table.put", "chunk = [v >> 64 for v in chunk]"):
+        "counts past 2^64 - 1, over eight planes, need n far past 4P",
     ("oracle_table", None): "the full table, which only the tests read",
     ("BBPoly.at", None): "bb only; the routes read beta through numerators_at",
     ("lowest_terms", None): "bb's printer",

@@ -2,12 +2,11 @@
 
 import re
 import shlex
-from array import array
 from pathlib import Path
 
 import pytest
 
-from denumerant import admission, cli
+from denumerant import admission, cli, oracle
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -46,10 +45,11 @@ def test_command_line_examples_print_as_shown(capsys, argv, expected):
 
 
 def test_oracle_memory_note_matches_the_code():
-    """The budget and the width limits the README states are the module's."""
+    """The budget and the build's block sizes the README states are the modules'."""
     text = " ".join(README.read_text().split())
     budgets = re.findall(r"held to a (\d+) MiB budget|Past (\d+) MiB held", text)
     assert len(budgets) == 2
     assert {int(a or b) << 20 for a, b in budgets} == {admission.MAX_HELD_BYTES}
-    limits = [2 ** int(e) - 1 for e in re.findall(r"passes 2\^(\d+) − 1", text)]
-    assert limits == [2 ** (8 * array(c).itemsize) - 1 for c in "IQ"]
+    blocks = re.search(r"blocks of at least ([\d,]+) entries and at least (\d+) times", text)
+    entries, spans = int(blocks[1].replace(",", "")), int(blocks[2])
+    assert (entries, spans) == (oracle._BLOCK_ENTRIES, oracle._BLOCK_SPANS)
