@@ -31,6 +31,7 @@ as 4- and 8-byte items.
 from __future__ import annotations
 
 import sys
+import zlib
 from array import array
 from itertools import accumulate
 from typing import Dict, List, Sequence, Tuple
@@ -62,11 +63,8 @@ _BLOCK_SPANS = 64
 # entries at a time.
 _PACK_ENTRIES = 1 << 10
 _LIMB = (1 << 64) - 1
-
-
-def _byte(i: int) -> int:
-    """The offset of byte i, counted from the low end, in a native 8-byte item."""
-    return i if sys.byteorder == "little" else 7 - i
+# The offset of each byte, from the low end, in a native 8-byte item.
+_OFFSETS = range(8) if sys.byteorder == "little" else range(7, -1, -1)
 
 
 class _Table:
@@ -82,16 +80,28 @@ class _Table:
         return len(self.planes[0])
 
     def stride_sum(self, start: int, stop: int, step: int) -> int:
-        """sum(entries[start:stop:step]): one sum of bytes per plane."""
-        return sum(sum(plane[start:stop:step]) << 8 * i for i, plane in enumerate(self.planes))
+        """sum(entries[start:stop:step]), as sums of bytes, plane by plane.
+
+        Bytes are summed in C, 256 at a time: with 0 to start from, adler32's
+        low 16 bits are the sum of its bytes mod 65,521, and 256 bytes sum to
+        at most 65,280.  On the held tables, the lookups of the 75 seed-0
+        verify-sweep ops took 0.78-0.86 times as long so as sums over 4- and
+        8-byte items, and 1.19 times as long with sum() over each plane.
+        """
+        total = 0
+        for i, plane in enumerate(self.planes):
+            data = plane[start:stop:step]
+            for j in range(0, len(data), 256):
+                total += (zlib.adler32(data[j : j + 256], 0) & 0xFFFF) << 8 * i
+        return total
 
     def ints(self, start: int = 0) -> List[int]:
         """Entries start.. as ints, read eight planes at a time."""
         values = None
         for base in reversed(range(0, len(self.planes), 8)):
             words = bytearray(8 * (len(self) - start))
-            for i, plane in enumerate(self.planes[base : base + 8]):
-                words[_byte(i) :: 8] = plane[start:]
+            for offset, plane in zip(_OFFSETS, self.planes[base : base + 8]):
+                words[offset::8] = plane[start:]
             limbs = array("Q", words).tolist()
             values = limbs if values is None else [v << 64 | w for v, w in zip(values, limbs)]
         return values
@@ -109,8 +119,8 @@ class _Table:
                 words = array("Q")  # fromlist: two thirds of the constructor's time
                 words.fromlist([v & _LIMB for v in chunk] if more else chunk)
                 raw = words.tobytes()
-                for i, plane in enumerate(self.planes[base : base + 8]):
-                    plane[where] = raw[_byte(i) :: 8]
+                for offset, plane in zip(_OFFSETS, self.planes[base : base + 8]):
+                    plane[where] = raw[offset::8]
                 if more:
                     chunk = [v >> 64 for v in chunk]
 
@@ -129,7 +139,7 @@ def _joined(tables: List[_Table]) -> _Table:
 
 
 def _nbytes(table: _Table) -> int:
-    return len(table) * len(table.planes)
+    return len(table.planes[0]) * len(table.planes)  # admission.hold calls it often
 
 
 def _dp_counts(parts: Sequence[int], upper: int, held: _Table | Tuple[()] = ()) -> _Table:

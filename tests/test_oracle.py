@@ -493,6 +493,22 @@ def test_width_boundaries(monkeypatch, top, planes):
         assert len(table.planes) == planes and oracle._nbytes(table) == 4 * planes
 
 
+@given(
+    st.lists(st.integers(0, 2 ** 24 - 1) | st.just(2 ** 24 - 1), min_size=1, max_size=1200),
+    st.integers(0, 5),
+    st.integers(1, 4),
+)
+@example([2 ** 24 - 1] * 1200, 0, 1)  # every byte 255, 1,200 to a plane
+@example([255] * 257, 0, 1)
+def test_stride_sums_equal_sums_of_the_counts(counts, start, step):
+    """Bytes are summed 256 at a time, at most 65,280 each time, so a plane's
+    stride sum is exact at its largest bytes and past 256 of them."""
+    table = oracle._Table([bytearray(len(counts))])
+    table.put(0, counts, max(counts))
+    for stop in (len(counts), len(counts) // 2):
+        assert table.stride_sum(start, stop, step) == sum(counts[start:stop:step])
+
+
 @settings(max_examples=60)
 @given(
     st.sets(st.integers(min_value=1, max_value=12), min_size=1, max_size=3),
