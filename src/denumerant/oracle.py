@@ -56,12 +56,11 @@ _BLOCK_SPANS = 64
 # yet filled, and a join the table and one plane more.  `count --parts
 # 2,3,5000,7919 --n 2000000` peaks at 36.4 MB RSS so, at 38.1 MB with the
 # whole growth allocated first, and at 39.6 MB with planes grown a chunk at a
-# time.  A block is packed _PACK_ENTRIES entries at a time, eight planes at a
-# time, through an array of unsigned 8-byte items ('B' and 'H' arrays fill
-# from a list at a third of the speed); the cold build of (1, 2, 3, 5) to
-# 10^5 peaks at 1.29 times its planes so, and at 1.39 times when packed 4,096
-# entries at a time.
-_PACK_ENTRIES = 1 << 10
+# time.  A block is packed _BLOCK_ENTRIES entries at a time, eight planes at
+# a time, through an array of unsigned 8-byte items: 'B' and 'H' arrays fill
+# from a list at a quarter of the speed, and 'Q' at a third of the speed of
+# 'L' once counts pass 2^32.
+_WORD = "L" if array("L").itemsize == 8 else "Q"
 _LIMB = (1 << 64) - 1
 # The offset of each byte, from the low end, in a native 8-byte item.
 _OFFSETS = range(8) if sys.byteorder == "little" else range(7, -1, -1)
@@ -102,7 +101,7 @@ class _Table:
             words = bytearray(8 * (len(self) - start))
             for offset, plane in zip(_OFFSETS, self.planes[base : base + 8]):
                 words[offset::8] = plane[start:]
-            limbs = array("Q", words).tolist()
+            limbs = array(_WORD, words).tolist()
             values = limbs if values is None else [v << 64 | w for v, w in zip(values, limbs)]
         return values
 
@@ -111,12 +110,12 @@ class _Table:
         their largest, top, needs past the planes held."""
         while top >> 8 * len(self.planes):
             self.planes.append(bytearray(len(self)))
-        for start in range(0, len(counts), _PACK_ENTRIES):
-            chunk = counts[start : start + _PACK_ENTRIES]
+        for start in range(0, len(counts), _BLOCK_ENTRIES):
+            chunk = counts[start : start + _BLOCK_ENTRIES]
             where = slice(at + start, at + start + len(chunk))
             for base in range(0, len(self.planes), 8):
                 more = base + 8 < len(self.planes)
-                words = array("Q")  # fromlist: two thirds of the constructor's time
+                words = array(_WORD)  # fromlist: two thirds of the constructor's time
                 words.fromlist([v & _LIMB for v in chunk] if more else chunk)
                 raw = words.tobytes()
                 for offset, plane in zip(_OFFSETS, self.planes[base : base + 8]):
@@ -195,6 +194,7 @@ def _dp_counts(parts: Sequence[int], upper: int, held: _Table | Tuple[()] = ()) 
             pieces.append(_Table([bytearray(length) for _ in pieces[-1].planes]))
         # p(n) <= p(n + first), so the block's largest count is among its last first
         pieces[-1].put((base - low) % piece, counts, max(counts[-first:]))
+    del counts, tails  # the last block's ints go before the join takes a plane more
     return _joined(pieces[1:])
 
 

@@ -307,16 +307,13 @@ def test_extended_tables_equal_a_fresh_build(lookups, block):
     budget of a few tables' bytes, so tables are dropped in between.  The
     lookups fill their tables in blocks of `block` entries, whatever the
     parts, so a growth crosses many blocks and most parts are wider than a
-    block, and pack each block 3 entries at a time; oracle_table builds at
-    the kernel's own block sizes."""
+    block; oracle_table builds at the kernel's own block size."""
     with mock.patch.object(admission, "MAX_HELD_BYTES", 300), mock.patch.object(
         oracle, "_TABLES", {}
     ):
         for values, n in lookups:
             parts, key = PartSet(values), values[:-1]
-            with mock.patch.multiple(
-                oracle, _BLOCK_ENTRIES=block, _BLOCK_SPANS=0, _PACK_ENTRIES=3
-            ):
+            with mock.patch.multiple(oracle, _BLOCK_ENTRIES=block, _BLOCK_SPANS=0):
                 count = oracle_count(parts, n)
             assert type(count) is int and count == oracle_table(parts, n)[n]
             table = oracle._TABLES[key]
