@@ -54,7 +54,7 @@ _BLOCK_SPANS = 64
 # the growth and allocated when its first block is packed, and the pieces are
 # joined plane by plane at the end.  A build so holds at most one piece not
 # yet filled, and a join the table and one plane more.  `count --parts
-# 2,3,5000,7919 --n 2000000` peaks at 36.4 MB RSS so, at 38.1 MB with the
+# 2,3,5000,7919 --n 2000000` peaks at 36.5 MB RSS so, at 38.1 MB with the
 # whole growth allocated first, and at 39.6 MB with planes grown a chunk at a
 # time.  A block is packed _BLOCK_ENTRIES entries at a time, eight planes at
 # a time, through an array of unsigned 8-byte items: 'B' and 'H' arrays fill
@@ -83,9 +83,9 @@ class _Table:
 
         Bytes are summed in C, 256 at a time: with 0 to start from, adler32's
         low 16 bits are the sum of its bytes mod 65,521, and 256 bytes sum to
-        at most 65,280.  On the held tables, the lookups of the 75 seed-0
-        verify-sweep ops took 0.78-0.86 times as long so as sums over 4- and
-        8-byte items, and 1.19 times as long with sum() over each plane.
+        at most 65,280.  On held tables, the lookups of the 75 seed-0
+        verify-sweep ops take 0.78-0.86 times as long as sums over 4- and
+        8-byte items did, where sum() over each plane's bytes took 1.19 times.
         """
         total = 0
         for i, plane in enumerate(self.planes):
