@@ -62,8 +62,8 @@ PANEL = (
     Mutant("waves-off-by-one-from-P", "src/denumerant/waves.py",
            "    return count\n", "    return count + (n >= parts.product)\n", "e774d71"),
     Mutant("widening-threshold", "src/denumerant/oracle.py",
-           "while top >> 8 * len(self.planes):", "while top >> 8 * (len(self.planes) + 1):",
-           "a53e92a"),
+           "while top >> 8 * len(self.planes) > 0:",
+           "while top >> 8 * (len(self.planes) + 1) > 0:", "a53e92a"),
     Mutant("window-one-late", "src/denumerant/oracle.py",
            "window = held.ints(max(low - span, 0))",
            "window = held.ints(max(low - span, 0) + 1)", "a53e92a"),

@@ -107,8 +107,9 @@ class _Table:
 
     def put(self, at: int, counts: List[int], top: int) -> None:
         """Write counts to entries at.., adding a zero plane for each byte
-        their largest, top, needs past the planes held."""
-        while top >> 8 * len(self.planes):
+        their largest, top, needs past the planes held.  A negative count
+        adds no plane: the unsigned items refuse it."""
+        while top >> 8 * len(self.planes) > 0:
             self.planes.append(bytearray(len(self)))
         for start in range(0, len(counts), _BLOCK_ENTRIES):
             chunk = counts[start : start + _BLOCK_ENTRIES]
@@ -125,13 +126,13 @@ class _Table:
 
 
 def _joined(tables: List[_Table]) -> _Table:
-    """The entries of tables in turn, in as many planes as the last, which has
-    the most.  Each plane is joined, and taken from the tables, before the
-    next: a join holds the tables and one plane more, and empties them."""
+    """The entries of tables in turn, in as many planes as the widest.  Each
+    plane is joined, and taken from the tables, before the next: a join holds
+    the tables and one plane more, and empties them."""
     if len(tables) == 1:
         return tables[0]
     lengths, joined = [len(table) for table in tables], _Table([])
-    for _ in range(len(tables[-1].planes)):
+    for _ in range(max(len(table.planes) for table in tables)):
         column = [t.planes.pop(0) if t.planes else bytes(m) for t, m in zip(tables, lengths)]
         joined.planes.append(bytearray().join(column))
     return joined
@@ -143,7 +144,7 @@ def _nbytes(table: _Table) -> int:
 
 def _dp_counts(parts: Sequence[int], upper: int, held: _Table | Tuple[()] = ()) -> _Table:
     """Entries len(held)..upper of the table over parts, resuming from held,
-    in at least held's planes.
+    in as many planes as they need.
 
     The pass for part a resumes from its last min(a, len(held)) entries below
     len(held).  They come from held's last sum(parts[1:]) entries by
@@ -175,7 +176,7 @@ def _dp_counts(parts: Sequence[int], upper: int, held: _Table | Tuple[()] = ()) 
         ]
     tails.reverse()
     piece = size * -(-(upper + 1 - low) // (8 * size))  # whole blocks, an eighth or more
-    pieces = [held]
+    pieces = []
     for base in range(low, upper + 1, size):
         # counts[pad:] are entries base..; the pass for a reads its tail below
         pad = max(map(len, tails), default=0)
@@ -190,12 +191,11 @@ def _dp_counts(parts: Sequence[int], upper: int, held: _Table | Tuple[()] = ()) 
             tails[i] = counts[max(begin, len(counts) - a) :]
         del counts[:pad]  # in place: a copy would hold the block twice
         if (base - low) % piece == 0:
-            length = min(piece, upper + 1 - base)
-            pieces.append(_Table([bytearray(length) for _ in pieces[-1].planes]))
+            pieces.append(_Table([bytearray(min(piece, upper + 1 - base))]))
         # p(n) <= p(n + first), so the block's largest count is among its last first
         pieces[-1].put((base - low) % piece, counts, max(counts[-first:]))
     del counts, tails  # the last block's ints go before the join takes a plane more
-    return _joined(pieces[1:])
+    return _joined(pieces)
 
 
 # Tables keyed by the parts they cover (all of a set but its largest), so
