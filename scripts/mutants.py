@@ -12,8 +12,11 @@ and is replaced.  Each copy runs
     python -m pytest -x -v -p no:cacheprovider --hypothesis-seed=0 \
         --ignore=tests/test_mutants.py
 
-with PYTHONPATH=src and PYTHONDONTWRITEBYTECODE=1.  A check kills a mutant
-when it exits nonzero; a run past its timeout kills nothing.  Hypothesis is
+with PYTHONPATH=src and PYTHONDONTWRITEBYTECODE=1, its address space capped
+at MEMORY_LIMIT by RLIMIT_AS, so that a mutant which allocates without end
+ends in MemoryError and not in the host's OOM killer.  A check kills a mutant
+when it exits nonzero, recorded as "killed (memory limit)" when its output
+names a MemoryError; a run past its timeout kills nothing.  Hypothesis is
 seeded so that a test two trees share draws the same examples in both, and
 pytest is verbose so that each test's id and outcome are printed as it ends,
 even when the report of a failure fails itself.  tests/test_mutants.py is
@@ -29,17 +32,21 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import shutil
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence, Union
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from ab_pairs import ROOT, export  # noqa: E402
 
 TIMEOUT_S = 900
+# Tier-1 and verify each pass with half of this address space (ulimit -v).
+MEMORY_LIMIT = 1 << 30
+MEMORY_KILL = "killed (memory limit)"
 
 
 class Mutant(NamedTuple):
@@ -103,6 +110,12 @@ PANEL = (
     Mutant("fail-line-drops-parts", "src/denumerant/verify.py",
            'f"FAIL {failure.check} parts={list(failure.parts.parts)}"',
            'f"FAIL {failure.check}"', "panel"),
+    Mutant("served-second-sum-one-late", "src/denumerant/oracle.py",
+           "_sum_down(held, n - x, largest)", "_sum_down(held, n - x + 1, largest)", "panel"),
+    Mutant("wider-table-one-entry-short", "src/denumerant/oracle.py",
+           "if len(_TABLES.get(wider, ())) > n:", "if len(_TABLES.get(wider, ())) >= n:", "panel"),
+    Mutant("hold-keeps-replaced-weight", "src/denumerant/admission.py",
+           "cache.bytes -= weigh(old)", "cache.bytes -= 0", "panel"),
 )
 
 VERIFY = ("-m", "denumerant", "verify", "--trials", "500", "--seed", "0")
@@ -120,13 +133,26 @@ def apply(mutant: Mutant, tree: Path) -> None:
     path.write_text(text.replace(mutant.old, mutant.new))
 
 
+def cap_memory() -> None:
+    """In a check's child, before it runs: cap its address space."""
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_LIMIT, MEMORY_LIMIT))
+
+
 def run_check(tree: Path, args: Sequence[str]) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
     try:
-        return subprocess.run([sys.executable, *args], cwd=tree, env=env,
+        return subprocess.run([sys.executable, *args], cwd=tree, env=env, preexec_fn=cap_memory,
                               capture_output=True, text=True, timeout=TIMEOUT_S)
     except subprocess.TimeoutExpired:
         return subprocess.CompletedProcess(args, None, "", f"timeout after {TIMEOUT_S} s")
+
+
+def killed(proc: subprocess.CompletedProcess) -> Union[bool, str]:
+    """Whether the check killed its mutant: MEMORY_KILL when it failed on the
+    memory cap, False when it passed or timed out."""
+    if proc.returncode in (0, None):
+        return False
+    return MEMORY_KILL if "MemoryError" in proc.stdout + proc.stderr else True
 
 
 def first_failure(proc: subprocess.CompletedProcess) -> Optional[str]:
@@ -149,8 +175,8 @@ def first_failure(proc: subprocess.CompletedProcess) -> Optional[str]:
 def run_tree(tree: Path) -> dict:
     verify, tier1 = run_check(tree, VERIFY), run_check(tree, TIER1)
     return {
-        "verify_killed": verify.returncode not in (0, None),
-        "tier1_killed": tier1.returncode not in (0, None),
+        "verify_killed": killed(verify),
+        "tier1_killed": killed(tier1),
         "first_failure": first_failure(tier1),
     }
 

@@ -35,29 +35,46 @@ MAX_TABLE_ENTRIES = 50_000_000
 # the default of Python's int-to-str limit.  Counts print at any length.
 MAX_DIGITS = 4_300
 
-# The bytes each cache of recent results holds: the oracle's tables and the
-# waves' set-ups.  16 MiB holds the tables the 75 seed-0 verify-sweep ops reuse
-# (at most 8.5 MiB as byte planes, 12.5 MiB as 4- and 8-byte items), so they
-# make 576 kernel calls filling 2.24M entries; under 10 MiB the 4- and 8-byte
-# items made 691 filling 3.14M.
+# The bytes each cache of recent results holds: the oracle's tables, its index
+# of wider tables, and the waves' set-ups.  16 MiB holds the tables the 75
+# seed-0 verify-sweep ops reuse (at most 7.16 MiB as byte planes, 10.54 MiB as
+# 4- and 8-byte items), so they make 264 kernel calls filling 1.72M entries.
+# When each key's own table was built they held 8.50 MiB in 576 calls filling
+# 2.24M; under 10 MiB the 4- and 8-byte items then made 691 filling 3.14M.
 MAX_HELD_BYTES = 16 << 20
 
 
-def recall(cache: dict, key: tuple) -> Any:
+class Held(dict):
+    """A cache of recent results, oldest first, that ``hold`` keeps to
+    MAX_HELD_BYTES: bytes is the running total of its entries' weights.  Only
+    ``recall`` and ``hold`` write to it, and ``clear`` empties it."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.bytes = 0
+
+    def clear(self) -> None:
+        super().clear()
+        self.bytes = 0
+
+
+def recall(cache: Held, key: tuple) -> Any:
     """The value cache holds at key, moved to be the newest entry, or None."""
     if (value := cache.pop(key, None)) is not None:
         cache[key] = value
     return value
 
 
-def hold(cache: dict, key: tuple, value: Any, weigh: Callable[[Any], int]) -> Any:
+def hold(cache: Held, key: tuple, value: Any, weigh: Callable[[Any], int]) -> Any:
     """Store value as the newest entry of cache, then drop the oldest others while
     the held weights, in bytes by weigh, pass MAX_HELD_BYTES: only the entry just
-    stored may pass the budget alone."""
-    cache.pop(key, None)
-    held = weigh(value) + sum(map(weigh, cache.values()))
-    while cache and held > MAX_HELD_BYTES:
-        held -= weigh(cache.pop(next(iter(cache))))
+    stored may pass the budget alone.  A store weighs the value, the value it
+    replaces and each value it drops, no other."""
+    if (old := cache.pop(key, None)) is not None:
+        cache.bytes -= weigh(old)
+    cache.bytes += weigh(value)
+    while cache and cache.bytes > MAX_HELD_BYTES:
+        cache.bytes -= weigh(cache.pop(next(iter(cache))))
     cache[key] = value
     return value
 

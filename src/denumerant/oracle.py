@@ -12,19 +12,29 @@ table over the other parts, and the count is the stride sum
     p_A(n) = sum over j >= 0 of p_{A without a_max}(n - j * a_max),
 
 so a k-part count costs k - 2 prefix-sum passes and one sum of n / a_max
-entries, and a one-part count is [a | n] and reads no table.  A cached table
-too short for n is extended: each pass resumes its prefix sums from the
-table's last entries.  Counts are never negative, so a table is stored as
-byte planes, as many as its largest count needs: plane i holds byte i of
-every entry, so each count takes that many bytes, past 8 too, and a stride
-sum is one sum of bytes per plane.  The cached tables are held to
-admission.MAX_HELD_BYTES.  oracle_table builds the full table as an uncached
-tuple.  A table longer than admission.MAX_TABLE_ENTRIES is refused before it
-is allocated.
+entries, and a one-part count is [a | n] and reads no table.
+
+A held table over the other parts K and one part x more serves K too: since
+1 / prod over K of (1 - t^a) is (1 - t^x) / prod over K and x,
+p_K(m) = p_{K+x}(m) - p_{K+x}(m - x), so the count is S(n) - S(n - x), with
+S the stride sum over the wider table and S(m) = 0 for m < 0.  When K's own
+table is not held or is too short for n, a held table one part wider that
+reaches n answers, found through an index of each key's held keys one part
+wider.  Only when none does is K's table built, or extended: each pass
+resumes its prefix sums from the table's last entries.  The 75 seed-0
+verify-sweep ops so make 264 builds filling 1,722,179 entries, where
+building K's own table every time made 576 filling 2,238,131.
+
+Counts are never negative, so a table is stored as byte planes, as many as
+its largest count needs: plane i holds byte i of every entry, so each count
+takes that many bytes, past 8 too, and a stride sum is one sum of bytes per
+plane.  The cached tables and the index are held to admission.MAX_HELD_BYTES.
+oracle_table builds the full table as an uncached tuple.  A table longer
+than admission.MAX_TABLE_ENTRIES is refused before it is allocated.
 
 A build fills its entries block by block and packs each block before the
 next, so it holds the packed table plus one block of ints.  As planes, the
-tables the 75 seed-0 verify-sweep ops hold weigh 8.50 MiB, against 12.51 MiB
+tables the 75 seed-0 verify-sweep ops hold weigh 7.16 MiB, against 10.54 MiB
 as 4- and 8-byte items.
 """
 
@@ -33,8 +43,8 @@ from __future__ import annotations
 import sys
 import zlib
 from array import array
-from itertools import accumulate
-from typing import Dict, List, Sequence, Tuple
+from itertools import accumulate, combinations
+from typing import List, Sequence, Tuple
 
 from . import admission
 from .errors import DomainError, ResourceLimitError
@@ -139,7 +149,7 @@ def _joined(tables: List[_Table]) -> _Table:
 
 
 def _nbytes(table: _Table) -> int:
-    return len(table.planes[0]) * len(table.planes)  # admission.hold calls it often
+    return len(table.planes[0]) * len(table.planes)
 
 
 def _dp_counts(parts: Sequence[int], upper: int, held: _Table | Tuple[()] = ()) -> _Table:
@@ -200,20 +210,38 @@ def _dp_counts(parts: Sequence[int], upper: int, held: _Table | Tuple[()] = ()) 
 
 # Tables keyed by the parts they cover (all of a set but its largest), so
 # (2,3,5,7) and (2,3,5,11) share one.  Held by admission's rule.
-_TABLES: Dict[Tuple[int, ...], _Table] = {}
+_TABLES = admission.Held()
+
+# Each key's held keys one part wider, written when a table is held: an entry
+# then keeps only the keys still held, and admission's rule holds the entries
+# to the budget too.  The 75 seed-0 verify-sweep ops leave 126 in 31 KB.
+_WIDER = admission.Held()
 
 
-def _counts_up_to(parts: PartSet, upper: int) -> _Table:
-    key = parts.parts[:-1]
-    table = admission.recall(_TABLES, key) or ()  # held tables are never empty
-    if len(table) <= upper:
-        # Extended by at least a quarter; a refused growth keeps the held table.
-        grown = min(len(table) * 5 // 4, admission.MAX_TABLE_ENTRIES) - 1
-        new = _dp_counts(key, max(upper, grown), table)
-        if table:  # joined from a copy of its list of planes, so a failure leaves it whole
-            new = _joined([_Table(list(table.planes)), new])
-        return admission.hold(_TABLES, key, new, _nbytes)
-    return table
+def _keys_bytes(keys: Tuple[Tuple[int, ...], ...]) -> int:
+    return sys.getsizeof(keys) + sum(map(sys.getsizeof, keys))
+
+
+def _sum_down(table: _Table, m: int, step: int) -> int:
+    """Entries m, m - step, ... of table summed down to m mod step; 0 for m < 0."""
+    return table.stride_sum(m % step, m + 1, step) if m >= 0 else 0
+
+
+def _counts_up_to(key: Tuple[int, ...], table: _Table | Tuple[()], upper: int) -> _Table:
+    """The table over key to entry upper at least, built or grown from the held
+    table, held, and indexed under each key one part narrower."""
+    # Extended by at least a quarter; a refused growth keeps the held table.
+    grown = min(len(table) * 5 // 4, admission.MAX_TABLE_ENTRIES) - 1
+    new = _dp_counts(key, max(upper, grown), table)
+    if table:  # joined from a copy of its list of planes, so a failure leaves it whole
+        new = _joined([_Table(list(table.planes)), new])
+    admission.hold(_TABLES, key, new, _nbytes)
+    for narrower in combinations(key, len(key) - 1) if len(key) > 1 else ():
+        wider = admission.recall(_WIDER, narrower) or ()
+        if key not in wider:
+            wider = (*(k for k in wider if k in _TABLES), key)
+            admission.hold(_WIDER, narrower, wider, _keys_bytes)
+    return new
 
 
 def oracle_table(parts: PartSet, upper: int) -> Tuple[int, ...]:
@@ -227,7 +255,15 @@ def oracle_count(parts: PartSet, n: int) -> int:
     """The count for a single n."""
     if n < 0:
         raise DomainError("counts are defined for nonnegative n only")
-    largest = parts.parts[-1]
+    largest, key = parts.parts[-1], parts.parts[:-1]
     if parts.k == 1:
         return int(n % largest == 0)
-    return _counts_up_to(parts, n).stride_sum(n % largest, n + 1, largest)
+    table = admission.recall(_TABLES, key) or ()  # held tables are never empty
+    if len(table) <= n:
+        for wider in admission.recall(_WIDER, key) or ():
+            if len(_TABLES.get(wider, ())) > n:
+                # p_key(m) = p_wider(m) - p_wider(m - x), x the part wider adds
+                held, x = admission.recall(_TABLES, wider), sum(wider) - sum(key)
+                return _sum_down(held, n, largest) - _sum_down(held, n - x, largest)
+        table = _counts_up_to(key, table, n)
+    return _sum_down(table, n, largest)

@@ -39,7 +39,7 @@ import sys
 from itertools import accumulate
 from math import factorial, gcd, prod
 from operator import itemgetter
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from . import admission
 from .errors import DomainError, InternalInconsistencyError
@@ -56,7 +56,7 @@ _Setup = Tuple[int, int, Tuple[int, ...], Tuple[Tuple[int, int, int, Tuple[int, 
 # admission's rule: the 75 seed-0 verify-sweep ops hold 422 in 0.54 MB, the 190
 # count-cold-product ops 190 in 0.82 MB and count-huge-n 21, so none is built
 # twice.  A set-up of the first 100 primes weighs 0.97 MB, so seventeen fit.
-_SETUPS: Dict[Tuple[int, ...], _Setup] = {}
+_SETUPS = admission.Held()
 
 
 def _walk(wave: List[int], s: int) -> List[int]:

@@ -10,8 +10,9 @@ reads the integer series_exp on a series of Fractions.  index_walk_wave is
 Sylvester's wave by the plain index walk over a^k, the reference for the
 sliced, reduced walk in waves._wave, and newton_by_binomials the binomial
 formula for the Newton coefficients that waves._setup takes from a difference
-triangle.  run_module runs the command line in a fresh interpreter, and
-cold_caches empties every cache the package keeps between calls.
+triangle.  run_module runs the command line in a fresh interpreter,
+cold_caches empties every cache the package keeps between calls, and
+held_ints makes a small held cache.
 """
 
 import os
@@ -23,7 +24,7 @@ from math import comb, factorial, gcd, lcm, prod
 from pathlib import Path
 from typing import Iterable, List, Sequence, Tuple
 
-from denumerant import bernoulli, cli, oracle, reductions, waves
+from denumerant import admission, bernoulli, cli, oracle, reductions, waves
 from denumerant.series import series_exp, series_inv, series_mul
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -43,6 +44,7 @@ def run_module(*argv: str) -> subprocess.CompletedProcess:
 def cold_caches() -> None:
     """Empty every module-level cache in src, as in a fresh process."""
     oracle._TABLES.clear()
+    oracle._WIDER.clear()
     waves._SETUPS.clear()
     for cached in (
         bernoulli._unit_coefficients,
@@ -52,6 +54,15 @@ def cold_caches() -> None:
         cli._build_parser,
     ):
         cached.cache_clear()
+
+
+def held_ints(**entries: int) -> admission.Held:
+    """A held cache of the entries, each an int that weighs itself, stored in
+    turn by admission.hold."""
+    cache = admission.Held()
+    for key, value in entries.items():
+        admission.hold(cache, key, value, int)
+    return cache
 
 
 def brute_force_count(parts: Sequence[int], n: int) -> int:

@@ -11,6 +11,8 @@ from denumerant import admission, bernoulli, cli, oracle, verify, waves
 from denumerant.errors import ResourceLimitError
 from denumerant.partset import PartSet
 
+from helpers import held_ints
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "denumerant"
 
 
@@ -84,11 +86,45 @@ def test_recall_misses_without_reordering():
 def test_recall_makes_a_hit_the_newest(monkeypatch):
     # the hit outlives the others once the next entry passes the budget
     monkeypatch.setattr(admission, "MAX_HELD_BYTES", 10)
-    cache = {"a": 4, "b": 3, "c": 3}
+    cache = held_ints(a=4, b=3, c=3)
     assert admission.recall(cache, "a") == 4
     assert list(cache) == ["b", "c", "a"]
     admission.hold(cache, "d", 4, int)  # 14 held: "b" and "c" go, not "a"
     assert list(cache.items()) == [("a", 4), ("d", 4)]
+
+
+@given(
+    st.integers(0, 40),
+    st.lists(st.tuples(st.sampled_from("abcdef"), st.integers(1, 20), st.booleans()), max_size=40),
+)
+def test_a_store_weighs_what_it_stores_replaces_and_drops(budget, steps):
+    """Work gate: hold keeps a running total of the held weights, so a store
+    weighs the value it stores, the value it replaces and each value it
+    drops, and no other; the total stays the held entries' weights through
+    any stores, replacements, recalls and drops."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(admission, "MAX_HELD_BYTES", budget)
+        cache, weighed = admission.Held(), []
+
+        def weigh(value):
+            weighed.append(value)
+            return value
+
+        for key, value, recall in steps:
+            if recall:
+                admission.recall(cache, key)
+                continue
+            before = dict(cache)
+            weighed.clear()
+            assert admission.hold(cache, key, value, weigh) == value
+            dropped = before.keys() - cache.keys()
+            replaced = [before[key]] if key in before else []
+            assert sorted(weighed) == sorted([value, *replaced, *(before[k] for k in dropped)])
+            assert cache.bytes == sum(cache.values())
+            *rest, newest = cache.values()
+            assert newest == value and sum(rest) <= budget
+        cache.clear()
+        assert cache.bytes == 0
 
 
 def test_bernoulli_budget_at_the_default():

@@ -381,14 +381,23 @@ class TestParserBuiltOnce:
         capsys.readouterr()
         redirected = io.StringIO()
         with redirect_stderr(redirected):
-            assert run(list(bad)) == 2
+            bad_code = run(list(bad))
         code, out, err = invoke(capsys, *good)
         fresh_bad, fresh_good = run_module(*bad), run_module(*good)
-        assert (fresh_bad.returncode, fresh_bad.stdout) == (2, "")
-        assert redirected.getvalue() == fresh_bad.stderr
-        assert redirected.getvalue().startswith("usage: denumerant count")
-        assert "invalid choice: 'nope'" in fresh_bad.stderr
-        assert (code, out, err) == (0, fresh_good.stdout, fresh_good.stderr)
+        # a failure shows both runs of each argv, exit codes and outputs
+        shown = (
+            f"\nin process: bad exit {bad_code}, stderr {redirected.getvalue()!r};"
+            f" good exit {code}, stdout {out!r}, stderr {err!r}"
+            f"\nfresh: bad exit {fresh_bad.returncode}, stdout {fresh_bad.stdout!r},"
+            f" stderr {fresh_bad.stderr!r}; good exit {fresh_good.returncode},"
+            f" stdout {fresh_good.stdout!r}, stderr {fresh_good.stderr!r}"
+        )
+        assert bad_code == 2, shown
+        assert (fresh_bad.returncode, fresh_bad.stdout) == (2, ""), shown
+        assert redirected.getvalue() == fresh_bad.stderr, shown
+        assert redirected.getvalue().startswith("usage: denumerant count"), shown
+        assert "invalid choice: 'nope'" in fresh_bad.stderr, shown
+        assert (code, out, err) == (0, fresh_good.stdout, fresh_good.stderr), shown
 
 
 # Written out, 1,301 digits; p(n) for (2,3,5,7) has 3,897, so printing it
@@ -845,7 +854,7 @@ class TestVerify:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(oracle, "_dp_counts", counting_dp)
-            patch.setattr(oracle, "_TABLES", {})
+            patch.setattr(oracle, "_TABLES", admission.Held())
             patch.setattr(verify, "_check_trial", counting_check)
             for seed in range(75):
                 if seed == 10:
@@ -862,9 +871,10 @@ class TestVerify:
     def test_sweep_work_bounded(self, sweep_work):
         """Work gate: the oracle cache keeps a sweep's tables across trials.
 
-        These ten sweeps make 257 kernel calls filling 1,092,314 entries, as
-        held tables are extended in place; their tables fit in the byte budget
-        under 10 MiB and 16 MiB alike.  Rebuilding a short table from n = 0 at
+        These ten sweeps make 147 kernel calls filling 937,270 entries, as
+        held tables are extended or serve the sets one part narrower (257
+        filling 1,092,314 when each set's own table was built); their tables
+        fit in the byte budget under 10 MiB and 16 MiB alike.  Rebuilding a short table from n = 0 at
         twice its length made 245 builds filling 1,630,479 entries.
         """
         first_ten, *_ = sweep_work
@@ -873,7 +883,8 @@ class TestVerify:
     def test_working_set_held_across_a_long_sweep(self, sweep_work):
         """Work gate: 75 sweeps' tables stay held under the byte budget.
 
-        Held to 16 MiB they make 581 kernel calls filling 2,209,961 entries.
+        Held to 16 MiB they make 271 kernel calls filling 1,651,150 entries,
+        581 filling 2,209,961 when each set's own table was built.
         Under 10 MiB, short of their ~12.5 MiB working set, tables were dropped
         and built again: 726 calls filling 3,351,075 entries.
         """
@@ -1009,7 +1020,7 @@ class TestVerify:
             return dp_counts(parts, upper, held)
 
         monkeypatch.setattr(oracle, "_dp_counts", counting_dp)
-        monkeypatch.setattr(oracle, "_TABLES", {})
+        monkeypatch.setattr(oracle, "_TABLES", admission.Held())
         monkeypatch.setattr(admission, "MAX_TABLE_ENTRIES", 100)
         arguments = dict(trials=40, seed=0, k_min=2, k_max=3, max_part=13)
         with pytest.raises(ResourceLimitError, match="cap of 100"):

@@ -7,7 +7,7 @@ from operator import itemgetter
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
@@ -18,7 +18,7 @@ from denumerant.partset import PartSet
 from denumerant.verify import run_verify
 from denumerant.waves import waves_count
 
-from helpers import brute_force_count, cold_caches
+from helpers import brute_force_count, cold_caches, held_ints
 
 small_partsets = st.lists(
     st.integers(min_value=1, max_value=12), min_size=1, max_size=4, unique=True
@@ -52,7 +52,7 @@ def test_matches_brute_force(parts, ns):
     than a quarter past the table's end, extend it to n + 1 entries.  A
     one-part set reads no table.
     """
-    oracle._TABLES.pop(parts.parts[:-1], None)
+    cold_caches()
     for n in ns:
         count = oracle_count(parts, n)
         assert count == oracle_table(parts, n)[n]
@@ -109,7 +109,7 @@ def test_count_tabulates_all_parts_but_the_largest(monkeypatch, values):
         return table
 
     monkeypatch.setattr(oracle, "_dp_counts", spy)
-    monkeypatch.setattr(oracle, "_TABLES", {})
+    monkeypatch.setattr(oracle, "_TABLES", admission.Held())
     parts = PartSet(values)
     key = parts.parts[:-1]
     fresh = [(key, 0, 91)] if key else []
@@ -134,7 +134,7 @@ def test_one_part_counts_read_no_table(monkeypatch):
         raise AssertionError("a one-part count called the DP kernel")
 
     monkeypatch.setattr(oracle, "_dp_counts", refuse)
-    monkeypatch.setattr(oracle, "_TABLES", {})
+    monkeypatch.setattr(oracle, "_TABLES", admission.Held())
     assert oracle_count(PartSet.of(7), 10 ** 7 - 3) == 1
     assert oracle_count(PartSet.of(7), 10 ** 7 - 2) == 0
     assert oracle_count(PartSet.of(1), 10 ** 30) == 1
@@ -144,7 +144,7 @@ def test_one_part_counts_read_no_table(monkeypatch):
 
 def test_oversized_tables_refused_before_allocating(monkeypatch):
     monkeypatch.setattr(admission, "MAX_TABLE_ENTRIES", 100)
-    monkeypatch.setattr(oracle, "_TABLES", {})
+    monkeypatch.setattr(oracle, "_TABLES", admission.Held())
     parts = PartSet.of(2, 3, 5)
     assert oracle_count(parts, 80) == brute_force_count(parts.parts, 80)
     # a quarter more would ask for 101 entries; growth stops at the cap instead
@@ -167,7 +167,7 @@ def test_cache_bounded_in_bytes(monkeypatch):
     Every count here is under 256, so each table is one plane, a byte an entry."""
     monkeypatch.setattr(admission, "MAX_TABLE_ENTRIES", 100)
     monkeypatch.setattr(admission, "MAX_HELD_BYTES", 150)
-    monkeypatch.setattr(oracle, "_TABLES", {})
+    monkeypatch.setattr(oracle, "_TABLES", admission.Held())
     lookups = [
         (values, n)
         for values in [(2, 3), (3, 5, 7), (4, 9), (1, 5, 6), (2, 3, 5), (7, 11)]
@@ -189,7 +189,7 @@ def test_cache_bounded_in_bytes(monkeypatch):
 def test_eviction_stops_once_the_held_bytes_fit(monkeypatch):
     """Past the budget the oldest entries go, one at a time, only until the rest fit."""
     monkeypatch.setattr(admission, "MAX_HELD_BYTES", 10)
-    cache = {"a": 4, "b": 4, "c": 2}
+    cache = held_ints(a=4, b=4, c=2)
     assert admission.hold(cache, "d", 4, int) == 4
     assert cache == {"b": 4, "c": 2, "d": 4}  # 14 held, dropping "a" leaves 10
     admission.hold(cache, "e", 11, int)
@@ -201,8 +201,8 @@ def test_held_bytes_stay_under_the_budget(monkeypatch):
     set-ups each hold at most the budget, not counting their newest entry."""
     budget = 1 << 16
     monkeypatch.setattr(admission, "MAX_HELD_BYTES", budget)
-    monkeypatch.setattr(oracle, "_TABLES", {})
-    monkeypatch.setattr(waves, "_SETUPS", {})
+    monkeypatch.setattr(oracle, "_TABLES", admission.Held())
+    monkeypatch.setattr(waves, "_SETUPS", admission.Held())
     used, setups, dp_counts, setup = set(), [], oracle._dp_counts, waves._setup
 
     def counting_dp(parts, upper, held=()):
@@ -236,14 +236,62 @@ def planes_for(table):
     return max(1, -(-max(table).bit_length() // 8))
 
 
-def test_held_tables_take_the_bytes_their_counts_need():
+@pytest.fixture(scope="module")
+def sweep_200():
+    """run_verify(200, 0, 2, 5, 13, 20000) from cold caches: the tables it
+    leaves held, the kernel calls it makes as the parts they tabulate, the
+    tables it weighs, and per store into the oracle's tables whether it
+    replaced one and how many it dropped."""
+    cold_caches()
+    built, weighed, stores = [], [], []
+    dp_counts, nbytes, hold = oracle._dp_counts, oracle._nbytes, admission.hold
+
+    def counting_dp(parts, upper, held=()):
+        built.append(tuple(parts))
+        return dp_counts(parts, upper, held)
+
+    def counting_nbytes(table):
+        weighed.append(table)
+        return nbytes(table)
+
+    def counting_hold(cache, key, value, weigh):
+        before = set(cache)
+        hold(cache, key, value, weigh)
+        if cache is oracle._TABLES:
+            stores.append((key in before, len(before - set(cache))))
+        return value
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "_dp_counts", counting_dp)
+        patch.setattr(oracle, "_nbytes", counting_nbytes)
+        patch.setattr(admission, "hold", counting_hold)
+        assert run_verify(200, 0, 2, 5, 13, 20000) == ()
+    return list(oracle._TABLES.values()), built, weighed, stores
+
+
+def test_sweep_builds_only_what_no_held_table_serves(sweep_200):
+    """Work gate: a count whose own table is missing or short is served from a
+    held table one part wider when one reaches n, so the sweep makes 78
+    kernel calls; building or extending each key's own table made 133."""
+    _, built, _, _ = sweep_200
+    assert 0 < len(built) <= 100
+
+
+def test_sweep_weighs_each_table_once_per_store(sweep_200):
+    """Work gate: a store weighs the table it stores, the table it replaces
+    and each table it drops: 93 weigh calls for 78 stores, 15 of them
+    replacing a table.  Weighing every held table on each store made 7,198."""
+    _, _, weighed, stores = sweep_200
+    assert stores and len(weighed) <= sum(1 + replaced + dropped for replaced, dropped in stores)
+
+
+def test_held_tables_take_the_bytes_their_counts_need(sweep_200):
     """Bytes gate: after a verify sweep from cold caches, each held table
     weighs its length times the bytes its largest count needs, at least one,
     and all of them less than 0.8 times what items of 4 bytes, or 8 past
-    2^32 - 1, took: 1,949,578 bytes against 2,517,656."""
-    cold_caches()
-    assert run_verify(200, 0, 2, 5, 13, 20000) == ()
-    tables = list(oracle._TABLES.values())
+    2^32 - 1, took: 1,795,319 bytes against 2,262,340 (1,949,578 against
+    2,517,656 when each key's own table was built)."""
+    tables, *_ = sweep_200
     counts = [table.ints() for table in tables]
     assert list(map(oracle._nbytes, tables)) == [len(c) * planes_for(c) for c in counts]
     items = sum(len(c) * (8 if max(c) >> 32 else 4) for c in counts)
@@ -265,7 +313,7 @@ def test_refused_extension_leaves_the_held_table_unchanged(
     cached, same length, same planes, same counts, and a later lookup it
     covers builds nothing."""
     monkeypatch.setattr(admission, "MAX_TABLE_ENTRIES", cap)
-    monkeypatch.setattr(oracle, "_TABLES", {})
+    monkeypatch.setattr(oracle, "_TABLES", admission.Held())
     parts = PartSet(values)
     expected = oracle_table(parts, n - 10)[n - 10]
     oracle_count(parts, n)
@@ -309,7 +357,7 @@ def test_extended_tables_equal_a_fresh_build(lookups, block):
     parts, so a growth crosses many blocks and most parts are wider than a
     block; oracle_table builds at the kernel's own block size."""
     with mock.patch.object(admission, "MAX_HELD_BYTES", 300), mock.patch.object(
-        oracle, "_TABLES", {}
+        oracle, "_TABLES", admission.Held()
     ):
         for values, n in lookups:
             parts, key = PartSet(values), values[:-1]
@@ -329,7 +377,7 @@ def test_cold_build_peaks_near_its_packed_table(monkeypatch):
     The table over (1, 2, 3, 5) widens plane by plane to six during the build.
     Its peak is 1.39 times its 0.57 MiB; filling the whole growth as ints
     before packing it peaked at 7.01 times 'Q' items' 0.76 MiB."""
-    monkeypatch.setattr(oracle, "_TABLES", {})
+    monkeypatch.setattr(oracle, "_TABLES", admission.Held())
     parts, n = PartSet.of(1, 2, 3, 5, 7), 10 ** 5
     tracemalloc.start()
     try:
@@ -357,7 +405,7 @@ def test_wide_parts_fill_a_growth_in_few_accumulates(monkeypatch):
         return accumulate(iterable)
 
     monkeypatch.setattr(oracle, "accumulate", counting)
-    monkeypatch.setattr(oracle, "_TABLES", {})
+    monkeypatch.setattr(oracle, "_TABLES", admission.Held())
     n = 2 * 10 ** 6
     count = sum(
         (n - 99991 * i - 50000 * j) % 7 == 0
@@ -383,7 +431,7 @@ def test_sweep_extends_one_table(monkeypatch):
         return table
 
     monkeypatch.setattr(oracle, "_dp_counts", spy)
-    monkeypatch.setattr(oracle, "_TABLES", {})
+    monkeypatch.setattr(oracle, "_TABLES", admission.Held())
     parts = PartSet.of(2, 3, 5, 7)
     full = oracle_table(parts, 20_000)
     calls.clear()
@@ -403,11 +451,69 @@ def test_sets_that_differ_only_in_the_largest_part_share_one_table(monkeypatch):
         return real(parts, upper, held)
 
     monkeypatch.setattr(oracle, "_dp_counts", spy)
-    monkeypatch.setattr(oracle, "_TABLES", {})
+    monkeypatch.setattr(oracle, "_TABLES", admission.Held())
     for values in [(2, 3, 5), (2, 3, 7)]:
         assert oracle_count(PartSet(values), 90) == brute_force_count(values, 90)
     assert built == [(2, 3)]
     assert list(oracle._TABLES) == [(2, 3)]
+
+
+@settings(max_examples=80)
+@given(
+    st.lists(st.integers(min_value=1, max_value=12), min_size=1, max_size=3, unique=True),
+    st.integers(min_value=1, max_value=40),
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=0, max_value=60),
+)
+@example([3, 5], 1, 2, 30)  # x below the key's parts
+@example([3, 5], 4, 2, 30)  # between them
+@example([3, 5], 11, 2, 30)  # above them and above the count's largest part, 7
+@example([4, 6], 8, 4, 20)  # no part coprime to another
+@example([2, 3], 25, 2, 20)  # n < x: the second stride sum is 0
+@example([2, 4], 6, 2, 0)
+def test_counts_served_from_a_wider_table(key, x, step, n):
+    """A count whose own table is not held is served from a held table one
+    part x wider that reaches n, with no build, and equals oracle_table; one
+    past that table, it builds its own."""
+    key = sorted(key)
+    assume(x not in key)
+    parts, wider = PartSet((*key, key[-1] + step)), sorted((*key, x))
+    expected = oracle_table(parts, n + 1)
+    built = []
+    real = oracle._dp_counts
+
+    def spy(parts, upper, held=()):
+        built.append(tuple(parts))
+        return real(parts, upper, held)
+
+    with mock.patch.object(oracle, "_TABLES", admission.Held()), mock.patch.object(
+        oracle, "_WIDER", admission.Held()
+    ), mock.patch.object(oracle, "_dp_counts", spy):
+        oracle_count(PartSet((*wider, wider[-1] + 1)), n)  # holds wider's table to n
+        assert len(oracle._TABLES[tuple(wider)]) == n + 1
+        assert oracle_count(parts, n) == expected[n]
+        assert built == [tuple(wider)]
+        assert oracle_count(parts, n + 1) == expected[n + 1]
+        assert built == [tuple(wider), tuple(key)]
+
+
+def test_index_held_to_the_budget_over_a_long_sweep(monkeypatch):
+    """The index of wider keys is held by admission's rule: under a budget of
+    4 KiB, over 20 sweeps, its entries but the newest stay within it, its
+    running total is their weight, and entries were dropped."""
+    budget = 1 << 12
+    monkeypatch.setattr(admission, "MAX_HELD_BYTES", budget)
+    monkeypatch.setattr(oracle, "_TABLES", admission.Held())
+    monkeypatch.setattr(oracle, "_WIDER", admission.Held())
+    narrower = set()
+    for seed in range(20):
+        assert run_verify(50, seed, 2, 5, 13, 20000) == ()
+        index = oracle._WIDER
+        *rest, _ = index.values()
+        assert sum(map(oracle._keys_bytes, rest)) <= budget
+        assert index.bytes == sum(map(oracle._keys_bytes, index.values()))
+        narrower |= index.keys()
+    assert len(oracle._WIDER) < len(narrower)
 
 
 @settings(max_examples=60)
@@ -426,7 +532,7 @@ def test_shared_tables_exact_under_a_small_byte_budget(shared, lookups):
     shared = sorted(shared)
     top = shared[-1] if shared else 0
     with mock.patch.object(admission, "MAX_HELD_BYTES", 300), mock.patch.object(
-        oracle, "_TABLES", {}
+        oracle, "_TABLES", admission.Held()
     ):
         for step, n in lookups:
             for values in [(*shared, top + step), (step,)]:
@@ -442,7 +548,7 @@ def test_shared_tables_exact_under_a_small_byte_budget(shared, lookups):
 def test_table_stored_in_the_narrowest_width(monkeypatch, values, n, planes):
     """Each count takes as many bytes as the table's largest needs, past 8 too,
     and the planes hold the same counts as the full tuple table."""
-    monkeypatch.setattr(oracle, "_TABLES", {})
+    monkeypatch.setattr(oracle, "_TABLES", admission.Held())
     parts = PartSet(values)
     count = oracle_count(parts, n)
     (table,) = oracle._TABLES.values()
@@ -478,10 +584,11 @@ def test_width_boundaries(monkeypatch, top, planes):
 
     monkeypatch.setattr(oracle, "_dp_counts", kernel)
     for held in ([], [5, 7]):
-        tables = {}
+        tables = admission.Held()
         if held:
-            tables[(1,)] = oracle._Table([bytearray(len(held))])
-            tables[(1,)].put(0, held, max(held))
+            table = oracle._Table([bytearray(len(held))])
+            table.put(0, held, max(held))
+            admission.hold(tables, (1,), table, oracle._nbytes)
         monkeypatch.setattr(oracle, "_TABLES", tables)
         counts = held + [top] * (4 - len(held))
         assert oracle_count(PartSet.of(1, 2), 3) == counts[1] + counts[3]
@@ -522,7 +629,7 @@ def test_parts_past_n_add_nothing(small, large, ns):
     """Parts above n, held tables' length included, count as if left out: a
     count matches enumeration, and a table the one built without them."""
     parts = PartSet(tuple(small | large))
-    with mock.patch.object(oracle, "_TABLES", {}):
+    with mock.patch.object(oracle, "_TABLES", admission.Held()):
         for n in ns:
             below = [a for a in parts if a <= n] or parts.parts[:1]
             assert oracle_count(parts, n) == brute_force_count(below, n)

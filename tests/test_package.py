@@ -233,7 +233,7 @@ def test_cold_caches_empties_every_module_cache():
 
 
 # The caches admission's rule holds to its byte budget.
-HELD = {"oracle._TABLES", "waves._SETUPS"}
+HELD = {"oracle._TABLES", "oracle._WIDER", "waves._SETUPS"}
 
 
 def bounded(name: str, value) -> bool:
@@ -271,11 +271,14 @@ def test_every_module_cache_is_bounded():
 
 
 def module_dict_writes(source: str) -> list:
-    """Pops, clears and item writes on a dict bound at a module's top level."""
+    """Pops, clears and item writes on a dict or an admission.Held bound at a
+    module's top level."""
     tree = ast.parse(source)
     dicts = set()
     for node in tree.body:
-        if isinstance(node, (ast.Assign, ast.AnnAssign)) and isinstance(node.value, ast.Dict):
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and (
+            isinstance(node.value, ast.Dict) or ast.unparse(node.value) == "admission.Held()"
+        ):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             dicts.update(t.id for t in targets if isinstance(t, ast.Name))
     found = []
@@ -296,15 +299,18 @@ def test_module_dict_write_check_finds_them():
     source = (
         "_HELD: dict = {}\n"
         "_LIST = []\n"
+        "_KEPT = admission.Held()\n"
         "def f(key, cache):\n"
-        "    _HELD.get(key), cache.pop(key), _LIST.clear()\n"
+        "    _HELD.get(key), cache.pop(key), _LIST.clear(), _KEPT.get(key)\n"
         "    _, x = _HELD[key] = _HELD.pop(key)\n"
         "    del _HELD[key]\n"
+        "    _KEPT.clear()\n"
     )
     assert module_dict_writes(source) == [
-        "_HELD.pop(key) (line 5)",
-        "_HELD[key] (line 5)",
+        "_HELD.pop(key) (line 6)",
         "_HELD[key] (line 6)",
+        "_HELD[key] (line 7)",
+        "_KEPT.clear() (line 8)",
     ]
 
 

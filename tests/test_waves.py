@@ -103,7 +103,7 @@ def test_oversized_part_sum_refused_before_building(monkeypatch):
         raise AssertionError("waves were built for a refused part set")
 
     monkeypatch.setattr(admission, "MAX_TABLE_ENTRIES", 30)
-    monkeypatch.setattr(waves, "_SETUPS", {})
+    monkeypatch.setattr(waves, "_SETUPS", admission.Held())
     # (k - 1) S walk steps: 2 * 15 = 30 fits the cap, 2 * 23 = 46 does not
     assert waves_count(PartSet.of(3, 5, 7), 29) == brute_force_count((3, 5, 7), 29)
     monkeypatch.setattr(waves, "_setup", no_setup)
@@ -113,7 +113,7 @@ def test_oversized_part_sum_refused_before_building(monkeypatch):
 
 def test_held_waves_sized_by_the_parts(monkeypatch):
     # Scaled to D = (k - 1)! P^k instead, these waves hold ~7.2e6 bits.
-    monkeypatch.setattr(waves, "_SETUPS", {})
+    monkeypatch.setattr(waves, "_SETUPS", admission.Held())
     parts = PartSet(FIRST_30_PRIMES)
     waves_count(parts, 10 ** 60)
     _, _, _, held = waves._SETUPS[parts.parts]
@@ -250,7 +250,7 @@ def test_one_wave_per_part_and_none_when_warm(monkeypatch):
         return real_wave(a, others)
 
     monkeypatch.setattr(waves, "_wave", counting)
-    monkeypatch.setattr(waves, "_SETUPS", {})
+    monkeypatch.setattr(waves, "_SETUPS", admission.Held())
     parts = PartSet.of(3, 7, 11, 13, 16)
     waves_count(parts, 10 ** 30)
     assert calls == list(parts)
@@ -261,7 +261,7 @@ def test_one_wave_per_part_and_none_when_warm(monkeypatch):
 
 def test_cache_bounded_in_bytes(monkeypatch):
     """Past the byte budget the oldest set-ups go, never the one just used."""
-    monkeypatch.setattr(waves, "_SETUPS", {})
+    monkeypatch.setattr(waves, "_SETUPS", admission.Held())
     monkeypatch.setattr(admission, "MAX_HELD_BYTES", 3000)
     # a pair weighs under 1,200 bytes, the first 12 primes alone over 8,000
     pairs = [(2, a) for a in (3, 5, 7, 11, 13, 17, 19, 23)]
