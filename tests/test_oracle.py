@@ -516,6 +516,21 @@ def test_index_held_to_the_budget_over_a_long_sweep(monkeypatch):
     assert len(oracle._WIDER) < len(narrower)
 
 
+def test_an_index_entry_keeps_only_held_keys(monkeypatch):
+    """An index entry written when a table is held lists no key whose table
+    has been dropped: each table here is 2 planes of 401 entries, so the
+    second drops the first, and the index's entries all fit."""
+    monkeypatch.setattr(admission, "MAX_HELD_BYTES", 1000)
+    monkeypatch.setattr(oracle, "_TABLES", admission.Held())
+    monkeypatch.setattr(oracle, "_WIDER", admission.Held())
+    oracle_count(PartSet.of(1, 2, 3, 7), 400)
+    assert oracle._WIDER[(1, 2)] == ((1, 2, 3),)
+    oracle_count(PartSet.of(1, 2, 5, 7), 400)
+    assert list(oracle._TABLES) == [(1, 2, 5)]
+    assert oracle._nbytes(oracle._TABLES[(1, 2, 5)]) == 2 * 401
+    assert oracle._WIDER[(1, 2)] == ((1, 2, 5),)
+
+
 @settings(max_examples=60)
 @given(
     st.lists(st.integers(min_value=1, max_value=6), max_size=3, unique=True),
