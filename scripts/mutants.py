@@ -116,6 +116,11 @@ PANEL = (
            "if len(_TABLES.get(wider, ())) > n:", "if len(_TABLES.get(wider, ())) >= n:", "panel"),
     Mutant("hold-keeps-replaced-weight", "src/denumerant/admission.py",
            "cache.bytes -= weigh(old)", "cache.bytes -= 0", "panel"),
+    Mutant("growth-put-one-late", "src/denumerant/oracle.py",
+           "growth.put(base - low, counts,", "growth.put(base - low + 1, counts,", "panel"),
+    Mutant("join-pads-to-growth-length", "src/denumerant/oracle.py",
+           "t.planes.pop(0) if t.planes else bytes(m)",
+           "t.planes.pop(0) if t.planes else bytes(lengths[1])", "panel"),
 )
 
 VERIFY = ("-m", "denumerant", "verify", "--trials", "500", "--seed", "0")

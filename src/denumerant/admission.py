@@ -24,11 +24,11 @@ from .errors import ResourceLimitError
 from .partset import PartSet
 
 # A table build holds its packed entries, as many bytes each as its largest
-# count needs, and one block of them as ints (oracle._dp_counts).  Joining its
-# pieces takes one plane more, and joining a held table to its growth the held
-# bytes more.  At the cap a plane weighs 50 MB: counts under 2^64 take at most
-# 0.4 GB, 0.45 GB while a cold build joins, and each byte past 8 adds 50 MB,
-# where a tuple of ints took ~44 bytes an entry, ~2.2 GB.
+# count needs, and one block of them as ints (oracle._dp_counts).  Joining a
+# held table to its growth takes one plane more.  At the cap a plane weighs
+# 50 MB: counts under 2^64 take at most 0.4 GB, 0.45 GB while a growth to the
+# cap is joined, and each byte past 8 adds 50 MB, where a tuple of ints took
+# ~44 bytes an entry, ~2.2 GB.
 MAX_TABLE_ENTRIES = 50_000_000
 
 # Digits of one printed `bernoulli` or `bb` numerator or denominator, set at

@@ -60,16 +60,18 @@ from .partset import PartSet
 _BLOCK_ENTRIES = 1 << 12
 _BLOCK_SPANS = 64
 
-# A growth is packed into pieces of whole blocks, each at least an eighth of
-# the growth and allocated when its first block is packed, and the pieces are
-# joined plane by plane at the end.  A build so holds at most one piece not
-# yet filled, and a join the table and one plane more.  `count --parts
-# 2,3,5000,7919 --n 2000000` peaks at 36.5 MB RSS so, at 38.1 MB with the
-# whole growth allocated first, and at 39.6 MB with planes grown a chunk at a
-# time.  A block is packed _BLOCK_ENTRIES entries at a time, eight planes at
-# a time, through an array of unsigned 8-byte items: 'B' and 'H' arrays fill
-# from a list at a quarter of the speed, and 'Q' at a third of the speed of
-# 'L' once counts pass 2^32.
+# A growth is allocated whole, one plane of its length, before its first
+# block is filled, and each block is packed at its place in it; a plane added
+# when a block's counts pass the planes held is the growth's length too.  A
+# join of a held table and its growth holds the two and one plane more.  In
+# fresh processes on a 2 vCPU Xeon, Python 3.11, medians of 5, peak RSS
+# against growths packed into pieces of an eighth and joined at the end:
+# `count --parts 1,2,3,4,5,6,7 --n 1000000` 26.3 MB against 32.8, `--parts
+# 2,3,5,7 --n 4000000` 35.6 against 38.0, and `--parts 2,3,5000,7919 --n
+# 2000000` 38.2 against 36.3.  A block is packed _BLOCK_ENTRIES entries at a
+# time, eight planes at a time, through an array of unsigned 8-byte items:
+# 'B' and 'H' arrays fill from a list at a quarter of the speed, and 'Q' at a
+# third of the speed of 'L' once counts pass 2^32.
 _WORD = "L" if array("L").itemsize == 8 else "Q"
 _LIMB = (1 << 64) - 1
 # The offset of each byte, from the low end, in a native 8-byte item.
@@ -135,15 +137,13 @@ class _Table:
                     chunk = [v >> 64 for v in chunk]
 
 
-def _joined(tables: List[_Table]) -> _Table:
-    """The entries of tables in turn, in as many planes as the widest.  Each
-    plane is joined, and taken from the tables, before the next: a join holds
-    the tables and one plane more, and empties them."""
-    if len(tables) == 1:
-        return tables[0]
-    lengths, joined = [len(table) for table in tables], _Table([])
-    for _ in range(max(len(table.planes) for table in tables)):
-        column = [t.planes.pop(0) if t.planes else bytes(m) for t, m in zip(tables, lengths)]
+def _joined(held: _Table, growth: _Table) -> _Table:
+    """held's entries, then growth's, in as many planes as the wider.  Each
+    plane is joined, and taken from the two, before the next: a join holds
+    them and one plane more, and empties them."""
+    lengths, joined = (len(held), len(growth)), _Table([])
+    for _ in range(max(len(held.planes), len(growth.planes))):
+        column = [t.planes.pop(0) if t.planes else bytes(m) for t, m in zip((held, growth), lengths)]
         joined.planes.append(bytearray().join(column))
     return joined
 
@@ -162,9 +162,9 @@ def _dp_counts(parts: Sequence[int], upper: int, held: _Table | Tuple[()] = ()) 
     by a.  Entries below n = 0 are 0, so none is held or padded: a part past
     upper costs no memory.  The entries are then filled block by block, each
     pass carrying its last a entries into the next block, and each block is
-    packed into a piece before the next is filled: a build holds the packed
-    entries and one block as ints, not the whole growth as ints at ~36-44
-    bytes an entry.  The pieces are joined once, at the end.
+    packed at its place in the growth before the next is filled: a build
+    holds the packed entries and one block as ints, not the whole growth as
+    ints at ~36-44 bytes an entry.
     """
     if upper + 1 > admission.MAX_TABLE_ENTRIES:
         raise ResourceLimitError(
@@ -185,8 +185,7 @@ def _dp_counts(parts: Sequence[int], upper: int, held: _Table | Tuple[()] = ()) 
             window[j] - (window[j - a] if j >= a else 0) for j in range(start, len(window))
         ]
     tails.reverse()
-    piece = size * -(-(upper + 1 - low) // (8 * size))  # whole blocks, an eighth or more
-    pieces = []
+    growth = _Table([bytearray(upper + 1 - low)])
     for base in range(low, upper + 1, size):
         # counts[pad:] are entries base..; the pass for a reads its tail below
         pad = max(map(len, tails), default=0)
@@ -200,12 +199,9 @@ def _dp_counts(parts: Sequence[int], upper: int, held: _Table | Tuple[()] = ()) 
                 counts[start::a] = accumulate(counts[start::a])
             tails[i] = counts[max(begin, len(counts) - a) :]
         del counts[:pad]  # in place: a copy would hold the block twice
-        if (base - low) % piece == 0:
-            pieces.append(_Table([bytearray(min(piece, upper + 1 - base))]))
         # p(n) <= p(n + first), so the block's largest count is among its last first
-        pieces[-1].put((base - low) % piece, counts, max(counts[-first:]))
-    del counts, tails  # the last block's ints go before the join takes a plane more
-    return _joined(pieces)
+        growth.put(base - low, counts, max(counts[-first:]))
+    return growth
 
 
 # Tables keyed by the parts they cover (all of a set but its largest), so
@@ -234,7 +230,7 @@ def _counts_up_to(key: Tuple[int, ...], table: _Table | Tuple[()], upper: int) -
     grown = min(len(table) * 5 // 4, admission.MAX_TABLE_ENTRIES) - 1
     new = _dp_counts(key, max(upper, grown), table)
     if table:  # joined from a copy of its list of planes, so a failure leaves it whole
-        new = _joined([_Table(list(table.planes)), new])
+        new = _joined(_Table(list(table.planes)), new)
     admission.hold(_TABLES, key, new, _nbytes)
     for narrower in combinations(key, len(key) - 1) if len(key) > 1 else ():
         wider = admission.recall(_WIDER, narrower) or ()

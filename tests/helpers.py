@@ -11,18 +11,21 @@ Sylvester's wave by the plain index walk over a^k, the reference for the
 sliced, reduced walk in waves._wave, and newton_by_binomials the binomial
 formula for the Newton coefficients that waves._setup takes from a difference
 triangle.  run_module runs the command line in a fresh interpreter,
-cold_caches empties every cache the package keeps between calls, and
-held_ints makes a small held cache.
+cold_caches empties every cache the package keeps between calls,
+kernel_calls records the oracle's DP kernel calls over fresh oracle caches,
+and held_ints makes a small held cache.
 """
 
 import os
 import subprocess
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import accumulate, combinations
 from math import comb, factorial, gcd, lcm, prod
 from pathlib import Path
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from unittest import mock
 
 from denumerant import admission, bernoulli, cli, oracle, reductions, waves
 from denumerant.series import series_exp, series_inv, series_mul
@@ -54,6 +57,37 @@ def cold_caches() -> None:
         cli._build_parser,
     ):
         cached.cache_clear()
+
+
+class KernelCall(NamedTuple):
+    """One oracle._dp_counts call: the parts it tabulates, the length of the
+    table it resumes, the entry it fills up to, and the entries it filled
+    (None while it runs, and after it raises)."""
+
+    parts: Tuple[int, ...]
+    held: int
+    upper: int
+    filled: Optional[int]
+
+
+@contextmanager
+def kernel_calls() -> Iterator[List[KernelCall]]:
+    """The oracle's DP kernel calls, recorded in order as they start, with
+    fresh oracle._TABLES and oracle._WIDER installed; all three are restored
+    on exit."""
+    calls, kernel = [], oracle._dp_counts
+
+    def spy(parts, upper, held=()):
+        calls.append(KernelCall(tuple(parts), len(held), upper, None))
+        at = len(calls) - 1
+        table = kernel(parts, upper, held)
+        calls[at] = calls[at]._replace(filled=len(table))
+        return table
+
+    with mock.patch.multiple(
+        oracle, _dp_counts=spy, _TABLES=admission.Held(), _WIDER=admission.Held()
+    ):
+        yield calls
 
 
 def held_ints(**entries: int) -> admission.Held:

@@ -19,14 +19,19 @@ import random
 import time
 from fractions import Fraction
 
-from denumerant import oracle
 from denumerant.bernoulli import bernoulli_barnes, bernoulli_numbers, log_coefficients
 from denumerant.cli import run
 from denumerant.oracle import oracle_count
 from denumerant.partset import PartSet
 from denumerant.reductions import theorem1_count, theorem2_count, theorem3_rhs
 
-from helpers import bb_coeffs, bb_polys_by_factor_order, cold_caches, coprime_part_tuples
+from helpers import (
+    bb_coeffs,
+    bb_polys_by_factor_order,
+    cold_caches,
+    coprime_part_tuples,
+    kernel_calls,
+)
 
 F = Fraction
 
@@ -80,36 +85,29 @@ def test_criterion_2_corollary_spot_values(capsys):
     )
 
 
-def test_criterion_3_reduction_sweep(capsys, monkeypatch):
+def test_criterion_3_reduction_sweep(capsys):
     # work gate: from cold caches the sweep's oracle fills 288,149 table
     # entries (2,574 kernel calls); a table rebuilt where a held one serves
     # passes the bound
     cold_caches()
-    filled = []
-    kernel = oracle._dp_counts
-
-    def counted_kernel(*args):
-        entries = kernel(*args)
-        filled.append(len(entries))
-        return entries
-
-    monkeypatch.setattr(oracle, "_dp_counts", counted_kernel)
     started = time.perf_counter()
     rng = random.Random(0)
     combos = coprime_part_tuples(13, (2, 3, 4), max_product=3000)
     checked = 0
     mismatches = []
-    for combo in combos:
-        parts = PartSet(combo)
-        product = parts.product
-        residues = {0, 1, product // 2, product - 1}
-        residues.update(rng.randrange(product) for _ in range(50))
-        for q in (0, 1, 2):
-            for r in sorted(residues):
-                n = q * product + r
-                checked += 1
-                if theorem1_count(parts, n) != oracle_count(parts, n):
-                    mismatches.append((combo, n))
+    with kernel_calls() as calls:
+        for combo in combos:
+            parts = PartSet(combo)
+            product = parts.product
+            residues = {0, 1, product // 2, product - 1}
+            residues.update(rng.randrange(product) for _ in range(50))
+            for q in (0, 1, 2):
+                for r in sorted(residues):
+                    n = q * product + r
+                    checked += 1
+                    if theorem1_count(parts, n) != oracle_count(parts, n):
+                        mismatches.append((combo, n))
+    filled = [call.filled for call in calls]
     elapsed = time.perf_counter() - started
     ok = not mismatches and sum(filled) <= 300_000
     detail = (

@@ -29,7 +29,7 @@ from denumerant.reductions import theorem1_count
 from denumerant.verify import format_failure, random_coprime_partset, run_verify
 from denumerant.waves import waves_count
 
-from helpers import bb_coeffs, brute_force_count, run_module
+from helpers import bb_coeffs, brute_force_count, kernel_calls, run_module
 
 F = Fraction
 
@@ -838,31 +838,23 @@ class TestVerify:
         """The kernel calls of the first ten of 75 50-trial sweeps from cold
         caches, as entries filled per call; those of all 75; and the calls
         each trial made."""
-        work, per_trial = [], []
-        dp_counts, check_trial = oracle._dp_counts, verify._check_trial
-
-        def counting_dp(parts, upper, held=()):
-            table = dp_counts(parts, upper, held)
-            work.append(len(table))
-            return table
+        per_trial, check_trial = [], verify._check_trial
 
         def counting_check(*args):
-            before = len(work)
+            before = len(calls)
             reports = check_trial(*args)
-            per_trial.append(len(work) - before)
+            per_trial.append(len(calls) - before)
             return reports
 
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(oracle, "_dp_counts", counting_dp)
-            patch.setattr(oracle, "_TABLES", admission.Held())
+        with pytest.MonkeyPatch.context() as patch, kernel_calls() as calls:
             patch.setattr(verify, "_check_trial", counting_check)
             for seed in range(75):
                 if seed == 10:
-                    first_ten = list(work)
+                    first_ten = [call.filled for call in calls]
                 run_verify(
                     trials=50, seed=seed, k_min=2, k_max=5, max_part=13, max_product=20000
                 )
-        return first_ten, work, per_trial
+        return first_ten, [call.filled for call in calls], per_trial
 
     def test_one_table_per_trial(self, sweep_work):
         *_, per_trial = sweep_work
@@ -875,10 +867,11 @@ class TestVerify:
         held tables are extended or serve the sets one part narrower (257
         filling 1,092,314 when each set's own table was built); their tables
         fit in the byte budget under 10 MiB and 16 MiB alike.  Rebuilding a short table from n = 0 at
-        twice its length made 245 builds filling 1,630,479 entries.
+        twice its length made 245 builds filling 1,630,479 entries, and
+        extending a short table only to n, not by a quarter, 148 filling 913,874.
         """
         first_ten, *_ = sweep_work
-        assert 0 < len(first_ten) <= 260 and sum(first_ten) <= 1_200_000
+        assert 0 < len(first_ten) <= 160 and sum(first_ten) <= 1_000_000
 
     def test_working_set_held_across_a_long_sweep(self, sweep_work):
         """Work gate: 75 sweeps' tables stay held under the byte budget.
@@ -886,10 +879,12 @@ class TestVerify:
         Held to 16 MiB they make 271 kernel calls filling 1,651,150 entries,
         581 filling 2,209,961 when each set's own table was built.
         Under 10 MiB, short of their ~12.5 MiB working set, tables were dropped
-        and built again: 726 calls filling 3,351,075 entries.
+        and built again: 726 calls filling 3,351,075 entries.  Extending a
+        short table only to n, not by a quarter, made 302 calls filling
+        1,626,995, past the bound on calls.
         """
         _, work, _ = sweep_work
-        assert 0 < len(work) <= 620 and sum(work) <= 2_400_000
+        assert 0 < len(work) <= 290 and sum(work) <= 1_800_000
 
     def test_no_trial_discards_an_oracle_value(self, monkeypatch):
         """In every trial, the oracle lookups are distinct, the first is the
@@ -1012,26 +1007,19 @@ class TestVerify:
 
     def test_oversized_tables_refused_before_the_first_trial(self, monkeypatch):
         # a trial's table has at most 4 * product entries
-        builds = []
-        dp_counts = oracle._dp_counts
-
-        def counting_dp(parts, upper, held=()):
-            builds.append(upper)
-            return dp_counts(parts, upper, held)
-
-        monkeypatch.setattr(oracle, "_dp_counts", counting_dp)
-        monkeypatch.setattr(oracle, "_TABLES", admission.Held())
         monkeypatch.setattr(admission, "MAX_TABLE_ENTRIES", 100)
         arguments = dict(trials=40, seed=0, k_min=2, k_max=3, max_part=13)
-        with pytest.raises(ResourceLimitError, match="cap of 100"):
-            run_verify(max_product=30, **arguments)
-        assert builds == []
-        failures = run_verify(max_product=25, **arguments)
-        assert failures == () and builds and max(builds) < 100
-        # the k_max largest parts bound the product too: 4 * 5 * 4 = 80
-        run_verify(
-            trials=5, seed=0, k_min=2, k_max=2, max_part=5, max_product=10 ** 9
-        )
+        with kernel_calls() as calls:
+            with pytest.raises(ResourceLimitError, match="cap of 100"):
+                run_verify(max_product=30, **arguments)
+            assert calls == []
+            failures = run_verify(max_product=25, **arguments)
+            builds = [call.upper for call in calls]
+            assert failures == () and builds and max(builds) < 100
+            # the k_max largest parts bound the product too: 4 * 5 * 4 = 80
+            run_verify(
+                trials=5, seed=0, k_min=2, k_max=2, max_part=5, max_product=10 ** 9
+            )
 
     def test_oversized_tables_refused_at_the_command_line(self, capsys):
         code, out, err = invoke(

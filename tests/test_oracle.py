@@ -18,7 +18,7 @@ from denumerant.partset import PartSet
 from denumerant.verify import run_verify
 from denumerant.waves import waves_count
 
-from helpers import brute_force_count, cold_caches, held_ints
+from helpers import brute_force_count, cold_caches, held_ints, kernel_calls
 
 small_partsets = st.lists(
     st.integers(min_value=1, max_value=12), min_size=1, max_size=4, unique=True
@@ -100,31 +100,26 @@ def test_count_tabulates_all_parts_but_the_largest(monkeypatch, values):
 
     A one-part count is [a | n] and builds no table.
     """
-    built = []
-    real = oracle._dp_counts
-
-    def spy(parts, upper, held=()):
-        table = real(parts, upper, held)
-        built.append((tuple(parts), len(held), len(table)))
-        return table
-
-    monkeypatch.setattr(oracle, "_dp_counts", spy)
-    monkeypatch.setattr(oracle, "_TABLES", admission.Held())
     parts = PartSet(values)
     key = parts.parts[:-1]
     fresh = [(key, 0, 91)] if key else []
-    assert oracle_count(parts, 90) == brute_force_count(values, 90)
-    assert built == fresh
-    for m in (90, 89, 45, 1, 0):
-        assert oracle_count(parts, m) == brute_force_count(values, m)
-    assert built == fresh
+    with kernel_calls() as calls:
 
-    # the full table is built directly, over all parts, and is not cached
-    assert oracle_table(parts, 30)[30] == brute_force_count(values, 30)
-    assert built[len(fresh) :] == [(parts.parts, 0, 31)]
-    assert {key: len(table) for key, table in oracle._TABLES.items()} == (
-        {key: 91} if key else {}
-    )
+        def built():
+            return [(call.parts, call.held, call.filled) for call in calls]
+
+        assert oracle_count(parts, 90) == brute_force_count(values, 90)
+        assert built() == fresh
+        for m in (90, 89, 45, 1, 0):
+            assert oracle_count(parts, m) == brute_force_count(values, m)
+        assert built() == fresh
+
+        # the full table is built directly, over all parts, and is not cached
+        assert oracle_table(parts, 30)[30] == brute_force_count(values, 30)
+        assert built()[len(fresh) :] == [(parts.parts, 0, 31)]
+        assert {key: len(table) for key, table in oracle._TABLES.items()} == (
+            {key: 91} if key else {}
+        )
 
 
 def test_one_part_counts_read_no_table(monkeypatch):
@@ -201,19 +196,13 @@ def test_held_bytes_stay_under_the_budget(monkeypatch):
     set-ups each hold at most the budget, not counting their newest entry."""
     budget = 1 << 16
     monkeypatch.setattr(admission, "MAX_HELD_BYTES", budget)
-    monkeypatch.setattr(oracle, "_TABLES", admission.Held())
     monkeypatch.setattr(waves, "_SETUPS", admission.Held())
-    used, setups, dp_counts, setup = set(), [], oracle._dp_counts, waves._setup
-
-    def counting_dp(parts, upper, held=()):
-        used.add(tuple(parts))
-        return dp_counts(parts, upper, held)
+    setups, setup = [], waves._setup
 
     def counting_setup(parts):
         setups.append(parts)
         return setup(parts)
 
-    monkeypatch.setattr(oracle, "_dp_counts", counting_dp)
     monkeypatch.setattr(waves, "_setup", counting_setup)
 
     def held_but_newest(cache, weigh):
@@ -221,14 +210,16 @@ def test_held_bytes_stay_under_the_budget(monkeypatch):
         return sum(map(weigh, rest))
 
     primes = [p for p in range(2, 114) if all(p % d for d in range(2, p))]
-    for seed in range(10):
-        run_verify(trials=50, seed=seed, k_min=2, k_max=5, max_part=13, max_product=20000)
-        assert held_but_newest(oracle._TABLES, oracle._nbytes) <= budget
-    for values in (primes[:20], primes[5:25], primes[:30], primes[:24]):
-        waves_count(PartSet(tuple(values)), 10 ** 30)
-        assert held_but_newest(waves._SETUPS, itemgetter(0)) <= budget
-    # both caches dropped entries, so the bound was in force
-    assert len(oracle._TABLES) < len(used) and len(waves._SETUPS) < len(setups)
+    with kernel_calls() as calls:
+        for seed in range(10):
+            run_verify(trials=50, seed=seed, k_min=2, k_max=5, max_part=13, max_product=20000)
+            assert held_but_newest(oracle._TABLES, oracle._nbytes) <= budget
+        for values in (primes[:20], primes[5:25], primes[:30], primes[:24]):
+            waves_count(PartSet(tuple(values)), 10 ** 30)
+            assert held_but_newest(waves._SETUPS, itemgetter(0)) <= budget
+        # both caches dropped entries, so the bound was in force
+        used = {call.parts for call in calls}
+        assert len(oracle._TABLES) < len(used) and len(waves._SETUPS) < len(setups)
 
 
 def planes_for(table):
@@ -243,12 +234,8 @@ def sweep_200():
     tables it weighs, and per store into the oracle's tables whether it
     replaced one and how many it dropped."""
     cold_caches()
-    built, weighed, stores = [], [], []
-    dp_counts, nbytes, hold = oracle._dp_counts, oracle._nbytes, admission.hold
-
-    def counting_dp(parts, upper, held=()):
-        built.append(tuple(parts))
-        return dp_counts(parts, upper, held)
+    weighed, stores = [], []
+    nbytes, hold = oracle._nbytes, admission.hold
 
     def counting_nbytes(table):
         weighed.append(table)
@@ -261,12 +248,11 @@ def sweep_200():
             stores.append((key in before, len(before - set(cache))))
         return value
 
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(oracle, "_dp_counts", counting_dp)
+    with pytest.MonkeyPatch.context() as patch, kernel_calls() as calls:
         patch.setattr(oracle, "_nbytes", counting_nbytes)
         patch.setattr(admission, "hold", counting_hold)
         assert run_verify(200, 0, 2, 5, 13, 20000) == ()
-    return list(oracle._TABLES.values()), built, weighed, stores
+        return list(oracle._TABLES.values()), [call.parts for call in calls], weighed, stores
 
 
 def test_sweep_builds_only_what_no_held_table_serves(sweep_200):
@@ -422,40 +408,23 @@ def test_sweep_extends_one_table(monkeypatch):
     Growth by a quarter makes 44 kernel calls filling 20,218 entries.
     Rebuilding at twice the length made 16 builds filling 65,535.
     """
-    calls = []
-    real = oracle._dp_counts
-
-    def spy(parts, upper, held=()):
-        table = real(parts, upper, held)
-        calls.append((len(held), len(table)))
-        return table
-
-    monkeypatch.setattr(oracle, "_dp_counts", spy)
-    monkeypatch.setattr(oracle, "_TABLES", admission.Held())
     parts = PartSet.of(2, 3, 5, 7)
-    full = oracle_table(parts, 20_000)
-    calls.clear()
-    for n in range(20_001):
-        assert oracle_count(parts, n) == full[n]
-    assert [held for held, _ in calls].count(0) == 1
+    with kernel_calls() as calls:
+        full = oracle_table(parts, 20_000)
+        calls.clear()
+        for n in range(20_001):
+            assert oracle_count(parts, n) == full[n]
+    assert [call.held for call in calls].count(0) == 1
     assert 0 < len(calls) <= 50
-    assert sum(filled for _, filled in calls) <= 1.25 * 20_001
+    assert sum(call.filled for call in calls) <= 1.25 * 20_001
 
 
-def test_sets_that_differ_only_in_the_largest_part_share_one_table(monkeypatch):
-    built = []
-    real = oracle._dp_counts
-
-    def spy(parts, upper, held=()):
-        built.append(tuple(parts))
-        return real(parts, upper, held)
-
-    monkeypatch.setattr(oracle, "_dp_counts", spy)
-    monkeypatch.setattr(oracle, "_TABLES", admission.Held())
-    for values in [(2, 3, 5), (2, 3, 7)]:
-        assert oracle_count(PartSet(values), 90) == brute_force_count(values, 90)
-    assert built == [(2, 3)]
-    assert list(oracle._TABLES) == [(2, 3)]
+def test_sets_that_differ_only_in_the_largest_part_share_one_table():
+    with kernel_calls() as calls:
+        for values in [(2, 3, 5), (2, 3, 7)]:
+            assert oracle_count(PartSet(values), 90) == brute_force_count(values, 90)
+        assert [call.parts for call in calls] == [(2, 3)]
+        assert list(oracle._TABLES) == [(2, 3)]
 
 
 @settings(max_examples=80)
@@ -479,22 +448,13 @@ def test_counts_served_from_a_wider_table(key, x, step, n):
     assume(x not in key)
     parts, wider = PartSet((*key, key[-1] + step)), sorted((*key, x))
     expected = oracle_table(parts, n + 1)
-    built = []
-    real = oracle._dp_counts
-
-    def spy(parts, upper, held=()):
-        built.append(tuple(parts))
-        return real(parts, upper, held)
-
-    with mock.patch.object(oracle, "_TABLES", admission.Held()), mock.patch.object(
-        oracle, "_WIDER", admission.Held()
-    ), mock.patch.object(oracle, "_dp_counts", spy):
+    with kernel_calls() as calls:
         oracle_count(PartSet((*wider, wider[-1] + 1)), n)  # holds wider's table to n
         assert len(oracle._TABLES[tuple(wider)]) == n + 1
         assert oracle_count(parts, n) == expected[n]
-        assert built == [tuple(wider)]
+        assert [call.parts for call in calls] == [tuple(wider)]
         assert oracle_count(parts, n + 1) == expected[n + 1]
-        assert built == [tuple(wider), tuple(key)]
+        assert [call.parts for call in calls] == [tuple(wider), tuple(key)]
 
 
 def test_index_held_to_the_budget_over_a_long_sweep(monkeypatch):
