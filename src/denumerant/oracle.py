@@ -143,7 +143,8 @@ def _joined(held: _Table, growth: _Table) -> _Table:
     them and one plane more, and empties them."""
     lengths, joined = (len(held), len(growth)), _Table([])
     for _ in range(max(len(held.planes), len(growth.planes))):
-        column = [t.planes.pop(0) if t.planes else bytes(m) for t, m in zip((held, growth), lengths)]
+        pair = zip((held, growth), lengths)
+        column = [t.planes.pop(0) if t.planes else bytes(m) for t, m in pair]
         joined.planes.append(bytearray().join(column))
     return joined
 
