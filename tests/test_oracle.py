@@ -95,7 +95,7 @@ def test_generating_function_inverse(parts, upper):
 
 
 @pytest.mark.parametrize("values", [(7,), (4, 9), (1, 5, 6), (3, 5, 7, 11)])
-def test_count_tabulates_all_parts_but_the_largest(monkeypatch, values):
+def test_count_tabulates_all_parts_but_the_largest(values):
     """Work gate: one DP build per fresh set, over every part except a_max.
 
     A one-part count is [a | n] and builds no table.
@@ -402,7 +402,7 @@ def test_wide_parts_fill_a_growth_in_few_accumulates(monkeypatch):
     assert calls <= 2 * 50_000
 
 
-def test_sweep_extends_one_table(monkeypatch):
+def test_sweep_extends_one_table():
     """Work gate: n = 0..20,000 in turn build one table and extend it in place.
 
     Growth by a quarter makes 44 kernel calls filling 20,218 entries.
