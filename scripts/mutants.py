@@ -121,6 +121,13 @@ PANEL = (
     Mutant("join-pads-to-growth-length", "src/denumerant/oracle.py",
            "t.planes.pop(0) if t.planes else bytes(m)",
            "t.planes.pop(0) if t.planes else bytes(lengths[1])", "panel"),
+    Mutant("index-keeps-first", "src/denumerant/oracle.py",
+           "if len(_TABLES.get(_WIDER.get(narrower), ())) <= len(new):",
+           "if not _TABLES.get(_WIDER.get(narrower)):", "panel"),
+    Mutant("index-keeps-shorter", "src/denumerant/oracle.py",
+           "<= len(new):", ">= len(new):", "panel"),
+    Mutant("growth-one-short", "src/denumerant/oracle.py",
+           "bytearray(upper + 1 - low)", "bytearray(upper - low)", "2b50364"),
 )
 
 VERIFY = ("-m", "denumerant", "verify", "--trials", "500", "--seed", "0")

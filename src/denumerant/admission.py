@@ -35,10 +35,12 @@ MAX_TABLE_ENTRIES = 50_000_000
 # the default of Python's int-to-str limit.  Counts print at any length.
 MAX_DIGITS = 4_300
 
-# The bytes each cache of recent results holds: the oracle's tables, its index
-# of wider tables, and the waves' set-ups.  16 MiB holds the tables the 75
-# seed-0 verify-sweep ops reuse (at most 7.16 MiB as byte planes, 10.54 MiB as
-# 4- and 8-byte items), so they make 264 kernel calls filling 1.72M entries.
+# The bytes each cache of recent results holds, by its own weight: the
+# oracle's tables by the bytes of their counts (leaving out some 280 bytes of
+# objects a table), its index by the size of the one wider key in each entry,
+# and the waves' set-ups.  16 MiB holds the tables the 75 seed-0 verify-sweep
+# ops reuse (at most 7.16 MiB as byte planes, 10.54 MiB as 4- and 8-byte
+# items), so they make 264 kernel calls filling 1.72M entries.
 # When each key's own table was built they held 8.50 MiB in 576 calls filling
 # 2.24M; under 10 MiB the 4- and 8-byte items then made 691 filling 3.14M.
 MAX_HELD_BYTES = 16 << 20

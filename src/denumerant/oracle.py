@@ -17,13 +17,17 @@ entries, and a one-part count is [a | n] and reads no table.
 A held table over the other parts K and one part x more serves K too: since
 1 / prod over K of (1 - t^a) is (1 - t^x) / prod over K and x,
 p_K(m) = p_{K+x}(m) - p_{K+x}(m - x), so the count is S(n) - S(n - x), with
-S the stride sum over the wider table and S(m) = 0 for m < 0.  When K's own
-table is not held or is too short for n, a held table one part wider that
-reaches n answers, found through an index of each key's held keys one part
-wider.  Only when none does is K's table built, or extended: each pass
-resumes its prefix sums from the table's last entries.  The 75 seed-0
-verify-sweep ops so make 264 builds filling 1,722,179 entries, where
-building K's own table every time made 576 filling 2,238,131.
+S the stride sum over the wider table and S(m) = 0 for m < 0.  A wider
+table serves n exactly when it is longer than n, so an index keeps one key
+under each K, the key one part wider whose table is longest: a table held
+over such a key replaces the entry unless the entry's table is still held
+and longer.  (When the entry's table is dropped, a shorter wider table still
+held stays unindexed until the next store.)  When K's own table is not held
+or is too short for n, the entry's table answers if it is held and reaches
+n.  Only when it does not is K's table built, or extended: each pass resumes
+its prefix sums from the table's last entries.  The 75 seed-0 verify-sweep
+ops so make 264 builds filling 1,722,179 entries, where building K's own
+table every time made 576 filling 2,238,131.
 
 Counts are never negative, so a table is stored as byte planes, as many as
 its largest count needs: plane i holds byte i of every entry, so each count
@@ -209,14 +213,11 @@ def _dp_counts(parts: Sequence[int], upper: int, held: _Table | Tuple[()] = ()) 
 # (2,3,5,7) and (2,3,5,11) share one.  Held by admission's rule.
 _TABLES = admission.Held()
 
-# Each key's held keys one part wider, written when a table is held: an entry
-# then keeps only the keys still held, and admission's rule holds the entries
-# to the budget too.  The 75 seed-0 verify-sweep ops leave 126 in 31 KB.
+# Each key's key one part wider whose table is longest, written when a table
+# is held, so a store writes one entry a part.  Admission's rule holds the
+# entries to the budget too.  The 75 seed-0 verify-sweep ops leave 126 in
+# 8.6 KB.
 _WIDER = admission.Held()
-
-
-def _keys_bytes(keys: Tuple[Tuple[int, ...], ...]) -> int:
-    return sys.getsizeof(keys) + sum(map(sys.getsizeof, keys))
 
 
 def _sum_down(table: _Table, m: int, step: int) -> int:
@@ -226,7 +227,8 @@ def _sum_down(table: _Table, m: int, step: int) -> int:
 
 def _counts_up_to(key: Tuple[int, ...], table: _Table | Tuple[()], upper: int) -> _Table:
     """The table over key to entry upper at least, built or grown from the held
-    table, held, and indexed under each key one part narrower."""
+    table, held, and indexed under each key one part narrower whose indexed
+    table, if still held, is no longer."""
     # Extended by at least a quarter; a refused growth keeps the held table.
     grown = min(len(table) * 5 // 4, admission.MAX_TABLE_ENTRIES) - 1
     new = _dp_counts(key, max(upper, grown), table)
@@ -234,10 +236,8 @@ def _counts_up_to(key: Tuple[int, ...], table: _Table | Tuple[()], upper: int) -
         new = _joined(_Table(list(table.planes)), new)
     admission.hold(_TABLES, key, new, _nbytes)
     for narrower in combinations(key, len(key) - 1) if len(key) > 1 else ():
-        wider = admission.recall(_WIDER, narrower) or ()
-        if key not in wider:
-            wider = (*(k for k in wider if k in _TABLES), key)
-            admission.hold(_WIDER, narrower, wider, _keys_bytes)
+        if len(_TABLES.get(_WIDER.get(narrower), ())) <= len(new):
+            admission.hold(_WIDER, narrower, key, sys.getsizeof)
     return new
 
 
@@ -257,10 +257,10 @@ def oracle_count(parts: PartSet, n: int) -> int:
         return int(n % largest == 0)
     table = admission.recall(_TABLES, key) or ()  # held tables are never empty
     if len(table) <= n:
-        for wider in admission.recall(_WIDER, key) or ():
-            if len(_TABLES.get(wider, ())) > n:
-                # p_key(m) = p_wider(m) - p_wider(m - x), x the part wider adds
-                held, x = admission.recall(_TABLES, wider), sum(wider) - sum(key)
-                return _sum_down(held, n, largest) - _sum_down(held, n - x, largest)
+        wider = admission.recall(_WIDER, key)
+        if len(_TABLES.get(wider, ())) > n:
+            # p_key(m) = p_wider(m) - p_wider(m - x), x the part wider adds
+            held, x = admission.recall(_TABLES, wider), sum(wider) - sum(key)
+            return _sum_down(held, n, largest) - _sum_down(held, n - x, largest)
         table = _counts_up_to(key, table, n)
     return _sum_down(table, n, largest)

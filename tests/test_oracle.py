@@ -1,8 +1,9 @@
 """The dynamic-programming oracle against independent enumeration."""
 
 import functools
+import sys
 import tracemalloc
-from itertools import accumulate
+from itertools import accumulate, combinations
 from operator import itemgetter
 from unittest import mock
 
@@ -361,7 +362,7 @@ def test_cold_build_peaks_near_its_packed_table(monkeypatch):
     """Memory gate: a build holds its packed entries and one block as ints, so
     a cold count's traced peak stays under 1.5 times the table it leaves held.
     The table over (1, 2, 3, 5) widens plane by plane to six during the build.
-    Its peak is 1.39 times its 0.57 MiB; filling the whole growth as ints
+    Its peak is 1.485 times its 0.57 MiB; filling the whole growth as ints
     before packing it peaked at 7.01 times 'Q' items' 0.76 MiB."""
     monkeypatch.setattr(oracle, "_TABLES", admission.Held())
     parts, n = PartSet.of(1, 2, 3, 5, 7), 10 ** 5
@@ -470,25 +471,68 @@ def test_index_held_to_the_budget_over_a_long_sweep(monkeypatch):
         assert run_verify(50, seed, 2, 5, 13, 20000) == ()
         index = oracle._WIDER
         *rest, _ = index.values()
-        assert sum(map(oracle._keys_bytes, rest)) <= budget
-        assert index.bytes == sum(map(oracle._keys_bytes, index.values()))
+        assert sum(map(sys.getsizeof, rest)) <= budget
+        assert index.bytes == sum(map(sys.getsizeof, index.values()))
         narrower |= index.keys()
     assert len(oracle._WIDER) < len(narrower)
 
 
 def test_an_index_entry_keeps_only_held_keys(monkeypatch):
-    """An index entry written when a table is held lists no key whose table
-    has been dropped: each table here is 2 planes of 401 entries, so the
-    second drops the first, and the index's entries all fit."""
+    """An index entry is one key, and a table held over a key one part wider
+    replaces an entry whose table has been dropped: each table here is 2
+    planes of 401 entries, so the second drops the first, and the index's
+    entries all fit."""
     monkeypatch.setattr(admission, "MAX_HELD_BYTES", 1000)
     monkeypatch.setattr(oracle, "_TABLES", admission.Held())
     monkeypatch.setattr(oracle, "_WIDER", admission.Held())
     oracle_count(PartSet.of(1, 2, 3, 7), 400)
-    assert oracle._WIDER[(1, 2)] == ((1, 2, 3),)
+    assert oracle._WIDER[(1, 2)] == (1, 2, 3)
     oracle_count(PartSet.of(1, 2, 5, 7), 400)
     assert list(oracle._TABLES) == [(1, 2, 5)]
     assert oracle._nbytes(oracle._TABLES[(1, 2, 5)]) == 2 * 401
-    assert oracle._WIDER[(1, 2)] == ((1, 2, 5),)
+    assert oracle._WIDER[(1, 2)] == (1, 2, 5)
+
+
+@pytest.mark.parametrize("longer_first", [False, True])
+def test_an_index_entry_keeps_the_longest_wider_table(longer_first):
+    """With the tables over (1, 2, 3) to n = 100 and over (1, 2, 5) to n = 400
+    both held, in either order of holding, the entry for (1, 2) is (1, 2, 5),
+    whose table serves a count at n = 300 with no kernel call.  Keeping the
+    first key while its table is held fails the first order, and always
+    taking the newest key fails the second."""
+    lookups = [(PartSet.of(1, 2, 3, 7), 100), (PartSet.of(1, 2, 5, 7), 400)]
+    with kernel_calls() as calls:
+        for parts, n in lookups[::-1] if longer_first else lookups:
+            oracle_count(parts, n)
+        assert oracle._WIDER[(1, 2)] == (1, 2, 5)
+        assert oracle_count(PartSet.of(1, 2, 7), 300) == brute_force_count((1, 2, 7), 300)
+        assert sorted(call.parts for call in calls) == [(1, 2, 3), (1, 2, 5)]
+
+
+def test_index_stores_write_one_key_per_entry():
+    """Work gate: from cold caches, the sets {a, b, 100000} with 2 <= a < b <=
+    101, counted at n = 3, hold 100 index entries of one key each in 56 bytes
+    an entry; entries of every held wider key held 637,600 bytes, pruned and
+    weighed again on each of 9,900 stores."""
+    with kernel_calls():
+        for a, b in combinations(range(2, 102), 2):
+            assert oracle_count(PartSet.of(a, b, 100000), 3) == brute_force_count((a, b, 100000), 3)
+        index = oracle._WIDER
+        assert len(index) == 100 and index.bytes <= 64 * len(index)
+        assert all(len(wider) == len(key) + 1 for key, wider in index.items())
+
+
+def test_planes_are_allocated_to_their_length():
+    """A cold build, a growth and their join each allocate every plane to its
+    length: a block put past a plane's end extends it, and over-allocates."""
+    parts = (1, 2, 3, 5)
+    cold = oracle._dp_counts(parts, 2_000)
+    growth = oracle._dp_counts(parts, 20_000, cold)
+    planes = [*cold.planes, *growth.planes]  # the join empties growth's list
+    joined = oracle._joined(oracle._Table(list(cold.planes)), growth)
+    assert len(planes) == 4 + 5 and len(joined.planes) == 5
+    for plane in planes + joined.planes:
+        assert sys.getsizeof(plane) == sys.getsizeof(bytearray(len(plane)))
 
 
 @settings(max_examples=60)
