@@ -128,6 +128,10 @@ PANEL = (
            "<= len(new):", ">= len(new):", "panel"),
     Mutant("growth-one-short", "src/denumerant/oracle.py",
            "bytearray(upper + 1 - low)", "bytearray(upper - low)", "2b50364"),
+    Mutant("parser-built-every-run", "src/denumerant/cli.py",
+           "    name = argv[0] if argv and argv[0] in _OPTIONS else None\n",
+           "    _build_parser()\n    name = argv[0] if argv and argv[0] in _OPTIONS else None\n",
+           "panel"),
 )
 
 VERIFY = ("-m", "denumerant", "verify", "--trials", "500", "--seed", "0")

@@ -36,7 +36,8 @@ numbers:
   inverting (e^s - 1)/s in integer numerators over the product of the primes
   up to m + 1, one exact division per step, and never read from the table.
   theorem1 reads the polynomials and section3 reads the table, so the two
-  routes check each other only while they share no values.
+  routes check each other only while they share no values, and ``verify``
+  compares the two sources index by index (``unit_numbers``).
 
 The table is built afresh on each call; the unit coefficients and the
 Bernoulli-Barnes tables are pure functions under bounded ``lru_cache``s.
@@ -168,6 +169,13 @@ def _unit_coefficients(m: int) -> Tuple[Tuple[int, ...], int]:
         acc = 0 if odd else sum(comb(n + 1, l) * c for l, c in enumerate(unit) if c)
         unit.append(-acc // (n + 1))
     return tuple(unit), common
+
+
+def unit_numbers(m: int) -> Tuple[Fraction, ...]:
+    """B_0..B_m from the unit coefficients, the Bernoulli-Barnes tables' source:
+    c_n over its denominator, with c_1 = -B_1."""
+    unit, common = _unit_coefficients(m)
+    return tuple(Fraction(-c if n == 1 else c, common) for n, c in enumerate(unit))
 
 
 def bernoulli_barnes(parts: PartSet, max_index: int) -> Tuple[BBPoly, ...]:

@@ -82,8 +82,9 @@ _ROUTES: Dict[str, Callable[[PartSet, int], int]] = {
 
 # Each subcommand's help line and options, in the order its help lists them:
 # option -> (type, default).  A type is a converter or a tuple of choices, and
-# a default of None marks the option required.  `_build_parser` makes the
-# argparse parsers from this table, and `_bind` reads it.
+# a default of None marks the option required.  `_bind` binds plain argv from
+# this table, and `_build_parser` makes the argparse parsers from it for every
+# other argv.
 _OUTPUT = {"--output": (("text", "json"), "text")}
 _OPTIONS: Dict[str, Tuple[str, Dict[str, Tuple[object, object]]]] = {
     "count": ("count representations of n", {
@@ -266,22 +267,22 @@ def _bind(subcommand: str, tokens: Sequence[str]) -> Optional[argparse.Namespace
 def run(argv: Optional[Sequence[str]] = None) -> int:
     """Parse argv, execute, and return the exit code.
 
-    The parsers are built once per process, on the first call.  An argv whose
-    first token names a subcommand is read by that subcommand's parser alone:
-    `_bind` takes plain `--name value` pairs from _OPTIONS, and
-    argparse parses every other form, so each argv is parsed once.  The
-    top-level parser takes every other argv (none, `-h`, an unknown name) and
-    prints its usage.
+    An argv whose first token names a subcommand is read by that subcommand
+    alone: `_bind` takes plain `--name value` pairs from _OPTIONS, and that
+    subcommand's argparse parser every other form, so each argv is parsed
+    once.  The top-level parser takes every other argv (none, `-h`, an
+    unknown name) and prints its usage.  The parsers are built once per
+    process, on the first argv that `_bind` does not take, so a run of plain
+    argv builds none.
     """
     argv = list(argv) if argv is not None else sys.argv[1:]
-    parser, subparsers = _build_parser()
-    subparser = subparsers.get(argv[0]) if argv else None
+    name = argv[0] if argv and argv[0] in _OPTIONS else None
     try:
-        if subparser is None:
-            args = parser.parse_args(argv)
+        if name is None:
+            args = _build_parser()[0].parse_args(argv)
         else:
-            args = _bind(argv[0], argv[1:]) or subparser.parse_args(argv[1:])
-            args.subcommand = argv[0]
+            args = _bind(name, argv[1:]) or _build_parser()[1][name].parse_args(argv[1:])
+            args.subcommand = name
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -1,4 +1,5 @@
-"""Seeded random cross-checks of every identity against the oracle.
+"""Seeded random cross-checks of every identity against the oracle, after
+the Bernoulli numbers' two sources are checked against each other.
 
 Each check is one row of ``CHECKS``, in report order: name, least and most
 arity, the drawn argument it reads, and its formula side.  The argument's
@@ -19,7 +20,7 @@ import random
 from math import inf, isqrt, lcm, prod
 from typing import List, NamedTuple, Tuple
 
-from . import admission, oracle, reductions, waves
+from . import admission, bernoulli, oracle, reductions, waves
 from .errors import DomainError, SamplingExhaustedError
 from .partset import PartSet
 
@@ -83,6 +84,18 @@ CHECKS = (
 )
 
 
+def _check_bernoulli(top: int) -> List[TheoremReport]:
+    """B_0..B_top from its two sources, the tangent numbers' table against the
+    unit coefficients (bernoulli.py): one report at each index where they
+    differ, on the one-part set {1}, whose Bernoulli-Barnes values at 0 they are."""
+    pairs = zip(bernoulli.bernoulli_numbers(top), bernoulli.unit_numbers(top))
+    return [
+        TheoremReport("bernoulli", PartSet((1,)), (("index", i),), table, unit)
+        for i, (table, unit) in enumerate(pairs)
+        if table != unit
+    ]
+
+
 def _check_trial(trial: int, parts: PartSet, n: int, rng: random.Random) -> List[TheoremReport]:
     """Each row of CHECKS that covers k and whose argument was drawn: n,
     reported with q and r (n = qP + r), then x in [1, S - 1] for k >= 2, then
@@ -120,10 +133,12 @@ def run_verify(
 ) -> Tuple[TheoremReport, ...]:
     """Seeded random sweep of every identity against the oracle.
 
-    Each trial draws a part set by rejection sampling (product capped so the
-    oracle table stays small), then n = q * product + r with q in 0..3 and r
-    uniform, then checks every identity applicable to the arity.  Returns
-    the failed checks in trial order.
+    First the two sources of the Bernoulli numbers are compared up to index
+    max(12, 2 k_max + 2), past what the trials' routes read; that draws
+    nothing.  Then each trial draws a part set by rejection sampling (product
+    capped so the oracle table stays small), then n = q * product + r with q
+    in 0..3 and r uniform, then checks every identity applicable to the arity.
+    Returns the failed checks, the Bernoulli indices first, then in trial order.
 
     A k_max over max_part, a k_max that no pairwise-coprime set from
     [1, max_part] with product at most max_product has, and trial tables that
@@ -150,7 +165,7 @@ def run_verify(
         )
     admission.admit_sweep(k_max, max_part, max_product)
     rng = random.Random(seed)
-    failures = []
+    failures = _check_bernoulli(max(12, 2 * k_max + 2))
     for trial in range(trials):
         k = rng.randint(k_min, k_max)
         parts = random_coprime_partset(k, max_part, max_product, rng)

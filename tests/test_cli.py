@@ -371,13 +371,40 @@ class TestParserBuiltOnce:
         assert codes == [0, 2, 0, 0] * 3
         assert builds == ["denumerant"]
 
+    def test_plain_argv_build_no_parser(self, monkeypatch, capsys):
+        # Work gate: _bind binds a plain argv of each subcommand, so none
+        # builds the parsers; the first argv that only argparse parses builds
+        # them, once
+        builds = []
+        add_subparsers = argparse.ArgumentParser.add_subparsers
+        monkeypatch.setattr(
+            argparse.ArgumentParser, "add_subparsers",
+            lambda parser, **kwargs: builds.append(parser.prog) or add_subparsers(parser, **kwargs),
+        )
+        cli._build_parser.cache_clear()
+        plain = [
+            ("count", "--parts", "2,3", "--n", "11"),
+            ("bb", "--parts", "2,3,5", "--max-index", "3"),
+            ("bernoulli", "--max-index", "4"),
+            ("theorem2", "--parts", "2,3,5", "--x", "3"),
+            ("theorem3", "--parts", "3,5,7", "--x", "15"),
+            ("verify", "--trials", "1"),
+        ]
+        assert [run(list(argv)) for argv in plain] == [0] * len(plain)
+        assert builds == []
+        assert run(["count", "--parts=2,3", "--n", "5"]) == 0
+        capsys.readouterr()
+        assert builds == ["denumerant"]
+
     def test_usage_error_then_valid_argv_match_a_fresh_process(
         self, monkeypatch, capsys
     ):
         monkeypatch.setenv("COLUMNS", "80")  # the usage text wraps at the width
         bad = ("count", "--parts", "2,3", "--n", "11", "--method", "nope")
         good = ("count", "--parts", "2,3,5", "--n", "59", "--method", "section3")
-        assert run(list(good)) == 0  # the parser exists from here on
+        # `=` is argparse's form alone, so the parser exists from here on
+        assert run(["count", "--parts=2,3", "--n", "5"]) == 0
+        assert run(list(good)) == 0
         capsys.readouterr()
         redirected = io.StringIO()
         with redirect_stderr(redirected):
@@ -1063,6 +1090,18 @@ class TestVerify:
         for failure in failures:
             assert isinstance(failure["lhs"], str) and isinstance(failure["rhs"], str)
             assert int(failure["rhs"]) == int(failure["lhs"]) + 1
+
+    def test_bernoulli_sources_disagreeing_at_one_index(self, monkeypatch, capsys):
+        # B_6 off in the tangent numbers' table alone: one FAIL line, before
+        # any trial, and exit 1
+        numbers = bernoulli.bernoulli_numbers
+        monkeypatch.setattr(
+            bernoulli, "bernoulli_numbers", lambda m: numbers(m)[:6] + (F(1, 7),) + numbers(m)[7:]
+        )
+        code, out, _ = invoke(capsys, "verify", "--trials", "0")
+        assert code == 1 and "failures: 1" in out
+        fails = [line for line in out.splitlines() if line.startswith("FAIL")]
+        assert fails == ["FAIL bernoulli parts=[1] index=6 lhs=1/7 rhs=1/42"]
 
     def test_draw_stream_pinned(self, theorem1_off_by_one):
         # Every trial fails theorem1 once, so the FAIL lines carry each

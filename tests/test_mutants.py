@@ -33,8 +33,8 @@ def test_each_row_applies_to_the_source_once(mutant):
 @pytest.mark.parametrize("mutant", mutants.PANEL, ids=IDS)
 def test_no_recorded_kill_is_lost(mutant):
     # the row was run at the change and, unless the change added it, at the
-    # parent: verify's verdict is the same, and a row tier-1 killed at the
-    # parent is killed at the change; tier-1 kills a row the change added
+    # parent: a row verify or tier-1 killed at the parent is killed by it at
+    # the change, which may add kills; tier-1 kills a row the change added
     parent, change = ({row["id"]: row for row in RUNS[key]["rows"]}.get(mutant.id)
                       for key in ("parent", "change"))
     assert change["file"] == mutant.file
@@ -42,7 +42,7 @@ def test_no_recorded_kill_is_lost(mutant):
         assert change["tier1_killed"]
         return
     assert parent["file"] == mutant.file
-    assert parent["verify_killed"] == change["verify_killed"]
+    assert change["verify_killed"] or not parent["verify_killed"]
     assert change["tier1_killed"] or not parent["tier1_killed"]
 
 

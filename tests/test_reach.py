@@ -33,10 +33,6 @@ LEDGER = {
     ("_exact", "value = Fraction(numerator, denominator)"): "only before its raise",
     ("theorem3_rhs", "if parts.total > parts.product:"):
         "only for an x outside the domain, which verify never draws",
-    ("_tangent_numbers", "t[j] = (j - 1) * t[j - 1]"):
-        "k <= 5 makes section3's order at most 3, which reads T_1 only",
-    ("_tangent_numbers", "for j in range(k, count + 1):"): "as above: T_1 only",
-    ("_tangent_numbers", "t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]"): "as above: T_1 only",
     ("_Table.put", "chunk = [v >> 64 for v in chunk]"):
         "counts past 2^64 - 1, over eight planes, need n far past 4P",
     ("oracle_table", None): "the full table, which only the tests read",
