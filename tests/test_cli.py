@@ -377,10 +377,12 @@ class TestParserBuiltOnce:
         # them, once
         builds = []
         add_subparsers = argparse.ArgumentParser.add_subparsers
-        monkeypatch.setattr(
-            argparse.ArgumentParser, "add_subparsers",
-            lambda parser, **kwargs: builds.append(parser.prog) or add_subparsers(parser, **kwargs),
-        )
+
+        def counting(parser, **kwargs):
+            builds.append(parser.prog)
+            return add_subparsers(parser, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers", counting)
         cli._build_parser.cache_clear()
         plain = [
             ("count", "--parts", "2,3", "--n", "11"),

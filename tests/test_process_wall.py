@@ -14,7 +14,7 @@ spec.loader.exec_module(process_wall)
 MAIN = "import sys\n{}print(sys.argv[1:])\nsys.exit(3)\n"
 
 
-def test_sides_alternate_and_each_child_is_measured_alone(tmp_path, monkeypatch):
+def test_each_child_measured_alone_and_bytecode_stated(tmp_path, monkeypatch):
     for side, body in (("parent", ""), ("change", "held = b'x' * (64 << 20)\n")):
         package = tmp_path / side / "src" / "denumerant"
         package.mkdir(parents=True)
