@@ -23,8 +23,10 @@ even when the report of a failure fails itself.  tests/test_mutants.py is
 left out: it checks that each row's old text is in the source, which no
 mutated copy passes.  The result, per row, is whether verify killed it,
 whether tier-1 killed it, and the first failing test id, stored in the --out
-file (made if missing) at [key], next to what the file holds already.  Only
-the standard library is used.
+file (made if missing) at [key], next to what the file holds already, with
+verify's kills of the rows of kind "answer": those agreement can see, as
+some route answers or refuses differently under them.  Only the standard
+library is used.
 """
 
 from __future__ import annotations
@@ -55,83 +57,92 @@ class Mutant(NamedTuple):
     old: str
     new: str
     recorded: str  # the commit whose notes first named it, or "panel"
+    # "answer" when some route returns a different value or refuses a
+    # different input under it, which agreement can see; else "gate": it
+    # changes work, memory, a type, the output or verify's own coverage
+    kind: str
 
 
 PANEL = (
     Mutant("walk-index-stride", "src/denumerant/waves.py",
            "return [wave[m * s % a] for m in range(a)]",
-           "return [wave[m * t % a] for m in range(a)]", "76d4639"),
+           "return [wave[m * t % a] for m in range(a)]", "76d4639", "answer"),
     Mutant("unit-c6-plus-one", "src/denumerant/bernoulli.py",
            "unit.append(-acc // (n + 1))",
-           "unit.append(-acc // (n + 1) + (n == 6))", "76d4639"),
+           "unit.append(-acc // (n + 1) + (n == 6))", "76d4639", "answer"),
     Mutant("tangent-step", "src/denumerant/bernoulli.py",
-           "(j - k + 2) * t[j]", "(j - k + 1) * t[j]", "3423e45"),
+           "(j - k + 2) * t[j]", "(j - k + 1) * t[j]", "3423e45", "answer"),
     Mutant("waves-off-by-one-from-P", "src/denumerant/waves.py",
-           "    return count\n", "    return count + (n >= parts.product)\n", "e774d71"),
+           "    return count\n", "    return count + (n >= parts.product)\n",
+           "e774d71", "answer"),
     Mutant("widening-threshold", "src/denumerant/oracle.py",
            "while top >> 8 * len(self.planes) > 0:",
-           "while top >> 8 * (len(self.planes) + 1) > 0:", "a53e92a"),
+           "while top >> 8 * (len(self.planes) + 1) > 0:", "a53e92a", "answer"),
     Mutant("window-one-late", "src/denumerant/oracle.py",
            "window = held.ints(max(low - span, 0))",
-           "window = held.ints(max(low - span, 0) + 1)", "a53e92a"),
+           "window = held.ints(max(low - span, 0) + 1)", "a53e92a", "answer"),
     Mutant("b4-sign", "src/denumerant/bernoulli.py",
            "    return tuple(table[: m + 1])",
            "    if m >= 4:\n        table[4] = -table[4]\n    return tuple(table[: m + 1])",
-           "0a2db09"),
+           "0a2db09", "answer"),
     Mutant("b4-plus-1e-6", "src/denumerant/bernoulli.py",
            "    return tuple(table[: m + 1])",
            "    if m >= 4:\n        table[4] += Fraction(1, 10 ** 6)\n"
            "    return tuple(table[: m + 1])",
-           "0a2db09"),
+           "0a2db09", "answer"),
     Mutant("block-spans-16", "src/denumerant/oracle.py",
-           "_BLOCK_SPANS = 64", "_BLOCK_SPANS = 16", "adbe927"),
+           "_BLOCK_SPANS = 64", "_BLOCK_SPANS = 16", "adbe927", "gate"),
     Mutant("never-recall-a-table", "src/denumerant/oracle.py",
-           "table = admission.recall(_TABLES, key) or ()", "table = ()", "a53e92a"),
+           "table = admission.recall(_TABLES, key) or ()", "table = ()", "a53e92a", "gate"),
     Mutant("oracle-route-bound-at-import", "src/denumerant/cli.py",
            '"oracle": lambda parts, n: oracle.oracle_count(parts, n),',
-           '"oracle": oracle.oracle_count,', "7bedc05"),
+           '"oracle": oracle.oracle_count,', "7bedc05", "gate"),
     Mutant("one-block-growth", "src/denumerant/oracle.py",
-           "_BLOCK_ENTRIES = 1 << 12", "_BLOCK_ENTRIES = 1 << 30", "adbe927"),
+           "_BLOCK_ENTRIES = 1 << 12", "_BLOCK_ENTRIES = 1 << 30", "adbe927", "gate"),
     Mutant("no-quarter-growth", "src/denumerant/oracle.py",
            "grown = min(len(table) * 5 // 4, admission.MAX_TABLE_ENTRIES) - 1",
-           "grown = 0", "panel"),
+           "grown = 0", "panel", "gate"),
     Mutant("closed-form-k5-pair-term", "src/denumerant/reductions.py",
            "+ 3 * sum(parts.product // (ai * aj)", "+ 2 * sum(parts.product // (ai * aj)",
-           "panel"),
+           "panel", "answer"),
     Mutant("theorem2-domain-short", "src/denumerant/reductions.py",
-           "if not 1 <= x <= parts.total - 1:", "if not 1 <= x <= parts.total - 2:", "panel"),
+           "if not 1 <= x <= parts.total - 1:", "if not 1 <= x <= parts.total - 2:",
+           "panel", "answer"),
     Mutant("exact-returns-fraction", "src/denumerant/reductions.py",
-           "    return quotient\n", "    return Fraction(quotient)\n", "panel"),
+           "    return quotient\n", "    return Fraction(quotient)\n", "panel", "gate"),
     Mutant("closed-form-row-to-k4", "src/denumerant/verify.py",
-           '("closed-form", 2, 5, "n",', '("closed-form", 2, 4, "n",', "panel"),
+           '("closed-form", 2, 5, "n",', '("closed-form", 2, 4, "n",', "panel", "gate"),
     Mutant("json-method-for-every-subcommand", "src/denumerant/cli.py",
            '"method": getattr(args, "method", None),',
-           '"method": getattr(args, "method", args.subcommand),', "panel"),
+           '"method": getattr(args, "method", args.subcommand),', "panel", "gate"),
     Mutant("fail-line-drops-parts", "src/denumerant/verify.py",
            'f"FAIL {failure.check} parts={list(failure.parts.parts)}"',
-           'f"FAIL {failure.check}"', "panel"),
+           'f"FAIL {failure.check}"', "panel", "gate"),
     Mutant("served-second-sum-one-late", "src/denumerant/oracle.py",
-           "_sum_down(held, n - x, largest)", "_sum_down(held, n - x + 1, largest)", "panel"),
+           "_sum_down(held, n - x, largest)", "_sum_down(held, n - x + 1, largest)",
+           "panel", "answer"),
     Mutant("wider-table-one-entry-short", "src/denumerant/oracle.py",
-           "if len(_TABLES.get(wider, ())) > n:", "if len(_TABLES.get(wider, ())) >= n:", "panel"),
+           "if len(_TABLES.get(wider, ())) > n:", "if len(_TABLES.get(wider, ())) >= n:",
+           "panel", "answer"),
     Mutant("hold-keeps-replaced-weight", "src/denumerant/admission.py",
-           "cache.bytes -= weigh(old)", "cache.bytes -= 0", "panel"),
+           "cache.bytes -= weigh(old)", "cache.bytes -= 0", "panel", "gate"),
     Mutant("growth-put-one-late", "src/denumerant/oracle.py",
-           "growth.put(base - low, counts,", "growth.put(base - low + 1, counts,", "panel"),
+           "growth.put(base - low, counts,", "growth.put(base - low + 1, counts,",
+           "panel", "answer"),
     Mutant("join-pads-to-growth-length", "src/denumerant/oracle.py",
            "t.planes.pop(0) if t.planes else bytes(m)",
-           "t.planes.pop(0) if t.planes else bytes(lengths[1])", "panel"),
+           "t.planes.pop(0) if t.planes else bytes(lengths[1])", "panel", "answer"),
     Mutant("index-keeps-first", "src/denumerant/oracle.py",
            "if len(_TABLES.get(_WIDER.get(narrower), ())) <= len(new):",
-           "if not _TABLES.get(_WIDER.get(narrower)):", "panel"),
+           "if not _TABLES.get(_WIDER.get(narrower)):", "panel", "gate"),
     Mutant("index-keeps-shorter", "src/denumerant/oracle.py",
-           "<= len(new):", ">= len(new):", "panel"),
+           "<= len(new):", ">= len(new):", "panel", "gate"),
     Mutant("growth-one-short", "src/denumerant/oracle.py",
-           "bytearray(upper + 1 - low)", "bytearray(upper - low)", "2b50364"),
+           "bytearray(upper + 1 - low)", "bytearray(upper - low)", "2b50364", "gate"),
     Mutant("parser-built-every-run", "src/denumerant/cli.py",
            "    name = argv[0] if argv and argv[0] in _OPTIONS else None\n",
            "    _build_parser()\n    name = argv[0] if argv and argv[0] in _OPTIONS else None\n",
-           "panel"),
+           "panel", "gate"),
 )
 
 VERIFY = ("-m", "denumerant", "verify", "--trials", "500", "--seed", "0")
@@ -217,11 +228,14 @@ def main(argv: Sequence[str] = None) -> int:
             shutil.copytree(base, copy)
             apply(mutant, copy)
             results.append({"id": mutant.id, "file": mutant.file, "recorded": mutant.recorded,
-                            **run_tree(copy)})
+                            "kind": mutant.kind, **run_tree(copy)})
             print(f"{mutant.id}: {results[-1]}", file=sys.stderr)
             shutil.rmtree(copy)
     data = json.loads(args.out.read_text()) if args.out.exists() else {}
-    data[args.key] = {"tree": label, "rows": results}
+    answers = [row for row in results if row["kind"] == "answer"]
+    kills = sum(bool(row["verify_killed"]) for row in answers)
+    data[args.key] = {"tree": label, "verify_answer_kills": f"{kills}/{len(answers)}",
+                      "rows": results}
     args.out.write_text(json.dumps(data, indent=1) + "\n")
     return 0
 

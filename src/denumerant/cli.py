@@ -170,7 +170,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     """
     if args.subcommand == "verify":
         started = time.perf_counter()
-        failures = run_verify(
+        failures, _, _ = run_verify(
             args.trials, args.seed, args.k_min, args.k_max, args.max_part, args.max_product
         )
         elapsed = time.perf_counter() - started

@@ -4,6 +4,9 @@ the Bernoulli numbers' two sources are checked against each other.
 Each check is one row of ``CHECKS``, in report order: name, least and most
 arity, the drawn argument it reads, and its formula side.  The argument's
 kind gives the oracle side, from the trial's lookups p (``_ORACLE_SIDES``).
+A trial walks the rows once, counts each row it runs by arity, and reports
+only a row whose two sides differ, so a sweep returns what it checked
+beside what failed.
 The CLI runs the formula sides: `count --method <name>` takes the rows at n,
 and `theorem2` and `theorem3` their rows, so every method but the oracle has
 a count row by construction.  The routes are reached through their modules
@@ -15,10 +18,10 @@ the CLI too.
 
 from __future__ import annotations
 
-import functools
 import random
+from collections import Counter
 from math import inf, isqrt, lcm, prod
-from typing import List, NamedTuple, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 from . import admission, bernoulli, oracle, reductions, waves
 from .errors import DomainError, SamplingExhaustedError
@@ -33,10 +36,6 @@ class TheoremReport(NamedTuple):
     inputs: Tuple[Tuple[str, int], ...]
     lhs: int
     rhs: int
-
-    @property
-    def holds(self) -> bool:
-        return self.lhs == self.rhs
 
 
 def random_coprime_partset(
@@ -96,31 +95,35 @@ def _check_bernoulli(top: int) -> List[TheoremReport]:
     ]
 
 
-def _check_trial(trial: int, parts: PartSet, n: int, rng: random.Random) -> List[TheoremReport]:
-    """Each row of CHECKS that covers k and whose argument was drawn: n,
-    reported with q and r (n = qP + r), then x in [1, S - 1] for k >= 2, then
-    x3 in [S, P] while S <= P.  Each distinct argument is looked up once, the
-    largest, max(n, P - x), first (theorem3's are below P - S), so one table
-    serves the trial."""
+def _check_trial(
+    trial: int, parts: PartSet, n: int, rng: random.Random, ran: Counter
+) -> List[TheoremReport]:
+    """Each row of CHECKS that covers k and whose argument was drawn: n, then
+    x in [1, S - 1] for k >= 2, then x3 in [S, P] while S <= P.  A row run
+    adds one to ran[row, k], and only a row whose two sides differ is
+    reported, an n row with q and r (n = qP + r).  Each distinct argument is
+    looked up once, the largest, max(n, P - x), first (theorem3's are below
+    P - S), so one table serves the trial."""
     k, product, total = parts.k, parts.product, parts.total
-    q, r = divmod(n, product)
     drawn = {"n": n}
     if k >= 2:
         drawn["x"] = rng.randint(1, total - 1)
         if total <= product:
             drawn["x3"] = rng.randint(total, product)
-    p = functools.cache(lambda m: oracle.oracle_count(parts, m))
+    # the trial's lookups, each distinct argument once
+    looked: Dict[int, int] = {}
+    p = lambda m: looked[m] if m in looked else looked.setdefault(m, oracle.oracle_count(parts, m))
     p(max(n, product - drawn.get("x", product)))
-    return [
-        TheoremReport(
-            check, parts,
-            (("trial", trial), ("n", n), ("q", q), ("r", r)) if arg == "n"
-            else (("trial", trial), ("x", drawn[arg])),
-            _ORACLE_SIDES[arg](p, parts, drawn[arg]), formula(parts, drawn[arg]),
-        )
-        for check, least, most, arg, formula in CHECKS
-        if least <= k <= most and arg in drawn
-    ]
+    failures = []
+    for check, least, most, arg, formula in CHECKS:
+        if least <= k <= most and arg in drawn:
+            ran[check, k] += 1
+            lhs, rhs = _ORACLE_SIDES[arg](p, parts, drawn[arg]), formula(parts, drawn[arg])
+            if lhs != rhs:
+                q, r = divmod(n, product)
+                inputs = (("n", n), ("q", q), ("r", r)) if arg == "n" else (("x", drawn[arg]),)
+                failures.append(TheoremReport(check, parts, (("trial", trial), *inputs), lhs, rhs))
+    return failures
 
 
 def run_verify(
@@ -130,7 +133,7 @@ def run_verify(
     k_max: int,
     max_part: int,
     max_product: int,
-) -> Tuple[TheoremReport, ...]:
+) -> Tuple[Tuple[TheoremReport, ...], Counter, Counter]:
     """Seeded random sweep of every identity against the oracle.
 
     First the two sources of the Bernoulli numbers are compared up to index
@@ -138,7 +141,11 @@ def run_verify(
     nothing.  Then each trial draws a part set by rejection sampling (product
     capped so the oracle table stays small), then n = q * product + r with q
     in 0..3 and r uniform, then checks every identity applicable to the arity.
-    Returns the failed checks, the Bernoulli indices first, then in trial order.
+    Returns (failures, ran, arities): the failed checks, the Bernoulli
+    indices first, then in trial order, each trial's in CHECKS order; the
+    trials that ran each row at each arity, keyed (row, arity); and the
+    trials drawn at each arity, so a row skipped arities[k] - ran[row, k]
+    trials of arity k.
 
     A k_max over max_part, a k_max that no pairwise-coprime set from
     [1, max_part] with product at most max_product has, and trial tables that
@@ -165,15 +172,15 @@ def run_verify(
         )
     admission.admit_sweep(k_max, max_part, max_product)
     rng = random.Random(seed)
-    failures = _check_bernoulli(max(12, 2 * k_max + 2))
+    failures, ran, arities = _check_bernoulli(max(12, 2 * k_max + 2)), Counter(), Counter()
     for trial in range(trials):
         k = rng.randint(k_min, k_max)
         parts = random_coprime_partset(k, max_part, max_product, rng)
+        arities[k] += 1
         # q in 0..3, then r in [0, P): a seed's draws keep this order
         n = rng.randint(0, 3) * parts.product + rng.randrange(parts.product)
-        reports = _check_trial(trial, parts, n, rng)
-        failures.extend(report for report in reports if not report.holds)
-    return tuple(failures)
+        failures.extend(_check_trial(trial, parts, n, rng, ran))
+    return tuple(failures), ran, arities
 
 
 def format_failure(failure: TheoremReport) -> str:

@@ -7,6 +7,7 @@ import json
 import random
 import sys
 import tracemalloc
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from math import comb, lcm, prod
@@ -785,17 +786,16 @@ class TestVerify:
         ids=lambda v: ",".join(map(str, v)) if isinstance(v[0], int) else "",
     )
     def test_rows_apply_where_their_routes_accept(self, values, checks):
-        # every check applicable to the set runs, in report order: section3
-        # from k = 2, the closed forms up to k = 5, theorem3 while the sum is
-        # at most the product: (1,2,3) has both 6, and (1,2) a sum of 3 over a
-        # product of 2.  verify's arity domains against the routes' own: every
-        # other row's route refuses the set at an argument it would otherwise
-        # take (x = 1, or x3 = S)
-        parts = PartSet(values)
+        # every check applicable to the set runs once, counted at its arity,
+        # in report order: section3 from k = 2, the closed forms up to k = 5,
+        # theorem3 while the sum is at most the product: (1,2,3) has both 6,
+        # and (1,2) a sum of 3 over a product of 2.  verify's arity domains
+        # against the routes' own: every other row's route refuses the set at
+        # an argument it would otherwise take (x = 1, or x3 = S)
+        parts, ran = PartSet(values), Counter()
         n = 2 * parts.product + 1
-        reports = verify._check_trial(0, parts, n, random.Random(0))
-        assert tuple(report.check for report in reports) == checks
-        assert all(report.holds for report in reports)
+        assert verify._check_trial(0, parts, n, random.Random(0), ran) == []
+        assert list(ran.items()) == [((check, len(values)), 1) for check in checks]
         arguments = {"n": n, "x": 1, "x3": parts.total}
         for check, *_, arg, formula in verify.CHECKS:
             if check not in checks:
@@ -840,7 +840,7 @@ class TestVerify:
         monkeypatch.setattr(
             waves, "waves_count", lambda parts, n: real(parts, n) + (n >= parts.product)
         )
-        failures = run_verify(
+        failures, _, _ = run_verify(
             trials=50, seed=0, k_min=1, k_max=5, max_part=13, max_product=20000
         )
         assert failures and {failure.check for failure in failures} == {"waves"}
@@ -852,7 +852,7 @@ class TestVerify:
             return waves_count(parts, r) - reductions.closed_form_correction(parts, n)
 
         monkeypatch.setattr(reductions, "closed_form_count", mutant)
-        failures = run_verify(
+        failures, _, _ = run_verify(
             trials=50, seed=0, k_min=2, k_max=5, max_part=13, max_product=20000
         )
         assert failures and {failure.check for failure in failures} == {"closed-form"}
@@ -921,32 +921,43 @@ class TestVerify:
         the values its rows read.
 
         The rows read p(n) (theorem1, section3, closed-form), p(P - x)
-        (theorem2, closed-form-theorem2), and p(P - x) and p(x - S) (theorem3).
+        (theorem2, closed-form-theorem2), and p(P - x) and p(x - S) (theorem3):
+        each oracle side the trial runs is recorded with its argument.
         """
-        trials, lookups = [], []
+        trials, lookups, sides = [], [], []
         oracle_count, check_trial = oracle.oracle_count, verify._check_trial
 
-        def read(report):
-            inputs, parts = dict(report.inputs), report.parts
-            if "n" in inputs:
-                return {inputs["n"]}
-            x = inputs["x"]
-            if report.check == "theorem3":
-                return {parts.product - x, x - parts.total}
-            return {parts.product - x}
+        def read(kind, parts, arg):
+            if kind == "n":
+                return {arg}
+            if kind == "x3":
+                return {parts.product - arg, arg - parts.total}
+            return {parts.product - arg}
+
+        def recording(kind, side):
+            def recorded(p, parts, arg):
+                sides.append(read(kind, parts, arg))
+                return side(p, parts, arg)
+
+            return recorded
 
         def counting_oracle(parts, n):
             lookups.append(n)
             return oracle_count(parts, n)
 
         def counting_check(*args):
-            before = len(lookups)
-            reports = check_trial(*args)
-            trials.append((lookups[before:], set().union(*map(read, reports))))
-            return reports
+            before, read_before = len(lookups), len(sides)
+            failures = check_trial(*args)
+            trials.append((lookups[before:], set().union(*sides[read_before:])))
+            return failures
 
         monkeypatch.setattr(oracle, "oracle_count", counting_oracle)
         monkeypatch.setattr(verify, "_check_trial", counting_check)
+        monkeypatch.setattr(
+            verify,
+            "_ORACLE_SIDES",
+            {kind: recording(kind, side) for kind, side in verify._ORACLE_SIDES.items()},
+        )
         for seed in range(5):
             run_verify(
                 trials=50, seed=seed, k_min=1, k_max=6, max_part=13, max_product=20000
@@ -957,6 +968,26 @@ class TestVerify:
         assert all(set(made) == rows_read for made, rows_read in trials)
         # theorem3 reads two values and often shares none with the other rows
         assert any(len(made) >= 4 for made, _ in trials)
+
+    def test_passing_sweep_counts_its_checks_and_reports_none(self, monkeypatch):
+        """The trials drawn at each arity, and the trials that ran each row at
+        each arity: every row runs in every trial of k = 2..5 but theorem3,
+        which 5 two-part sets skip, their sum past their product.
+
+        Work gate: a report is built only for a check that fails, so this
+        passing sweep builds none.  Building one for every row that ran made
+        345 here.
+        """
+        built, report = [], verify.TheoremReport
+        monkeypatch.setattr(
+            verify, "TheoremReport", lambda *args: built.append(args) or report(*args)
+        )
+        failures, ran, arities = run_verify(50, 0, 2, 5, 13, 20000)
+        assert failures == () and built == []
+        assert arities == {2: 14, 3: 17, 4: 5, 5: 14}
+        expected = {(check, k): drawn for check in self.ALL_CHECKS for k, drawn in arities.items()}
+        expected["theorem3", 2] = 9
+        assert ran == expected and sum(ran.values()) == 345
 
     def test_more_parts_than_max_part_refused_before_any_draw(self, monkeypatch):
         def no_draw(*args):
@@ -1042,7 +1073,7 @@ class TestVerify:
             with pytest.raises(ResourceLimitError, match="cap of 100"):
                 run_verify(max_product=30, **arguments)
             assert calls == []
-            failures = run_verify(max_product=25, **arguments)
+            failures, _, _ = run_verify(max_product=25, **arguments)
             builds = [call.upper for call in calls]
             assert failures == () and builds and max(builds) < 100
             # the k_max largest parts bound the product too: 4 * 5 * 4 = 80
@@ -1073,7 +1104,7 @@ class TestVerify:
 
     def test_failures_reported_as_text(self, theorem1_off_by_one, capsys):
         # the FAIL lines are format_failure's
-        failures = run_verify(
+        failures, _, _ = run_verify(
             trials=3, seed=0, k_min=2, k_max=3, max_part=13, max_product=100000
         )
         expected = [format_failure(f) for f in failures]
@@ -1093,6 +1124,33 @@ class TestVerify:
             assert isinstance(failure["lhs"], str) and isinstance(failure["rhs"], str)
             assert int(failure["rhs"]) == int(failure["lhs"]) + 1
 
+    @pytest.fixture
+    def waves_off_by_one(self, monkeypatch):
+        # reductions binds waves_count by name, so both bindings are rebound:
+        # every route at n takes p(r) from the waves
+        def off_by_one(parts, n):
+            return waves_count(parts, n) + 1
+
+        monkeypatch.setattr(waves, "waves_count", off_by_one)
+        monkeypatch.setattr(reductions, "waves_count", off_by_one)
+
+    AT_N = ("theorem1", "section3", "closed-form", "waves")
+
+    @pytest.mark.parametrize(
+        "output, digest", [("text", "acd999a99ddbf2f8"), ("json", "30df32860cc608c3")]
+    )
+    def test_rows_failing_together_keep_report_order(
+        self, waves_off_by_one, capsys, output, digest
+    ):
+        # each trial fails its four rows at n, in CHECKS order, before the
+        # next trial's; the digests pin that order in both outputs
+        code, out, _ = invoke(capsys, *self.FAILING, "--output", output)
+        assert code == 1 and self.digest(out) == digest
+        failures, _, _ = run_verify(3, 0, 2, 3, 13, 100000)
+        assert [(f.check, f.inputs[0]) for f in failures] == [
+            (check, ("trial", trial)) for trial in range(3) for check in self.AT_N
+        ]
+
     def test_bernoulli_sources_disagreeing_at_one_index(self, monkeypatch, capsys):
         # B_6 off in the tangent numbers' table alone: one FAIL line, before
         # any trial, and exit 1
@@ -1110,7 +1168,7 @@ class TestVerify:
         # trial's parts, n, q and r, and through them the x draws between.
         # The digest is that of the two nested sampling loops the single
         # loop replaced: both must draw the same sets.
-        failures = run_verify(
+        failures, _, _ = run_verify(
             trials=200, seed=7, k_min=1, k_max=6, max_part=13, max_product=20000
         )
         lines = "\n".join(format_failure(f) for f in failures)

@@ -1,6 +1,7 @@
 """The mutant panel of scripts/mutants.py applies to the current source,
-MUTANTS.json holds a run of each of its rows that keeps every kill, and a
-check's child runs under the panel's memory cap."""
+each row classed; MUTANTS.json holds a run of each of its rows that keeps
+every kill, and verify's kills of the answer rows; and a check's child runs
+under the panel's memory cap."""
 
 import importlib.util
 import json
@@ -20,6 +21,7 @@ IDS = [mutant.id for mutant in mutants.PANEL]
 
 def test_row_ids_are_distinct():
     assert len(set(IDS)) == len(IDS)
+    assert {mutant.kind for mutant in mutants.PANEL} == {"answer", "gate"}
 
 
 @pytest.mark.parametrize("mutant", mutants.PANEL, ids=IDS)
@@ -44,6 +46,19 @@ def test_no_recorded_kill_is_lost(mutant):
     assert parent["file"] == mutant.file
     assert change["verify_killed"] or not parent["verify_killed"]
     assert change["tier1_killed"] or not parent["tier1_killed"]
+
+
+def test_verify_keeps_its_answer_kills():
+    # verify's kills of the rows agreement can see, classed as the panel
+    # classes them now: the change kills at least as many as the parent, and
+    # each run's record of them is its rows'
+    answer = {mutant.id for mutant in mutants.PANEL if mutant.kind == "answer"}
+    kills = {}
+    for key in ("parent", "change"):
+        rows = [row for row in RUNS[key]["rows"] if row["id"] in answer]
+        kills[key] = sum(bool(row["verify_killed"]) for row in rows)
+        assert RUNS[key]["verify_answer_kills"] == f"{kills[key]}/{len(rows)}"
+    assert kills["change"] >= kills["parent"]
 
 
 def test_a_check_past_the_memory_cap_is_a_memory_kill(tmp_path, monkeypatch):

@@ -252,7 +252,7 @@ def sweep_200():
     with pytest.MonkeyPatch.context() as patch, kernel_calls() as calls:
         patch.setattr(oracle, "_nbytes", counting_nbytes)
         patch.setattr(admission, "hold", counting_hold)
-        assert run_verify(200, 0, 2, 5, 13, 20000) == ()
+        assert run_verify(200, 0, 2, 5, 13, 20000)[0] == ()
         return list(oracle._TABLES.values()), [call.parts for call in calls], weighed, stores
 
 
@@ -468,7 +468,7 @@ def test_index_held_to_the_budget_over_a_long_sweep(monkeypatch):
     monkeypatch.setattr(oracle, "_WIDER", admission.Held())
     narrower = set()
     for seed in range(20):
-        assert run_verify(50, seed, 2, 5, 13, 20000) == ()
+        assert run_verify(50, seed, 2, 5, 13, 20000)[0] == ()
         index = oracle._WIDER
         *rest, _ = index.values()
         assert sum(map(sys.getsizeof, rest)) <= budget

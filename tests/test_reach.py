@@ -97,7 +97,7 @@ def unreached():
     previous = sys.gettrace()
     sys.settrace(tracer)
     try:
-        failures = verify.run_verify(500, 0, 2, 5, 13, 100000)
+        failures, _, _ = verify.run_verify(500, 0, 2, 5, 13, 100000)
     finally:
         sys.settrace(previous)
     assert failures == ()

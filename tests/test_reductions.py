@@ -31,7 +31,6 @@ from denumerant.reductions import (
     theorem3_rhs,
 )
 from denumerant.series import series_exp
-from denumerant.verify import TheoremReport
 from denumerant.waves import waves_count
 
 from helpers import cold_caches, coprime_part_tuples
@@ -393,19 +392,6 @@ def test_bernoulli_barnes_routes_evaluate_k_minus_1_polynomials(monkeypatch, com
     reads.clear()
     section3_count(parts, n)
     assert (tables, reads) == ([], [])
-
-
-def test_report_holds_semantics():
-    report = TheoremReport(
-        check="x", parts=PartSet.of(2, 3), inputs=(("n", 11),), lhs=2, rhs=F(2)
-    )
-    assert report.holds
-    assert not TheoremReport(
-        check="x", parts=PartSet.of(2, 3), inputs=(), lhs=2, rhs=F(5, 2)
-    ).holds
-    assert not TheoremReport(
-        check="x", parts=PartSet.of(2, 3), inputs=(), lhs=2, rhs=F(3)
-    ).holds
 
 
 # The package functions each route may call, as module.name.  Everything else
