@@ -6,8 +6,7 @@ arity, the drawn argument it reads, and its formula side.  The argument's
 kind gives the oracle side, from the trial's lookups p (``_ORACLE_SIDES``).
 A trial walks the rows once, counts each row it runs by arity, and reports
 only a row whose two sides differ, so a sweep returns what it checked
-beside what failed.
-The CLI runs the formula sides: `count --method <name>` takes the rows at n,
+beside what failed.  The CLI runs the formula sides: `count --method <name>` takes the rows at n,
 and `theorem2` and `theorem3` their rows, so every method but the oracle has
 a count row by construction.  The routes are reached through their modules
 (``oracle.oracle_count``, ``reductions.theorem1_count``, ``waves.waves_count``),
