@@ -13,7 +13,8 @@ formula for the Newton coefficients that waves._setup takes from a difference
 triangle.  run_module runs the command line in a fresh interpreter,
 cold_caches empties every cache the package keeps between calls,
 kernel_calls records the oracle's DP kernel calls over fresh oracle caches,
-and held_ints makes a small held cache.
+calls records the arguments a patched function is called with and forbid
+makes one raise, and held_ints makes a small held cache.
 """
 
 import os
@@ -88,6 +89,28 @@ def kernel_calls() -> Iterator[List[KernelCall]]:
         oracle, _dp_counts=spy, _TABLES=admission.Held(), _WIDER=admission.Held()
     ):
         yield calls
+
+
+def calls(monkeypatch, owner, name: str) -> List[tuple]:
+    """The positional arguments of each call of owner.name, in order, as
+    monkeypatch rebinds it to a wrapper that passes every call through."""
+    recorded, real = [], getattr(owner, name)
+
+    def spy(*args, **kwargs):
+        recorded.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, spy)
+    return recorded
+
+
+def forbid(monkeypatch, owner, name: str) -> None:
+    """Rebind owner.name, by monkeypatch, to raise AssertionError naming the call."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{owner.__name__}.{name} was called")
+
+    monkeypatch.setattr(owner, name, refuse)
 
 
 def held_ints(**entries: int) -> admission.Held:

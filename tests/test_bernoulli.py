@@ -39,14 +39,8 @@ from denumerant.partset import PartSet
 from denumerant.reductions import theorem1_count, theorem2_count, theorem3_rhs
 from denumerant.series import series_mul
 
-from helpers import (
-    bb_coeffs,
-    bb_polys_by_factor_order,
-    cold_caches,
-    coprime_part_tuples,
-    exp_via_egf,
-    run_module,
-)
+from helpers import bb_coeffs, bb_polys_by_factor_order, calls, cold_caches, coprime_part_tuples
+from helpers import exp_via_egf, forbid, run_module
 
 F = Fraction
 
@@ -134,20 +128,14 @@ def test_unit_coefficients_skip_the_odd_rows(monkeypatch):
 
     From a cold cache, m = 200 takes 5,151 binomials; summing every row took
     10,299."""
-    calls = []
-
-    def counting(n, k):
-        calls.append(n)
-        return comb(n, k)
-
-    monkeypatch.setattr(bernoulli_module, "comb", counting)
+    binomials = calls(monkeypatch, bernoulli_module, "comb")
     bernoulli_module._unit_coefficients.cache_clear()
     try:
         bernoulli_module._unit_coefficients(200)
     finally:
         bernoulli_module._unit_coefficients.cache_clear()
-    assert 0 < len(calls) <= 5_664  # 55% of 10,299
-    assert all(n % 2 == 1 or n == 2 for n in calls)
+    assert 0 < len(binomials) <= 5_664  # 55% of 10,299
+    assert all(n % 2 == 1 or n == 2 for n, _ in binomials)
 
 
 class TestBernoulliBarnes:
@@ -238,36 +226,21 @@ class TestBernoulliBarnes:
     def test_no_series_products_or_per_part_inversions(self, monkeypatch):
         # deterministic work gate: the polynomials come from one scalar
         # convolution, not from per-part series_inv and Poly-valued series_mul
-        calls = {"series_inv": 0, "series_mul": 0}
-
-        def counting(name):
-            original = getattr(series_module, name)
-
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return original(*args, **kwargs)
-
-            return wrapper
-
-        for name in calls:
-            wrapped = counting(name)
-            monkeypatch.setattr(series_module, name, wrapped)
-            monkeypatch.setattr(bernoulli_module, name, wrapped, raising=False)
-
-        # and they keep their own coefficients, apart from the number table
-        def table_read(m):
-            raise AssertionError("theorem1's polynomials must not read section3's table")
-
-        monkeypatch.setattr(bernoulli_module, "bernoulli_numbers", table_read)
+        # bernoulli binds neither by name, so it could reach them only here
+        assert not {"series_inv", "series_mul"} & set(vars(bernoulli_module))
+        inverses = calls(monkeypatch, series_module, "series_inv")
+        products = calls(monkeypatch, series_module, "series_mul")
+        # and they keep their own coefficients, apart from section3's number table
+        forbid(monkeypatch, bernoulli_module, "bernoulli_numbers")
         cache = bernoulli_module._bernoulli_barnes
         misses = cache.cache_info().misses
         bernoulli_barnes(PartSet.of(11, 17, 19, 23), 40)
         assert cache.cache_info().misses == misses + 1
-        assert calls["series_mul"] == 0 and calls["series_inv"] <= 1
-        calls.update(series_inv=0, series_mul=0)
+        assert products == [] and len(inverses) <= 1
+        inverses.clear()
         bernoulli_barnes(PartSet.of(13, 16, 19, 29), 37)
         assert cache.cache_info().misses == misses + 2
-        assert calls == {"series_inv": 0, "series_mul": 0}
+        assert products == inverses == []
 
     def test_denominator_reduced_at_large_k(self):
         # Size gate: over the first 60 primes at index 58, beta and its

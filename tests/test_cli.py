@@ -11,6 +11,7 @@ from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from math import comb, lcm, prod
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -30,7 +31,7 @@ from denumerant.reductions import theorem1_count
 from denumerant.verify import format_failure, random_coprime_partset, run_verify
 from denumerant.waves import waves_count
 
-from helpers import bb_coeffs, brute_force_count, kernel_calls, run_module
+from helpers import bb_coeffs, brute_force_count, calls, forbid, kernel_calls, run_module
 
 F = Fraction
 
@@ -39,6 +40,11 @@ def invoke(capsys, *argv):
     code = run(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def sha16(text):
+    """The first 16 hex digits of the sha256 of text, by which an output is pinned."""
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 class TestCount:
@@ -51,21 +57,6 @@ class TestCount:
             assert (code, err) == (0, "")
             outputs.add(out)
         assert len(outputs) == 1
-
-    def test_closed_form_arity_limit_is_a_domain_error(self, capsys):
-        code, out, err = invoke(
-            capsys,
-            "count",
-            "--parts",
-            "1,2,3,5,7,11",
-            "--n",
-            "100",
-            "--method",
-            "closed-form",
-        )
-        assert code == 3
-        assert out == ""
-        assert "error:" in err
 
     def test_text_mode_builds_no_json_only_value(self, capsys):
         # str() of this n passes the lowered digit limit, so a payload built
@@ -115,8 +106,7 @@ class TestOtherSubcommands:
     def test_bb_refused_from_its_bound_before_the_table(self, capsys, monkeypatch):
         # the bound for (2,3,5,7) passes 4,300 digits from m = 873 on; at
         # m = 900 the table alone takes about 30 s to build
-        builds = []
-        monkeypatch.setattr(bernoulli, "_bernoulli_barnes", lambda p, m: builds.append(m))
+        forbid(monkeypatch, bernoulli, "_bernoulli_barnes")
         for output in ("text", "json"):
             code, out, err = invoke(
                 capsys, "bb", "--parts", "2,3,5,7", "--max-index", "900", "--output", output
@@ -124,7 +114,6 @@ class TestOtherSubcommands:
             assert (code, out) == (3, "")
             assert err.count("\n") == 1 and err.startswith("error: ")
             assert "cap of 4300" in err
-        assert builds == []
         admission.admit_bb(PartSet.of(2, 3, 5, 7), 800)  # --max-index 800 prints
 
     def test_bb_of_a_part_past_the_float_range(self, capsys):
@@ -147,18 +136,17 @@ class TestOtherSubcommands:
         # bound on B_120(x; 10^6) is 949 digits, under 4,300 and over 640
         argv = ("bb", "--parts", "1000000", "--max-index", "120", "--output", output)
         assert invoke(capsys, *argv)[0] == 0
-        builds = []
-        monkeypatch.setattr(bernoulli, "_bernoulli_barnes", lambda p, m: builds.append(m))
+        forbid(monkeypatch, bernoulli, "_bernoulli_barnes")
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(640)
         try:
             code, out, err = invoke(capsys, *argv)
         finally:
             sys.set_int_max_str_digits(limit)
-        assert (code, out, builds) == (3, "", [])
+        assert (code, out) == (3, "")
         assert err.count("\n") == 1 and "may print 949-digit numbers, over the cap of 640" in err
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     @given(
         st.sets(st.integers(1, 30), min_size=1, max_size=5),
         st.integers(0, 30),
@@ -233,16 +221,10 @@ class TestOtherSubcommands:
         # work gate: the first row of the (2,3,5,7) table at index 40 takes one
         # binomial, not the 861 of all 41 rows
         table = bernoulli.bernoulli_barnes(PartSet.of(2, 3, 5, 7), 40)
-        calls, real_comb = [], bernoulli.comb
-
-        def counting(n, k):
-            calls.append((n, k))
-            return real_comb(n, k)
-
-        monkeypatch.setattr(bernoulli, "comb", counting)
+        binomials = calls(monkeypatch, bernoulli, "comb")
         rows = iter(bernoulli.lowest_terms(table))
         assert next(rows) == [(1, 210)]  # B_0 = 1 / (2 * 3 * 5 * 7)
-        assert calls == [(0, 0)]
+        assert binomials == [(0, 0)]
 
     def test_bb_at_a_large_index(self, capsys):
         # B_i(x; A) = sum_j C(i, j) beta_{i-j} x^j / P with beta the EGF of
@@ -268,21 +250,22 @@ class TestOtherSubcommands:
 
 
 class TestExitCodes:
-    def test_usage_error_nonpositive_parts(self, capsys):
-        code, _, _ = invoke(capsys, "count", "--parts", "0,3", "--n", "5")
-        assert code == 2
+    # argv, exit code, and a fragment of stderr or None
+    REFUSED = {
+        "part-0": ("count --parts 0,3 --n 5", 2, None),
+        "theorem1-coprime": ("count --parts 2,4 --n 5 --method theorem1", 3, "coprime"),
+        "waves-coprime": ("count --parts 2,4 --n 5 --method waves", 3, "coprime"),
+        "theorem2-x-at-S": ("theorem2 --parts 2,3,5 --x 10", 3, None),
+        "duplicate-part": ("count --parts 2,2,3 --n 5", 3, None),
+        "negative-n": ("count --parts 2,3 --n -4", 3, None),
+        "six-parts": ("count --parts 1,2,3,5,7,11 --n 100 --method closed-form", 3, "error:"),
+    }
 
-    def test_domain_error_non_coprime(self, capsys):
-        for method in ("theorem1", "waves"):
-            code, _, err = invoke(
-                capsys, "count", "--parts", "2,4", "--n", "5", "--method", method
-            )
-            assert code == 3
-            assert "coprime" in err
-
-    def test_domain_error_out_of_range_x(self, capsys):
-        code, _, _ = invoke(capsys, "theorem2", "--parts", "2,3,5", "--x", "10")
-        assert code == 3
+    @pytest.mark.parametrize("argv, code, fragment", REFUSED.values(), ids=REFUSED)
+    def test_refused_with_nothing_on_stdout(self, capsys, argv, code, fragment):
+        done, out, err = invoke(capsys, *argv.split())
+        assert (done, out) == (code, "")
+        assert fragment is None or fragment in err
 
     def test_theorem3_refuses_a_set_whose_sum_passes_its_product(self, capsys):
         code, out, err = invoke(capsys, "theorem3", "--parts", "1,2", "--x", "3")
@@ -291,14 +274,6 @@ class TestExitCodes:
             "error: parts [1, 2] have no theorem3 domain:"
             " their sum 3 passes their product 2\n"
         )
-
-    def test_domain_error_duplicate_parts(self, capsys):
-        code, _, _ = invoke(capsys, "count", "--parts", "2,2,3", "--n", "5")
-        assert code == 3
-
-    def test_domain_error_negative_n(self, capsys):
-        code, _, _ = invoke(capsys, "count", "--parts", "2,3", "--n", "-4")
-        assert code == 3
 
     def test_oversized_table_refused_before_allocating(self, capsys):
         code, out, err = invoke(capsys, "count", "--parts", "2,3", "--n", str(10**12))
@@ -314,23 +289,16 @@ class TestExitCodes:
         self, monkeypatch, capsys
     ):
         # at a 640-digit budget, B_448 is the first with too long a numerator
-        calls = []
-        real = bernoulli.bernoulli_numbers
-
-        def counting(m):
-            calls.append(m)
-            return real(m)
-
-        monkeypatch.setattr(bernoulli, "bernoulli_numbers", counting)
+        tables = calls(monkeypatch, bernoulli, "bernoulli_numbers")
         monkeypatch.setattr(admission, "MAX_DIGITS", 640)
         for index in ("448", "449", "2600", str(10 ** 400)):
             code, out, err = invoke(capsys, "bernoulli", "--max-index", index)
             assert (code, out) == (3, "")
             assert err.startswith("error: ") and "cap of 640" in err
-        assert calls == []
+        assert tables == []
         code, out, _ = invoke(capsys, "bernoulli", "--max-index", "447")
         assert code == 0 and out.count("\n") == 448
-        assert calls == [447]
+        assert tables == [(447,)]
 
     @pytest.mark.parametrize("output", ["text", "json"])
     def test_count_prints_past_the_int_to_str_limit(self, capsys, output):
@@ -352,14 +320,7 @@ class TestExitCodes:
 
 class TestParserBuiltOnce:
     def test_many_runs_build_one_parser(self, monkeypatch, capsys):
-        builds = []
-        add_subparsers = argparse.ArgumentParser.add_subparsers
-
-        def counting(parser, **kwargs):
-            builds.append(parser.prog)
-            return add_subparsers(parser, **kwargs)
-
-        monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers", counting)
+        builds = calls(monkeypatch, argparse.ArgumentParser, "add_subparsers")
         cli._build_parser.cache_clear()
         argvs = [
             ("count", "--parts", "2,3", "--n", "11", "--method", "waves"),
@@ -370,20 +331,13 @@ class TestParserBuiltOnce:
         codes = [run(list(argv)) for argv in argvs * 3]
         capsys.readouterr()
         assert codes == [0, 2, 0, 0] * 3
-        assert builds == ["denumerant"]
+        assert [parser.prog for (parser,) in builds] == ["denumerant"]
 
     def test_plain_argv_build_no_parser(self, monkeypatch, capsys):
         # Work gate: _bind binds a plain argv of each subcommand, so none
         # builds the parsers; the first argv that only argparse parses builds
         # them, once
-        builds = []
-        add_subparsers = argparse.ArgumentParser.add_subparsers
-
-        def counting(parser, **kwargs):
-            builds.append(parser.prog)
-            return add_subparsers(parser, **kwargs)
-
-        monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers", counting)
+        builds = calls(monkeypatch, argparse.ArgumentParser, "add_subparsers")
         cli._build_parser.cache_clear()
         plain = [
             ("count", "--parts", "2,3", "--n", "11"),
@@ -397,7 +351,7 @@ class TestParserBuiltOnce:
         assert builds == []
         assert run(["count", "--parts=2,3", "--n", "5"]) == 0
         capsys.readouterr()
-        assert builds == ["denumerant"]
+        assert [parser.prog for (parser,) in builds] == ["denumerant"]
 
     def test_usage_error_then_valid_argv_match_a_fresh_process(
         self, monkeypatch, capsys
@@ -469,11 +423,6 @@ PINNED = [
 ]
 
 
-def stdout_digest(capsys, *argv):
-    code, out, _ = invoke(capsys, *argv)
-    return code, hashlib.sha256(out.encode()).hexdigest()[:16]
-
-
 class TestStdoutPinned:
     @pytest.mark.parametrize(
         "argv, code, digest",
@@ -481,7 +430,8 @@ class TestStdoutPinned:
         ids=[r[0].replace(str(HUGE_N), "10**1300+12345") for r in PINNED],
     )
     def test_stdout_and_exit_code(self, capsys, argv, code, digest):
-        assert stdout_digest(capsys, *argv.split()) == (code, digest)
+        done, out, _ = invoke(capsys, *argv.split())
+        assert (done, sha16(out)) == (code, digest)
 
 
 class TestDecimal:
@@ -489,7 +439,7 @@ class TestDecimal:
 
     LADDER = (512, 1024, 2048, 4096)
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(
         st.integers(0, 4300).flatmap(
             lambda d: st.integers(10 ** (d - 1) if d > 1 else 0, 10 ** d - 1)
@@ -627,18 +577,11 @@ class TestDispatch:
         # subcommand parser's option table with no argparse parse; `=`, the
         # `--meth` abbreviation or a repeated option is parsed once, by that
         # parser alone
-        calls, handed = [], []
-        parse_known_args = argparse.ArgumentParser.parse_known_args
-
-        def counting(parser, *args, **kwargs):
-            calls.append(parser.prog)
-            return parse_known_args(parser, *args, **kwargs)
-
-        expected = _build_parser()[0].parse_args(list(argv))
-        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
+        handed, expected = [], _build_parser()[0].parse_args(list(argv))
+        parsed = calls(monkeypatch, argparse.ArgumentParser, "parse_known_args")
         monkeypatch.setattr(cli, "_dispatch", lambda args: handed.append(args) or 0)
         assert run(list(argv)) == 0
-        assert calls == [f"denumerant {argv[0]}"] * parses
+        assert [parser.prog for parser, *_ in parsed] == [f"denumerant {argv[0]}"] * parses
         assert handed == [expected]
 
     @settings(max_examples=400)
@@ -691,8 +634,7 @@ class TestDispatch:
     def test_top_level_argv_unchanged(self, monkeypatch, capsys, argv, expected):
         monkeypatch.setenv("COLUMNS", "80")  # the usage text wraps at the width
         code, out, err = invoke(capsys, *argv)
-        digests = [hashlib.sha256(text.encode()).hexdigest()[:16] for text in (out, err)]
-        assert (code, *digests) == expected
+        assert (code, sha16(out), sha16(err)) == expected
 
     def test_unknown_flag_reported_by_the_subcommand(self, monkeypatch, capsys):
         monkeypatch.setenv("COLUMNS", "80")
@@ -864,30 +806,29 @@ class TestVerify:
 
     @pytest.fixture(scope="class")
     def sweep_work(self):
-        """The kernel calls of the first ten of 75 50-trial sweeps from cold
-        caches, as entries filled per call; those of all 75; and the calls
-        each trial made."""
+        """75 50-trial sweeps from cold oracle caches: the kernel calls of the
+        first ten, as entries filled per call, and of all 75; the calls each
+        trial made; the first sweep's result; and the reports they built."""
         per_trial, check_trial = [], verify._check_trial
 
         def counting_check(*args):
-            before = len(calls)
+            before = len(kernels)
             reports = check_trial(*args)
-            per_trial.append(len(calls) - before)
+            per_trial.append(len(kernels) - before)
             return reports
 
-        with pytest.MonkeyPatch.context() as patch, kernel_calls() as calls:
+        with pytest.MonkeyPatch.context() as patch, kernel_calls() as kernels:
             patch.setattr(verify, "_check_trial", counting_check)
-            for seed in range(75):
-                if seed == 10:
-                    first_ten = [call.filled for call in calls]
-                run_verify(
-                    trials=50, seed=seed, k_min=2, k_max=5, max_part=13, max_product=20000
-                )
-        return first_ten, [call.filled for call in calls], per_trial
+            reports = calls(patch, verify, "TheoremReport")
+            sweeps = [run_verify(50, seed, 2, 5, 13, 20000) for seed in range(10)]
+            first_ten = [call.filled for call in kernels]
+            sweeps += [run_verify(50, seed, 2, 5, 13, 20000) for seed in range(10, 75)]
+        filled = [call.filled for call in kernels]
+        return SimpleNamespace(first_ten=first_ten, filled=filled, per_trial=per_trial,
+                               first=sweeps[0], reports=reports)
 
     def test_one_table_per_trial(self, sweep_work):
-        *_, per_trial = sweep_work
-        assert len(per_trial) == 3750 and max(per_trial) == 1
+        assert len(sweep_work.per_trial) == 3750 and max(sweep_work.per_trial) == 1
 
     def test_sweep_work_bounded(self, sweep_work):
         """Work gate: the oracle cache keeps a sweep's tables across trials.
@@ -899,7 +840,7 @@ class TestVerify:
         twice its length made 245 builds filling 1,630,479 entries, and
         extending a short table only to n, not by a quarter, 148 filling 913,874.
         """
-        first_ten, *_ = sweep_work
+        first_ten = sweep_work.first_ten
         assert 0 < len(first_ten) <= 160 and sum(first_ten) <= 1_000_000
 
     def test_working_set_held_across_a_long_sweep(self, sweep_work):
@@ -912,7 +853,7 @@ class TestVerify:
         short table only to n, not by a quarter, made 302 calls filling
         1,626,995, past the bound on calls.
         """
-        _, work, _ = sweep_work
+        work = sweep_work.filled
         assert 0 < len(work) <= 290 and sum(work) <= 1_800_000
 
     def test_no_trial_discards_an_oracle_value(self, monkeypatch):
@@ -924,8 +865,8 @@ class TestVerify:
         (theorem2, closed-form-theorem2), and p(P - x) and p(x - S) (theorem3):
         each oracle side the trial runs is recorded with its argument.
         """
-        trials, lookups, sides = [], [], []
-        oracle_count, check_trial = oracle.oracle_count, verify._check_trial
+        trials, sides, check_trial = [], [], verify._check_trial
+        lookups = calls(monkeypatch, oracle, "oracle_count")
 
         def read(kind, parts, arg):
             if kind == "n":
@@ -941,17 +882,12 @@ class TestVerify:
 
             return recorded
 
-        def counting_oracle(parts, n):
-            lookups.append(n)
-            return oracle_count(parts, n)
-
         def counting_check(*args):
             before, read_before = len(lookups), len(sides)
             failures = check_trial(*args)
-            trials.append((lookups[before:], set().union(*sides[read_before:])))
+            trials.append(([n for _, n in lookups[before:]], set().union(*sides[read_before:])))
             return failures
 
-        monkeypatch.setattr(oracle, "oracle_count", counting_oracle)
         monkeypatch.setattr(verify, "_check_trial", counting_check)
         monkeypatch.setattr(
             verify,
@@ -969,31 +905,25 @@ class TestVerify:
         # theorem3 reads two values and often shares none with the other rows
         assert any(len(made) >= 4 for made, _ in trials)
 
-    def test_passing_sweep_counts_its_checks_and_reports_none(self, monkeypatch):
+    def test_passing_sweep_counts_its_checks_and_reports_none(self, sweep_work):
         """The trials drawn at each arity, and the trials that ran each row at
-        each arity: every row runs in every trial of k = 2..5 but theorem3,
-        which 5 two-part sets skip, their sum past their product.
+        each arity, in run_verify(50, 0, 2, 5, 13, 20000): every row runs in
+        every trial of k = 2..5 but theorem3, which 5 two-part sets skip,
+        their sum past their product.
 
-        Work gate: a report is built only for a check that fails, so this
-        passing sweep builds none.  Building one for every row that ran made
-        345 here.
+        Work gate: a report is built only for a check that fails, so these
+        passing sweeps build none.  Building one for every row that ran made
+        345 in the first.
         """
-        built, report = [], verify.TheoremReport
-        monkeypatch.setattr(
-            verify, "TheoremReport", lambda *args: built.append(args) or report(*args)
-        )
-        failures, ran, arities = run_verify(50, 0, 2, 5, 13, 20000)
-        assert failures == () and built == []
+        failures, ran, arities = sweep_work.first
+        assert failures == () and sweep_work.reports == []
         assert arities == {2: 14, 3: 17, 4: 5, 5: 14}
         expected = {(check, k): drawn for check in self.ALL_CHECKS for k, drawn in arities.items()}
         expected["theorem3", 2] = 9
         assert ran == expected and sum(ran.values()) == 345
 
     def test_more_parts_than_max_part_refused_before_any_draw(self, monkeypatch):
-        def no_draw(*args):
-            raise AssertionError("a part set was drawn")
-
-        monkeypatch.setattr(verify, "random_coprime_partset", no_draw)
+        forbid(monkeypatch, verify, "random_coprime_partset")
         message = r"cannot draw 3 distinct parts from \[1, 2\]"
         for trials in (0, 5):
             with pytest.raises(DomainError, match=message):
@@ -1004,10 +934,7 @@ class TestVerify:
     def test_unreachable_arity_refused_before_any_draw(self, monkeypatch, capsys):
         # no pairwise-coprime 2000-subset of [1, 2000] has a product up to 10^5:
         # the least product, 1 times the first 1999 primes, passes it by the 7th prime
-        def no_draw(*args):
-            raise AssertionError("a part set was drawn")
-
-        monkeypatch.setattr(verify, "random_coprime_partset", no_draw)
+        forbid(monkeypatch, verify, "random_coprime_partset")
         argv = ("--trials", "1", "--k-min", "2000", "--k-max", "2000", "--max-part", "2000")
         code, out, err = invoke(capsys, "verify", *argv)
         assert (code, out) == (3, "")
@@ -1053,17 +980,11 @@ class TestVerify:
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_one_arity_per_run(self, monkeypatch, capsys, k):
         # --k-min k --k-max k pins every trial's part set to k parts
-        arities, check_trial = [], verify._check_trial
-
-        def recording_check(trial, parts, *args):
-            arities.append(len(parts.parts))
-            return check_trial(trial, parts, *args)
-
-        monkeypatch.setattr(verify, "_check_trial", recording_check)
+        trials = calls(monkeypatch, verify, "_check_trial")
         argv = ("--trials", "20", "--seed", "0", "--k-min", str(k), "--k-max", str(k))
         code, out, _ = invoke(capsys, "verify", *argv)
         assert (code, out) == (0, "trials: 20\nseed: 0\nfailures: 0\n")
-        assert arities == [k] * 20
+        assert [parts.k for _, parts, *_ in trials] == [k] * 20
 
     def test_oversized_tables_refused_before_the_first_trial(self, monkeypatch):
         # a trial's table has at most 4 * product entries
@@ -1098,10 +1019,6 @@ class TestVerify:
 
     FAILING = ("verify", "--trials", "3", "--k-min", "2", "--k-max", "3")
 
-    def digest(self, out):
-        # each output is pinned by the first 16 hex digits of its sha256
-        return hashlib.sha256(out.encode()).hexdigest()[:16]
-
     def test_failures_reported_as_text(self, theorem1_off_by_one, capsys):
         # the FAIL lines are format_failure's
         failures, _, _ = run_verify(
@@ -1112,12 +1029,12 @@ class TestVerify:
             line.startswith("FAIL theorem1 parts=[") for line in expected
         )
         code, out, _ = invoke(capsys, *self.FAILING)
-        assert code == 1 and "failures: 3" in out and self.digest(out) == "29229b9dbdf6cb7b"
+        assert code == 1 and "failures: 3" in out and sha16(out) == "29229b9dbdf6cb7b"
         assert [line for line in out.splitlines() if line.startswith("FAIL")] == expected
 
     def test_failures_reported_as_json(self, theorem1_off_by_one, capsys):
         code, out, _ = invoke(capsys, *self.FAILING, "--output", "json")
-        assert code == 1 and self.digest(out) == "ef74b9f2a609ac3c"
+        assert code == 1 and sha16(out) == "ef74b9f2a609ac3c"
         failures = json.loads(out)["failures"]
         assert [f["check"] for f in failures] == ["theorem1"] * 3
         for failure in failures:
@@ -1145,7 +1062,7 @@ class TestVerify:
         # each trial fails its four rows at n, in CHECKS order, before the
         # next trial's; the digests pin that order in both outputs
         code, out, _ = invoke(capsys, *self.FAILING, "--output", output)
-        assert code == 1 and self.digest(out) == digest
+        assert code == 1 and sha16(out) == digest
         failures, _, _ = run_verify(3, 0, 2, 3, 13, 100000)
         assert [(f.check, f.inputs[0]) for f in failures] == [
             (check, ("trial", trial)) for trial in range(3) for check in self.AT_N
@@ -1180,30 +1097,12 @@ class TestVerify:
     def test_routes_reached_through_their_modules(self, monkeypatch):
         # perfbench/spans.py and the tests rebind routes on their modules
         # only, so a name bound in verify by import would go unseen.
-        routes = [(oracle, "oracle_count")] + [
-            (reductions, name)
-            for name in (
-                "theorem1_count",
-                "section3_count",
-                "closed_form_correction",
-                "theorem2_count",
-                "closed_form_theorem2",
-                "theorem3_rhs",
-            )
-        ]
-        calls = {name: 0 for _, name in routes}
-
-        def counting(name, fn):
-            def wrapper(*args):
-                calls[name] += 1
-                return fn(*args)
-
-            return wrapper
-
-        for module, name in routes:
-            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        names = ("theorem1_count", "section3_count", "closed_form_correction", "theorem2_count",
+                 "closed_form_theorem2", "theorem3_rhs")
+        made = {name: calls(monkeypatch, reductions, name) for name in names}
+        made["oracle_count"] = calls(monkeypatch, oracle, "oracle_count")
         run_verify(trials=30, seed=0, k_min=2, k_max=5, max_part=13, max_product=20000)
-        assert all(calls.values()), calls
+        assert all(made.values()), {name: len(args) for name, args in made.items()}
 
 
 class TestRandomCoprimePartset:

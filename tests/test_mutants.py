@@ -1,7 +1,8 @@
 """The mutant panel of scripts/mutants.py applies to the current source,
 each row classed; MUTANTS.json holds a run of each of its rows that keeps
-every kill, and verify's kills of the answer rows; and a check's child runs
-under the panel's memory cap."""
+every kill, and verify's kills of the answer rows; each answer row verify
+misses is an open item of ROADMAP.md; and a check's child runs under the
+panel's memory cap."""
 
 import importlib.util
 import json
@@ -17,6 +18,7 @@ spec.loader.exec_module(mutants)
 
 RUNS = json.loads((ROOT / "MUTANTS.json").read_text())
 IDS = [mutant.id for mutant in mutants.PANEL]
+ANSWER = {mutant.id for mutant in mutants.PANEL if mutant.kind == "answer"}
 
 
 def test_row_ids_are_distinct():
@@ -52,13 +54,21 @@ def test_verify_keeps_its_answer_kills():
     # verify's kills of the rows agreement can see, classed as the panel
     # classes them now: the change kills at least as many as the parent, and
     # each run's record of them is its rows'
-    answer = {mutant.id for mutant in mutants.PANEL if mutant.kind == "answer"}
     kills = {}
     for key in ("parent", "change"):
-        rows = [row for row in RUNS[key]["rows"] if row["id"] in answer]
+        rows = [row for row in RUNS[key]["rows"] if row["id"] in ANSWER]
         kills[key] = sum(bool(row["verify_killed"]) for row in rows)
         assert RUNS[key]["verify_answer_kills"] == f"{kills[key]}/{len(rows)}"
     assert kills["change"] >= kills["parent"]
+
+
+def test_rows_verify_misses_are_open_items():
+    # no answer row leaves ROADMAP.md's open items while verify misses it
+    roadmap = (ROOT / "ROADMAP.md").read_text()
+    open_items = roadmap.split("\n## Open items\n", 1)[1].split("\n## Recent\n", 1)[0]
+    missed = [row["id"] for row in RUNS["change"]["rows"]
+              if row["id"] in ANSWER and not row["verify_killed"]]
+    assert [row for row in missed if f"`{row}`" not in open_items] == []
 
 
 def test_a_check_past_the_memory_cap_is_a_memory_kill(tmp_path, monkeypatch):

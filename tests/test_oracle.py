@@ -19,7 +19,7 @@ from denumerant.partset import PartSet
 from denumerant.verify import run_verify
 from denumerant.waves import waves_count
 
-from helpers import brute_force_count, cold_caches, held_ints, kernel_calls
+from helpers import brute_force_count, calls, cold_caches, forbid, held_ints, kernel_calls
 
 small_partsets = st.lists(
     st.integers(min_value=1, max_value=12), min_size=1, max_size=4, unique=True
@@ -125,11 +125,7 @@ def test_count_tabulates_all_parts_but_the_largest(values):
 
 def test_one_part_counts_read_no_table(monkeypatch):
     """[a | n] at any n, past the table cap too, with no kernel call."""
-
-    def refuse(*args):
-        raise AssertionError("a one-part count called the DP kernel")
-
-    monkeypatch.setattr(oracle, "_dp_counts", refuse)
+    forbid(monkeypatch, oracle, "_dp_counts")
     monkeypatch.setattr(oracle, "_TABLES", admission.Held())
     assert oracle_count(PartSet.of(7), 10 ** 7 - 3) == 1
     assert oracle_count(PartSet.of(7), 10 ** 7 - 2) == 0
@@ -198,20 +194,14 @@ def test_held_bytes_stay_under_the_budget(monkeypatch):
     budget = 1 << 16
     monkeypatch.setattr(admission, "MAX_HELD_BYTES", budget)
     monkeypatch.setattr(waves, "_SETUPS", admission.Held())
-    setups, setup = [], waves._setup
-
-    def counting_setup(parts):
-        setups.append(parts)
-        return setup(parts)
-
-    monkeypatch.setattr(waves, "_setup", counting_setup)
+    setups = calls(monkeypatch, waves, "_setup")
 
     def held_but_newest(cache, weigh):
         *rest, _ = cache.values()
         return sum(map(weigh, rest))
 
     primes = [p for p in range(2, 114) if all(p % d for d in range(2, p))]
-    with kernel_calls() as calls:
+    with kernel_calls() as kernels:
         for seed in range(10):
             run_verify(trials=50, seed=seed, k_min=2, k_max=5, max_part=13, max_product=20000)
             assert held_but_newest(oracle._TABLES, oracle._nbytes) <= budget
@@ -219,7 +209,7 @@ def test_held_bytes_stay_under_the_budget(monkeypatch):
             waves_count(PartSet(tuple(values)), 10 ** 30)
             assert held_but_newest(waves._SETUPS, itemgetter(0)) <= budget
         # both caches dropped entries, so the bound was in force
-        used = {call.parts for call in calls}
+        used = {call.parts for call in kernels}
         assert len(oracle._TABLES) < len(used) and len(waves._SETUPS) < len(setups)
 
 
@@ -235,12 +225,7 @@ def sweep_200():
     tables it weighs, and per store into the oracle's tables whether it
     replaced one and how many it dropped."""
     cold_caches()
-    weighed, stores = [], []
-    nbytes, hold = oracle._nbytes, admission.hold
-
-    def counting_nbytes(table):
-        weighed.append(table)
-        return nbytes(table)
+    stores, hold = [], admission.hold
 
     def counting_hold(cache, key, value, weigh):
         before = set(cache)
@@ -249,11 +234,11 @@ def sweep_200():
             stores.append((key in before, len(before - set(cache))))
         return value
 
-    with pytest.MonkeyPatch.context() as patch, kernel_calls() as calls:
-        patch.setattr(oracle, "_nbytes", counting_nbytes)
+    with pytest.MonkeyPatch.context() as patch, kernel_calls() as kernels:
+        weighed = calls(patch, oracle, "_nbytes")
         patch.setattr(admission, "hold", counting_hold)
         assert run_verify(200, 0, 2, 5, 13, 20000)[0] == ()
-        return list(oracle._TABLES.values()), [call.parts for call in calls], weighed, stores
+        return list(oracle._TABLES.values()), [call.parts for call in kernels], weighed, stores
 
 
 def test_sweep_builds_only_what_no_held_table_serves(sweep_200):
@@ -312,11 +297,7 @@ def test_refused_extension_leaves_the_held_table_unchanged(
     assert oracle._TABLES == {values[:-1]: table}
     assert oracle._TABLES[values[:-1]] is table
     assert len(table) == n + 1 and [bytes(plane) for plane in table.planes] == before
-
-    def no_build(*args):
-        raise AssertionError("a lookup the held table covers built a table")
-
-    monkeypatch.setattr(oracle, "_dp_counts", no_build)
+    forbid(monkeypatch, oracle, "_dp_counts")  # a lookup the held table covers builds none
     assert oracle_count(parts, n - 10) == expected
 
 

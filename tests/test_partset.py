@@ -11,16 +11,9 @@ from helpers import pairwise_coprime
 
 
 def test_rejects_bad_parts():
-    with pytest.raises(DomainError):
-        PartSet(())
-    with pytest.raises(DomainError):
-        PartSet((2, 2, 3))
-    with pytest.raises(DomainError):
-        PartSet((0, 3))
-    with pytest.raises(DomainError):
-        PartSet((-2, 3))
-    with pytest.raises(DomainError):
-        PartSet((True, 3))
+    for values in ((), (2, 2, 3), (0, 3), (-2, 3), (True, 3)):
+        with pytest.raises(DomainError):
+            PartSet(values)
 
 
 def test_derived_quantities():

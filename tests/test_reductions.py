@@ -12,11 +12,7 @@ from hypothesis import strategies as st
 
 import denumerant
 from denumerant import bernoulli, reductions
-from denumerant.errors import (
-    CoprimalityError,
-    RangeError,
-    UnsupportedArityError,
-)
+from denumerant.errors import CoprimalityError, DomainError, RangeError, UnsupportedArityError
 from denumerant.oracle import oracle_count
 from denumerant.partset import PartSet
 from denumerant.reductions import (
@@ -33,7 +29,7 @@ from denumerant.reductions import (
 from denumerant.series import series_exp
 from denumerant.waves import waves_count
 
-from helpers import cold_caches, coprime_part_tuples
+from helpers import calls, cold_caches, coprime_part_tuples
 
 F = Fraction
 
@@ -48,6 +44,65 @@ def with_n(pool):
     return st.sampled_from(pool).flatmap(
         lambda combo: st.tuples(st.just(combo), small_n | st.integers(0, 4 * prod(combo) - 1))
     )
+
+
+def case_ids(table):
+    return [f"{route.__name__}-{','.join(map(str, parts))}-{arg}" for route, parts, arg, _ in table]
+
+
+# (route, parts, n, value): small counts and corrections, each pinned on
+# every route that computes it; n = 29 < P = 30 has q = 0
+KNOWN = [
+    (route, parts, n, value)
+    for routes, parts, n, value in [
+        ((theorem1_count, section3_count), (2, 3), 11, 2),
+        ((theorem1_count, section3_count), (2, 3, 5), 59, 68),
+        ((theorem1_count, section3_count), (2, 3, 5), 29, 19),
+        ((theorem1_correction, closed_form_correction), (2, 3), 11, 1),
+        ((theorem1_correction, closed_form_correction), (2, 3, 5), 59, 49),
+        ((theorem1_correction,), (7,), 21, 0),
+    ]
+    for route in routes
+]
+
+
+@pytest.mark.parametrize("route, parts, n, value", KNOWN, ids=case_ids(KNOWN))
+def test_known_values(route, parts, n, value):
+    assert route(PartSet(parts), n) == value
+
+
+# (route, parts, argument, error): each route refuses what its identity does
+# not cover, with exactly this error; theorem2 takes 0 < x < S, theorem3
+# S <= x <= P, section3 k >= 2 and the closed forms 2 <= k <= 5
+REFUSED = [
+    (theorem1_count, (2, 4), 10, CoprimalityError),
+    (theorem1_correction, (6, 10), 100, CoprimalityError),
+    (section3_count, (7,), 21, UnsupportedArityError),
+    (section3_count, (2, 4), 10, CoprimalityError),
+    (closed_form_correction, (7,), 21, UnsupportedArityError),
+    (closed_form_correction, (1, 2, 3, 5, 7, 11), 100, UnsupportedArityError),
+    (closed_form_correction, (2, 4), 10, CoprimalityError),
+    (waves_count, (2, 4), 10, CoprimalityError),
+    (waves_count, (2, 3), -1, DomainError),
+    (theorem2_count, (2, 3, 5), 0, RangeError),
+    (theorem2_count, (2, 3, 5), 10, RangeError),
+    (theorem2_count, (7,), 3, UnsupportedArityError),
+    (theorem2_count, (2, 4), 3, CoprimalityError),
+    (closed_form_theorem2, (2, 3, 5), 10, RangeError),
+    (closed_form_theorem2, (7,), 3, UnsupportedArityError),
+    (closed_form_theorem2, (2, 4), 3, CoprimalityError),
+    (theorem3_rhs, (2, 3, 5), 9, RangeError),
+    (theorem3_rhs, (2, 3, 5), 31, RangeError),
+    (theorem3_rhs, (7,), 7, UnsupportedArityError),
+    (theorem3_rhs, (2, 6), 8, CoprimalityError),
+]
+
+
+@pytest.mark.parametrize("route, parts, arg, error", REFUSED, ids=case_ids(REFUSED))
+def test_refuses_what_it_does_not_cover(route, parts, arg, error):
+    with pytest.raises(error) as refused:
+        route(PartSet(parts), arg)
+    assert type(refused.value) is error
 
 
 class TestDecompose:
@@ -73,22 +128,6 @@ class TestDecompose:
 
 
 class TestTheorem1:
-    def test_correction_examples(self):
-        assert theorem1_correction(PartSet.of(2, 3), 11) == 1
-        assert theorem1_correction(PartSet.of(2, 3, 5), 59) == 49
-        assert theorem1_correction(PartSet.of(7), 21) == 0
-
-    def test_count_examples(self):
-        assert theorem1_count(PartSet.of(2, 3), 11) == 2
-        assert theorem1_count(PartSet.of(2, 3, 5), 59) == 68
-        assert theorem1_count(PartSet.of(2, 3, 5), 29) == 19  # q = 0
-
-    def test_coprimality_enforced(self):
-        with pytest.raises(CoprimalityError):
-            theorem1_count(PartSet.of(2, 4), 10)
-        with pytest.raises(CoprimalityError):
-            theorem1_correction(PartSet.of(6, 10), 100)
-
     def test_single_part(self):
         # empty correction sum: the count reduces to the residue
         for n in (0, 7, 20, 21, 1000001):
@@ -117,19 +156,6 @@ class TestTheorem1:
 
 
 class TestTheorem2:
-    def test_range_enforced(self):
-        parts = PartSet.of(2, 3, 5)
-        with pytest.raises(RangeError):
-            theorem2_count(parts, 0)
-        with pytest.raises(RangeError):
-            theorem2_count(parts, 10)  # the sum of the parts is out of range
-
-    def test_arity_and_coprimality(self):
-        with pytest.raises(UnsupportedArityError):
-            theorem2_count(PartSet.of(7), 3)
-        with pytest.raises(CoprimalityError):
-            theorem2_count(PartSet.of(2, 4), 3)
-
     @given(st.sampled_from(COPRIME_2_TO_4))
     @settings(max_examples=60)
     @example((2, 3))
@@ -144,19 +170,6 @@ class TestTheorem2:
 
 
 class TestTheorem3:
-    def test_range_enforced(self):
-        parts = PartSet.of(2, 3, 5)
-        with pytest.raises(RangeError):
-            theorem3_rhs(parts, 9)
-        with pytest.raises(RangeError):
-            theorem3_rhs(parts, 31)
-
-    def test_arity_and_coprimality(self):
-        with pytest.raises(UnsupportedArityError):
-            theorem3_rhs(PartSet.of(7), 7)
-        with pytest.raises(CoprimalityError):
-            theorem3_rhs(PartSet.of(2, 6), 8)
-
     @given(st.sampled_from([c for c in COPRIME_2_TO_4 if sum(c) <= 150]))
     @settings(max_examples=40)
     @example((2, 3))
@@ -185,17 +198,6 @@ class TestTheorem3:
 
 
 class TestSection3:
-    def test_examples(self):
-        assert section3_count(PartSet.of(2, 3), 11) == 2
-        assert section3_count(PartSet.of(2, 3, 5), 59) == 68
-        assert section3_count(PartSet.of(2, 3, 5), 29) == 19  # q = 0
-
-    def test_arity_and_coprimality(self):
-        with pytest.raises(UnsupportedArityError):
-            section3_count(PartSet.of(7), 21)
-        with pytest.raises(CoprimalityError):
-            section3_count(PartSet.of(2, 4), 10)
-
     @given(with_n(COPRIME_2_TO_5))
     @settings(max_examples=200)
     def test_agrees_with_the_correction_sum(self, drawn):
@@ -261,22 +263,15 @@ class TestSection3:
 def test_no_correction_is_built_at_q_zero(monkeypatch, combo):
     """Work gate: for n < P the correction is multiplied by q = 0, so neither
     theorem1 nor section3 builds it; at q = 1 both do."""
-    calls = []
-    for name in ("bernoulli_barnes", "series_exp"):
-        real = getattr(reductions, name)
-
-        def spy(*args, real=real, name=name):
-            calls.append(name)
-            return real(*args)
-
-        monkeypatch.setattr(reductions, name, spy)
+    tables = calls(monkeypatch, reductions, "bernoulli_barnes")
+    exps = calls(monkeypatch, reductions, "series_exp")
     parts = PartSet(combo)
     for n in (0, parts.product // 2, parts.product - 1):
         assert theorem1_count(parts, n) == section3_count(parts, n) == waves_count(parts, n)
-    assert calls == []
+    assert tables == exps == []
     n = parts.product + parts.product // 2
     assert theorem1_count(parts, n) == section3_count(parts, n) == waves_count(parts, n)
-    assert set(calls) == {"bernoulli_barnes", "series_exp"}
+    assert tables and exps
 
 
 @pytest.mark.parametrize(
@@ -298,10 +293,6 @@ def test_routes_agree_in_the_huge_n_regime(combo):
 
 
 class TestClosedForms:
-    def test_correction_examples(self):
-        assert closed_form_correction(PartSet.of(2, 3), 11) == 1
-        assert closed_form_correction(PartSet.of(2, 3, 5), 59) == 49
-
     def test_theorem2_examples(self):
         assert closed_form_theorem2(PartSet.of(2, 3), 1) == 1
         assert closed_form_theorem2(PartSet.of(2, 3, 5), 5) == 15
@@ -312,24 +303,6 @@ class TestClosedForms:
             for x in range(1, parts.total):
                 expected = oracle_count(parts, parts.product - x)
                 assert closed_form_theorem2(parts, x) == expected
-
-    def test_unsupported_arities(self):
-        with pytest.raises(UnsupportedArityError):
-            closed_form_correction(PartSet.of(7), 21)
-        with pytest.raises(UnsupportedArityError):
-            closed_form_correction(PartSet.of(1, 2, 3, 5, 7, 11), 100)
-        with pytest.raises(UnsupportedArityError):
-            closed_form_theorem2(PartSet.of(7), 3)
-
-    def test_coprimality_enforced(self):
-        with pytest.raises(CoprimalityError):
-            closed_form_correction(PartSet.of(2, 4), 10)
-        with pytest.raises(CoprimalityError):
-            closed_form_theorem2(PartSet.of(2, 4), 3)
-
-    def test_theorem2_range_enforced(self):
-        with pytest.raises(RangeError):
-            closed_form_theorem2(PartSet.of(2, 3, 5), 10)
 
     @given(with_n(COPRIME_2_TO_5))
     @settings(max_examples=300)
@@ -362,36 +335,25 @@ def test_bernoulli_barnes_routes_evaluate_k_minus_1_polynomials(monkeypatch, com
     """
     parts = PartSet(combo)
     k = parts.k
-    tables, reads = [], []
-    real_eval = bernoulli.numerators_at
-
-    def table_spy(p, m):
-        tables.append((p, m))
-        return bernoulli.bernoulli_barnes(p, m)
-
-    def eval_spy(beta, x):
-        reads.append((len(beta), x))
-        return real_eval(beta, x)
-
-    monkeypatch.setattr(reductions, "bernoulli_barnes", table_spy)
-    monkeypatch.setattr(reductions, "numerators_at", eval_spy)
-    monkeypatch.setattr(bernoulli, "numerators_at", eval_spy)
+    tables = calls(monkeypatch, reductions, "bernoulli_barnes")
+    reads = calls(monkeypatch, reductions, "numerators_at")
+    reads_at = calls(monkeypatch, bernoulli, "numerators_at")
     n = 10 ** 30 + 12345
-    calls = (
+    routes = (
         (theorem1_count, n, -(n % parts.product)),
         (theorem2_count, parts.total - 1, parts.total - 1),
         (theorem3_rhs, parts.total, parts.total),
     )
-    for route, arg, x in calls:
-        tables.clear()
-        reads.clear()
+
+    def made(route, arg):
+        for recorded in (tables, reads, reads_at):
+            recorded.clear()
         route(parts, arg)
-        assert tables == [(parts, k - 2)]
-        assert reads == [(k - 1, x)]
-    tables.clear()
-    reads.clear()
-    section3_count(parts, n)
-    assert (tables, reads) == ([], [])
+        return tables, [(len(beta), at) for beta, at in reads + reads_at]
+
+    for route, arg, x in routes:
+        assert made(route, arg) == ([(parts, k - 2)], [(k - 1, x)])
+    assert made(section3_count, n) == ([], [])
 
 
 # The package functions each route may call, as module.name.  Everything else

@@ -9,18 +9,14 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from denumerant import admission, waves
-from denumerant.errors import (
-    CoprimalityError,
-    DomainError,
-    InternalInconsistencyError,
-    ResourceLimitError,
-)
+from denumerant.errors import InternalInconsistencyError, ResourceLimitError
 from denumerant.oracle import oracle_count
 from denumerant.partset import PartSet
 from denumerant.reductions import closed_form_count, section3_count, theorem1_count
 from denumerant.waves import waves_count
 
-from helpers import brute_force_count, coprime_part_tuples, index_walk_wave, newton_by_binomials
+from helpers import brute_force_count, calls, coprime_part_tuples, forbid
+from helpers import index_walk_wave, newton_by_binomials
 
 COPRIME_SETS = coprime_part_tuples(13, range(1, 7), max_product=5000)
 
@@ -91,22 +87,12 @@ def test_table_free_routes_agree_far_past_any_table(parts):
             assert closed_form_count(parts, n) == value
 
 
-def test_rejects_what_the_identity_does_not_cover():
-    with pytest.raises(CoprimalityError):
-        waves_count(PartSet.of(2, 4), 10)
-    with pytest.raises(DomainError):
-        waves_count(PartSet.of(2, 3), -1)
-
-
 def test_oversized_part_sum_refused_before_building(monkeypatch):
-    def no_setup(parts):
-        raise AssertionError("waves were built for a refused part set")
-
     monkeypatch.setattr(admission, "MAX_TABLE_ENTRIES", 30)
     monkeypatch.setattr(waves, "_SETUPS", admission.Held())
     # (k - 1) S walk steps: 2 * 15 = 30 fits the cap, 2 * 23 = 46 does not
     assert waves_count(PartSet.of(3, 5, 7), 29) == brute_force_count((3, 5, 7), 29)
-    monkeypatch.setattr(waves, "_setup", no_setup)
+    forbid(monkeypatch, waves, "_setup")
     with pytest.raises(ResourceLimitError, match="46 walk steps, over the cap of 30"):
         waves_count(PartSet.of(5, 7, 11), 10 ** 30)
 
@@ -179,19 +165,12 @@ def test_walk_gathers_by_slices_up_to_stride_32(a):
 @pytest.mark.parametrize("values", [(7,), (2, 3), (3, 5, 7), (2, 3, 5, 7, 11), FIRST_30_PRIMES[:6]])
 def test_each_wave_walks_once_per_factor_but_the_first(monkeypatch, values):
     """Each factor but the first gathers once: k - 2 gathers, and none for residue order."""
-    calls = []
-    real_walk = waves._walk
-
-    def counting(wave, s):
-        calls.append(len(wave))
-        return real_walk(wave, s)
-
-    monkeypatch.setattr(waves, "_walk", counting)
+    walks = calls(monkeypatch, waves, "_walk")
     k = len(values)
     for j, a in enumerate(values):
-        calls.clear()
+        walks.clear()
         waves._wave(a, values[:j] + values[j + 1 :])
-        assert calls == [a] * max(k - 2, 0)
+        assert [len(wave) for wave, _ in walks] == [a] * max(k - 2, 0)
 
 
 def test_reduced_denominators_at_large_k():
@@ -242,21 +221,14 @@ def test_large_k_setup_weighs_under_2_mib():
 
 
 def test_one_wave_per_part_and_none_when_warm(monkeypatch):
-    calls = []
-    real_wave = waves._wave
-
-    def counting(a, others):
-        calls.append(a)
-        return real_wave(a, others)
-
-    monkeypatch.setattr(waves, "_wave", counting)
+    made = calls(monkeypatch, waves, "_wave")
     monkeypatch.setattr(waves, "_SETUPS", admission.Held())
     parts = PartSet.of(3, 7, 11, 13, 16)
     waves_count(parts, 10 ** 30)
-    assert calls == list(parts)
-    calls.clear()
+    assert [a for a, _ in made] == list(parts)
+    made.clear()
     waves_count(parts, 10 ** 30 + 1)
-    assert calls == []
+    assert made == []
 
 
 def test_cache_bounded_in_bytes(monkeypatch):
