@@ -1,7 +1,7 @@
 """Alternating A/B pairs of perfbench runs: a parent side against a change side.
 
     python3 scripts/ab_pairs.py PARENT CHANGE --workload count-cold-product \\
-        --seed 0 --pairs 10 [--trace 0] --out BENCH_N.json [--key seed_0]
+        --seed 0 [--seed 1 ...] --pairs 10 [--trace 0] --out BENCH_N.json [--key second]
 
 PARENT and CHANGE are each a git revision of this repository or a directory
 holding a checkout.  Each is exported once into a fresh temporary directory
@@ -17,8 +17,16 @@ verdict of the rule for claiming a gain: the change wins at least nine tenths
 of the pairs, and its median is better than the parent's by more than the
 parent's quartile spread, q3 - q1.
 
-The series is stored in the --out file (made if missing) at [key][workload],
-next to what the file holds already.  Only the standard library is used.
+--seed may be given more than once: a series of --pairs pairs is run at each
+seed in turn, and `pooled` applies the rule to them together, as one series
+on noise can pass it: the change wins at least nine tenths of all their
+pairs, and at each seed its median is better than the parent's by more than
+that seed's parent quartile spread.
+
+Each series is stored in the --out file (made if missing) at
+[seed_<S>][workload], or [seed_<S>_<key>][workload] with --key, and the pooled
+verdict per metric at [pooled][workload] (or [pooled_<key>]), next to what the
+file holds already.  Only the standard library is used.
 """
 
 from __future__ import annotations
@@ -54,23 +62,33 @@ def summarize(parent_runs: Sequence[float], change_runs: Sequence[float], better
         raise ValueError("need one parent run and one change run per pair, and two pairs")
     if better not in ("lower", "higher"):
         raise ValueError(f"better must be 'lower' or 'higher', got {better!r}")
-    sign = 1 if better == "lower" else -1
-    wins = sum(sign * (c - p) < 0 for p, c in zip(parent_runs, change_runs))
 
     def spread(runs: Sequence[float]) -> dict:
         q1, median, q3 = statistics.quantiles(runs, n=4, method="inclusive")
         return {"median": round(median, 6), "q1": round(q1, 6), "q3": round(q3, 6)}
 
-    parent, change = spread(parent_runs), spread(change_runs)
-    lead = sign * (parent["median"] - change["median"])
-    return {
-        "parent": parent,
-        "change": change,
-        "change_wins": f"{wins}/{len(parent_runs)}",
-        "gain": 10 * wins >= 9 * len(parent_runs) and lead > parent["q3"] - parent["q1"],
+    summary = {
+        "parent": spread(parent_runs),
+        "change": spread(change_runs),
         "parent_runs": list(parent_runs),
         "change_runs": list(change_runs),
     }
+    return {**summary, **pooled([summary], better)}
+
+
+def pooled(summaries: Sequence[dict], better: str) -> dict:
+    """The gain rule over one or more series of a metric, each a `summarize`
+    result: the pairs the change wins of all their pairs, and `gain`, true
+    when that is at least nine tenths and in every series the change's median
+    is better than the parent's by more than the parent's q3 - q1 there."""
+    sign = 1 if better == "lower" else -1
+    runs = [(p, c) for s in summaries for p, c in zip(s["parent_runs"], s["change_runs"])]
+    wins = sum(sign * (c - p) < 0 for p, c in runs)
+    leads = all(
+        sign * (parent["median"] - change["median"]) > parent["q3"] - parent["q1"]
+        for parent, change in ((s["parent"], s["change"]) for s in summaries)
+    )
+    return {"change_wins": f"{wins}/{len(runs)}", "gain": 10 * wins >= 9 * len(runs) and leads}
 
 
 def export(side: str, into: Path) -> str:
@@ -109,6 +127,12 @@ def run_once(checkout: Path, workload: str, seed: int, trace: int) -> dict:
     return result
 
 
+def declared_better(checkout: Path) -> Dict[str, str]:
+    """Each metric's `better` direction, as the checkout's BENCHMARK.json declares it."""
+    declared = json.loads((checkout / "BENCHMARK.json").read_text())
+    return {m["name"]: m["better"] for m in declared["end_to_end"] + declared["per_layer"]}
+
+
 def run_pairs(dirs: Dict[str, Path], workload: str, seed: int, pairs: int, trace: int) -> dict:
     """pairs alternating pairs; the parent runs first in even pairs."""
     runs: Dict[str, List[dict]] = {side: [] for side in SIDES}
@@ -119,8 +143,7 @@ def run_pairs(dirs: Dict[str, Path], workload: str, seed: int, pairs: int, trace
         for side in order:
             runs[side].append(run_once(dirs[side], workload, seed, trace))
             print(f"pair {i} {side}: {runs[side][-1]['metrics']}", file=sys.stderr)
-    declared = json.loads((dirs["parent"] / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in declared["end_to_end"] + declared["per_layer"]}
+    better = declared_better(dirs["parent"])
     every = runs["parent"] + runs["change"]
     metrics = {
         name: summarize(
@@ -145,11 +168,11 @@ def main(argv: Sequence[str] = None) -> int:
     parser.add_argument("parent", help="git revision or checkout directory")
     parser.add_argument("change", help="git revision or checkout directory")
     parser.add_argument("--workload", required=True)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=int, action="append", help="repeatable; default 0")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--out", type=Path, required=True, help="JSON file to store the series in")
-    parser.add_argument("--key", default="series", help="the series' key in --out")
+    parser.add_argument("--key", help="a suffix to the series' keys in --out")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2")
@@ -157,10 +180,25 @@ def main(argv: Sequence[str] = None) -> int:
         dirs = {side: Path(tmp) / side for side in SIDES}
         specs = {"parent": args.parent, "change": args.change}
         labels = {side: export(specs[side], dirs[side]) for side in SIDES}
-        series = run_pairs(dirs, args.workload, args.seed, args.pairs, args.trace)
-    series = {"sides": labels, "seed": args.seed, "trace": args.trace, **series}
+        seeds = args.seed or [0]
+        series = {
+            seed: {"sides": labels, "seed": seed, "trace": args.trace,
+                   **run_pairs(dirs, args.workload, seed, args.pairs, args.trace)}
+            for seed in seeds
+        }
+        better = declared_better(dirs["parent"])
+    suffix = f"_{args.key}" if args.key else ""
     data = json.loads(args.out.read_text()) if args.out.exists() else {}
-    data.setdefault(args.key, {})[args.workload] = series
+    for seed, one in series.items():
+        data.setdefault(f"seed_{seed}{suffix}", {})[args.workload] = one
+    metrics = series[seeds[0]]["metrics"]
+    data.setdefault(f"pooled{suffix}", {})[args.workload] = {
+        "seeds": seeds,
+        "metrics": {
+            name: pooled([one["metrics"][name] for one in series.values()], better[name])
+            for name in metrics
+        },
+    }
     args.out.write_text(json.dumps(data, indent=1) + "\n")
     return 0
 

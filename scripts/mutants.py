@@ -143,6 +143,9 @@ PANEL = (
            "    name = argv[0] if argv and argv[0] in _OPTIONS else None\n",
            "    _build_parser()\n    name = argv[0] if argv and argv[0] in _OPTIONS else None\n",
            "panel", "gate"),
+    Mutant("theorem1-row-reads-waves-at-n", "src/denumerant/verify.py",
+           "w(reductions.decompose(parts, n)[1]) + reductions.theorem1_correction(parts, n)",
+           "w(n) + reductions.theorem1_correction(parts, n)", "panel", "answer"),
 )
 
 VERIFY = ("-m", "denumerant", "verify", "--trials", "500", "--seed", "0")

@@ -32,7 +32,7 @@ import time
 from functools import cache, lru_cache, partial
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
-from . import admission, bernoulli, oracle
+from . import admission, bernoulli, oracle, waves
 from .errors import DomainError
 from .partset import PartSet
 from .verify import CHECKS, format_failure, run_verify
@@ -70,13 +70,17 @@ positive_int = partial(_int_at_least, 1, "positive")
 
 
 # The routes by name: the oracle, then the formula side of each of verify's
-# rows, so the CLI runs what `verify` checks.  Each looks its route up on the
-# route's module when it runs, so rebinding a route there (a test's
-# monkeypatch, or the span tracer in perfbench/spans.py) reaches the CLI too.
-# `count --method` takes the oracle and the rows at n.
+# rows, given a plain waves lookup, so the CLI runs what `verify` checks.
+# Each looks its route up on the route's module when it runs, so rebinding a
+# route there (a test's monkeypatch, or the span tracer in perfbench/spans.py)
+# reaches the CLI too.  `count --method` takes the oracle and the rows at n.
+def _row(formula: Callable[..., int]) -> Callable[[PartSet, int], int]:
+    return lambda parts, given: formula(lambda m: waves.waves_count(parts, m), parts, given)
+
+
 _ROUTES: Dict[str, Callable[[PartSet, int], int]] = {
     "oracle": lambda parts, n: oracle.oracle_count(parts, n),
-    **{check: formula for check, *_, formula in CHECKS},
+    **{check: _row(formula) for check, *_, formula in CHECKS},
 }
 
 

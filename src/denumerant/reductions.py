@@ -175,13 +175,20 @@ def _log_weights(order: int) -> Tuple[int, Tuple[int, ...], Tuple[int, ...]]:
 
 
 def section3_count(parts: PartSet, n: int) -> int:
-    """p(n) via the exponential recursion instead of the correction sum.
+    """p(n) via the base count at the residue plus the series correction."""
+    _, r = decompose(parts, n)
+    return waves_count(parts, r) + section3_correction(parts, n)
+
+
+def section3_correction(parts: PartSet, n: int) -> int:
+    """The correction p(n) - p(r) via the exponential recursion instead of
+    the correction sum, an exact integer.
 
     Builds h(s) from the coefficients of ln(s/(e^s - 1)), which are read off
     the Bernoulli number table, and power sums, exponentiates it with
     the series recursion, and reads the correction off one coefficient.
-    Shares nothing with theorem1_count beyond the base count at the residue,
-    so the two serve as independent checks of each other.
+    Shares nothing with theorem1_correction, so the two serve as independent
+    checks of each other.
 
     It runs in integers and divides once.  With u_j = j! h_j, the weights
     j! c_j = -B_j/j share a small denominator D (``_log_weights``), so
@@ -200,12 +207,12 @@ def section3_count(parts: PartSet, n: int) -> int:
     The coefficient read is f_{k-2}, and the recursion makes it depend on
     h_1..h_{k-2} only, so h is truncated at order k - 2 and the value is
     exact.  The order is at least 1 because the s term, -r s, is always built.
-    For n < P the correction is multiplied by q = 0, so no series is built.
+    For n < P, q = 0 and the correction is 0, so no series is built.
     """
     _require_two_coprime_parts(parts)
     q, r = decompose(parts, n)
     if not q:
-        return waves_count(parts, r)
+        return 0
     k = parts.k
     order = max(k - 2, 1)
     d, weights, unit = _log_weights(order)
@@ -219,8 +226,7 @@ def section3_count(parts: PartSet, n: int) -> int:
     for i in range(k - 2, -1, -1):
         g = g * shift + comb(k - 2, i) * unit[i] * rest[k - 2 - i]
     denominator = d ** (k - 2) * factorial(k - 2)
-    correction = _exact((-1) ** k * q * g, denominator, "series correction")
-    return waves_count(parts, r) + correction
+    return _exact((-1) ** k * q * g, denominator, "series correction")
 
 
 def _pair_product_sum(parts: PartSet) -> int:

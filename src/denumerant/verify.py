@@ -4,15 +4,19 @@ the Bernoulli numbers' two sources are checked against each other.
 Each check is one row of ``CHECKS``, in report order: name, least and most
 arity, the drawn argument it reads, and its formula side.  The argument's
 kind gives the oracle side, from the trial's lookups p (``_ORACLE_SIDES``).
-A trial walks the rows once, counts each row it runs by arity, and reports
-only a row whose two sides differ, so a sweep returns what it checked
-beside what failed.  The CLI runs the formula sides: `count --method <name>` takes the rows at n,
-and `theorem2` and `theorem3` their rows, so every method but the oracle has
-a count row by construction.  The routes are reached through their modules
-(``oracle.oracle_count``, ``reductions.theorem1_count``, ``waves.waves_count``),
-not bound here by name, so that rebinding a route on its module (a test's
-monkeypatch, or the span tracer in perfbench/spans.py) reaches the sweep and
-the CLI too.
+A formula side takes the trial's waves lookup w: each row at n but the
+waves' adds its route's correction to p(r), n = qP + r, so a trial reads
+the waves at r once, and at n once more when q > 0; p(r) is all the routes
+share.  A trial walks the rows once, counts each row it runs by arity, and
+reports only a row whose two sides differ, so a sweep returns what it
+checked beside what failed.  The CLI runs the formula sides, with a plain
+waves lookup: `count --method <name>` takes the rows at n, and `theorem2`
+and `theorem3` their rows, so every method but the oracle has a count row by
+construction.  The routes are reached through their modules
+(``oracle.oracle_count``, ``reductions.theorem1_correction``,
+``waves.waves_count``), not bound here by name, so that rebinding a route on
+its module (a test's monkeypatch, or the span tracer in perfbench/spans.py)
+reaches the sweep and the CLI too.
 """
 
 from __future__ import annotations
@@ -70,15 +74,20 @@ _ORACLE_SIDES = {
     "x3": lambda p, parts, x: p(parts.product - x) + (-1) ** parts.k * p(x - parts.total),
 }
 
+# A row at n reads p(r), n = qP + r, from the trial's waves lookup w and
+# adds its route's correction; the other rows ignore w.
 CHECKS = (
-    ("theorem1", 1, inf, "n", lambda parts, n: reductions.theorem1_count(parts, n)),
-    ("section3", 2, inf, "n", lambda parts, n: reductions.section3_count(parts, n)),
-    ("closed-form", 2, 5, "n", lambda parts, n: reductions.closed_form_count(parts, n)),
-    ("waves", 1, inf, "n", lambda parts, n: waves.waves_count(parts, n)),
-    ("theorem2", 2, inf, "x", lambda parts, x: reductions.theorem2_count(parts, x)),
+    ("theorem1", 1, inf, "n", lambda w, parts, n:
+     w(reductions.decompose(parts, n)[1]) + reductions.theorem1_correction(parts, n)),
+    ("section3", 2, inf, "n", lambda w, parts, n:
+     w(reductions.decompose(parts, n)[1]) + reductions.section3_correction(parts, n)),
+    ("closed-form", 2, 5, "n", lambda w, parts, n:
+     w(reductions.decompose(parts, n)[1]) + reductions.closed_form_correction(parts, n)),
+    ("waves", 1, inf, "n", lambda w, parts, n: w(n)),
+    ("theorem2", 2, inf, "x", lambda w, parts, x: reductions.theorem2_count(parts, x)),
     ("closed-form-theorem2", 2, 5, "x",
-     lambda parts, x: reductions.closed_form_theorem2(parts, x)),
-    ("theorem3", 2, inf, "x3", lambda parts, x: reductions.theorem3_rhs(parts, x)),
+     lambda w, parts, x: reductions.closed_form_theorem2(parts, x)),
+    ("theorem3", 2, inf, "x3", lambda w, parts, x: reductions.theorem3_rhs(parts, x)),
 )
 
 
@@ -101,23 +110,27 @@ def _check_trial(
     x in [1, S - 1] for k >= 2, then x3 in [S, P] while S <= P.  A row run
     adds one to ran[row, k], and only a row whose two sides differ is
     reported, an n row with q and r (n = qP + r).  Each distinct argument is
-    looked up once, the largest, max(n, P - x), first (theorem3's are below
-    P - S), so one table serves the trial."""
+    looked up once in the oracle, the largest, max(n, P - x), first
+    (theorem3's are below P - S), so one table serves the trial, and once in
+    the waves: the rows at n read p(r), and the waves row p(n), which is p(r)
+    when q = 0."""
     k, product, total = parts.k, parts.product, parts.total
     drawn = {"n": n}
     if k >= 2:
         drawn["x"] = rng.randint(1, total - 1)
         if total <= product:
             drawn["x3"] = rng.randint(total, product)
-    # the trial's lookups, each distinct argument once
+    # the trial's lookups, oracle and waves, each distinct argument once
     looked: Dict[int, int] = {}
     p = lambda m: looked[m] if m in looked else looked.setdefault(m, oracle.oracle_count(parts, m))
+    waved: Dict[int, int] = {}
+    w = lambda m: waved[m] if m in waved else waved.setdefault(m, waves.waves_count(parts, m))
     p(max(n, product - drawn.get("x", product)))
     failures = []
     for check, least, most, arg, formula in CHECKS:
         if least <= k <= most and arg in drawn:
             ran[check, k] += 1
-            lhs, rhs = _ORACLE_SIDES[arg](p, parts, drawn[arg]), formula(parts, drawn[arg])
+            lhs, rhs = _ORACLE_SIDES[arg](p, parts, drawn[arg]), formula(w, parts, drawn[arg])
             if lhs != rhs:
                 q, r = divmod(n, product)
                 inputs = (("n", n), ("q", q), ("r", r)) if arg == "n" else (("x", drawn[arg]),)

@@ -60,3 +60,28 @@ def test_gain_needs_nine_tenths_of_pairs_and_medians_past_the_parent_spread(
 def test_refuses_unpaired_runs_single_pairs_and_unknown_directions(parent, change, better):
     with pytest.raises(ValueError):
         ab_pairs.summarize(parent, change, better)
+
+
+# the parent's runs at each of three seeds: median 10, quartile spread 0.75
+PARENT = [9.5, 10, 10.5, 9.5, 10, 10.5, 9.5, 10, 10.5, 10]
+
+
+@pytest.mark.parametrize(
+    "changes, gain",
+    [
+        # 30/30 wins, every median 2 below the parent's
+        ([[8] * 10] * 3, True),
+        # 27/30 pool to nine tenths, though seed 2 alone wins 8/10
+        ([[8] * 10, [8] * 9 + [11], [8] * 8 + [11] * 2], True),
+        ([[8] * 10, [8] * 8 + [11] * 2, [8] * 8 + [11] * 2], False),  # 26/30
+        # 30/30 wins, but seed 1's median is 0.25 below, within its spread
+        ([[8] * 10, [x - 0.25 for x in PARENT], [8] * 10], False),
+    ],
+)
+def test_pooled_gain_needs_nine_tenths_of_all_pairs_and_every_seeds_lead(changes, gain):
+    seeds = [ab_pairs.summarize(PARENT, change, "lower") for change in changes]
+    verdict = ab_pairs.pooled(seeds, "lower")
+    wins = sum(int(seed["change_wins"].split("/")[0]) for seed in seeds)
+    assert verdict == {"change_wins": f"{wins}/30", "gain": gain}
+    # one series pooled alone is its own verdict
+    assert all(ab_pairs.pooled([seed], "lower")["gain"] is seed["gain"] for seed in seeds)

@@ -27,7 +27,7 @@ from denumerant.errors import (
     UnsupportedArityError,
 )
 from denumerant.partset import PartSet
-from denumerant.reductions import theorem1_count
+from denumerant.reductions import theorem1_correction
 from denumerant.verify import format_failure, random_coprime_partset, run_verify
 from denumerant.waves import waves_count
 
@@ -739,10 +739,11 @@ class TestVerify:
         assert verify._check_trial(0, parts, n, random.Random(0), ran) == []
         assert list(ran.items()) == [((check, len(values)), 1) for check in checks]
         arguments = {"n": n, "x": 1, "x3": parts.total}
+        w = lambda m: waves_count(parts, m)
         for check, *_, arg, formula in verify.CHECKS:
             if check not in checks:
                 with pytest.raises((UnsupportedArityError, RangeError)):
-                    formula(parts, arguments[arg])
+                    formula(w, parts, arguments[arg])
 
     def test_every_count_method_but_the_oracle_has_a_row_at_n(self):
         # a new `count --method` route cannot ship without its verify row
@@ -751,21 +752,24 @@ class TestVerify:
         rows = {check for check, _, _, arg, *_ in verify.CHECKS if arg == "n"}
         assert set(methods) - {"oracle"} <= rows
 
+    # (argv, module, route, base): the rows at n but the waves' add their
+    # route's correction to the base p(r), p(29) = 19 on (2, 3, 5)
     ARGV_ROUTES = (
-        (("count", "--n", "59", "--method", "oracle"), oracle, "oracle_count"),
-        (("count", "--n", "59", "--method", "theorem1"), reductions, "theorem1_count"),
-        (("count", "--n", "59", "--method", "section3"), reductions, "section3_count"),
-        (("count", "--n", "59", "--method", "closed-form"), reductions, "closed_form_count"),
-        (("count", "--n", "59", "--method", "waves"), waves, "waves_count"),
-        (("theorem2", "--x", "7"), reductions, "theorem2_count"),
-        (("theorem3", "--x", "12"), reductions, "theorem3_rhs"),
+        (("count", "--n", "59", "--method", "oracle"), oracle, "oracle_count", 0),
+        (("count", "--n", "59", "--method", "theorem1"), reductions, "theorem1_correction", 19),
+        (("count", "--n", "59", "--method", "section3"), reductions, "section3_correction", 19),
+        (("count", "--n", "59", "--method", "closed-form"), reductions, "closed_form_correction",
+         19),
+        (("count", "--n", "59", "--method", "waves"), waves, "waves_count", 0),
+        (("theorem2", "--x", "7"), reductions, "theorem2_count", 0),
+        (("theorem3", "--x", "12"), reductions, "theorem3_rhs", 0),
     )
 
     @pytest.mark.parametrize(
-        "argv, module, route", ARGV_ROUTES, ids=[route for *_, route in ARGV_ROUTES]
+        "argv, module, route, base", ARGV_ROUTES, ids=[route for _, _, route, _ in ARGV_ROUTES]
     )
     def test_argv_routes_are_looked_up_when_they_run(
-        self, capsys, monkeypatch, argv, module, route
+        self, capsys, monkeypatch, argv, module, route, base
     ):
         # a route rebound on its module after import and after a first run (a
         # test's monkeypatch, or the span tracer in perfbench/spans.py) is the
@@ -773,7 +777,7 @@ class TestVerify:
         assert invoke(capsys, *argv, "--parts", "2,3,5")[0] == 0
         monkeypatch.setattr(module, route, lambda parts, given: 10 ** 40 + given)
         code, out, _ = invoke(capsys, *argv, "--parts", "2,3,5")
-        assert (code, out) == (0, f"{10 ** 40 + int(argv[2])}\n")
+        assert (code, out) == (0, f"{10 ** 40 + int(argv[2]) + base}\n")
 
     def test_waves_row_reads_the_waves_at_n(self, monkeypatch):
         # a waves count off by one from n = P on: the other routes take the
@@ -789,11 +793,10 @@ class TestVerify:
 
     def test_closed_form_row_reads_the_closed_form_count(self, monkeypatch):
         # count --method closed-form with its correction subtracted, not added
-        def mutant(parts, n):
-            _, r = reductions.decompose(parts, n)
-            return waves_count(parts, r) - reductions.closed_form_correction(parts, n)
-
-        monkeypatch.setattr(reductions, "closed_form_count", mutant)
+        correction = reductions.closed_form_correction
+        monkeypatch.setattr(
+            reductions, "closed_form_correction", lambda parts, n: -correction(parts, n)
+        )
         failures, _, _ = run_verify(
             trials=50, seed=0, k_min=2, k_max=5, max_part=13, max_product=20000
         )
@@ -808,7 +811,8 @@ class TestVerify:
     def sweep_work(self):
         """75 50-trial sweeps from cold oracle caches: the kernel calls of the
         first ten, as entries filled per call, and of all 75; the calls each
-        trial made; the first sweep's result; and the reports they built."""
+        trial made; the first sweep's result and its waves counts, at either
+        binding; and the reports they built."""
         per_trial, check_trial = [], verify._check_trial
 
         def counting_check(*args):
@@ -820,12 +824,15 @@ class TestVerify:
         with pytest.MonkeyPatch.context() as patch, kernel_calls() as kernels:
             patch.setattr(verify, "_check_trial", counting_check)
             reports = calls(patch, verify, "TheoremReport")
-            sweeps = [run_verify(50, seed, 2, 5, 13, 20000) for seed in range(10)]
+            waved = [calls(patch, module, "waves_count") for module in (waves, reductions)]
+            sweeps = [run_verify(50, 0, 2, 5, 13, 20000)]
+            first_waves = sum(map(len, waved))
+            sweeps += [run_verify(50, seed, 2, 5, 13, 20000) for seed in range(1, 10)]
             first_ten = [call.filled for call in kernels]
             sweeps += [run_verify(50, seed, 2, 5, 13, 20000) for seed in range(10, 75)]
         filled = [call.filled for call in kernels]
         return SimpleNamespace(first_ten=first_ten, filled=filled, per_trial=per_trial,
-                               first=sweeps[0], reports=reports)
+                               first=sweeps[0], first_waves=first_waves, reports=reports)
 
     def test_one_table_per_trial(self, sweep_work):
         assert len(sweep_work.per_trial) == 3750 and max(sweep_work.per_trial) == 1
@@ -922,6 +929,14 @@ class TestVerify:
         expected["theorem3", 2] = 9
         assert ran == expected and sum(ran.values()) == 345
 
+    def test_one_waves_count_per_distinct_argument(self, sweep_work):
+        """Work gate: a trial counts by the waves at r, and at n once more when
+        q > 0, the rows at n adding their corrections to the one p(r): in
+        run_verify(50, 0, 2, 5, 13, 20000), 36 of the 50 trials have q > 0,
+        so 86 counts.  Each row at n taking p(r) from its own count made 200.
+        """
+        assert sweep_work.first_waves == 86
+
     def test_more_parts_than_max_part_refused_before_any_draw(self, monkeypatch):
         forbid(monkeypatch, verify, "random_coprime_partset")
         message = r"cannot draw 3 distinct parts from \[1, 2\]"
@@ -1013,9 +1028,9 @@ class TestVerify:
     @pytest.fixture
     def theorem1_off_by_one(self, monkeypatch):
         def off_by_one(parts, n):
-            return theorem1_count(parts, n) + 1
+            return theorem1_correction(parts, n) + 1
 
-        monkeypatch.setattr(reductions, "theorem1_count", off_by_one)
+        monkeypatch.setattr(reductions, "theorem1_correction", off_by_one)
 
     FAILING = ("verify", "--trials", "3", "--k-min", "2", "--k-max", "3")
 
@@ -1097,10 +1112,11 @@ class TestVerify:
     def test_routes_reached_through_their_modules(self, monkeypatch):
         # perfbench/spans.py and the tests rebind routes on their modules
         # only, so a name bound in verify by import would go unseen.
-        names = ("theorem1_count", "section3_count", "closed_form_correction", "theorem2_count",
-                 "closed_form_theorem2", "theorem3_rhs")
+        names = ("theorem1_correction", "section3_correction", "closed_form_correction",
+                 "theorem2_count", "closed_form_theorem2", "theorem3_rhs")
         made = {name: calls(monkeypatch, reductions, name) for name in names}
         made["oracle_count"] = calls(monkeypatch, oracle, "oracle_count")
+        made["waves_count"] = calls(monkeypatch, waves, "waves_count")
         run_verify(trials=30, seed=0, k_min=2, k_max=5, max_part=13, max_product=20000)
         assert all(made.values()), {name: len(args) for name, args in made.items()}
 

@@ -11,8 +11,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import denumerant
-from denumerant import bernoulli, reductions
-from denumerant.errors import CoprimalityError, DomainError, RangeError, UnsupportedArityError
+from denumerant import bernoulli, reductions, verify
+from denumerant.errors import (
+    CoprimalityError,
+    DomainError,
+    RangeError,
+    ResourceLimitError,
+    UnsupportedArityError,
+)
 from denumerant.oracle import oracle_count
 from denumerant.partset import PartSet
 from denumerant.reductions import (
@@ -20,6 +26,7 @@ from denumerant.reductions import (
     closed_form_count,
     closed_form_theorem2,
     decompose,
+    section3_correction,
     section3_count,
     theorem1_correction,
     theorem1_count,
@@ -29,12 +36,13 @@ from denumerant.reductions import (
 from denumerant.series import series_exp
 from denumerant.waves import waves_count
 
-from helpers import calls, cold_caches, coprime_part_tuples
+from helpers import calls, cold_caches, coprime_part_tuples, forbid
 
 F = Fraction
 
 COPRIME_2_TO_4 = coprime_part_tuples(13, (2, 3, 4), max_product=4000)
 COPRIME_2_TO_5 = coprime_part_tuples(13, (2, 3, 4, 5))
+COPRIME_1_TO_6 = coprime_part_tuples(13, range(1, 7))
 
 small_n = st.integers(min_value=0, max_value=2000)
 
@@ -58,8 +66,8 @@ KNOWN = [
         ((theorem1_count, section3_count), (2, 3), 11, 2),
         ((theorem1_count, section3_count), (2, 3, 5), 59, 68),
         ((theorem1_count, section3_count), (2, 3, 5), 29, 19),
-        ((theorem1_correction, closed_form_correction), (2, 3), 11, 1),
-        ((theorem1_correction, closed_form_correction), (2, 3, 5), 59, 49),
+        ((theorem1_correction, section3_correction, closed_form_correction), (2, 3), 11, 1),
+        ((theorem1_correction, section3_correction, closed_form_correction), (2, 3, 5), 59, 49),
         ((theorem1_correction,), (7,), 21, 0),
     ]
     for route in routes
@@ -73,12 +81,15 @@ def test_known_values(route, parts, n, value):
 
 # (route, parts, argument, error): each route refuses what its identity does
 # not cover, with exactly this error; theorem2 takes 0 < x < S, theorem3
-# S <= x <= P, section3 k >= 2 and the closed forms 2 <= k <= 5
+# S <= x <= P, section3 k >= 2 and the closed forms 2 <= k <= 5.
+# *_count rows pin a route's refusal, which the waves may raise first; *_correction its own guard
 REFUSED = [
     (theorem1_count, (2, 4), 10, CoprimalityError),
     (theorem1_correction, (6, 10), 100, CoprimalityError),
     (section3_count, (7,), 21, UnsupportedArityError),
     (section3_count, (2, 4), 10, CoprimalityError),
+    (section3_correction, (2, 4), 10, CoprimalityError),
+    (section3_correction, (7,), 21, UnsupportedArityError),
     (closed_form_correction, (7,), 21, UnsupportedArityError),
     (closed_form_correction, (1, 2, 3, 5, 7, 11), 100, UnsupportedArityError),
     (closed_form_correction, (2, 4), 10, CoprimalityError),
@@ -205,6 +216,13 @@ class TestSection3:
         parts = PartSet(combo)
         assert section3_count(parts, n) == theorem1_count(parts, n)
 
+    def test_refused_by_the_waves_before_its_series(self, monkeypatch):
+        # q = 3, and the waves' walk of 2 (2 + 3 + 50000017) steps passes the
+        # cap of 5 * 10^7, so the count is refused before any series is built
+        forbid(monkeypatch, reductions, "series_exp")
+        with pytest.raises(ResourceLimitError):
+            section3_count(PartSet.of(2, 3, 50000017), 10 ** 9)
+
     @pytest.mark.parametrize(
         "combo",
         [(2, 3), (2, 3, 5), (3, 4, 5, 7), (2, 3, 5, 7, 11), (3, 5, 7, 11, 13, 16),
@@ -272,6 +290,35 @@ def test_no_correction_is_built_at_q_zero(monkeypatch, combo):
     n = parts.product + parts.product // 2
     assert theorem1_count(parts, n) == section3_count(parts, n) == waves_count(parts, n)
     assert tables and exps
+
+
+LIBRARY = {
+    "theorem1": theorem1_count,
+    "section3": section3_count,
+    "closed-form": closed_form_count,
+    "waves": waves_count,
+}
+
+
+@given(st.sampled_from(COPRIME_1_TO_6), st.integers(0, 10 ** 6), st.integers(1, 10 ** 20))
+@settings(max_examples=100)
+@example((7,), 20, 3)
+@example((1, 2, 3, 5, 7, 11), 2309, 1)
+def test_rows_at_n_are_the_library_counts(combo, r, q):
+    """Each row at n of verify.CHECKS that covers k, given a plain waves
+    lookup, as the CLI gives it, is the library's count at q = 0 and at q > 0.
+    The CLI and verify run the rows, so this keeps the rows and the library
+    from composing p(r) and the corrections differently."""
+    parts = PartSet(combo)
+    r %= parts.product
+    w = lambda m: waves_count(parts, m)
+    rows = [(check, formula) for check, least, most, arg, formula in verify.CHECKS
+            if arg == "n" and least <= parts.k <= most]
+    assert {check for check, _ in rows} <= LIBRARY.keys() and len(rows) >= 2
+    for n in (r, q * parts.product + r):
+        assert [formula(w, parts, n) for _, formula in rows] == [
+            LIBRARY[check](parts, n) for check, _ in rows
+        ]
 
 
 @pytest.mark.parametrize(
@@ -380,6 +427,7 @@ ALLOWED = {
     "section3": REDUCED
     | {
         "reductions.section3_count",
+        "reductions.section3_correction",
         "reductions._require_two_coprime_parts",
         "reductions._log_weights",
         "bernoulli.log_coefficients",
@@ -467,6 +515,7 @@ def test_every_route_and_identity_returns_an_int(combo):
         section3_count,
         closed_form_count,
         theorem1_correction,
+        section3_correction,
         closed_form_correction,
     )
     values = [oracle_count(parts, 2 * parts.product + 1)]
