@@ -127,18 +127,16 @@ PANEL = (
     Mutant("hold-keeps-replaced-weight", "src/denumerant/admission.py",
            "cache.bytes -= weigh(old)", "cache.bytes -= 0", "panel", "gate"),
     Mutant("growth-put-one-late", "src/denumerant/oracle.py",
-           "growth.put(base - low, counts,", "growth.put(base - low + 1, counts,",
-           "panel", "answer"),
-    Mutant("join-pads-to-growth-length", "src/denumerant/oracle.py",
-           "t.planes.pop(0) if t.planes else bytes(m)",
-           "t.planes.pop(0) if t.planes else bytes(lengths[1])", "panel", "answer"),
+           "table.put(base, counts,", "table.put(base + 1, counts,", "panel", "answer"),
+    Mutant("copy-drops-last-held-entry", "src/denumerant/oracle.py",
+           "plane[:low] = old", "plane[:low - 1] = old[:-1]", "panel", "answer"),
     Mutant("index-keeps-first", "src/denumerant/oracle.py",
            "if len(_TABLES.get(_WIDER.get(narrower), ())) <= len(new):",
            "if not _TABLES.get(_WIDER.get(narrower)):", "panel", "gate"),
     Mutant("index-keeps-shorter", "src/denumerant/oracle.py",
            "<= len(new):", ">= len(new):", "panel", "gate"),
     Mutant("growth-one-short", "src/denumerant/oracle.py",
-           "bytearray(upper + 1 - low)", "bytearray(upper - low)", "2b50364", "gate"),
+           "bytearray(upper + 1)", "bytearray(upper)", "2b50364", "gate"),
     Mutant("parser-built-every-run", "src/denumerant/cli.py",
            "    name = argv[0] if argv and argv[0] in _OPTIONS else None\n",
            "    _build_parser()\n    name = argv[0] if argv and argv[0] in _OPTIONS else None\n",

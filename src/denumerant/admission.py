@@ -24,11 +24,14 @@ from .errors import ResourceLimitError
 from .partset import PartSet
 
 # A table build holds its packed entries, as many bytes each as its largest
-# count needs, and one block of them as ints (oracle._dp_counts).  Joining a
-# held table to its growth takes one plane more.  At the cap a plane weighs
-# 50 MB: counts under 2^64 take at most 0.4 GB, 0.45 GB while a growth to the
-# cap is joined, and each byte past 8 adds 50 MB, where a tuple of ints took
-# ~44 bytes an entry, ~2.2 GB.
+# count needs, and one block of them as ints (oracle._dp_counts).  At the cap
+# a plane weighs 50 MB: counts under 2^64 take at most 0.4 GB, and each byte
+# past 8 adds 50 MB, where a tuple of ints took ~44 bytes an entry, ~2.2 GB.
+# An extension holds the table it extends too, cached until the longer one
+# replaces it: grown to the cap from 4*10^7 entries, the two weigh 90 MB a
+# plane, 0.72 GB at 8 planes.  By tracemalloc, extending the table over
+# (1, 2, 3, 5) from 400,001 to 500,000 entries peaks at 1.05 times the two
+# tables' bytes, 1.88 times the longer one's.
 MAX_TABLE_ENTRIES = 50_000_000
 
 # Digits of one printed `bernoulli` or `bb` numerator or denominator, set at

@@ -36,10 +36,12 @@ plane.  The cached tables and the index are held to admission.MAX_HELD_BYTES.
 oracle_table builds the full table as an uncached tuple.  A table longer
 than admission.MAX_TABLE_ENTRIES is refused before it is allocated.
 
-A build fills its entries block by block and packs each block before the
-next, so it holds the packed table plus one block of ints.  As planes, the
-tables the 75 seed-0 verify-sweep ops hold weigh 7.16 MiB, against 10.54 MiB
-as 4- and 8-byte items.
+A build allocates the whole table, copies a held table's entries into its
+front and fills the rest block by block, packing each block before the next,
+so it holds the packed table plus one block of ints, and while it extends a
+held table, that table too: it is only read, and stays cached until the
+longer one replaces it.  As planes, the tables the 75 seed-0 verify-sweep ops
+hold weigh 7.16 MiB, against 10.54 MiB as 4- and 8-byte items.
 """
 
 from __future__ import annotations
@@ -64,18 +66,13 @@ from .partset import PartSet
 _BLOCK_ENTRIES = 1 << 12
 _BLOCK_SPANS = 64
 
-# A growth is allocated whole, one plane of its length, before its first
+# A table is allocated whole, one plane of its length, before its first
 # block is filled, and each block is packed at its place in it; a plane added
-# when a block's counts pass the planes held is the growth's length too.  A
-# join of a held table and its growth holds the two and one plane more.  In
-# fresh processes on a 2 vCPU Xeon, Python 3.11, medians of 5, peak RSS
-# against growths packed into pieces of an eighth and joined at the end:
-# `count --parts 1,2,3,4,5,6,7 --n 1000000` 26.3 MB against 32.8, `--parts
-# 2,3,5,7 --n 4000000` 35.6 against 38.0, and `--parts 2,3,5000,7919 --n
-# 2000000` 38.2 against 36.3.  A block is packed _BLOCK_ENTRIES entries at a
-# time, eight planes at a time, through an array of unsigned 8-byte items:
-# 'B' and 'H' arrays fill from a list at a quarter of the speed, and 'Q' at a
-# third of the speed of 'L' once counts pass 2^32.
+# when a block's counts pass the planes held is the table's length too.  A
+# block is packed _BLOCK_ENTRIES entries at a time, eight planes at a time,
+# through an array of unsigned 8-byte items: 'B' and 'H' arrays fill from a
+# list at a quarter of the speed, and 'Q' at a third of the speed of 'L' once
+# counts pass 2^32.
 _WORD = "L" if array("L").itemsize == 8 else "Q"
 _LIMB = (1 << 64) - 1
 # The offset of each byte, from the low end, in a native 8-byte item.
@@ -141,25 +138,14 @@ class _Table:
                     chunk = [v >> 64 for v in chunk]
 
 
-def _joined(held: _Table, growth: _Table) -> _Table:
-    """held's entries, then growth's, in as many planes as the wider.  Each
-    plane is joined, and taken from the two, before the next: a join holds
-    them and one plane more, and empties them."""
-    lengths, joined = (len(held), len(growth)), _Table([])
-    for _ in range(max(len(held.planes), len(growth.planes))):
-        pair = zip((held, growth), lengths)
-        column = [t.planes.pop(0) if t.planes else bytes(m) for t, m in pair]
-        joined.planes.append(bytearray().join(column))
-    return joined
-
-
 def _nbytes(table: _Table) -> int:
     return len(table.planes[0]) * len(table.planes)
 
 
 def _dp_counts(parts: Sequence[int], upper: int, held: _Table | Tuple[()] = ()) -> _Table:
-    """Entries len(held)..upper of the table over parts, resuming from held,
-    in as many planes as they need.
+    """Entries 0..upper of the table over parts, in as many planes as they
+    need: held's entries copied, and entries len(held)..upper filled by
+    resuming from them.  held is only read, so a failure leaves it whole.
 
     The pass for part a resumes from its last min(a, len(held)) entries below
     len(held).  They come from held's last sum(parts[1:]) entries by
@@ -167,8 +153,8 @@ def _dp_counts(parts: Sequence[int], upper: int, held: _Table | Tuple[()] = ()) 
     by a.  Entries below n = 0 are 0, so none is held or padded: a part past
     upper costs no memory.  The entries are then filled block by block, each
     pass carrying its last a entries into the next block, and each block is
-    packed at its place in the growth before the next is filled: a build
-    holds the packed entries and one block as ints, not the whole growth as
+    packed at its place in the table before the next is filled: a build
+    holds the packed entries and one block as ints, not the whole table as
     ints at ~36-44 bytes an entry.
     """
     if upper + 1 > admission.MAX_TABLE_ENTRIES:
@@ -190,7 +176,9 @@ def _dp_counts(parts: Sequence[int], upper: int, held: _Table | Tuple[()] = ()) 
             window[j] - (window[j - a] if j >= a else 0) for j in range(start, len(window))
         ]
     tails.reverse()
-    growth = _Table([bytearray(upper + 1 - low)])
+    table = _Table([bytearray(upper + 1) for _ in held.planes])
+    for plane, old in zip(table.planes, held.planes):
+        plane[:low] = old
     for base in range(low, upper + 1, size):
         # counts[pad:] are entries base..; the pass for a reads its tail below
         pad = max(map(len, tails), default=0)
@@ -205,8 +193,8 @@ def _dp_counts(parts: Sequence[int], upper: int, held: _Table | Tuple[()] = ()) 
             tails[i] = counts[max(begin, len(counts) - a) :]
         del counts[:pad]  # in place: a copy would hold the block twice
         # p(n) <= p(n + first), so the block's largest count is among its last first
-        growth.put(base - low, counts, max(counts[-first:]))
-    return growth
+        table.put(base, counts, max(counts[-first:]))
+    return table
 
 
 # Tables keyed by the parts they cover (all of a set but its largest), so
@@ -232,8 +220,6 @@ def _counts_up_to(key: Tuple[int, ...], table: _Table | Tuple[()], upper: int) -
     # Extended by at least a quarter; a refused growth keeps the held table.
     grown = min(len(table) * 5 // 4, admission.MAX_TABLE_ENTRIES) - 1
     new = _dp_counts(key, max(upper, grown), table)
-    if table:  # joined from a copy of its list of planes, so a failure leaves it whole
-        new = _joined(_Table(list(table.planes)), new)
     admission.hold(_TABLES, key, new, _nbytes)
     for narrower in combinations(key, len(key) - 1) if len(key) > 1 else ():
         if len(_TABLES.get(_WIDER.get(narrower), ())) <= len(new):

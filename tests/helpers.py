@@ -62,8 +62,8 @@ def cold_caches() -> None:
 
 class KernelCall(NamedTuple):
     """One oracle._dp_counts call: the parts it tabulates, the length of the
-    table it resumes, the entry it fills up to, and the entries it filled
-    (None while it runs, and after it raises)."""
+    table it resumes, the entry it fills up to, and the entries it wrote past
+    the held ones (None while it runs, and after it raises)."""
 
     parts: Tuple[int, ...]
     held: int
@@ -82,7 +82,7 @@ def kernel_calls() -> Iterator[List[KernelCall]]:
         calls.append(KernelCall(tuple(parts), len(held), upper, None))
         at = len(calls) - 1
         table = kernel(parts, upper, held)
-        calls[at] = calls[at]._replace(filled=len(table))
+        calls[at] = calls[at]._replace(filled=len(table) - len(held))
         return table
 
     with mock.patch.multiple(

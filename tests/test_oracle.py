@@ -504,16 +504,40 @@ def test_index_stores_write_one_key_per_entry():
 
 
 def test_planes_are_allocated_to_their_length():
-    """A cold build, a growth and their join each allocate every plane to its
+    """A cold build and its extension each allocate every plane to its
     length: a block put past a plane's end extends it, and over-allocates."""
     parts = (1, 2, 3, 5)
     cold = oracle._dp_counts(parts, 2_000)
-    growth = oracle._dp_counts(parts, 20_000, cold)
-    planes = [*cold.planes, *growth.planes]  # the join empties growth's list
-    joined = oracle._joined(oracle._Table(list(cold.planes)), growth)
-    assert len(planes) == 4 + 5 and len(joined.planes) == 5
-    for plane in planes + joined.planes:
+    extended = oracle._dp_counts(parts, 20_000, cold)
+    assert len(cold.planes) == 4 and len(extended.planes) == 5
+    for plane in cold.planes + extended.planes:
         assert sys.getsizeof(plane) == sys.getsizeof(bytearray(len(plane)))
+
+
+def test_failure_mid_fill_leaves_the_held_table_whole(monkeypatch):
+    """An extension that fails after its first block leaves the held table
+    cached as it was, so a later lookup still reads exact counts."""
+    monkeypatch.setattr(oracle, "_TABLES", admission.Held())
+    monkeypatch.setattr(oracle, "_WIDER", admission.Held())
+    parts = PartSet.of(2, 3, 5, 7)
+    oracle_count(parts, 20_000)
+    held = oracle._TABLES[(2, 3, 5)]
+    length, planes = len(held), [bytes(plane) for plane in held.planes]
+    real, made = oracle.accumulate, []
+
+    def failing(values):  # a block makes 3 + 5 + 7 accumulates
+        made.append(None)
+        if len(made) > 20:
+            raise MemoryError
+        return real(values)
+
+    monkeypatch.setattr(oracle, "accumulate", failing)
+    with pytest.raises(MemoryError):
+        oracle_count(parts, 60_000)
+    assert oracle._TABLES[(2, 3, 5)] is held
+    assert len(held) == length and [bytes(plane) for plane in held.planes] == planes
+    monkeypatch.setattr(oracle, "accumulate", real)
+    assert oracle_count(parts, 60_000) == oracle_table(parts, 60_000)[60_000]
 
 
 @settings(max_examples=60)
@@ -578,8 +602,10 @@ def test_width_boundaries(monkeypatch, top, planes):
     """
 
     def kernel(parts, upper, held=()):
-        table = oracle._Table([bytearray(upper + 1 - len(held))])
-        table.put(0, [top] * len(table), top)
+        table = oracle._Table([bytearray(upper + 1)])
+        if held:
+            table.planes[0][: len(held)] = held.planes[0]
+        table.put(len(held), [top] * (upper + 1 - len(held)), top)
         return table
 
     monkeypatch.setattr(oracle, "_dp_counts", kernel)
