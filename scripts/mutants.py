@@ -144,6 +144,11 @@ PANEL = (
     Mutant("theorem1-row-reads-waves-at-n", "src/denumerant/verify.py",
            "w(reductions.decompose(parts, n)[1]) + reductions.theorem1_correction(parts, n)",
            "w(n) + reductions.theorem1_correction(parts, n)", "panel", "answer"),
+    Mutant("split-drops-low-bits", "src/denumerant/cli.py",
+           "low = low << half | value & ((1 << half) - 1)", "low = low << half",
+           "panel", "gate"),
+    Mutant("split-remainder-unshifted", "src/denumerant/cli.py",
+           "low = low << half | value", "low = low | value", "panel", "gate"),
 )
 
 VERIFY = ("-m", "denumerant", "verify", "--trials", "500", "--seed", "0")

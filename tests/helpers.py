@@ -54,7 +54,7 @@ def cold_caches() -> None:
         bernoulli._unit_coefficients,
         bernoulli._bernoulli_barnes,
         reductions._log_weights,
-        cli._ten_to,
+        cli._power,
         cli._build_parser,
     ):
         cached.cache_clear()

@@ -454,9 +454,20 @@ class TestDecimal:
         values = [0, 1, -1, 10 ** 3000]  # 10^3000's low halves are all zeros
         for w in self.LADDER:
             values += [10 ** w - 1, 10 ** w, 10 ** w + 1]
-        for value in values:
-            assert cli._decimal(value) == str(value)
-            assert cli._decimal(-value) == str(-value)
+            # cut at 10^w with the remainder's w low bits and its part over
+            # them, below 5^w, each at its least and greatest
+            for q in (1, 10 ** w - 1):
+                for r in (2 ** w - 1, (5 ** w - 1) << w, 10 ** w - 1):
+                    values.append(q * 10 ** w + r)
+        limit = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(0)  # str() of the values past 4,300 digits
+            expected = [(str(value), str(-value)) for value in values]
+        finally:
+            sys.set_int_max_str_digits(limit)
+        for value, (positive, negative) in zip(values, expected):
+            assert cli._decimal(value) == positive
+            assert cli._decimal(-value) == negative
 
     @pytest.mark.parametrize(
         "value",
@@ -477,14 +488,24 @@ class TestDecimal:
         assert len(expected) > 640
 
     def test_power_cache_bounded(self):
-        # work gate: every length up to 4,300 digits cuts at the same five
-        # powers, 10^512 to 10^8192
-        cli._ten_to.cache_clear()
+        # work gate: every length up to 4,300 digits compares with the same
+        # five powers of ten, 10^512 to 10^8192, and divides by the same four
+        # powers of five, 5^512 to 5^4096
+        cli._power.cache_clear()
         for digits in range(1, 4301):
             value = 10 ** digits - 1
             assert cli._decimal(value) == "9" * digits
-        info = cli._ten_to.cache_info()
-        assert info.misses == info.currsize == 5
+        for w in self.LADDER:
+            cli._power(10, w), cli._power(5, w)
+        cli._power(10, 8192)
+        info = cli._power.cache_info()
+        assert info.misses == info.currsize == 9
+        # 10^5 digits compare with nine powers of ten and divide by eight
+        # powers of five: the cache holds them all, so none is made twice
+        cli._power.cache_clear()
+        assert cli._decimal(10 ** 100000 - 1) == "9" * 100000
+        info = cli._power.cache_info()
+        assert info.misses == info.currsize == 17
 
 
 # Per subcommand, each option with plain values and odd ones: values that fail
