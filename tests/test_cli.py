@@ -495,11 +495,11 @@ class TestDecimal:
         for digits in range(1, 4301):
             value = 10 ** digits - 1
             assert cli._decimal(value) == "9" * digits
+        info = cli._power.cache_info()
         for w in self.LADDER:
             cli._power(10, w), cli._power(5, w)
         cli._power(10, 8192)
-        info = cli._power.cache_info()
-        assert info.misses == info.currsize == 9
+        assert cli._power.cache_info().misses == info.misses == info.currsize == 9
         # 10^5 digits compare with nine powers of ten and divide by eight
         # powers of five: the cache holds them all, so none is made twice
         cli._power.cache_clear()
