@@ -21,12 +21,13 @@ seeded so that a test two trees share draws the same examples in both, and
 pytest is verbose so that each test's id and outcome are printed as it ends,
 even when the report of a failure fails itself.  tests/test_mutants.py is
 left out: it checks that each row's old text is in the source, which no
-mutated copy passes.  The result, per row, is whether verify killed it,
-whether tier-1 killed it, and the first failing test id, stored in the --out
-file (made if missing) at [key], next to what the file holds already, with
-verify's kills of the rows of kind "answer": those agreement can see, as
-some route answers or refuses differently under them.  Only the standard
-library is used.
+mutated copy passes.  The result, per row, is whether verify killed it and
+verify's exit code (1 a failed check, 3 a refusal, 4 an internal error; None
+past the timeout), whether tier-1 killed it, and the first failing test id,
+stored in the --out file (made if missing) at [key], next to what the file
+holds already, with verify's kills of the rows of kind "answer": those
+agreement can see, as some route answers or refuses differently under them.
+Only the standard library is used.
 """
 
 from __future__ import annotations
@@ -142,8 +143,8 @@ PANEL = (
            "    _build_parser()\n    name = argv[0] if argv and argv[0] in _OPTIONS else None\n",
            "panel", "gate"),
     Mutant("theorem1-row-reads-waves-at-n", "src/denumerant/verify.py",
-           "w(reductions.decompose(parts, n)[1]) + reductions.theorem1_correction(parts, n)",
-           "w(n) + reductions.theorem1_correction(parts, n)", "panel", "answer"),
+           "reductions.theorem1_count(parts, n, w)",
+           "reductions.theorem1_count(parts, n, lambda r: w(n))", "panel", "answer"),
     Mutant("split-drops-low-bits", "src/denumerant/cli.py",
            "low = low << half | value & ((1 << half) - 1)", "low = low << half",
            "panel", "gate"),
@@ -209,6 +210,7 @@ def run_tree(tree: Path) -> dict:
     verify, tier1 = run_check(tree, VERIFY), run_check(tree, TIER1)
     return {
         "verify_killed": killed(verify),
+        "verify_exit": verify.returncode,
         "tier1_killed": killed(tier1),
         "first_failure": first_failure(tier1),
     }

@@ -209,10 +209,10 @@ def bernoulli_barnes(parts: PartSet, max_index: int) -> Tuple[BBPoly, ...]:
 
 # Bounded by tables, not bytes, but a table is only its m + 1 integers beta,
 # and reading it keeps nothing more: (2,3,5,7) at index 400 holds 114,140
-# bytes of beta.  Hits / misses per traced seed-0 run: verify-sweep (75 ops)
-# 10,619 / 422 and count-huge-n (4,100 ops) 1,814 / 21 fit in 512;
-# bb-high-index (30 ops, 0 / 29) and count-cold-product (190 ops, 0 / 190)
-# never read a table twice, only its unit coefficients.
+# bytes of beta.  The routes read a set's table at index k - 2, so a set's
+# table is built once while fewer than 512 other keys are read after it: a
+# verify trial's theorem1, theorem2 and theorem3 rows read one build, and a
+# run over fewer than 512 sets builds none twice.
 @lru_cache(maxsize=512)
 def _bernoulli_barnes(parts: PartSet, max_index: int) -> Tuple[BBPoly, ...]:
     unit, common = _unit_coefficients(max_index)

@@ -12,7 +12,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 verification failures, 2 usage error, 3 domain
 error (bad part set, out-of-range argument, a request over one of the size
-budgets in admission.py, and similar).
+budgets in admission.py, and similar), 4 internal error (any other
+exception, printed as one stderr line naming its class, with no traceback).
 
 With --output json, every potentially large numeric value is emitted as a
 decimal string so consumers that parse JSON numbers as floats cannot corrupt
@@ -172,7 +173,9 @@ def _dispatch(args: argparse.Namespace) -> int:
     """Run one subcommand, print its text lines or its JSON payload, and
     return its exit code.
 
-    `verify` prints its report and its wall time, and returns 1 on a failure.
+    `verify` prints its report and its wall time, and returns 1 on a failure;
+    its JSON report adds the trials drawn per arity and the runs per row and
+    arity.
     `bb` and `bernoulli` print each row as soon as it is formatted, so their
     memory does not grow with the output.  Their digit budgets are settled
     before any work (admission.py), so a refused run prints nothing.  Counts
@@ -181,7 +184,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     """
     if args.subcommand == "verify":
         started = time.perf_counter()
-        failures, _, _ = run_verify(
+        failures, ran, arities = run_verify(
             args.trials, args.seed, args.k_min, args.k_max, args.max_part, args.max_product
         )
         elapsed = time.perf_counter() - started
@@ -199,7 +202,11 @@ def _dispatch(args: argparse.Namespace) -> int:
                 }
                 for failure in failures
             ]
-            print(json.dumps({"trials": args.trials, "failures": failed, "seed": args.seed}))
+            # the trials drawn at each arity, and the trials that ran each row
+            # at each of them: a row skipped the difference
+            runs = {check: {k: ran[check, k] for k in sorted(arities)} for check, *_ in CHECKS}
+            print(json.dumps({"trials": args.trials, "failures": failed, "seed": args.seed,
+                              "arities": dict(sorted(arities.items())), "ran": runs}))
         print(f"elapsed: {elapsed:.3f}s", file=sys.stderr)
         return 1 if failures else 0
 
@@ -284,7 +291,8 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     once.  The top-level parser takes every other argv (none, `-h`, an
     unknown name) and prints its usage.  The parsers are built once per
     process, on the first argv that `_bind` does not take, so a run of plain
-    argv builds none.
+    argv builds none.  A DomainError exits 3, and any other exception 4, each
+    as one `error:` line on stderr.
     """
     argv = list(argv) if argv is not None else sys.argv[1:]
     name = argv[0] if argv and argv[0] in _OPTIONS else None
@@ -301,6 +309,9 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except Exception as exc:
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 def main() -> None:

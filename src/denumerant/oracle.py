@@ -203,8 +203,7 @@ _TABLES = admission.Held()
 
 # Each key's key one part wider whose table is longest, written when a table
 # is held, so a store writes one entry a part.  Admission's rule holds the
-# entries to the budget too.  The 75 seed-0 verify-sweep ops leave 126 in
-# 8.6 KB.
+# entries to the budget too; an entry weighs only its one wider key.
 _WIDER = admission.Held()
 
 

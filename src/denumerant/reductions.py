@@ -26,9 +26,11 @@ plus hard-coded expansions of the first two identities for k = 2..5.  Each
 value is an int: every route divides once, and a remainder raises.  The
 general sums and the hard-coded forms are implemented independently on
 purpose: agreement between them (and with the dynamic-programming oracle) is
-the correctness argument.  The base count p(r) they all start from comes from
-Sylvester's waves (waves.py), which need no table of r entries and read none
-of the values the corrections are built from.
+the correctness argument.  Each count at n, theorem1_count, section3_count
+and closed_form_count, is p(r) plus its correction, formed in one place
+(``_at_residue``).  p(r) comes from Sylvester's waves (waves.py), which need
+no table of r entries and read none of the values the corrections are built
+from, or from a lookup the caller passes as ``base``.
 
 Pairwise coprimality is a genuine hypothesis, not an implementation
 convenience, so every identity here rejects part sets that lack it instead
@@ -41,7 +43,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb, factorial, lcm
-from typing import Tuple
+from typing import Callable, Optional, Tuple
 
 from .bernoulli import bernoulli_barnes, log_coefficients, numerators_at, power_sum
 from .errors import InternalInconsistencyError, RangeError, UnsupportedArityError
@@ -100,16 +102,25 @@ def theorem1_correction(parts: PartSet, n: int) -> int:
     return _bb_sum(parts, n - r, -r) if parts.k > 1 and q else 0
 
 
-def theorem1_count(parts: PartSet, n: int) -> int:
+def _at_residue(parts: PartSet, n: int, base: Optional[Callable], correction: Callable) -> int:
+    """p(r) + correction(parts, n), n = q P + r: the one place a route's count
+    at n is formed.  p(r) is base(r), or the waves count when base is None."""
+    _, r = decompose(parts, n)
+    return (waves_count(parts, r) if base is None else base(r)) + correction(parts, n)
+
+
+# Each count names its correction when it runs, so a correction rebound on
+# this module (a test's monkeypatch, or the span tracer in perfbench/spans.py)
+# is the one it adds.  base, if given, is a lookup m -> p(m) read once, at r:
+# verify passes its trial's memo, the CLI a plain waves lookup.
+def theorem1_count(parts: PartSet, n: int, base: Optional[Callable] = None) -> int:
     """p(n) via the base count at the residue plus the correction sum."""
-    _, r = decompose(parts, n)
-    return waves_count(parts, r) + theorem1_correction(parts, n)
+    return _at_residue(parts, n, base, theorem1_correction)
 
 
-def closed_form_count(parts: PartSet, n: int) -> int:
+def closed_form_count(parts: PartSet, n: int, base: Optional[Callable] = None) -> int:
     """p(n) via the base count at the residue plus the hard-coded correction."""
-    _, r = decompose(parts, n)
-    return waves_count(parts, r) + closed_form_correction(parts, n)
+    return _at_residue(parts, n, base, closed_form_correction)
 
 
 def _product_sum_rhs(parts: PartSet, x: int) -> int:
@@ -174,10 +185,9 @@ def _log_weights(order: int) -> Tuple[int, Tuple[int, ...], Tuple[int, ...]]:
     return d, weights, series_exp((0, *(-w for w in weights)))
 
 
-def section3_count(parts: PartSet, n: int) -> int:
+def section3_count(parts: PartSet, n: int, base: Optional[Callable] = None) -> int:
     """p(n) via the base count at the residue plus the series correction."""
-    _, r = decompose(parts, n)
-    return waves_count(parts, r) + section3_correction(parts, n)
+    return _at_residue(parts, n, base, section3_correction)
 
 
 def section3_correction(parts: PartSet, n: int) -> int:

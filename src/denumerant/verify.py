@@ -5,15 +5,16 @@ Each check is one row of ``CHECKS``, in report order: name, least and most
 arity, the drawn argument it reads, and its formula side.  The argument's
 kind gives the oracle side, from the trial's lookups p (``_ORACLE_SIDES``).
 A formula side takes the trial's waves lookup w: each row at n but the
-waves' adds its route's correction to p(r), n = qP + r, so a trial reads
-the waves at r once, and at n once more when q > 0; p(r) is all the routes
-share.  A trial walks the rows once, counts each row it runs by arity, and
-reports only a row whose two sides differ, so a sweep returns what it
-checked beside what failed.  The CLI runs the formula sides, with a plain
-waves lookup: `count --method <name>` takes the rows at n, and `theorem2`
-and `theorem3` their rows, so every method but the oracle has a count row by
-construction.  The routes are reached through their modules
-(``oracle.oracle_count``, ``reductions.theorem1_correction``,
+waves' is its route's library count (``reductions.theorem1_count`` and the
+others), given w as the base it reads p(r), n = qP + r, from, so a trial
+reads the waves at r once, and at n once more when q > 0; p(r) is all the
+routes share.  A trial walks the rows once, counts each row it runs by
+arity, and reports only a row whose two sides differ, so a sweep returns
+what it checked beside what failed.  The CLI runs the formula sides, with a
+plain waves lookup: `count --method <name>` takes the rows at n, and
+`theorem2` and `theorem3` their rows, so every method but the oracle has a
+count row by construction.  The routes are reached through their modules
+(``oracle.oracle_count``, ``reductions.theorem1_count``,
 ``waves.waves_count``), not bound here by name, so that rebinding a route on
 its module (a test's monkeypatch, or the span tracer in perfbench/spans.py)
 reaches the sweep and the CLI too.
@@ -74,15 +75,13 @@ _ORACLE_SIDES = {
     "x3": lambda p, parts, x: p(parts.product - x) + (-1) ** parts.k * p(x - parts.total),
 }
 
-# A row at n reads p(r), n = qP + r, from the trial's waves lookup w and
-# adds its route's correction; the other rows ignore w.
+# A row at n but the waves' is its route's library count, given the trial's
+# waves lookup w as the base that it reads p(r), n = qP + r, from; the other
+# rows ignore w.
 CHECKS = (
-    ("theorem1", 1, inf, "n", lambda w, parts, n:
-     w(reductions.decompose(parts, n)[1]) + reductions.theorem1_correction(parts, n)),
-    ("section3", 2, inf, "n", lambda w, parts, n:
-     w(reductions.decompose(parts, n)[1]) + reductions.section3_correction(parts, n)),
-    ("closed-form", 2, 5, "n", lambda w, parts, n:
-     w(reductions.decompose(parts, n)[1]) + reductions.closed_form_correction(parts, n)),
+    ("theorem1", 1, inf, "n", lambda w, parts, n: reductions.theorem1_count(parts, n, w)),
+    ("section3", 2, inf, "n", lambda w, parts, n: reductions.section3_count(parts, n, w)),
+    ("closed-form", 2, 5, "n", lambda w, parts, n: reductions.closed_form_count(parts, n, w)),
     ("waves", 1, inf, "n", lambda w, parts, n: w(n)),
     ("theorem2", 2, inf, "x", lambda w, parts, x: reductions.theorem2_count(parts, x)),
     ("closed-form-theorem2", 2, 5, "x",

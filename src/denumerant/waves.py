@@ -53,8 +53,8 @@ from .partset import PartSet
 _Setup = Tuple[int, int, Tuple[int, ...], Tuple[Tuple[int, int, int, Tuple[int, ...]], ...]]
 
 # Recently used set-ups by parts tuple, held to admission.MAX_HELD_BYTES by
-# admission's rule: the 75 seed-0 verify-sweep ops hold 422 in 0.54 MB, the 190
-# count-cold-product ops 190 in 0.82 MB and count-huge-n 21, so none is built
+# admission's rule.  A set-up weighs about its parts' sum in small ints, so a
+# run over sets of small parts holds every set it counts and builds none
 # twice.  A set-up of the first 100 primes weighs 0.97 MB, so seventeen fit.
 _SETUPS = admission.Held()
 

@@ -21,6 +21,7 @@ from denumerant import admission, bernoulli, cli, oracle, reductions, verify, wa
 from denumerant.cli import _build_parser, main, run
 from denumerant.errors import (
     DomainError,
+    InternalInconsistencyError,
     RangeError,
     ResourceLimitError,
     SamplingExhaustedError,
@@ -267,6 +268,24 @@ class TestExitCodes:
         assert (done, out) == (code, "")
         assert fragment is None or fragment in err
 
+    @pytest.mark.parametrize(
+        "argv", ["count --parts 2,3,5 --n 67 --method theorem1", "verify --trials 5"],
+        ids=["count", "verify"],
+    )
+    def test_internal_error_exits_4_on_one_line(self, capsys, monkeypatch, argv):
+        # a route raising what is not a refusal: exit 4, not verify's 1 for a
+        # failed check, with one stderr line naming the class and no traceback
+        def broken(parts, n):
+            raise InternalInconsistencyError("correction sum is not an integer: 1/2")
+
+        monkeypatch.setattr(reductions, "theorem1_correction", broken)
+        code, out, err = invoke(capsys, *argv.split())
+        assert (code, out) == (4, "")
+        assert err == (
+            "error: internal error: InternalInconsistencyError:"
+            " correction sum is not an integer: 1/2\n"
+        )
+
     def test_theorem3_refuses_a_set_whose_sum_passes_its_product(self, capsys):
         code, out, err = invoke(capsys, "theorem3", "--parts", "1,2", "--x", "3")
         assert (code, out) == (3, "")
@@ -410,7 +429,7 @@ PINNED = [
     ("theorem2 --parts 3,5,7 --x 4 --output json", 0, "0a739e183b302c95"),
     ("theorem3 --parts 3,5,7 --x 15 --output json", 0, "bc5fe0bd07b684aa"),
     ("verify --trials 30", 0, "cf6f904d425535e7"),
-    ("verify --trials 30 --output json", 0, "372583c0e9643a3e"),
+    ("verify --trials 30 --output json", 0, "054f0c13c677bc1c"),
     (f"count --parts 2,3,5,7 --n {HUGE_N} --method theorem1", 0, "9422b7bde44f5202"),
     (
         f"count --parts 2,3,5,7 --n {HUGE_N} --method theorem1 --output json",
@@ -773,6 +792,33 @@ class TestVerify:
         rows = {check for check, _, _, arg, *_ in verify.CHECKS if arg == "n"}
         assert set(methods) - {"oracle"} <= rows
 
+    LIBRARY_COUNTS = {
+        "theorem1": "theorem1_count", "section3": "section3_count",
+        "closed-form": "closed_form_count",
+    }
+
+    def test_rows_at_n_call_the_library_counts(self, monkeypatch, capsys):
+        # a trial at q > 0 calls each library count once, all three with the
+        # trial's waves lookup, which then holds p(r); `count --method` calls
+        # its route's count once and no other
+        made = {name: calls(monkeypatch, reductions, name)
+                for name in self.LIBRARY_COUNTS.values()}
+        parts, n = PartSet((2, 3, 5)), 2 * 30 + 7
+        assert verify._check_trial(0, parts, n, random.Random(0), Counter()) == []
+        assert {name: [args[:2] for args in made[name]] for name in made} == dict.fromkeys(
+            made, [(parts, n)]
+        )
+        (base,) = {args[2] for recorded in made.values() for args in recorded}
+        waved = calls(monkeypatch, waves, "waves_count")
+        assert base(7) == waves_count(parts, 7) and waved == []
+        for method, name in self.LIBRARY_COUNTS.items():
+            for recorded in made.values():
+                recorded.clear()
+            argv = ("count", "--parts", "2,3,5", "--n", str(n), "--method", method)
+            assert invoke(capsys, *argv)[0] == 0
+            assert [key for key in made for _ in made[key]] == [name]
+            assert made[name][0][:2] == (parts, n)
+
     # (argv, module, route, base): the rows at n but the waves' add their
     # route's correction to the base p(r), p(29) = 19 on (2, 3, 5)
     ARGV_ROUTES = (
@@ -950,6 +996,22 @@ class TestVerify:
         expected["theorem3", 2] = 9
         assert ran == expected and sum(ran.values()) == 345
 
+    def test_json_report_counts_what_it_checked(self, capsys):
+        # the JSON report carries run_verify's counts: the trials drawn per
+        # arity, and each row's runs at every arity drawn, 0 where it skipped
+        argv = ("--trials", "40", "--seed", "3", "--k-min", "1", "--k-max", "6")
+        code, out, _ = invoke(capsys, "verify", *argv, "--output", "json")
+        _, ran, arities = run_verify(40, 3, 1, 6, 13, 100000)
+        report = json.loads(out)
+        assert code == 0 and list(report["ran"]) == list(self.ALL_CHECKS)
+        assert {int(k): drawn for k, drawn in report["arities"].items()} == arities
+        assert set(arities) == set(range(1, 7))
+        assert all(row.keys() == report["arities"].keys() for row in report["ran"].values())
+        runs = {(check, int(k)): runs for check, row in report["ran"].items()
+                for k, runs in row.items()}
+        assert {key: runs for key, runs in runs.items() if runs} == ran
+        assert runs["section3", 1] == runs["closed-form", 6] == 0
+
     def test_one_waves_count_per_distinct_argument(self, sweep_work):
         """Work gate: a trial counts by the waves at r, and at n once more when
         q > 0, the rows at n adding their corrections to the one p(r): in
@@ -1070,7 +1132,7 @@ class TestVerify:
 
     def test_failures_reported_as_json(self, theorem1_off_by_one, capsys):
         code, out, _ = invoke(capsys, *self.FAILING, "--output", "json")
-        assert code == 1 and sha16(out) == "ef74b9f2a609ac3c"
+        assert code == 1 and sha16(out) == "75b297dfbb70f3d8"
         failures = json.loads(out)["failures"]
         assert [f["check"] for f in failures] == ["theorem1"] * 3
         for failure in failures:
@@ -1090,7 +1152,7 @@ class TestVerify:
     AT_N = ("theorem1", "section3", "closed-form", "waves")
 
     @pytest.mark.parametrize(
-        "output, digest", [("text", "acd999a99ddbf2f8"), ("json", "30df32860cc608c3")]
+        "output, digest", [("text", "acd999a99ddbf2f8"), ("json", "9e43c9af9750fc22")]
     )
     def test_rows_failing_together_keep_report_order(
         self, waves_off_by_one, capsys, output, digest

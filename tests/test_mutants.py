@@ -1,8 +1,8 @@
 """The mutant panel of scripts/mutants.py applies to the current source,
 each row classed; MUTANTS.json holds a run of each of its rows that keeps
-every kill, and verify's kills of the answer rows; each answer row verify
-misses is an open item of ROADMAP.md; and a check's child runs under the
-panel's memory cap."""
+every kill, verify's kills of the answer rows and how verify ended; each
+answer row verify misses is an open item of ROADMAP.md; and a check's child
+runs under the panel's memory cap."""
 
 import importlib.util
 import json
@@ -62,6 +62,15 @@ def test_verify_keeps_its_answer_kills():
         kills[key] = sum(bool(row["verify_killed"]) for row in rows)
         assert RUNS[key]["verify_answer_kills"] == f"{kills[key]}/{len(rows)}"
     assert kills["change"] >= kills["parent"]
+
+
+def test_killed_answer_rows_record_how_verify_ended():
+    # at the change, each answer row verify kills records its exit code: 1 a
+    # failed check, 3 a refusal, 4 an internal error, so a crash is told
+    # apart from a failed check
+    codes = [row["verify_exit"] for row in RUNS["change"]["rows"]
+             if row["id"] in ANSWER and row["verify_killed"]]
+    assert codes and set(codes) <= {1, 3, 4}
 
 
 def test_rows_verify_misses_are_open_items():

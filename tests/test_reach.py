@@ -35,9 +35,6 @@ LEDGER = {
         "only for an x outside the domain, which verify never draws",
     ("_Table.put", "chunk = [v >> 64 for v in chunk]"):
         "counts past 2^64 - 1, over eight planes, need n far past 4P",
-    ("theorem1_count", None): "the rows at n add the correction to the trial's p(r)",
-    ("section3_count", None): "the rows at n add the correction to the trial's p(r)",
-    ("closed_form_count", None): "the rows at n add the correction to the trial's p(r)",
     ("oracle_table", None): "the full table, which only the tests read",
     ("BBPoly.at", None): "bb only; the routes read beta through numerators_at",
     ("lowest_terms", None): "bb's printer",

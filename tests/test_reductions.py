@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import denumerant
-from denumerant import bernoulli, reductions, verify
+from denumerant import bernoulli, reductions
 from denumerant.errors import (
     CoprimalityError,
     DomainError,
@@ -42,7 +42,6 @@ F = Fraction
 
 COPRIME_2_TO_4 = coprime_part_tuples(13, (2, 3, 4), max_product=4000)
 COPRIME_2_TO_5 = coprime_part_tuples(13, (2, 3, 4, 5))
-COPRIME_1_TO_6 = coprime_part_tuples(13, range(1, 7))
 
 small_n = st.integers(min_value=0, max_value=2000)
 
@@ -292,35 +291,6 @@ def test_no_correction_is_built_at_q_zero(monkeypatch, combo):
     assert tables and exps
 
 
-LIBRARY = {
-    "theorem1": theorem1_count,
-    "section3": section3_count,
-    "closed-form": closed_form_count,
-    "waves": waves_count,
-}
-
-
-@given(st.sampled_from(COPRIME_1_TO_6), st.integers(0, 10 ** 6), st.integers(1, 10 ** 20))
-@settings(max_examples=100)
-@example((7,), 20, 3)
-@example((1, 2, 3, 5, 7, 11), 2309, 1)
-def test_rows_at_n_are_the_library_counts(combo, r, q):
-    """Each row at n of verify.CHECKS that covers k, given a plain waves
-    lookup, as the CLI gives it, is the library's count at q = 0 and at q > 0.
-    The CLI and verify run the rows, so this keeps the rows and the library
-    from composing p(r) and the corrections differently."""
-    parts = PartSet(combo)
-    r %= parts.product
-    w = lambda m: waves_count(parts, m)
-    rows = [(check, formula) for check, least, most, arg, formula in verify.CHECKS
-            if arg == "n" and least <= parts.k <= most]
-    assert {check for check, _ in rows} <= LIBRARY.keys() and len(rows) >= 2
-    for n in (r, q * parts.product + r):
-        assert [formula(w, parts, n) for _, formula in rows] == [
-            LIBRARY[check](parts, n) for check, _ in rows
-        ]
-
-
 @pytest.mark.parametrize(
     "combo",
     [(7, 37), (5, 17, 29), (3, 5, 7, 23), (1, 3, 5, 7, 19), (1, 3, 5, 7, 11, 13),
@@ -411,7 +381,7 @@ def test_bernoulli_barnes_routes_evaluate_k_minus_1_polynomials(monkeypatch, com
 # waves' size check in admission.py is policy, not a route.
 WAVES = {"waves.waves_count", "waves._setup", "waves._wave", "waves._walk", "admission.hold"}
 WAVES |= {"admission.recall", "admission.admit_waves"}
-REDUCED = WAVES | {"reductions.decompose", "reductions._exact"}
+REDUCED = WAVES | {"reductions.decompose", "reductions._exact", "reductions._at_residue"}
 ALLOWED = {
     "theorem1": REDUCED
     | {
